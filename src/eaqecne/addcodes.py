@@ -8,16 +8,18 @@ so two codes are equal exactly when their canonical preimages match.
 Form conventions.  The Hermitian product is sum_j u_j * conj(v_j).  The
 trace form is the relative trace of the Hermitian value and is symmetric;
 the alternating form divides the antisymmetrized Hermitian value by
-beta^2 - beta^(2q) and pulls back to the symplectic form exactly, which the
-trace form does only in characteristic 2.  Structural computations
-(radicals, decompositions, code parameters) therefore default to the
-alternating form throughout.
+beta^2 - beta^(2q).  On the preimage both are a 2x2 block per coordinate
+(:func:`form_block`): the trace block has entries rel_trace(e_i * conj(e_k))
+for e = (beta, beta^q), and the alternating block is exactly the symplectic
+one, which the trace block matches only in characteristic 2.  Duals,
+radicals and self-orthogonality checks are Gram-matrix products and
+kernels on the preimage; structural computations (radicals,
+decompositions, code parameters) default to the alternating form.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,18 @@ DEFAULT_BUDGET = 1 << 30
 _CHUNK = 1 << 16
 
 
+def form_block(Q: FieldSpec, form: str):
+    """The 2x2 block of a base-field-valued form on preimage coordinates."""
+    Q._require_quadratic()
+    if form == "alternating":
+        return sp.symplectic_block(Q.base)
+    if form == "trace":
+        e = (Q.beta, Q.beta_conj)
+        return tuple(tuple(Q.rel_trace(Q.mul(x, Q.conjugate(y))) for y in e)
+                     for x in e)
+    raise ValueError(f"unknown form {form!r}")
+
+
 def inner(Q: FieldSpec, u, v, form: str = "hermitian") -> int:
     """Inner product of two GF(q^2) vectors; trace/alternating values are
     returned as base-field indices."""
@@ -42,18 +56,34 @@ def inner(Q: FieldSpec, u, v, form: str = "hermitian") -> int:
     v = np.atleast_1d(np.asarray(v))
     if u.shape != v.shape:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    h = 0
-    for a, b in zip(u, v):
-        h = Q.add(h, Q.mul(int(a), Q.conjugate(int(b))))
     if form == "hermitian":
-        return h
-    if form == "trace":
-        return Q.rel_trace(h)
-    if form == "alternating":
-        alt = Q.div(Q.sub(h, Q.conjugate(h)), Q.alt_normalizer)
-        assert alt < Q.base.order
-        return alt
-    raise ValueError(f"unknown form {form!r}")
+        return int(linalg.gram(Q, u, Q.conj_table[v])[0, 0])
+    block = form_block(Q, form)
+    return int(linalg.gram(Q.base, sp.phi_inv(Q, u),
+                           sp.form_rows(Q.base, sp.phi_inv(Q, v), block))[0, 0])
+
+
+def _hermitian_gram(Q: FieldSpec, G) -> np.ndarray:
+    G = linalg.as_matrix(G)
+    return linalg.gram(Q, G, Q.conj_table[G])
+
+
+def code_gram(code: "AdditiveCode", form: str = "alternating") -> np.ndarray:
+    """Gram matrix of the generators: entry (i, j) is inner(G[i], G[j], form).
+
+    Base-field-valued forms are evaluated on the preimage rows, whose images
+    are the generators.
+    """
+    Q = code.field
+    if form == "hermitian":
+        return _hermitian_gram(Q, code.generators)
+    return sp.form_gram(Q.base, code.preimage, form_block(Q, form))
+
+
+def _first_nonzero_pair(M: np.ndarray):
+    """First (i, j) with i <= j and M[i, j] != 0 in row-major order."""
+    hits = np.argwhere(np.triu(M) != 0)
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
 class AdditiveCode:
@@ -140,16 +170,12 @@ def random_additive_code(Q: FieldSpec, n: int, m: int, rng) -> AdditiveCode:
 
 
 def dual(code: AdditiveCode, form: str = "alternating") -> AdditiveCode:
-    """Dual under the trace or alternating form, via the generic
-    bilinear-complement engine on the preimage space."""
+    """Dual under the trace or alternating form: the kernel of the code's
+    preimage rows rewritten by the form's block."""
     if form not in DUAL_FORMS:
         raise ValueError(f"dual is defined for forms {DUAL_FORMS}, got {form!r}")
     Q = code.field
-
-    def gram(x, y):
-        return inner(Q, sp.phi(Q, x), sp.phi(Q, y), form)
-
-    pre = linalg.form_complement(Q.base, code.preimage, gram)
+    pre = sp.form_dual(Q.base, code.preimage, form_block(Q, form))
     return AdditiveCode(Q, code.n, pre)
 
 
@@ -181,21 +207,13 @@ def radical_decompose(code: AdditiveCode, form: str = "alternating") -> CodeDeco
     if form == "alternating":
         dec = sp.decompose(F, code.preimage)
         rad = AdditiveCode(Q, code.n, linalg.row_basis(F, dec.radical))
-        comp = AdditiveCode.from_preimage(Q, dec.pair_matrix()) \
-            if dec.c else AdditiveCode.zero(Q, code.n)
+        comp = AdditiveCode.from_preimage(Q, dec.pair_matrix())
         l, c2 = dec.l, 2 * dec.c
     elif form == "trace":
         rad = radical(code, "trace")
-        picked = rad.preimage
-        comp_rows = []
-        for row in code.preimage:
-            cand = np.vstack([picked, row.reshape(1, -1)])
-            if linalg.rank(F, cand) > picked.shape[0]:
-                picked = cand
-                comp_rows.append(row)
-        comp = (AdditiveCode.from_preimage(Q, np.array(comp_rows, dtype=np.int16))
-                if comp_rows else AdditiveCode.zero(Q, code.n))
-        l, c2 = rad.m, len(comp_rows)
+        comp_rows = linalg.extend_basis(F, rad.preimage, code.preimage)
+        comp = AdditiveCode.from_preimage(Q, comp_rows)
+        l, c2 = rad.m, comp_rows.shape[0]
     else:
         raise ValueError(f"decomposition is defined for forms {DUAL_FORMS}")
     if c2 % 2:
@@ -206,12 +224,7 @@ def radical_decompose(code: AdditiveCode, form: str = "alternating") -> CodeDeco
 
 def self_orthogonality_witness(code: AdditiveCode, form: str = "alternating"):
     """First generator pair with nonzero form value, or None if self-orthogonal."""
-    G = code.generators
-    for i in range(G.shape[0]):
-        for j in range(i, G.shape[0]):
-            if inner(code.field, G[i], G[j], form) != 0:
-                return (i, j)
-    return None
+    return _first_nonzero_pair(code_gram(code, form))
 
 
 def is_self_orthogonal(code: AdditiveCode, form: str = "alternating") -> bool:
@@ -279,12 +292,7 @@ class LinearCode:
 
 
 def hermitian_witness(code: LinearCode):
-    G = code.matrix
-    for i in range(G.shape[0]):
-        for j in range(i, G.shape[0]):
-            if inner(code.field, G[i], G[j], "hermitian") != 0:
-                return (i, j)
-    return None
+    return _first_nonzero_pair(_hermitian_gram(code.field, code.matrix))
 
 
 def is_hermitian_self_orthogonal(code: LinearCode) -> bool:
@@ -329,24 +337,20 @@ def _suffix_block(Q: FieldSpec, gens: np.ndarray) -> np.ndarray:
     return W
 
 
-def _scan_span(Q, gens, shift, global_offset, skip_below, chunk=None):
-    """Min weight over {shift + span(gens)}, skipping global odometer
-    indices below `skip_below`.  Returns (best, examined)."""
-    if chunk is None:
-        chunk = _CHUNK
+def _scan_span(Q, gens, skip_below):
+    """Min weight over span(gens), skipping odometer indices below
+    `skip_below`.  Returns (best, examined)."""
     q = Q.base.order
     m, n = gens.shape
     s = 0
-    while s < m and q ** (s + 1) <= chunk:
+    while s < m and q ** (s + 1) <= _CHUNK:
         s += 1
     suffix = _suffix_block(Q, gens[m - s:])
-    if shift is not None:
-        suffix = Q.add_table[suffix, np.asarray(shift, dtype=np.int16)[None, :]]
     block_len = suffix.shape[0]
     best = n + 1
     examined = 0
     for ordinal, digits in enumerate(itertools.product(range(q), repeat=m - s)):
-        start = global_offset + ordinal * block_len
+        start = ordinal * block_len
         if start + block_len <= skip_below:
             continue
         block = suffix
@@ -365,24 +369,13 @@ def _scan_span(Q, gens, shift, global_offset, skip_below, chunk=None):
 
 def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode):
     """Generators of `outer` ordered so the trailing block spans `excluded`."""
-    F = outer.base_field
-    picked = excluded.preimage
-    ext_rows = []
-    for row in outer.preimage:
-        cand = np.vstack([picked, row.reshape(1, -1)])
-        if linalg.rank(F, cand) > picked.shape[0]:
-            picked = cand
-            ext_rows.append(row)
-    ext = (np.array(ext_rows, dtype=np.int16) if ext_rows
-           else linalg.empty_matrix(2 * outer.n))
+    ext = linalg.extend_basis(outer.base_field, excluded.preimage, outer.preimage)
     pre = np.vstack([ext, excluded.preimage])
     return sp.phi(outer.field, pre) if pre.shape[0] else linalg.empty_matrix(outer.n)
 
 
 def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
-                                *, budget: int = DEFAULT_BUDGET,
-                                strategy: str = "full",
-                                threads: int = 1) -> MinWeightResult:
+                                *, budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     """Minimum Hamming weight over words of `outer` not in `excluded`."""
     outer._check_peer(excluded)
     if not outer.contains(excluded):
@@ -396,64 +389,23 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
         return MinWeightResult(weight=n + 1, examined=0)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    gens = _exclusion_basis(outer, excluded)
-    if strategy == "full":
-        best, examined = _scan_span(outer.field, gens, None, 0, skip)
-    elif strategy == "partitioned":
-        best, examined = _scan_partitioned(outer.field, gens, skip, threads)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    best, examined = _scan_span(outer.field, _exclusion_basis(outer, excluded), skip)
     return MinWeightResult(weight=best, examined=examined)
 
 
-def _scan_partitioned(Q, gens, skip_below, threads):
-    """Partition by the first coefficient digit and merge the minima."""
-    q = Q.base.order
-    m, n = gens.shape
-    if m == 0:
-        return n + 1, 0
-    part_len = q ** (m - 1)
-    rest = gens[1:]
-
-    def one(digit: int):
-        shift = Q.mul_table[digit, gens[0]] if digit else None
-        return _scan_span(Q, rest, shift, digit * part_len, skip_below)
-
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(q)))
-    else:
-        best_so_far = n + 1
-        for d in range(q):
-            r = one(d)
-            results.append(r)
-            best_so_far = min(best_so_far, r[0])
-            if best_so_far <= 1:
-                break
-    best = min(r[0] for r in results)
-    examined = sum(r[1] for r in results)
-    return best, examined
-
-
 def min_weight_excluding(outer: AdditiveCode, excluded: AdditiveCode, *,
-                         budget: int = DEFAULT_BUDGET, strategy: str = "full",
-                         threads: int = 1) -> int:
-    return min_weight_excluding_detail(outer, excluded, budget=budget,
-                                       strategy=strategy, threads=threads).weight
+                         budget: int = DEFAULT_BUDGET) -> int:
+    return min_weight_excluding_detail(outer, excluded, budget=budget).weight
 
 
-def min_weight_detail(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET,
-                      strategy: str = "full", threads: int = 1) -> MinWeightResult:
+def min_weight_detail(code: AdditiveCode, *,
+                      budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     return min_weight_excluding_detail(
-        code, AdditiveCode.zero(code.field, code.n),
-        budget=budget, strategy=strategy, threads=threads)
+        code, AdditiveCode.zero(code.field, code.n), budget=budget)
 
 
-def min_weight(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET,
-               strategy: str = "full", threads: int = 1) -> int:
-    return min_weight_detail(code, budget=budget, strategy=strategy,
-                             threads=threads).weight
+def min_weight(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET) -> int:
+    return min_weight_detail(code, budget=budget).weight
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +413,18 @@ def min_weight(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 
 
+def _kept_coords(n: int, coords) -> list[int]:
+    """Coordinates of [0, n) left after deleting the 0-based `coords`."""
+    drop = set(int(c) for c in coords)
+    for c in sorted(drop):
+        if not 0 <= c < n:
+            raise IndexOutOfRange(f"coordinate {c} outside [0, {n})")
+    return [j for j in range(n) if j not in drop]
+
+
 def puncture(code: AdditiveCode, coords) -> AdditiveCode:
     """Delete the 0-based coordinates from every generator and re-canonicalize."""
-    coords = sorted(set(int(c) for c in coords))
-    for c in coords:
-        if not 0 <= c < code.n:
-            raise IndexOutOfRange(f"coordinate {c} outside [0, {code.n})")
-    keep = [j for j in range(code.n) if j not in coords]
+    keep = _kept_coords(code.n, coords)
     if code.m == 0:
         return AdditiveCode.zero(code.field, len(keep))
     return AdditiveCode.from_generators(code.field, code.generators[:, keep],
@@ -475,11 +432,7 @@ def puncture(code: AdditiveCode, coords) -> AdditiveCode:
 
 
 def puncture_linear(code: LinearCode, coords) -> LinearCode:
-    coords = sorted(set(int(c) for c in coords))
-    for c in coords:
-        if not 0 <= c < code.n:
-            raise IndexOutOfRange(f"coordinate {c} outside [0, {code.n})")
-    keep = [j for j in range(code.n) if j not in coords]
+    keep = _kept_coords(code.n, coords)
     return LinearCode(code.field, code.matrix[:, keep], n=len(keep))
 
 
@@ -493,14 +446,16 @@ def dump_code(code: AdditiveCode) -> str:
     return linalg.dump_matrix(code.field, code.generators, comments=(header,))
 
 
-def parse_code(text: str) -> AdditiveCode:
-    F, M = linalg.parse_matrix(text)
+def _code_from_matrix(F: FieldSpec, M: np.ndarray) -> AdditiveCode:
     if not F.is_quadratic:
         raise FormatError(
             f"code files need a quadratic-extension field order, got {F.order}")
     return AdditiveCode.from_generators(F, M, n=M.shape[1])
 
 
+def parse_code(text: str) -> AdditiveCode:
+    return _code_from_matrix(*linalg.parse_matrix(text))
+
+
 def load_code(path) -> AdditiveCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
+    return _code_from_matrix(*linalg.load_matrix(path))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from fractions import Fraction
 
@@ -19,13 +18,6 @@ from .errors import EaqecneError, FormatError
 from .gf import SUPPORTED_ORDERS, field, quadratic_field
 from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EAQECNE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_code(path: str, symplectic_input: bool) -> ac.AdditiveCode:
@@ -86,9 +78,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_mindist(args) -> int:
     code = _load_code(args.codefile, args.symplectic)
-    strategy = "partitioned" if (args.partitioned or args.threads > 1) else "full"
-    res = ac.min_weight_detail(code, budget=args.budget, strategy=strategy,
-                               threads=args.threads)
+    res = ac.min_weight_detail(code, budget=args.budget)
     d = "undefined" if res.is_undefined(code.n) else str(res.weight)
     print(f"d={d} enumerated={res.examined}")
     return 0
@@ -158,6 +148,7 @@ def cmd_fidelity(args) -> int:
 
 def cmd_verify_pauli(args) -> int:
     p, n = args.p, args.n
+    pauli.PauliLabel.identity(p, n)  # rejects p that is not a supported prime
     F = field(p)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -253,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="minimum weight by exhaustive enumeration")
     p.add_argument("codefile")
-    p.add_argument("--partitioned", action="store_true",
-                   help="partition by the leading coefficient digit")
-    p.add_argument("--threads", type=int, default=_default_threads())
     add_symplectic(p)
     add_budget(p)
     p.set_defaults(func=cmd_mindist)
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("match", help="classify an Alice/Bob parameter pair")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--alice", required=True, metavar="n,k,d,c")
     p.add_argument("--bob", required=True, metavar="m,kb,db")
     p.set_defaults(func=cmd_match)

@@ -69,6 +69,8 @@ class EAQECCParams:
         if self.n - self.c - self.k < 0:
             raise RangeError(
                 f"[[{self.n},{self.k};{self.c}]] forces negative isotropic dimension")
+        if self.d is not None and not 1 <= self.d <= self.n:
+            raise RangeError(f"d={self.d} outside [1, {self.n}]")
 
     @property
     def l(self) -> int:

@@ -260,13 +260,6 @@ class FieldSpec:
             k >>= 1
         return out
 
-    def dot(self, u, v) -> int:
-        """Plain coordinatewise dot product of two index vectors."""
-        acc = 0
-        for a, b in zip(u, v, strict=True):
-            acc = self.add(acc, self.mul(int(a), int(b)))
-        return acc
-
     # -- encoding -------------------------------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
@@ -328,42 +321,36 @@ class FieldSpec:
             raise ValueError(f"index {index} outside [0, {self.order})")
         return FieldElement(self, index)
 
-    def poly_str(self, a: int, var: str = "x") -> str:
-        """Human-readable polynomial form of an element index.
+    def _terms(self, coeffs, var: str) -> list[str]:
+        """Rendered nonzero terms c_i*var^i, low degree first.
 
         Base-field coefficients of a tower field use the next letter, so a
         GF(16) element reads like ``(1 + y) + y*x``.
         """
-        if self.base is None:
-            return str(a)
         nested = chr(ord(var) + 1)
         terms = []
-        for i, c in enumerate(self.coeffs(a)):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             cs = self.base.poly_str(c, nested)
+            cs = f"({cs})" if "+" in cs else cs
             if i == 0:
-                terms.append(f"({cs})" if "+" in cs else cs)
+                terms.append(cs)
             else:
-                head = "" if cs == "1" else (f"({cs})*" if "+" in cs else f"{cs}*")
+                head = "" if cs == "1" else f"{cs}*"
                 terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(terms) if terms else "0"
+        return terms
+
+    def poly_str(self, a: int, var: str = "x") -> str:
+        """Human-readable polynomial form of an element index."""
+        if self.base is None:
+            return str(a)
+        return " + ".join(self._terms(self.coeffs(a), var)) or "0"
 
     def modulus_str(self, var: str = "x") -> str:
         if self.base is None:
             return var
-        nested = chr(ord(var) + 1)
-        terms = []
-        for i, c in enumerate(self.modulus):
-            if c == 0:
-                continue
-            cs = self.base.poly_str(c, nested)
-            if i == 0:
-                terms.append(f"({cs})" if "+" in cs else cs)
-            else:
-                head = "" if cs == "1" else (f"({cs})*" if "+" in cs else f"{cs}*")
-                terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(reversed(terms))
+        return " + ".join(reversed(self._terms(self.modulus, var)))
 
     def __repr__(self) -> str:
         return f"GF({self.order})"

@@ -1,4 +1,4 @@
-"""Row-reduction subspace algebra over a FieldSpec.
+"""Row-reduction subspace algebra and the Gram product over a FieldSpec.
 
 Matrices are 2-D numpy integer arrays of element indices; rows are the only
 vector orientation that carries meaning.  Subspaces are identified with the
@@ -117,20 +117,29 @@ def subspace_eq(F: FieldSpec, A, B) -> bool:
     return np.array_equal(row_basis(F, A), row_basis(F, B))
 
 
-def form_complement(F: FieldSpec, S, gram) -> np.ndarray:
-    """All x with gram(x, s) = 0 for every basis row s.
+def gram(F: FieldSpec, A, B) -> np.ndarray:
+    """The product A . B^T over F: entry (i, j) is the dot product of row i
+    of A with row j of B, accumulated one column at a time through the
+    field tables."""
+    A, B = as_matrix(A), as_matrix(B)
+    _check_ambient(A, B)
+    out = np.zeros((A.shape[0], B.shape[0]), dtype=_DT)
+    for a, b in zip(A.T, B.T):
+        out = F.add_table[out, F.mul_table[a[:, None], b[None, :]]]
+    return out
 
-    ``gram`` must be an F_q-bilinear callback taking two index vectors and
-    returning an element index, so the constraint matrix can be assembled
-    from its values on unit vectors.
+
+def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:
+    """The rows that extend the independent rows of S, picked greedily in order.
+
+    A row is kept when it is not in the span of S and the rows kept before
+    it; these are the pivot columns of the stacked transpose.
     """
-    S = as_matrix(S)
-    n = S.shape[1]
-    if S.shape[0] == 0:
-        return identity_matrix(n)
-    eye = identity_matrix(n)
-    A = np.array([[gram(eye[j], s) for j in range(n)] for s in S], dtype=_DT)
-    return kernel(F, A)
+    S, rows = as_matrix(S), as_matrix(rows)
+    _check_ambient(S, rows)
+    _, _, pivots = rref(F, np.vstack([S, rows]).T)
+    k = S.shape[0]
+    return rows[np.array([p - k for p in pivots if p >= k], dtype=np.intp)]
 
 
 def random_matrix(F: FieldSpec, rows: int, cols: int, rng) -> np.ndarray:
@@ -198,5 +207,12 @@ def parse_matrix(text: str) -> tuple[FieldSpec, np.ndarray]:
 
 
 def load_matrix(path) -> tuple[FieldSpec, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    """Read and parse a matrix file; unreadable files are format errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return parse_matrix(text)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionCap, DimensionMismatch, NonPauliResult,
-                     NotAbelian, PhaseObstruction)
-from .gf import field
+                     NotAbelian, PhaseObstruction, RangeError)
+from .gf import SUPPORTED_ORDERS, field
 
 DEFAULT_DIM_CAP = 3 ** 5
 _ATOL = 1e-9
@@ -40,7 +40,8 @@ class PauliLabel:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        field(self.p)  # validates primality for supported p
+        if self.p not in SUPPORTED_ORDERS or field(self.p).base is not None:
+            raise RangeError(f"Pauli labels need a supported prime p, got {self.p}")
         if len(self.x) != self.n or len(self.z) != self.n:
             raise DimensionMismatch("x and z must have length n")
         object.__setattr__(self, "phase", self.phase % self.p)
@@ -207,8 +208,7 @@ def random_stabilizer_labels(p: int, n: int, m: int, rng) -> list[PauliLabel]:
     F = field(p)
     basis = linalg.empty_matrix(2 * n)
     while basis.shape[0] < m:
-        pool = (sp.symp_dual(F, basis) if basis.shape[0]
-                else linalg.identity_matrix(2 * n))
+        pool = sp.symp_dual(F, basis)
         coeffs = rng.integers(0, p, size=pool.shape[0])
         v = np.zeros(2 * n, dtype=np.int16)
         for c, row in zip(coeffs, pool):

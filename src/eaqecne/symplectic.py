@@ -1,10 +1,17 @@
-"""Symplectic geometry of F_q^{2n}.
+"""Symplectic geometry of F_q^{2n}, the package's one vector representation.
 
 Vectors are length-2n index arrays laid out as the concatenation (a|b) of
 the two halves; subspaces are row-basis matrices with 2n columns as in
 :mod:`eaqecne.linalg`.  The map to GF(q^2)^n sends a coordinate pair
 (a_j, b_j) to beta*a_j + beta^q*b_j and is applied through a per-field
 lookup table.
+
+Every bilinear form on this space is a fixed 2x2 block T applied to each
+coordinate pair: <x, y> = sum_j sum_{i,k} T[i][k] x_ij y_kj with
+(x_0j, x_1j) = (a_j, b_j).  :func:`form_rows` rewrites rows y so that
+<x, y> is a plain dot product with them; a Gram matrix is then one
+:func:`eaqecne.linalg.gram` product and a dual is one kernel.  The
+symplectic form a.b' - b.a' is the block ((0, 1), (-1, 0)).
 """
 
 from __future__ import annotations
@@ -25,15 +32,38 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v[..., :n], v[..., n:]
 
 
+def symplectic_block(F: FieldSpec) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The block of a.b' - b.a'."""
+    return ((0, 1), (F.neg(1), 0))
+
+
+def form_rows(F: FieldSpec, rows, block) -> np.ndarray:
+    """Map each row (a|b) to (t00*a + t01*b | t10*a + t11*b), so that the
+    block's form <x, row> is the plain dot product of x with the result."""
+    (t00, t01), (t10, t11) = block
+    a, b = _halves(linalg.as_matrix(rows))
+    ADD, MUL = F.add_table, F.mul_table
+    return np.hstack([ADD[MUL[t00, a], MUL[t01, b]],
+                      ADD[MUL[t10, a], MUL[t11, b]]])
+
+
+def form_gram(F: FieldSpec, rows, block) -> np.ndarray:
+    """Gram matrix <row_i, row_j> of the block's form."""
+    return linalg.gram(F, rows, form_rows(F, rows, block))
+
+
+def form_dual(F: FieldSpec, basis, block) -> np.ndarray:
+    """Canonical basis of {x : <x, s> = 0 for all s in the row space}."""
+    return linalg.kernel(F, form_rows(F, basis, block))
+
+
 def symp_inner(F: FieldSpec, u, v) -> int:
     """<(a|b),(a'|b')> = a.b' - b.a'."""
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != v.shape:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    ua, ub = _halves(u)
-    va, vb = _halves(v)
-    return F.sub(F.dot(ua, vb), F.dot(ub, va))
+    return int(linalg.gram(F, u, form_rows(F, v, symplectic_block(F)))[0, 0])
 
 
 def symp_weight(u) -> int:
@@ -42,18 +72,9 @@ def symp_weight(u) -> int:
     return int(((a != 0) | (b != 0)).sum())
 
 
-def _lambda_rows(F: FieldSpec, basis: np.ndarray) -> np.ndarray:
-    """Map each row (a|b) to (b|-a); then <x, row> is a plain dot product."""
-    a, b = _halves(basis)
-    return np.hstack([b, F.neg_table[a]])
-
-
 def symp_dual(F: FieldSpec, basis) -> np.ndarray:
-    """Canonical basis of {x : <x, s> = 0 for all s in the row space}."""
-    basis = linalg.as_matrix(basis)
-    if basis.shape[0] == 0:
-        return linalg.identity_matrix(basis.shape[1])
-    return linalg.kernel(F, _lambda_rows(F, basis))
+    """Canonical basis of the symplectic dual of the row space."""
+    return form_dual(F, basis, symplectic_block(F))
 
 
 def is_totally_isotropic(F: FieldSpec, basis) -> bool:
@@ -91,40 +112,31 @@ class HyperbolicDecomposition:
 def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
     """Symplectic Gram-Schmidt with row-order tie-breaking.
 
-    Scans for the first basis vector with a non-orthogonal partner, rescales
-    the partner so the pair has inner product 1, projects the remaining
-    vectors off the pair, and repeats; leftovers span the radical.
+    Works on the canonical basis W and its Gram matrix G.  The first nonzero
+    entry G[i, j] in row-major order pairs e = W[i] with f = W[j] / G[i, j];
+    every other row v becomes v - <v,f> e + <v,e> f, orthogonal to both, and
+    G follows by the rank-2 update G + a b^T - b a^T with a = <v,f> and
+    b = <v,e>.  The rows left once G vanishes span the radical.
     """
-    work = [row.copy() for row in linalg.row_basis(F, basis)]
+    W = linalg.row_basis(F, basis)
+    G = form_gram(F, W, symplectic_block(F))
+    ADD, SUB, MUL = F.add_table, F.sub_table, F.mul_table
     pairs = []
     while True:
-        hit = None
-        for i in range(len(work)):
-            for j in range(len(work)):
-                if i != j and symp_inner(F, work[i], work[j]) != 0:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
+        hits = np.flatnonzero(G)
+        if hits.size == 0:
             break
-        i, j = hit
-        e = work[i]
-        f = F.mul_table[F.inv(symp_inner(F, e, work[j])), work[j]]
-        rest = [work[k] for k in range(len(work)) if k not in (i, j)]
-        projected = []
-        for v in rest:
-            ce = symp_inner(F, v, f)
-            cf = symp_inner(F, v, e)
-            v = F.sub_table[v, F.mul_table[ce, e]]
-            v = F.add_table[v, F.mul_table[cf, f]]
-            projected.append(v)
+        i, j = divmod(int(hits[0]), G.shape[1])
+        inv = F.inv(int(G[i, j]))
+        e, f = W[i], MUL[inv, W[j]]
+        rest = np.array([k for k in range(W.shape[0]) if k not in (i, j)],
+                        dtype=np.intp)
+        a = MUL[inv, G[rest, j]][:, None]
+        b = G[rest, i][:, None]
+        W = ADD[SUB[W[rest], MUL[a, e]], MUL[b, f]]
+        G = SUB[ADD[G[np.ix_(rest, rest)], MUL[a, b.T]], MUL[b, a.T]]
         pairs.append((e, f))
-        work = projected
-    cols = linalg.as_matrix(basis).shape[1]
-    radical = (np.array(work, dtype=np.int16) if work
-               else linalg.empty_matrix(cols))
-    return HyperbolicDecomposition(radical=radical, pairs=tuple(pairs))
+    return HyperbolicDecomposition(radical=W, pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +181,7 @@ def random_isotropic_basis(F: FieldSpec, n: int, m: int, rng) -> np.ndarray:
     basis = linalg.empty_matrix(2 * n)
     while basis.shape[0] < m:
         # anything orthogonal to an isotropic space extends it isotropically
-        pool = symp_dual(F, basis) if basis.shape[0] else linalg.identity_matrix(2 * n)
+        pool = symp_dual(F, basis)
         coeffs = rng.integers(0, F.order, size=pool.shape[0])
         v = np.zeros(2 * n, dtype=np.int16)
         for c, row in zip(coeffs, pool):

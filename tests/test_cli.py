@@ -104,11 +104,10 @@ def test_mindist(capsys, five_q_code_file):
     rc, out, _ = run(capsys, ["mindist", str(path)])
     assert rc == 0
     d = ac.min_weight(code)
-    assert out.startswith(f"d={d} enumerated=")
-    rc2, out2, _ = run(capsys, ["mindist", str(path), "--partitioned"])
-    assert out2.startswith(f"d={d} ")
-    rc3, out3, _ = run(capsys, ["mindist", str(path), "--threads", "2"])
-    assert out3.startswith(f"d={d} ")
+    assert out == f"d={d} enumerated={code.base_field.order ** code.m - 1}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["mindist", str(path), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_mindist_budget_error(capsys, five_q_code_file):
@@ -232,3 +231,40 @@ def test_print_field_beta_lines(capsys):
     rc, out, _ = run(capsys, ["print-field", "--order", "9"])
     assert rc == 0
     assert "beta=x (index 3)" in out
+
+
+def test_match_rejects_distance_beyond_length(capsys):
+    rc, out, err = run(capsys, ["match", "--q", "2",
+                                "--alice", "8,1,99,1", "--bob", "5,1,3"])
+    assert rc == 1 and out == ""
+    assert err == "error: d=99 outside [1, 8]\n"
+
+
+def test_match_rejects_unsupported_q(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--q", "6", "--alice", "8,1,5,1", "--bob", "5,1,3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("p", ["4", "8", "9", "6"])
+def test_verify_pauli_rejects_non_prime(capsys, p):
+    rc, out, err = run(capsys, ["verify-pauli", "--p", p, "--n", "1"])
+    assert rc == 1 and out == ""
+    assert err == f"error: Pauli labels need a supported prime p, got {p}\n"
+
+
+def test_missing_code_file(capsys, tmp_path):
+    missing = tmp_path / "nonexistent"
+    rc, out, err = run(capsys, ["mindist", str(missing)])
+    assert rc == 1 and out == ""
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+def test_non_utf8_code_file(capsys, tmp_path):
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(b"4 1 1\n\xff\n")
+    for argv in (["analyze", str(bad)], ["combine", str(bad), str(bad), str(bad)]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {bad} is not UTF-8 text")
+        assert len(err.splitlines()) == 1

@@ -1,0 +1,139 @@
+"""Laws of the Gram-matrix form engine over every supported q.
+
+Each fast route (``linalg.gram``, the 2x2 form blocks on the preimage, the
+Gram-updated symplectic Gram-Schmidt) is checked against a scalar oracle or
+a pinned output.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eaqecne.cli import main
+from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
+from eaqecne import addcodes as ac
+from eaqecne import linalg, symplectic as sp
+
+from oracles import scalar_inner
+
+GOLDEN = Path(__file__).with_name("golden_decompose.json")
+
+
+def random_code(Q, rng, max_n=4):
+    n = int(rng.integers(1, max_n + 1))
+    return ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+
+
+def scalar_witness(Q, G, form):
+    for i in range(G.shape[0]):
+        for j in range(i, G.shape[0]):
+            if scalar_inner(Q, G[i], G[j], form) != 0:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("form", ac.FORMS)
+def test_code_gram_matches_scalar_oracle(q, form):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([31, q])
+    for _ in range(8):
+        code = random_code(Q, rng)
+        G = code.generators
+        gram = ac.code_gram(code, form)
+        assert gram.shape == (code.m, code.m)
+        for i in range(code.m):
+            for j in range(code.m):
+                expect = scalar_inner(Q, G[i], G[j], form)
+                assert gram[i, j] == expect
+                assert ac.inner(Q, G[i], G[j], form) == expect
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_form_blocks(q):
+    Q = quadratic_field(field(q))
+    F = Q.base
+    assert ac.form_block(Q, "alternating") == sp.symplectic_block(F)
+    (t00, t01), (t10, t11) = ac.form_block(Q, "trace")
+    assert (t00, t01) == (t11, t10)           # symmetric, same on both halves
+    det = F.sub(F.mul(t00, t11), F.mul(t01, t10))
+    assert det != 0                           # the trace form is nondegenerate
+    if Q.p == 2:
+        assert ac.form_block(Q, "trace") == ((0, t01), (t01, 0))
+    with pytest.raises(ValueError):
+        ac.form_block(Q, "hermitian")
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("form", ac.DUAL_FORMS)
+def test_dual_laws(q, form):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([37, q])
+    for _ in range(8):
+        code = random_code(Q, rng)
+        d = ac.dual(code, form)
+        assert code.m + d.m == 2 * code.n
+        assert ac.dual(d, form) == code
+        # every dual word is orthogonal to every code word
+        gram = linalg.gram(Q.base, d.preimage,
+                           sp.form_rows(Q.base, code.preimage, ac.form_block(Q, form)))
+        assert not gram.any()
+        if form == "alternating":
+            assert np.array_equal(d.preimage, sp.symp_dual(Q.base, code.preimage))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_witnesses_match_scalar_scan(q):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([41, q])
+    for trial in range(10):
+        n = int(rng.integers(1, 5))
+        if trial % 2:
+            pre = sp.random_isotropic_basis(Q.base, n, int(rng.integers(0, n + 1)), rng)
+            code = ac.AdditiveCode.from_preimage(Q, pre)
+        else:
+            code = random_code(Q, rng)
+        for form in ac.FORMS:
+            assert (ac.self_orthogonality_witness(code, form)
+                    == scalar_witness(Q, code.generators, form))
+        lin = ac.LinearCode(Q, linalg.random_matrix(Q, int(rng.integers(0, 3)), n, rng), n=n)
+        assert ac.hermitian_witness(lin) == scalar_witness(Q, lin.matrix, "hermitian")
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_decompose_gram_laws(q):
+    F = field(q)
+    rng = np.random.default_rng([43, q])
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        S = linalg.random_subspace(F, int(rng.integers(0, 2 * n + 1)), 2 * n, rng)
+        dec = sp.decompose(F, S)
+        assert dec.l + 2 * dec.c == S.shape[0]
+        rows = np.vstack([dec.radical, dec.pair_matrix()])
+        assert linalg.subspace_eq(F, rows, S)
+        G = sp.form_gram(F, rows, sp.symplectic_block(F))
+        expect = np.zeros_like(G)
+        for k in range(dec.c):
+            e, f = dec.l + 2 * k, dec.l + 2 * k + 1
+            expect[e, f], expect[f, e] = 1, F.neg(1)
+        assert np.array_equal(G, expect)
+
+
+def _golden_ids():
+    return [f"q{e['q']}-{k}" for k, e in enumerate(json.loads(GOLDEN.read_text()))]
+
+
+@pytest.mark.parametrize("k", range(len(_golden_ids())), ids=_golden_ids())
+def test_decompose_golden(k, tmp_path, capsys):
+    """Pinned decompose output, text and --symplectic, for seeded codes."""
+    entry = json.loads(GOLDEN.read_text())[k]
+    code = tmp_path / "c.code"
+    pre = tmp_path / "c.pre"
+    code.write_text(entry["code"])
+    pre.write_text(entry["preimage"])
+    for key, argv in (("decompose", ["decompose", str(code)]),
+                      ("decompose_symplectic", ["decompose", str(pre), "--symplectic"])):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == entry[key]

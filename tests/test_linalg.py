@@ -7,7 +7,9 @@ import pytest
 
 from eaqecne.errors import AmbientMismatch, FormatError
 from eaqecne.gf import field
-from eaqecne import linalg
+from eaqecne import linalg, symplectic as sp
+
+from oracles import scalar_dot
 
 
 def enumerate_rowspace(F, basis):
@@ -82,7 +84,7 @@ def test_rank_nullity(q):
         # kernel rows really annihilate M
         for x in linalg.kernel(F, M):
             for row in M:
-                assert F.dot(row, x) == 0
+                assert scalar_dot(F, row, x) == 0
 
 
 def test_intersect_self_and_explicit():
@@ -119,34 +121,30 @@ def test_ambient_mismatch():
         linalg.subspace_sum(F, [[1, 0]], [[1, 0, 0]])
 
 
-def symplectic_gram(F, n):
-    def gram(x, y):
-        lhs = F.dot(x[:n], y[n:])
-        rhs = F.dot(x[n:], y[:n])
-        return F.sub(lhs, rhs)
-    return gram
-
-
-def test_form_complement_trivial_cases():
+def test_gram_trivial_cases():
     F = field(3)
-    full = linalg.form_complement(F, linalg.empty_matrix(4), lambda x, y: 0)
-    assert full.shape == (4, 4)
-    # standard dot product is non-degenerate: ambient -> {0}
-    got = linalg.form_complement(F, linalg.identity_matrix(4), F.dot)
-    assert got.shape == (0, 4)
+    assert linalg.gram(F, linalg.empty_matrix(4), linalg.identity_matrix(4)).shape == (0, 4)
+    assert linalg.gram(F, linalg.empty_matrix(0), linalg.empty_matrix(0)).shape == (0, 0)
+    I = linalg.identity_matrix(4)
+    assert np.array_equal(linalg.gram(F, I, I), I)
+    with pytest.raises(AmbientMismatch):
+        linalg.gram(F, I, linalg.identity_matrix(3))
 
 
-def test_form_complement_symplectic_f2():
-    F = field(2)
-    S = linalg.as_matrix([[1, 0, 0, 0]])
-    got = linalg.form_complement(F, S, symplectic_gram(F, 2))
-    assert got.shape[0] == 3
-    # oracle over all 16 vectors
-    gram = symplectic_gram(F, 2)
-    expect = {v for v in itertools.product(range(2), repeat=4)
-              if gram(np.array(v), S[0]) == 0}
-    assert enumerate_rowspace(F, got) == expect
-    assert linalg.subspace_contains(F, got, S)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 81])
+def test_gram_matches_scalar_dot(q):
+    F = field(q)
+    rng = np.random.default_rng(5 + q)
+    for _ in range(10):
+        r, s = (int(v) for v in rng.integers(0, 5, size=2))
+        n = int(rng.integers(1, 6))
+        A = linalg.random_matrix(F, r, n, rng)
+        B = linalg.random_matrix(F, s, n, rng)
+        G = linalg.gram(F, A, B)
+        assert G.shape == (r, s)
+        for i in range(r):
+            for j in range(s):
+                assert G[i, j] == scalar_dot(F, A[i], B[j])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -156,9 +154,26 @@ def test_double_complement_nondegenerate(q):
     for _ in range(25):
         n = int(rng.integers(1, 4)) * 2
         S = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
-        gram = symplectic_gram(F, n // 2)
-        CC = linalg.form_complement(F, linalg.form_complement(F, S, gram), gram)
-        assert linalg.subspace_eq(F, CC, S)
+        assert linalg.subspace_eq(F, sp.symp_dual(F, sp.symp_dual(F, S)), S)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_extend_basis_matches_greedy_loop(q):
+    F = field(q)
+    rng = np.random.default_rng(23 + q)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        S = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
+        rows = linalg.random_matrix(F, int(rng.integers(0, 6)), n, rng)
+        rows[rng.random(rows.shape[0]) < 0.3] = 0
+        picked, expect = S, []
+        for row in rows:
+            cand = np.vstack([picked, row.reshape(1, -1)])
+            if linalg.rank(F, cand) > picked.shape[0]:
+                picked = cand
+                expect.append(row)
+        got = linalg.extend_basis(F, S, rows)
+        assert np.array_equal(got, linalg.as_matrix(expect, cols=n))
 
 
 def test_matrix_format_round_trip():

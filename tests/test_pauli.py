@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from eaqecne.errors import (DimensionCap, NotAbelian, PhaseObstruction)
+from eaqecne.errors import (DimensionCap, NotAbelian, PhaseObstruction,
+                            RangeError)
 from eaqecne.gf import field
 from eaqecne import pauli, symplectic as sp
 
@@ -17,6 +18,12 @@ def test_qubit_matrices():
     assert np.allclose(Z, np.diag([1, -1]))
     I = pauli.pauli_matrix(pauli.PauliLabel.identity(2, 2))
     assert np.allclose(I, np.eye(4))
+
+
+@pytest.mark.parametrize("p", [4, 8, 9, 6, 11])
+def test_label_rejects_non_prime_or_unsupported_p(p):
+    with pytest.raises(RangeError):
+        pauli.PauliLabel(p, 1, 0, (1,), (0,))
 
 
 def test_qutrit_z():
