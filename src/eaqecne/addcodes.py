@@ -179,9 +179,21 @@ def dual(code: AdditiveCode, form: str = "alternating") -> AdditiveCode:
     return AdditiveCode(Q, code.n, pre)
 
 
+def _gram_radical(F: FieldSpec, rows: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Canonical basis of the span vectors x . rows orthogonal to every row,
+    given the Gram matrix G of the rows: the coefficients x with x G = 0
+    are the kernel of G^T."""
+    if not rows.shape[0]:
+        return rows
+    return linalg.row_basis(F, linalg.gram(F, linalg.kernel(F, G.T), rows.T))
+
+
 def radical(code: AdditiveCode, form: str = "alternating") -> AdditiveCode:
-    pre = linalg.subspace_intersect(code.base_field, code.preimage,
-                                    dual(code, form).preimage)
+    """C ∩ C^⊥ under the trace or alternating form, read off the code's
+    Gram matrix."""
+    if form not in DUAL_FORMS:
+        raise ValueError(f"radical is defined for forms {DUAL_FORMS}, got {form!r}")
+    pre = _gram_radical(code.base_field, code.preimage, code_gram(code, form))
     return AdditiveCode(code.field, code.n, pre)
 
 
@@ -276,8 +288,8 @@ class LinearCode:
                           linalg.as_matrix(conj, cols=self.n)), n=self.n)
 
     def hermitian_radical(self) -> "LinearCode":
-        pre = linalg.subspace_intersect(self.field, self.matrix,
-                                        self.hermitian_dual().matrix)
+        pre = _gram_radical(self.field, self.matrix,
+                            _hermitian_gram(self.field, self.matrix))
         return LinearCode(self.field, pre, n=self.n)
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EaqecneError, FormatError
+from .errors import EaqecneError, FormatError, RangeError
 from .gf import SUPPORTED_ORDERS, field, quadratic_field
 from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
@@ -107,7 +107,10 @@ def _parse_ints(text: str, count: int, what: str) -> list[int | None]:
     out = []
     for tok in parts:
         tok = tok.strip()
-        out.append(None if tok in ("?", "") else int(tok))
+        try:
+            out.append(None if tok in ("?", "") else int(tok))
+        except ValueError:
+            raise FormatError(f"{what}: {tok!r} is not an integer") from None
     return out
 
 
@@ -121,7 +124,11 @@ def cmd_match(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    ms = tuple(int(t) for t in args.family_m.split(","))
+    try:
+        ms = tuple(int(t) for t in args.family_m.split(","))
+    except ValueError:
+        raise FormatError(f"--family-m needs comma-separated integers, "
+                          f"got {args.family_m!r}") from None
     print(eaqec.tables_csv(ms), end="")
     return 0
 
@@ -130,7 +137,13 @@ def cmd_fidelity(args) -> int:
     N, d = _parse_ints(args.c, 2, "--c")
     n, da = _parse_ints(args.ea, 2, "--ea")
     m, db = _parse_ints(args.b, 2, "--b")
-    lam = Fraction(args.lam)
+    if None in (N, d, n, da, m, db):
+        raise FormatError("--c, --ea and --b need a length and a distance")
+    try:
+        lam = Fraction(args.lam)
+    except (ValueError, ZeroDivisionError):
+        raise RangeError(f"cannot read {args.lam!r} as a degradation "
+                         f"coefficient") from None
     if lam > 1:
         print(f"warning: degradation coefficient {args.lam} exceeds 1",
               file=sys.stderr)
@@ -138,8 +151,12 @@ def cmd_fidelity(args) -> int:
     curve = fid.sweep((N, d), ((n, da), (m, db)), lam, grid)
     text = fid.curve_csv(curve)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(
+                f"cannot write {args.csv}: {exc.strerror or exc}") from exc
         print(f"wrote {len(curve.rows)} rows to {args.csv}")
     else:
         print(text, end="")
@@ -151,53 +168,35 @@ def cmd_verify_pauli(args) -> int:
     pauli.PauliLabel.identity(p, n)  # rejects p that is not a supported prime
     F = field(p)
     rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def report(name: str, detail: str, ok: bool):
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"{name} p={p} n={n} {detail} {'pass' if ok else 'FAIL'}")
-
-    classes = [(x, z) for x in _tuples(p, n) for z in _tuples(p, n)]
-    exhaustive = len(classes) ** 2 <= args.samples ** 2 and len(classes) ** 2 <= 10000
-    if exhaustive:
-        ok = True
-        for x, z in classes:
-            for x2, z2 in classes:
-                g = pauli.PauliLabel(p, n, 0, x, z)
-                h = pauli.PauliLabel(p, n, 0, x2, z2)
-                s = pauli.commutation_phase(g, h)
-                if s != sp.symp_inner(F, g.symplectic_image(), h.symplectic_image()):
-                    ok = False
-        report("commutation-law", f"pairs={len(classes) ** 2} mode=exhaustive", ok)
+    classes = list(itertools.product(itertools.product(range(p), repeat=n),
+                                     repeat=2))
+    if len(classes) ** 2 <= min(args.samples ** 2, 10000):
+        labels = [pauli.PauliLabel(p, n, 0, x, z) for x, z in classes]
+        pairs, mode = list(itertools.product(labels, repeat=2)), "exhaustive"
     else:
-        ok = True
-        for _ in range(args.samples):
-            g = pauli.random_label(p, n, rng)
-            h = pauli.random_label(p, n, rng)
-            s = pauli.commutation_phase(g, h)
-            if s != sp.symp_inner(F, g.symplectic_image(), h.symplectic_image()):
-                ok = False
-        report("commutation-law", f"pairs={args.samples} mode=random", ok)
+        pairs = [(pauli.random_label(p, n, rng), pauli.random_label(p, n, rng))
+                 for _ in range(args.samples)]
+        mode = "random"
+    laws = all(pauli.commutation_phase(g, h) == sp.symp_inner(
+        F, g.symplectic_image(), h.symplectic_image()) for g, h in pairs)
+    print(f"commutation-law p={p} n={n} pairs={len(pairs)} mode={mode} "
+          f"{'pass' if laws else 'FAIL'}")
 
-    ok = True
+    ranks = True
     for _ in range(args.sets):
         m = int(rng.integers(1, n + 1))
         labels = pauli.random_stabilizer_labels(p, n, m, rng)
-        if pauli.codespace_dim(labels) != p ** (n - m):
-            ok = False
-    report("projector-rank", f"sets={args.sets}", ok)
-    return 1 if failures else 0
+        ranks &= pauli.codespace_dim(labels) == p ** (n - m)
+    print(f"projector-rank p={p} n={n} sets={args.sets} "
+          f"{'pass' if ranks else 'FAIL'}")
+    return 0 if laws and ranks else 1
 
 
-def _tuples(p: int, n: int):
-    return list(itertools.product(range(p), repeat=n))
+_ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
 
 def cmd_print_field(args) -> int:
-    orders = [args.order] if args.order else \
-        sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
+    orders = [args.order] if args.order else _ALL_ORDERS
     for order in orders:
         F = field(order)
         if F.base is None:
@@ -214,6 +213,17 @@ def cmd_print_field(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`; argparse reports a
+    non-integer as an 'invalid integer value' after the inner name."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqecne",
@@ -222,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=ac.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(0),
+                       default=ac.DEFAULT_BUDGET,
                        help="enumeration word cap (default 2^30)")
 
     def add_symplectic(p):
@@ -280,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-pauli", help="certify commutation and "
                                             "projector-rank laws")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--sets", type=int, default=50)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--samples", type=_int_at_least(1), default=500)
+    p.add_argument("--sets", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_pauli)
 
     p = sub.add_parser("print-field", help="modulus table and element encodings")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, choices=_ALL_ORDERS)
     p.set_defaults(func=cmd_print_field)
 
     return parser

@@ -8,9 +8,7 @@ hit at per-qudit depolarizing rate p:
 
 A combined pair multiplies Alice's term at rate p_a with the ebit-protection
 term at rate p_b = lambda * p_a.  These values sit extremely close to 1, so
-the reference path is exact rational arithmetic throughout; the float path
-exists for cheap sweeps and is pinned to the rational path within 1e-12
-relative error by the test suite.
+every value is computed in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -54,16 +52,6 @@ def approx_fidelity(length: int, distance: int, rate) -> Fraction:
     for i in range(t + 1):
         total += comb(length, i) * p ** i * (one - p) ** (length - i)
     return total
-
-
-def approx_fidelity_float(length: int, distance: int, rate: float) -> float:
-    """Float path for sweeps; tracked against the rational path in tests."""
-    _check_code(length, distance)
-    if not 0.0 <= rate <= 1.0:
-        raise RangeError(f"rate {rate} outside [0, 1]")
-    t = correction_radius(distance)
-    return sum(comb(length, i) * rate ** i * (1.0 - rate) ** (length - i)
-               for i in range(t + 1))
 
 
 @dataclass(frozen=True)

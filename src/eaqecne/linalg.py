@@ -5,6 +5,9 @@ vector orientation that carries meaning.  Subspaces are identified with the
 reduced row echelon form of any generating matrix, so subspace equality is
 plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
+
+There is one elimination kernel, :func:`rref`; ranks, kernels, sums,
+containment and basis extension are all read off it.
 """
 
 from __future__ import annotations
@@ -40,28 +43,29 @@ def identity_matrix(n: int) -> np.ndarray:
 
 
 def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Reduced row echelon form; returns (matrix, rank, pivot columns)."""
+    """Reduced row echelon form; returns (matrix, rank, pivot columns).
+
+    Each pivot clears its column from every other row in one table update,
+    starting at the pivot column since the pivot row is zero left of it."""
     M = as_matrix(mat).copy()
     rows, cols = M.shape
-    ADD, SUB, MUL, INV = F.add_table, F.sub_table, F.mul_table, F.inv_table
-    r = 0
+    SUB, MUL, INV = F.sub_table, F.mul_table, F.inv_table
     pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        hits = np.nonzero(M[r:, c])[0]
-        if hits.size == 0:
+        hits = np.flatnonzero(M[r:, c])
+        if not hits.size:
             continue
-        p = r + int(hits[0])
+        p = r + hits[0]
+        row = MUL[INV[M[p, c]], M[p, c:]]
         if p != r:
-            M[[r, p]] = M[[p, r]]
-        M[r] = MUL[INV[M[r, c]], M[r]]
-        for i in range(rows):
-            if i != r and M[i, c] != 0:
-                M[i] = SUB[M[i], MUL[M[i, c], M[r]]]
+            M[p] = M[r]
+        M[:, c:] = SUB[M[:, c:], MUL[M[:, c, None], row]]
+        M[r, c:] = row
         pivots.append(c)
-        r += 1
-    return M, r, tuple(pivots)
+    return M, len(pivots), tuple(pivots)
 
 
 def row_basis(F: FieldSpec, mat) -> np.ndarray:
@@ -76,15 +80,12 @@ def rank(F: FieldSpec, mat) -> int:
 
 def kernel(F: FieldSpec, mat) -> np.ndarray:
     """Canonical basis of the right null space {x : M x^T = 0}."""
-    M = as_matrix(mat)
-    cols = M.shape[1]
-    R, rk, pivots = rref(F, M)
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=_DT)
-    for i, fcol in enumerate(free):
-        out[i, fcol] = 1
-        for j, pcol in enumerate(pivots):
-            out[i, pcol] = F.neg(int(R[j, fcol]))
+    R, rk, pivots = rref(F, mat)
+    cols = R.shape[1]
+    free = np.delete(np.arange(cols), pivots)
+    out = np.zeros((free.size, cols), dtype=_DT)
+    out[np.arange(free.size), free] = 1
+    out[:, list(pivots)] = F.neg_table[R[:rk, free]].T
     return row_basis(F, out)
 
 
@@ -97,13 +98,6 @@ def subspace_sum(F: FieldSpec, A, B) -> np.ndarray:
     A, B = as_matrix(A), as_matrix(B)
     _check_ambient(A, B)
     return row_basis(F, np.vstack([A, B]))
-
-
-def subspace_intersect(F: FieldSpec, A, B) -> np.ndarray:
-    """Intersection of row spaces via the kernel of stacked annihilators."""
-    A, B = as_matrix(A), as_matrix(B)
-    _check_ambient(A, B)
-    return kernel(F, np.vstack([kernel(F, A), kernel(F, B)]))
 
 
 def subspace_contains(F: FieldSpec, A, B) -> bool:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (DimensionCap, DimensionMismatch, NonPauliResult,
                      NotAbelian, PhaseObstruction, RangeError)
 from .gf import SUPPORTED_ORDERS, field
+from . import symplectic as sp
 
 DEFAULT_DIM_CAP = 3 ** 5
 _ATOL = 1e-9
@@ -203,19 +204,6 @@ def random_stabilizer_labels(p: int, n: int, m: int, rng) -> list[PauliLabel]:
     isotropic spans, hence generator evenness covers the whole group.  Odd
     p needs no extra condition (p-th powers pick up p(p-1)/2 * x.z = 0).
     """
-    from . import linalg, symplectic as sp  # local import avoids a cycle
-
-    F = field(p)
-    basis = linalg.empty_matrix(2 * n)
-    while basis.shape[0] < m:
-        pool = sp.symp_dual(F, basis)
-        coeffs = rng.integers(0, p, size=pool.shape[0])
-        v = np.zeros(2 * n, dtype=np.int16)
-        for c, row in zip(coeffs, pool):
-            v = F.add_table[v, F.mul_table[int(c), row]]
-        if p == 2 and int(v[:n] @ v[n:]) % 2:
-            continue
-        cand = linalg.row_basis(F, np.vstack([basis, v.reshape(1, -1)]))
-        if cand.shape[0] == basis.shape[0] + 1:
-            basis = cand
+    basis = sp.random_isotropic_basis(field(p), n, m, rng,
+                                      zero_diagonal=(p == 2))
     return labels_from_rows(p, basis)

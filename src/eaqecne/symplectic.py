@@ -78,8 +78,8 @@ def symp_dual(F: FieldSpec, basis) -> np.ndarray:
 
 
 def is_totally_isotropic(F: FieldSpec, basis) -> bool:
-    basis = linalg.as_matrix(basis)
-    return linalg.subspace_contains(F, symp_dual(F, basis), basis)
+    """True when the symplectic Gram matrix of the rows vanishes."""
+    return not form_gram(F, basis, symplectic_block(F)).any()
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
         i, j = divmod(int(hits[0]), G.shape[1])
         inv = F.inv(int(G[i, j]))
         e, f = W[i], MUL[inv, W[j]]
-        rest = np.array([k for k in range(W.shape[0]) if k not in (i, j)],
-                        dtype=np.intp)
+        rest = np.delete(np.arange(W.shape[0]), (i, j))
         a = MUL[inv, G[rest, j]][:, None]
         b = G[rest, i][:, None]
         W = ADD[SUB[W[rest], MUL[a, e]], MUL[b, f]]
@@ -174,8 +173,14 @@ def dump_preimage(F: FieldSpec, basis, extra_comments: tuple[str, ...] = ()) -> 
 # ---------------------------------------------------------------------------
 
 
-def random_isotropic_basis(F: FieldSpec, n: int, m: int, rng) -> np.ndarray:
-    """Basis of a random m-dimensional totally isotropic subspace of F_q^{2n}."""
+def random_isotropic_basis(F: FieldSpec, n: int, m: int, rng, *,
+                           zero_diagonal: bool = False) -> np.ndarray:
+    """Basis of a random m-dimensional totally isotropic subspace of F_q^{2n}.
+
+    With ``zero_diagonal`` a drawn vector (a|b) with a.b != 0 is rejected
+    and drawn again.  In characteristic 2 the form a.b is additive on
+    isotropic spans, so the whole subspace then has a.b = 0.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"isotropic dimension {m} outside [0, {n}]")
     basis = linalg.empty_matrix(2 * n)
@@ -183,10 +188,10 @@ def random_isotropic_basis(F: FieldSpec, n: int, m: int, rng) -> np.ndarray:
         # anything orthogonal to an isotropic space extends it isotropically
         pool = symp_dual(F, basis)
         coeffs = rng.integers(0, F.order, size=pool.shape[0])
-        v = np.zeros(2 * n, dtype=np.int16)
-        for c, row in zip(coeffs, pool):
-            v = F.add_table[v, F.mul_table[int(c), row]]
-        cand = linalg.row_basis(F, np.vstack([basis, v.reshape(1, -1)]))
+        v = linalg.gram(F, coeffs, pool.T)
+        if zero_diagonal and linalg.gram(F, v[:, :n], v[:, n:]).any():
+            continue
+        cand = linalg.row_basis(F, np.vstack([basis, v]))
         if cand.shape[0] == basis.shape[0] + 1:
             basis = cand
     return basis

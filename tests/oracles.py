@@ -1,11 +1,15 @@
 """Slow reference implementations that the fast paths are checked against.
 
-None of these share code with the package's form engine or its minimum-weight
-scan: forms are summed one coordinate at a time with scalar field calls, and
-minimum weights enumerate every coefficient vector over the preimage.
+None of these share code with the package's form engine, its elimination or
+its minimum-weight scan: forms are summed one coordinate at a time with
+scalar field calls, row reduction clears one row at a time, intersections
+go through stacked annihilators, and minimum weights enumerate every
+coefficient vector over the preimage.
 """
 
 import numpy as np
+
+from eaqecne import linalg
 
 
 def scalar_dot(F, u, v) -> int:
@@ -51,3 +55,51 @@ def preimage_min_weight(code) -> int:
     weights = ((words[:, :n] != 0) | (words[:, n:] != 0)).sum(axis=1)
     nonzero = words.any(axis=1)
     return int(weights[nonzero].min()) if nonzero.any() else n + 1
+
+
+def loop_rref(F, mat):
+    """Reduced row echelon form clearing one row per step; returns
+    (matrix, rank, pivot columns) like ``linalg.rref``."""
+    M = linalg.as_matrix(mat).copy()
+    rows, cols = M.shape
+    SUB, MUL, INV = F.sub_table, F.mul_table, F.inv_table
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(M[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            M[[r, p]] = M[[p, r]]
+        M[r] = MUL[INV[M[r, c]], M[r]]
+        for i in range(rows):
+            if i != r and M[i, c] != 0:
+                M[i] = SUB[M[i], MUL[M[i, c], M[r]]]
+        pivots.append(c)
+        r += 1
+    return M, r, tuple(pivots)
+
+
+def loop_kernel(F, mat):
+    """Canonical basis of {x : M x^T = 0}, filled one entry at a time from
+    ``loop_rref``."""
+    M = linalg.as_matrix(mat)
+    cols = M.shape[1]
+    R, _, pivots = loop_rref(F, M)
+    free = [c for c in range(cols) if c not in pivots]
+    out = np.zeros((len(free), cols), dtype=np.int16)
+    for i, fcol in enumerate(free):
+        out[i, fcol] = 1
+        for j, pcol in enumerate(pivots):
+            out[i, pcol] = F.neg(int(R[j, fcol]))
+    return loop_rref(F, out)[0]
+
+
+def subspace_intersect(F, A, B):
+    """Intersection of two row spaces as the kernel of their stacked
+    annihilators, in canonical form."""
+    A, B = linalg.as_matrix(A), linalg.as_matrix(B)
+    return loop_kernel(F, np.vstack([loop_kernel(F, A), loop_kernel(F, B)]))

@@ -268,3 +268,58 @@ def test_non_utf8_code_file(capsys, tmp_path):
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {bad} is not UTF-8 text")
         assert len(err.splitlines()) == 1
+
+
+FID = ["fidelity", "--c", "17,5", "--ea", "5,3", "--b", "3,1",
+       "--lambda", "1/2", "--grid", "0.01:0.1:3"]
+
+
+def with_option(argv, option, value):
+    out = list(argv)
+    out[out.index(option) + 1] = value
+    return out
+
+
+@pytest.mark.parametrize("argv, err", [
+    (with_option(FID, "--lambda", "abc"),
+     "error: cannot read 'abc' as a degradation coefficient\n"),
+    (with_option(FID, "--lambda", "1/0"),
+     "error: cannot read '1/0' as a degradation coefficient\n"),
+    (with_option(FID, "--c", "17,x"), "error: --c: 'x' is not an integer\n"),
+    (with_option(FID, "--ea", "5,x"), "error: --ea: 'x' is not an integer\n"),
+    (with_option(FID, "--b", "x,1"), "error: --b: 'x' is not an integer\n"),
+    (with_option(FID, "--c", "17,"),
+     "error: --c, --ea and --b need a length and a distance\n"),
+    (["match", "--q", "2", "--alice", "8,x,3,1", "--bob", "5,1,3"],
+     "error: --alice: 'x' is not an integer\n"),
+    (["tables", "--family-m", "x"],
+     "error: --family-m needs comma-separated integers, got 'x'\n"),
+], ids=["lambda-text", "lambda-zero-denominator", "c", "ea", "b",
+        "c-missing-distance", "alice", "family-m"])
+def test_bad_values_end_in_one_error_line(capsys, argv, err):
+    rc, out, got = run(capsys, argv)
+    assert (rc, out, got) == (1, "", err)
+
+
+def test_fidelity_csv_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, FID + ["--csv", str(target)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-pauli", "--p", "2", "--n", "0"],
+    ["verify-pauli", "--p", "2", "--n", "-1"],
+    ["verify-pauli", "--p", "3", "--n", "2", "--samples", "0"],
+    ["verify-pauli", "--p", "3", "--n", "2", "--sets", "-1"],
+    ["print-field", "--order", "6"],
+    ["analyze", "--no-distance", "--budget", "-5", "x.code"],
+    ["mindist", "--budget", "abc", "x.code"],
+], ids=["n-zero", "n-negative", "no-samples", "negative-sets", "order-6", "negative-budget", "text-budget"])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.splitlines()[-1].startswith("eaqecne ")

@@ -80,18 +80,6 @@ def test_monotone_in_distance():
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_float_path_tracks_rational():
-    import random
-    rnd = random.Random(99)
-    for _ in range(100):
-        N = rnd.randint(1, 64)
-        d = rnd.randint(1, N)
-        p = rnd.randint(0, 500) / 1000.0
-        exact = fid.approx_fidelity(N, d, p)
-        approx = fid.approx_fidelity_float(N, d, p)
-        assert abs(approx - float(exact)) <= 1e-12 * float(exact)
-
-
 def test_channel_model():
     ch = fid.ChannelModel.from_degradation(Fraction(1, 50), Fraction(1, 10))
     assert ch.p_b == Fraction(1, 500)

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqecne.cli import main
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import scalar_inner
+from oracles import scalar_inner, subspace_intersect
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
 
@@ -119,6 +120,48 @@ def test_decompose_gram_laws(q):
             e, f = dec.l + 2 * k, dec.l + 2 * k + 1
             expect[e, f], expect[f, e] = 1, F.neg(1)
         assert np.array_equal(G, expect)
+
+
+@st.composite
+def codes_with_isotropic_part(draw):
+    """An additive code spanned by a random isotropic subspace and a few more
+    random vectors, so that its radical is often nontrivial."""
+    Q = quadratic_field(field(draw(st.sampled_from(SUPPORTED_ORDERS))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4))
+    iso = sp.random_isotropic_basis(Q.base, n, draw(st.integers(0, n)), rng)
+    extra = linalg.random_matrix(Q.base, draw(st.integers(0, 2)), 2 * n, rng)
+    return ac.AdditiveCode.from_preimage(Q, np.vstack([iso, extra]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_isotropic_part(), st.sampled_from(ac.DUAL_FORMS))
+def test_radical_matches_intersection_oracle(code, form):
+    expect = subspace_intersect(code.base_field, code.preimage,
+                                ac.dual(code, form).preimage)
+    assert np.array_equal(ac.radical(code, form).preimage, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_hermitian_radical_matches_intersection_oracle(q, seed, isotropic):
+    """With `isotropic`, the code holds v = (1, x, 0, ...), x^(q+1) = -1, and
+    otherwise rows of v's Hermitian dual, so v lies in its radical."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    rows = linalg.random_matrix(Q, int(rng.integers(0, n + 1)), n, rng)
+    if isotropic:
+        v = np.zeros((1, n), dtype=np.int16)
+        v[0, :2] = 1, next(x for x in range(Q.order)
+                           if Q.add(Q.pow(x, q + 1), 1) == 0)
+        perp = ac.LinearCode(Q, v).hermitian_dual().matrix
+        rows = np.vstack([v, linalg.gram(Q, rows[:, :perp.shape[0]], perp.T)])
+    code = ac.LinearCode(Q, rows, n=n)
+    assert not isotropic or code.hermitian_radical().dim >= 1
+    expect = subspace_intersect(Q, code.matrix, code.hermitian_dual().matrix)
+    assert np.array_equal(code.hermitian_radical().matrix,
+                          linalg.as_matrix(expect, cols=n))
 
 
 def _golden_ids():

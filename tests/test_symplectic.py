@@ -9,6 +9,8 @@ from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
 from eaqecne.gf import field, quadratic_field
 from eaqecne import linalg, symplectic as sp
 
+from oracles import subspace_intersect
+
 
 def all_vectors(q, length):
     return itertools.product(range(q), repeat=length)
@@ -128,7 +130,7 @@ def test_decompose_random_properties(q):
         assert dec.l + 2 * dec.c == S.shape[0]
         check_gram(F, dec)
         # radical spans S intersect S-perp
-        expect = linalg.subspace_intersect(F, S, sp.symp_dual(F, S))
+        expect = subspace_intersect(F, S, sp.symp_dual(F, S))
         assert linalg.subspace_eq(F, dec.radical, expect)
         # internal direct sum reassembles S
         both = np.vstack([dec.radical, dec.pair_matrix()])
