@@ -15,11 +15,14 @@ one, which the trace block matches only in characteristic 2.  Duals,
 radicals and self-orthogonality checks are Gram-matrix products and
 kernels on the preimage; structural computations (radicals,
 decompositions, code parameters) default to the alternating form.
+
+Minimum weights scan all q^m - q^m' words outside the excluded subcode (the
+count a ``budget`` caps) as packed F_p digits of the preimage, since phi is
+F_q-linear and preserves weight.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +186,6 @@ def _gram_radical(F: FieldSpec, rows: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Canonical basis of the span vectors x . rows orthogonal to every row,
     given the Gram matrix G of the rows: the coefficients x with x G = 0
     are the kernel of G^T."""
-    if not rows.shape[0]:
-        return rows
     return linalg.row_basis(F, linalg.gram(F, linalg.kernel(F, G.T), rows.T))
 
 
@@ -329,61 +330,102 @@ class MinWeightResult:
         return self.weight > n
 
 
-def _combine(Q: FieldSpec, gens: np.ndarray, digits) -> np.ndarray:
-    n = gens.shape[1]
-    w = np.zeros(n, dtype=np.int16)
-    for d, g in zip(digits, gens):
-        if d:
-            w = Q.add_table[w, Q.mul_table[d, g]]
-    return w
+class _Limbs:
+    """Multiples c * v, c < p, of the F_p-rows v that span the F_q-span of
+    preimage rows g: g * x^(e-1), ..., g * x^0 for each g in turn (x^i has
+    index p^i), packed into uint64 limbs as ``rows`` (limbs, e * m, p).
+
+    Coordinate j holds the 2e base-p digits of (a_j | b_j), a_j first, in
+    adjacent w-bit fields and never straddles two limbs.  For p = 2 a field
+    is one bit, addition is XOR and a coordinate has a spare top bit.  For
+    odd p a field has a guard bit above its value: a field sum s >= p
+    carries s + 2^(w-1) - p into it, which then subtracts p.  The top bit
+    of a coordinate is zero in reduced words, so adding all ones below it
+    carries into it exactly when the coordinate is nonzero.
+    """
+
+    def __init__(self, F: FieldSpec, rows: np.ndarray):
+        p, e, n = F.p, F.e, rows.shape[1] // 2
+        self.p, self.w = p, 1 if p == 2 else p.bit_length() + 1
+        bits = 2 * e * self.w + (p == 2)
+        per = 64 // bits
+        self.limbs = L = -(-n // per)
+        every = lambda step, v: np.uint64(sum(v << b for b in range(0, per * bits, step)))
+        self.top = every(bits, 1 << (bits - 1))
+        self.low = every(bits, (1 << (bits - 1)) - 1)
+        if p > 2:
+            self.guard = every(self.w, 1 << (self.w - 1))
+            self.bias = every(self.w, (1 << (self.w - 1)) - p)
+        x = F.mul_table[p ** np.arange(e - 1, -1, -1)[:, None], rows[:, None, :]]
+        digits = x[..., None] // p ** np.arange(e) % p            # (m, e, 2n, e)
+        digits = digits.reshape(len(rows) * e, 1, 2, n, e).transpose(0, 1, 3, 2, 4)
+        D = np.zeros((len(digits), p, L * per, 2, e), dtype=np.uint64)
+        D[:, :, :n] = digits * np.arange(p)[:, None, None, None] % p
+        shifts = (np.arange(per)[:, None] * bits + np.arange(2 * e) * self.w).ravel()
+        packed = D.reshape(len(D), p, L, per * 2 * e) << shifts.astype(np.uint64)
+        self.rows = packed.sum(axis=-1).transpose(2, 0, 1)
+
+    def span(self, rows: np.ndarray) -> np.ndarray:
+        """Every F_p-combination of packed rows in odometer order, last row
+        fastest: part c of the table of rows r, r+1, ... is the table of
+        rows r+1, ... plus c times row r."""
+        p, L = self.p, self.limbs
+        T = np.zeros((L, p ** rows.shape[1]), dtype=np.uint64)
+        carry = np.empty_like(T)
+        k = 1
+        for r in range(rows.shape[1] - 1, -1, -1):
+            V = T[:, :p * k].reshape(L, p, k)
+            x, y, out = V[:, :1], rows[:, r, 1:, None], V[:, 1:]
+            if p == 2:
+                np.bitwise_xor(x, y, out=out)
+            else:
+                t = np.add(np.add(x, y, out=out), self.bias,
+                           out=carry[:, :(p - 1) * k].reshape(L, p - 1, k))
+                t &= self.guard
+                t >>= np.uint64(self.w - 1)
+                t *= np.uint64(p)
+                out -= t
+            k *= p
+        return T
 
 
-def _suffix_block(Q: FieldSpec, gens: np.ndarray) -> np.ndarray:
-    """All span words of `gens` in odometer order (last generator fastest)."""
-    q = Q.base.order
-    n = gens.shape[1]
-    W = np.zeros((1, n), dtype=np.int16)
-    for g in gens:
-        scaled = Q.mul_table[np.arange(q)[:, None], g[None, :]]
-        W = Q.add_table[W[:, None, :], scaled[None, :, :]].reshape(-1, n)
-    return W
+def _scan_preimage(F: FieldSpec, rows: np.ndarray, skip_below: int):
+    """Min weight over the F_q-span of preimage rows, skipping odometer
+    indices below `skip_below`; returns (best, examined).
 
-
-def _scan_span(Q, gens, skip_below):
-    """Min weight over span(gens), skipping odometer indices below
-    `skip_below`.  Returns (best, examined)."""
-    q = Q.base.order
-    m, n = gens.shape
+    Block i is the q^s words of the last s rows (the largest q^s <= _CHUNK)
+    plus prefix word i of the others.  The scan stops after the first block
+    with a word of weight <= 1.  Coordinate j of x + c vanishes exactly
+    when x_j = -c_j, so a block's weights are those of suffix XOR -c.
+    """
+    q, e, m = F.order, F.e, rows.shape[0]
     s = 0
     while s < m and q ** (s + 1) <= _CHUNK:
         s += 1
-    suffix = _suffix_block(Q, gens[m - s:])
-    block_len = suffix.shape[0]
-    best = n + 1
-    examined = 0
-    for ordinal, digits in enumerate(itertools.product(range(q), repeat=m - s)):
-        start = ordinal * block_len
-        if start + block_len <= skip_below:
-            continue
-        block = suffix
-        if digits and any(digits):
-            block = Q.add_table[block, _combine(Q, gens[:m - s], digits)[None, :]]
-        if start < skip_below:
-            block = block[skip_below - start:]
-        weights = (block != 0).sum(axis=1)
-        examined += block.shape[0]
-        if weights.size:
-            best = min(best, int(weights.min()))
+    W = _Limbs(F, rows)
+    suffix = W.span(W.rows[:, e * (m - s):])
+    negated = W.span(W.rows[:, :e * (m - s), -np.arange(W.p) % W.p])
+    size = suffix.shape[1]
+    words, counts = np.empty_like(suffix), np.empty(suffix.shape, dtype=np.uint8)
+    best, examined = rows.shape[1] // 2 + 1, 0
+    for i in range(skip_below // size, negated.shape[1]):
+        k = max(skip_below - i * size, 0)
+        z = np.bitwise_xor(suffix[:, k:], negated[:, i, None], out=words[:, k:])
+        z += W.low
+        z &= W.top
+        c = np.bitwise_count(z, out=counts[:, k:])
+        weights = c[0] if W.limbs == 1 else c.sum(axis=0, dtype=np.uint32)
+        examined += weights.size
+        best = min(best, int(weights.min()))
         if best <= 1:
             break
     return best, examined
 
 
-def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode):
-    """Generators of `outer` ordered so the trailing block spans `excluded`."""
+def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode) -> np.ndarray:
+    """Preimage rows of `outer` ordered so the trailing block spans `excluded`."""
     ext = linalg.extend_basis(outer.base_field, excluded.preimage, outer.preimage)
-    pre = np.vstack([ext, excluded.preimage])
-    return sp.phi(outer.field, pre) if pre.shape[0] else linalg.empty_matrix(outer.n)
+    return np.vstack([ext, excluded.preimage])
 
 
 def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
@@ -401,7 +443,8 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
         return MinWeightResult(weight=n + 1, examined=0)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    best, examined = _scan_span(outer.field, _exclusion_basis(outer, excluded), skip)
+    best, examined = _scan_preimage(outer.base_field,
+                                    _exclusion_basis(outer, excluded), skip)
     return MinWeightResult(weight=best, examined=examined)
 
 

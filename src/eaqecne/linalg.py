@@ -21,8 +21,10 @@ _DT = np.int16
 
 
 def as_matrix(rows, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D int16 matrix; ``rows=[]`` needs ``cols``."""
+    """Coerce to a 2-D int16 matrix; ``rows=[]`` needs ``cols``; r x 0 stays r x 0."""
     M = np.array(rows, dtype=_DT)
+    if M.ndim == 2 and M.shape[0]:
+        return M
     if M.size == 0:
         if cols is None and M.ndim == 2:
             cols = M.shape[1]

@@ -4,8 +4,11 @@ None of these share code with the package's form engine, its elimination or
 its minimum-weight scan: forms are summed one coordinate at a time with
 scalar field calls, row reduction clears one row at a time, intersections
 go through stacked annihilators, and minimum weights enumerate every
-coefficient vector over the preimage.
+coefficient vector over the preimage or, in the odometer order of the
+package's block schedule, over GF(q^2) words.
 """
+
+import itertools
 
 import numpy as np
 
@@ -55,6 +58,38 @@ def preimage_min_weight(code) -> int:
     weights = ((words[:, :n] != 0) | (words[:, n:] != 0)).sum(axis=1)
     nonzero = words.any(axis=1)
     return int(weights[nonzero].min()) if nonzero.any() else n + 1
+
+
+def odometer_scan(Q, gens, skip_below, chunk):
+    """Minimum Hamming weight over the F_q-span of GF(q^2) rows, in blocks of
+    the q^s suffix words of the last s rows (the largest q^s <= chunk) plus
+    one prefix combination each, skipping odometer indices below
+    `skip_below` and stopping after the first block with weight <= 1.
+    Returns (best, examined) with best = n + 1 when nothing was examined."""
+    q = Q.base.order
+    m, n = gens.shape
+    s = 0
+    while s < m and q ** (s + 1) <= chunk:
+        s += 1
+    suffix = np.zeros((1, n), dtype=np.int16)
+    for g in gens[m - s:]:
+        scaled = Q.mul_table[np.arange(q)[:, None], g[None, :]]
+        suffix = Q.add_table[suffix[:, None, :], scaled[None, :, :]].reshape(-1, n)
+    size = suffix.shape[0]
+    best, examined = n + 1, 0
+    for ordinal, digits in enumerate(itertools.product(range(q), repeat=m - s)):
+        start = ordinal * size
+        if start + size <= skip_below:
+            continue
+        head = np.zeros(n, dtype=np.int16)
+        for d, g in zip(digits, gens[:m - s]):
+            head = Q.add_table[head, Q.mul_table[d, g]]
+        block = Q.add_table[suffix, head[None, :]][max(skip_below - start, 0):]
+        examined += block.shape[0]
+        best = min(best, int((block != 0).sum(axis=1).min()))
+        if best <= 1:
+            break
+    return best, examined
 
 
 def loop_rref(F, mat):

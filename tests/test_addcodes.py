@@ -1,17 +1,19 @@
 """Additive codes: forms, duals, decomposition, min weight, puncturing."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqecne.errors import (BudgetExceeded, FormatError, IndexOutOfRange,
                             PreconditionFailed)
-from eaqecne.gf import field, quadratic_field
+from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import preimage_min_weight
+from oracles import odometer_scan, preimage_min_weight
 
 
 def enumerate_codewords(code):
@@ -231,19 +233,122 @@ def test_min_weight_exclusion_monotone(q):
                 >= ac.min_weight_excluding(A, small))
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_min_weight_chunked_scan_boundaries(q, monkeypatch):
-    # force multi-block scans so skip offsets cross chunk boundaries
+    # force multi-block scans so skip offsets cross chunk boundaries; at
+    # most ~1000 words per code keeps the scalar oracle fast for large q
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(71 + q)
     monkeypatch.setattr(ac, "_CHUNK", 4)
+    cap = int(math.log(1000) / math.log(q))
     for _ in range(15):
         n = int(rng.integers(1, 4))
-        A = ac.random_additive_code(Q, n, int(rng.integers(1, 2 * n + 1)), rng)
+        A = ac.random_additive_code(Q, n, int(rng.integers(1, min(2 * n, cap) + 1)), rng)
         rows = A.preimage[: int(rng.integers(0, A.m + 1))]
         B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(rows, cols=2 * n))
         expect = oracle_min_weight(A, B)
         assert ac.min_weight_excluding(A, B) == expect
+
+
+def chunks(q):
+    return [1, 2, q - 1, q, q + 1, q * q, 100, ac._CHUNK]
+
+
+def planted_rows(F, n, m, weight1, rng):
+    """m random preimage rows over F.  With `weight1`, one row is solved for
+    so that a random coefficient vector gives a weight-1 word: the word
+    then sits at an odometer index with many nonzero digits."""
+    rows = linalg.random_matrix(F, m, 2 * n, rng)
+    if weight1 and m:
+        coeffs = rng.integers(0, F.order, size=m)
+        r = int(rng.integers(0, m))
+        coeffs[r] = rng.integers(1, F.order)
+        target = np.zeros(2 * n, dtype=np.int16)
+        j = int(rng.integers(0, n))
+        target[[j, n + j]] = rng.integers(0, F.order, size=2)
+        target[j] = max(target[j], 1)
+        rest = linalg.gram(F, np.delete(coeffs, r)[None], np.delete(rows, r, axis=0).T)[0]
+        rows[r] = F.mul_table[F.inv(int(coeffs[r])), F.sub_table[target, rest]]
+    return rows
+
+
+def assert_kernel_matches_oracle(Q, rows, skip, chunk):
+    """(weight, examined) of the packed kernel equal the GF(q^2) odometer
+    scan over the same rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac, "_CHUNK", chunk)
+        got = ac._scan_preimage(Q.base, rows, skip)
+    assert got == odometer_scan(Q, sp.phi(Q, rows), skip, chunk)
+
+
+def scan_case(Q, n, m, k, rng):
+    """An outer code of dimension m and its subcode spanned by k of its
+    canonical rows; half the codes hold a weight-1 word."""
+    pre = linalg.row_basis(Q.base, planted_rows(Q.base, n, m, rng.random() < 0.5, rng))
+    A = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(pre, cols=2 * n))
+    B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(A.preimage[:k], cols=2 * n))
+    return A, B
+
+
+def assert_min_weight_matches_oracle(A, B, chunk):
+    """min_weight_excluding_detail equals the odometer scan over the
+    exclusion basis, which skips the q^dim(B) words of B."""
+    Q = A.field
+    rows = ac._exclusion_basis(A, B)
+    expect = odometer_scan(Q, sp.phi(Q, rows), Q.base.order ** B.m, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac, "_CHUNK", chunk)
+        r = ac.min_weight_excluding_detail(A, B)
+    assert (r.weight, r.examined) == expect
+    if A.m == B.m:
+        assert expect == (A.n + 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 24), st.data())
+def test_scan_matches_odometer_oracle(q, n, data):
+    # any rows, dependent ones included, and any skip offset
+    Q = quadratic_field(field(q))
+    m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
+    skip = data.draw(st.integers(0, q ** m))
+    chunk = data.draw(st.sampled_from(chunks(q)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = planted_rows(Q.base, n, m, data.draw(st.booleans()), rng)
+    assert_kernel_matches_oracle(Q, rows, skip, chunk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 24), st.data())
+def test_min_weight_detail_matches_odometer_oracle(q, n, data):
+    Q = quadratic_field(field(q))
+    m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
+    k = data.draw(st.integers(0, m))
+    chunk = data.draw(st.sampled_from(chunks(q)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    assert_min_weight_matches_oracle(*scan_case(Q, n, m, k, rng), chunk)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_scan_multi_limb_words(q):
+    # 22 coordinates need two limbs for every q; the chunk sizes and skips
+    # give partial first blocks, whole skipped blocks and weight-1 exits
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(90 + q)
+    m = int(math.log(2000) / math.log(q))
+    assert ac._Limbs(Q.base, linalg.empty_matrix(44)).limbs >= 2
+    for k, chunk in itertools.product(range(m), (q, q * q)):
+        assert_min_weight_matches_oracle(*scan_case(Q, 22, m, k, rng), chunk)
+        rows = planted_rows(Q.base, 22, m, True, rng)
+        assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, q ** m)), chunk)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_scan_zero_outer_code(q):
+    Q = quadratic_field(field(q))
+    zero = ac.AdditiveCode.zero(Q, 3)
+    assert_min_weight_matches_oracle(zero, zero, 4)
+    assert ac._scan_preimage(Q.base, zero.preimage, 1) == (4, 0)
+    assert_kernel_matches_oracle(Q, zero.preimage, 0, 4)
 
 
 def test_min_weight_generator_bound():

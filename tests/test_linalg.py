@@ -171,6 +171,16 @@ def test_gram_trivial_cases():
         linalg.gram(F, I, linalg.identity_matrix(3))
 
 
+def test_rows_without_columns_keep_their_rows():
+    F = field(3)
+    A = np.zeros((3, 0), dtype=np.int16)
+    assert linalg.as_matrix(A).shape == (3, 0)
+    assert linalg.as_matrix([[], []]).shape == (2, 0)
+    assert linalg.as_matrix([], cols=4).shape == (0, 4)
+    G = linalg.gram(F, A, np.zeros((4, 0), dtype=np.int16))
+    assert G.shape == (3, 4) and not G.any()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 81])
 def test_gram_matches_scalar_dot(q):
     F = field(q)
