@@ -118,8 +118,10 @@ def crossover_degradation(c_params, d_params, p_a,
     """Bisect lam in [0, 1] for the sign change of P(D) - P(C).
 
     Returns None when the difference has the same sign at both endpoints;
-    exact rational evaluations, lam resolved to within `tol`.
+    exact rational evaluations, lam resolved to within `tol` > 0.
     """
+    if not tol > 0:
+        raise RangeError(f"tol must be positive, got {tol}")
     pa = _rate(p_a)
     if not 0 < pa < 1:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")

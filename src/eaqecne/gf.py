@@ -14,14 +14,16 @@ generator of GF(q^2) over GF(q).  A modulus of the shape ``x^2 + const``
 would make that residue class and its conjugate linearly dependent, so the
 linear term is mandatory.
 
-All orders are at most 81, so full addition/multiplication tables are built
-eagerly and shared; operations on numpy index arrays vectorize through fancy
-indexing on those tables.
+All orders are at most 81, so every table is a full array, built for all
+elements at once by a few numpy expressions when :func:`field` first asks for
+the field (never at import) and shared after; operations on numpy index
+arrays vectorize through fancy indexing on those tables.  A modulus is
+checked on the product table rather than by trial division (see
+:class:`FieldSpec`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -53,60 +55,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over an existing FieldSpec (coefficient tuples, low first)
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _poly_mul(base: "FieldSpec", f, g):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = base.add(out[i + j], base.mul(a, b))
-    return tuple(out)
-
-
-def _poly_mod(base: "FieldSpec", f, m):
-    """Remainder of f modulo a monic polynomial m."""
-    f = list(f)
-    d = len(m) - 1
-    while len(_poly_trim(tuple(f))) > d:
-        f = list(_poly_trim(tuple(f)))
-        lead = f[-1]
-        shift = len(f) - 1 - d
-        for i, c in enumerate(m):
-            f[shift + i] = base.sub(f[shift + i], base.mul(lead, c))
-    f = _poly_trim(tuple(f))
-    return tuple(f) + (0,) * (d - len(f))
-
-
-def _poly_is_irreducible(base: "FieldSpec", m) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
-    d = len(m) - 1
-    if d < 1 or m[-1] != 1:
-        return False
-    for k in range(1, d // 2 + 1):
-        for tail in itertools.product(range(base.order), repeat=k):
-            divisor = tuple(tail) + (1,)
-            if not any(_poly_mod(base, m, divisor)):
-                return False
-    return True
-
-
 class FieldSpec:
     """Immutable arithmetic tables for one finite field.
 
     Build through :func:`field`; direct construction is for the fixed table
     entries only.  Safe to share across threads: nothing mutates after
     ``__init__``.
+
+    Every table is one array expression over all elements at once.  For an
+    extension the coefficient arrays ``idx // B**i % B`` are added and
+    convolved through the base field's tables, the product is reduced by the
+    monic modulus, and the results are encoded back; negation and inversion
+    are the positions of 0 and 1 in each row of the new tables.  The modulus
+    is not factored: F[x]/(f) is a field exactly when f is irreducible, and
+    a finite commutative ring is a field exactly when it has no zero
+    divisors, so a reducible modulus shows as a zero entry in the product
+    table away from row and column 0 and is rejected there.
     """
 
     def __init__(self, p: int | None = None, base: "FieldSpec | None" = None,
@@ -125,7 +89,6 @@ class FieldSpec:
             self.add_table = (rng[:, None] + rng[None, :]) % p
             self.mul_table = (rng[:, None].astype(np.int64) * rng[None, :]) % p
             self.mul_table = self.mul_table.astype(_TABLE_DTYPE)
-            self.neg_table = (-rng) % p
         else:
             assert modulus is not None
             self.p = base.p
@@ -136,93 +99,73 @@ class FieldSpec:
                 raise ValueError("extension modulus must have degree >= 2")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not _poly_is_irreducible(base, self.modulus):
-                raise ValueError(
-                    f"modulus {modulus} is reducible over GF({base.order})")
             self.order = base.order ** self.degree
             self.e = base.e * self.degree
-            self._build_extension_tables()
+            B, d = base.order, self.degree
+            ADD, MUL = base.add_table, base.mul_table
+            digits = np.arange(self.order) // B ** np.arange(d)[:, None] % B
+            a, b = digits[:, :, None], digits[:, None, :]
+            prod = [np.zeros((self.order, self.order), dtype=_TABLE_DTYPE)
+                    for _ in range(2 * d - 1)]
+            for i in range(d):
+                for j in range(d):
+                    prod[i + j] = ADD[prod[i + j], MUL[a[i], b[j]]]
+            # fold x^k, highest k first, by x^d = -(m_0 + ... + m_{d-1} x^(d-1))
+            neg_mod = base.neg_table[np.array(self.modulus[:d])]
+            for k in range(2 * d - 2, d - 1, -1):
+                for i in range(d):
+                    prod[k - d + i] = ADD[prod[k - d + i], MUL[prod[k], neg_mod[i]]]
+            self.add_table = sum(ADD[a[i], b[i]] * B ** i for i in range(d))
+            self.mul_table = sum(prod[i] * B ** i for i in range(d))
+            if not self.mul_table[1:, 1:].all():
+                raise ValueError(
+                    f"modulus {modulus} is reducible over GF({base.order})")
+        idx = np.arange(self.order)
+        self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
-        self.inv_table = self._build_inverse()
-        self.frob_table = np.array(
-            [self.pow(a, self.p) for a in range(self.order)], dtype=_TABLE_DTYPE)
-        self.abs_trace_table = self._build_abs_trace()
+        self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)
+        frob = idx
+        for _ in range(self.p - 1):
+            frob = self.mul_table[frob, idx]
+        self.frob_table = frob.astype(_TABLE_DTYPE)
+        trace, x = np.zeros_like(idx), idx
+        for _ in range(self.e):
+            trace, x = self.add_table[trace, x], self.frob_table[x]
+        assert (trace < self.p).all(), "absolute trace left the prime subfield"
+        self.abs_trace_table = trace.astype(_TABLE_DTYPE)
         if self.base is not None and self.degree == 2:
-            self._finalize_quadratic()
+            self._finalize_quadratic(idx)
         else:
             self.beta = None
 
     # -- construction internals -------------------------------------------
 
-    def _build_extension_tables(self):
-        base, d = self.base, self.degree
-        coeff = [self.coeffs(i) for i in range(self.order)]
-        add = np.zeros((self.order, self.order), dtype=_TABLE_DTYPE)
-        mul = np.zeros_like(add)
-        for a in range(self.order):
-            for b in range(a, self.order):
-                s = tuple(base.add(x, y) for x, y in zip(coeff[a], coeff[b]))
-                add[a, b] = add[b, a] = self.index(s)
-                prod = _poly_mod(base, _poly_mul(base, coeff[a], coeff[b]),
-                                 self.modulus)
-                prod = tuple(prod) + (0,) * (d - len(prod))
-                mul[a, b] = mul[b, a] = self.index(prod)
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.array(
-            [self.index(tuple(base.neg(c) for c in coeff[a]))
-             for a in range(self.order)], dtype=_TABLE_DTYPE)
-
-    def _build_inverse(self):
-        inv = np.zeros(self.order, dtype=_TABLE_DTYPE)
-        for a in range(1, self.order):
-            hits = np.where(self.mul_table[a] == 1)[0]
-            assert len(hits) == 1, "multiplication table is not a field"
-            inv[a] = hits[0]
-        return inv
-
-    def _build_abs_trace(self):
-        tr = np.zeros(self.order, dtype=_TABLE_DTYPE)
-        for a in range(self.order):
-            acc, x = 0, a
-            for _ in range(self.e):
-                acc = self.add(acc, x)
-                x = int(self.frob_table[x])
-            assert acc < self.p, "absolute trace left the prime subfield"
-            tr[a] = acc
-        return tr
-
-    def _finalize_quadratic(self):
-        base = self.base
-        q = base.order
+    def _finalize_quadratic(self, idx):
+        q = self.base.order
         self.beta = q  # residue class of x: coefficients (0, 1)
-        conj = np.array([self.pow(a, q) for a in range(self.order)],
-                        dtype=_TABLE_DTYPE)
-        assert all(conj[conj[a]] == a for a in range(self.order))
-        assert all(conj[a] == a for a in range(q)), "conjugation moved GF(q)"
+        conj = idx
+        for _ in range(self.base.e):
+            conj = self.frob_table[conj]
+        assert (conj[conj] == idx).all()
+        assert (conj[:q] == idx[:q]).all(), "conjugation moved GF(q)"
         self.conj_table = conj
         self.beta_conj = int(conj[self.beta])
         # {beta, beta^q} must be a GF(q)-basis of GF(q^2)
-        for lam in range(q):
-            if self.mul(lam, self.beta) == self.beta_conj:
-                raise ValueError("beta and beta^q are linearly dependent")
+        if (self.mul_table[self.beta, :q] == self.beta_conj).any():
+            raise ValueError("beta and beta^q are linearly dependent")
         self.alt_normalizer = self.sub(self.mul(self.beta, self.beta),
                                        self.mul(self.beta_conj, self.beta_conj))
         if self.alt_normalizer == 0:
             raise ValueError("beta^2 - beta^(2q) vanishes")
-        rel = np.array([self.add(a, int(conj[a])) for a in range(self.order)],
-                       dtype=_TABLE_DTYPE)
-        assert all(v < q for v in rel), "relative trace left the base field"
+        rel = self.add_table[idx, conj]
+        assert (rel < q).all(), "relative trace left the base field"
         self.rel_trace_table = rel
         # phi on a single coordinate pair: (a|b) -> beta*a + beta^q*b,
         # indexed by a + q*b; a bijection GF(q)^2 -> GF(q^2).
-        phi = np.zeros(self.order, dtype=_TABLE_DTYPE)
-        for b in range(q):
-            for a in range(q):
-                phi[a + q * b] = self.add(self.mul(self.beta, a),
-                                          self.mul(self.beta_conj, b))
+        phi = self.add_table[self.mul_table[self.beta, idx % q],
+                             self.mul_table[self.beta_conj, idx // q]]
         inv = np.full(self.order, -1, dtype=_TABLE_DTYPE)
-        inv[phi] = np.arange(self.order, dtype=_TABLE_DTYPE)
+        inv[phi] = idx
         assert (inv >= 0).all(), "phi is not a bijection"
         self.phi_table = phi
         self.phi_inv_table = inv
@@ -391,7 +334,7 @@ class FieldElement:
             if other.spec is not self.spec:
                 raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
             return other.index
-        return int(other)
+        return self.spec.element(int(other)).index
 
     def __add__(self, other):
         return FieldElement(self.spec, self.spec.add(self.index, self._peer(other)))

@@ -21,7 +21,8 @@ _DT = np.int16
 
 
 def as_matrix(rows, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D int16 matrix; ``rows=[]`` needs ``cols``; r x 0 stays r x 0."""
+    """Coerce to a 2-D int16 matrix; ``rows=[]`` needs ``cols``; r x 0 stays r x 0;
+    a scalar is a 1 x 1 matrix."""
     M = np.array(rows, dtype=_DT)
     if M.ndim == 2 and M.shape[0]:
         return M
@@ -31,7 +32,7 @@ def as_matrix(rows, cols: int | None = None) -> np.ndarray:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return M.reshape(0, cols)
-    if M.ndim == 1:
+    if M.ndim < 2:
         M = M.reshape(1, -1)
     return M
 

@@ -1,18 +1,178 @@
 """Slow reference implementations that the fast paths are checked against.
 
-None of these share code with the package's form engine, its elimination or
-its minimum-weight scan: forms are summed one coordinate at a time with
-scalar field calls, row reduction clears one row at a time, intersections
-go through stacked annihilators, and minimum weights enumerate every
-coefficient vector over the preimage or, in the odometer order of the
-package's block schedule, over GF(q^2) words.
+None of these share code with the package's field tables, form engine,
+elimination or minimum-weight scan: field tables are filled one element pair
+at a time from plain Python ints with trial division for irreducibility,
+forms are summed one coordinate at a time with scalar field calls, row
+reduction clears one row at a time, intersections go through stacked
+annihilators, and minimum weights enumerate every coefficient vector over the
+preimage or, in the odometer order of the package's block schedule, over
+GF(q^2) words.
 """
 
 import itertools
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
-from eaqecne import linalg
+from eaqecne import gf, linalg
+
+
+def _poly_trim(f):
+    while f and f[-1] == 0:
+        f = f[:-1]
+    return f
+
+
+def _poly_mul(base, f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = base.add(out[i + j], base.mul(a, b))
+    return tuple(out)
+
+
+def _poly_mod(base, f, m):
+    """Remainder of f modulo a monic polynomial m, padded to deg(m) terms."""
+    f = list(f)
+    d = len(m) - 1
+    while len(_poly_trim(tuple(f))) > d:
+        f = list(_poly_trim(tuple(f)))
+        lead = f[-1]
+        shift = len(f) - 1 - d
+        for i, c in enumerate(m):
+            f[shift + i] = base.sub(f[shift + i], base.mul(lead, c))
+    f = _poly_trim(tuple(f))
+    return tuple(f) + (0,) * (d - len(f))
+
+
+def _poly_is_irreducible(base, m) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(m)/2."""
+    d = len(m) - 1
+    for k in range(1, d // 2 + 1):
+        for tail in itertools.product(range(base.order), repeat=k):
+            if not any(_poly_mod(base, m, tuple(tail) + (1,))):
+                return False
+    return True
+
+
+class LoopField:
+    """GF(p) or F[x]/(modulus) with every table filled one element (pair) at
+    a time from Python lists: mod p at the bottom, polynomial products
+    reduced by the modulus above it.  Raises ``ValueError`` for a modulus of
+    degree < 2, a non-monic or reducible one (trial division), and, for a
+    quadratic extension, one that makes {beta, beta^q} dependent.  The
+    finished tables are int16 arrays under the package's attribute names."""
+
+    def __init__(self, p=None, base=None, modulus=None):
+        if base is None:
+            self.p, self.base, self.degree, self.e, self.order = p, None, 1, 1, p
+            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+            self._neg = [-a % p for a in range(p)]
+        else:
+            modulus = tuple(modulus)
+            d = len(modulus) - 1
+            if d < 2 or modulus[-1] != 1 or not _poly_is_irreducible(base, modulus):
+                raise ValueError(f"modulus {modulus} rejected over GF({base.order})")
+            self.p, self.base, self.degree = base.p, base, d
+            self.e, self.order = base.e * d, base.order ** d
+            coeff = [self.coeffs(a) for a in range(self.order)]
+            self._add = [[self.index([base.add(x, y) for x, y in zip(ca, cb)])
+                          for cb in coeff] for ca in coeff]
+            self._mul = [[self.index(_poly_mod(base, _poly_mul(base, ca, cb), modulus))
+                          for cb in coeff] for ca in coeff]
+            self._neg = [self.index([base.neg(c) for c in ca]) for ca in coeff]
+        elems = range(self.order)
+        inv = [0] * self.order
+        for a in elems[1:]:
+            hits = [b for b in elems if self.mul(a, b) == 1]
+            assert len(hits) == 1
+            inv[a] = hits[0]
+        frob = [self.pow(a, self.p) for a in elems]
+        abs_trace = []
+        for a in elems:
+            acc, x = 0, a
+            for _ in range(self.e):
+                acc, x = self.add(acc, x), frob[x]
+            abs_trace.append(acc)
+        tables = {"add_table": self._add, "mul_table": self._mul,
+                  "neg_table": self._neg, "inv_table": inv,
+                  "sub_table": [[self.sub(a, b) for b in elems] for a in elems],
+                  "frob_table": frob, "abs_trace_table": abs_trace}
+        self.beta = None
+        if self.base is not None and self.degree == 2:
+            tables.update(self._quadratic_tables())
+        for name, rows in tables.items():
+            setattr(self, name, np.array(rows, dtype=np.int16))
+
+    def _quadratic_tables(self):
+        q = self.base.order
+        elems = range(self.order)
+        self.beta = q
+        conj = [self.pow(a, q) for a in elems]
+        self.beta_conj = conj[q]
+        if any(self.mul(lam, q) == self.beta_conj for lam in range(q)):
+            raise ValueError("beta and beta^q are linearly dependent")
+        self.alt_normalizer = self.sub(self.mul(q, q),
+                                       self.mul(self.beta_conj, self.beta_conj))
+        if self.alt_normalizer == 0:
+            raise ValueError("beta^2 - beta^(2q) vanishes")
+        phi = [0] * self.order
+        for b in range(q):
+            for a in range(q):
+                phi[a + q * b] = self.add(self.mul(q, a), self.mul(self.beta_conj, b))
+        phi_inv = [-1] * self.order
+        for i, v in enumerate(phi):
+            phi_inv[v] = i
+        return {"conj_table": conj, "phi_table": phi, "phi_inv_table": phi_inv,
+                "rel_trace_table": [self.add(a, conj[a]) for a in elems]}
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def pow(self, a, k):
+        out = 1
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+    def coeffs(self, a):
+        out = []
+        for _ in range(self.degree):
+            a, r = divmod(a, self.base.order)
+            out.append(r)
+        return tuple(out)
+
+    def index(self, coeffs):
+        a = 0
+        for c in reversed(tuple(coeffs)):
+            a = a * self.base.order + c
+        return a
+
+
+@lru_cache(maxsize=None)
+def loop_field(order):
+    """The oracle for ``gf.field(order)``, from the package's modulus constants
+    ``gf._QUAD_CONST`` and ``gf._GF8_MODULUS`` only."""
+    if order in (2, 3, 5, 7):
+        return LoopField(p=order)
+    if order == 8:
+        return LoopField(base=loop_field(2), modulus=gf._GF8_MODULUS)
+    root = isqrt(order)
+    return LoopField(base=loop_field(root), modulus=(gf._QUAD_CONST[root], 1, 1))
 
 
 def scalar_dot(F, u, v) -> int:

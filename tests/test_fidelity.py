@@ -144,6 +144,14 @@ def test_crossover_none():
         fid.crossover_degradation((17, 7), ((11, 7), (6, 3)), 0)
 
 
+@pytest.mark.parametrize("tol", [0, -1e-9, float("nan")])
+def test_crossover_rejects_nonpositive_tol(tol):
+    # the bisection on rationals never reaches a zero-width interval
+    with pytest.raises(RangeError):
+        fid.crossover_degradation((109, 53), ((104, 53), (5, 3)),
+                                  Fraction(14, 10007), tol=tol)
+
+
 def test_sweep_structure():
     grid = [Fraction(i, 1000) for i in range(1, 6)]
     curve = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)

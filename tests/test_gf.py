@@ -1,11 +1,19 @@
 """Field arithmetic, conjugation, and trace maps."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import eaqecne
 from eaqecne.errors import DivisionByZero, FieldMismatch, NotQuadraticExtension
 from eaqecne.gf import FieldSpec, field, quadratic_field
+
+from oracles import LoopField, loop_field
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 49, 64, 81]
 QUAD_ORDERS = [4, 9, 16, 25, 49, 64, 81]
@@ -189,3 +197,65 @@ def test_element_wrapper_ops():
     assert a.conjugate().index == G.conjugate(5)
     assert a.rel_trace().spec is field(3)
     assert a.abs_trace().spec is field(3)
+
+
+def test_element_rejects_out_of_range_int_peer():
+    G = field(4)
+    assert (G.element(1) + 3).index == G.add(1, 3)
+    for bad in (-1, 4, 7):
+        with pytest.raises(ValueError):
+            G.element(1) + bad
+        with pytest.raises(ValueError):
+            G.element(1) * bad
+
+
+def _array_attrs(F):
+    return {k: v for k, v in vars(F).items() if isinstance(v, np.ndarray)}
+
+
+def assert_same_tables(F, oracle):
+    """Every array attribute equal in value, dtype and shape, and the same
+    scalar attributes of the same types."""
+    arrays, expected = _array_attrs(F), _array_attrs(oracle)
+    assert arrays.keys() == expected.keys()
+    for name, table in arrays.items():
+        want = expected[name]
+        assert (table.dtype, table.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(table, want), name
+    for name in ("p", "e", "order", "degree", "beta", "beta_conj",
+                 "alt_normalizer"):
+        got, want = getattr(F, name, None), getattr(oracle, name, None)
+        assert (type(got), got) == (type(want), want), name
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_tables_match_loop_oracle(order):
+    assert_same_tables(field(order), loop_field(order))
+
+
+@pytest.mark.parametrize("q, degree", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_modulus_rejected_exactly_when_oracle_rejects(q, degree):
+    accepted = rejected = 0
+    for tail in itertools.product(range(q), repeat=degree):
+        modulus = tail + (1,)
+        try:
+            oracle = LoopField(base=loop_field(q), modulus=modulus)
+        except ValueError:
+            rejected += 1
+            with pytest.raises(ValueError):
+                FieldSpec(base=field(q), modulus=modulus)
+        else:
+            accepted += 1
+            assert_same_tables(FieldSpec(base=field(q), modulus=modulus), oracle)
+    assert accepted and rejected
+
+
+def test_import_builds_no_field():
+    src = str(Path(eaqecne.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import eaqecne; print(eaqecne.gf.field.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -181,6 +181,14 @@ def test_rows_without_columns_keep_their_rows():
     assert G.shape == (3, 4) and not G.any()
 
 
+def test_scalar_is_one_by_one_matrix():
+    F = field(9)
+    assert linalg.as_matrix(5).shape == (1, 1)
+    assert linalg.gram(F, 5, 5).tolist() == [[F.mul(5, 5)]]
+    assert linalg.rank(F, 2) == 1
+    assert linalg.rank(F, 0) == 0
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 81])
 def test_gram_matches_scalar_dot(q):
     F = field(q)
