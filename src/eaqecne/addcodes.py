@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionMismatch, FormatError,
                      IndexOutOfRange, ParityViolation, PreconditionFailed)
-from .gf import FieldSpec
+from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
 from . import linalg, symplectic as sp
 
 FORMS = ("hermitian", "trace", "alternating")
@@ -83,6 +83,14 @@ def code_gram(code: "AdditiveCode", form: str = "alternating") -> np.ndarray:
     return sp.form_gram(Q.base, code.preimage, form_block(Q, form))
 
 
+def _field_entries(Q: FieldSpec, words, cols: int | None = None) -> np.ndarray:
+    """Words as an index matrix; table lookups would wrap entries below 0."""
+    W = np.asarray(words)
+    if ((W < 0) | (W >= Q.order)).any():
+        raise FormatError(f"generator entry outside GF({Q.order})")
+    return linalg.as_matrix(W, cols=cols)
+
+
 def _first_nonzero_pair(M: np.ndarray):
     """First (i, j) with i <= j and M[i, j] != 0 in row-major order."""
     hits = np.argwhere(np.triu(M) != 0)
@@ -92,7 +100,7 @@ def _first_nonzero_pair(M: np.ndarray):
 class AdditiveCode:
     """F_q-linear subgroup of GF(q^2)^n, canonicalized via its preimage."""
 
-    __slots__ = ("field", "n", "preimage", "generators")
+    __slots__ = ("field", "n", "preimage")
 
     def __init__(self, field: FieldSpec, n: int, preimage: np.ndarray):
         field._require_quadratic()
@@ -102,8 +110,6 @@ class AdditiveCode:
         self.field = field
         self.n = n
         self.preimage = preimage
-        self.generators = (sp.phi(field, preimage) if preimage.shape[0]
-                           else linalg.empty_matrix(n))
 
     @classmethod
     def from_preimage(cls, field: FieldSpec, preimage) -> "AdditiveCode":
@@ -112,12 +118,8 @@ class AdditiveCode:
 
     @classmethod
     def from_generators(cls, field: FieldSpec, gens, n: int | None = None) -> "AdditiveCode":
-        G = linalg.as_matrix(gens, cols=n)
-        if (G >= field.order).any():
-            raise FormatError(f"generator entry outside GF({field.order})")
-        pre = (sp.phi_inv(field, G) if G.shape[0]
-               else linalg.empty_matrix(2 * G.shape[1]))
-        return cls.from_preimage(field, pre)
+        G = _field_entries(field, gens, cols=n)
+        return cls.from_preimage(field, sp.phi_inv(field, G))
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "AdditiveCode":
@@ -126,6 +128,11 @@ class AdditiveCode:
     @classmethod
     def full(cls, field: FieldSpec, n: int) -> "AdditiveCode":
         return cls(field, n, linalg.identity_matrix(2 * n))
+
+    @property
+    def generators(self) -> np.ndarray:
+        """The canonical generators in GF(q^2)^n: phi of the preimage rows."""
+        return sp.phi(self.field, self.preimage)
 
     @property
     def m(self) -> int:
@@ -142,9 +149,8 @@ class AdditiveCode:
                                         other.preimage)
 
     def contains_word(self, w) -> bool:
-        pre = sp.phi_inv(self.field, np.asarray(w))
-        return linalg.subspace_contains(self.base_field, self.preimage,
-                                        pre.reshape(1, -1))
+        pre = sp.phi_inv(self.field, _field_entries(self.field, w))
+        return linalg.subspace_contains(self.base_field, self.preimage, pre)
 
     def _check_peer(self, other: "AdditiveCode"):
         if other.field is not self.field or other.n != self.n:
@@ -160,11 +166,6 @@ class AdditiveCode:
 
     def __repr__(self):
         return f"AdditiveCode(q2={self.field.order}, n={self.n}, m={self.m})"
-
-
-def random_additive_code(Q: FieldSpec, n: int, m: int, rng) -> AdditiveCode:
-    return AdditiveCode.from_preimage(
-        Q, linalg.random_subspace(Q.base, m, 2 * n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +265,7 @@ class LinearCode:
 
     def __init__(self, field: FieldSpec, gens, n: int | None = None):
         field._require_quadratic()
-        G = linalg.as_matrix(gens, cols=n)
-        if (G >= field.order).any():
-            raise FormatError(f"generator entry outside GF({field.order})")
+        G = _field_entries(field, gens, cols=n)
         self.field = field
         self.n = G.shape[1]
         self.matrix = linalg.row_basis(field, G)
@@ -277,16 +276,13 @@ class LinearCode:
 
     def to_additive(self) -> AdditiveCode:
         """The same set viewed additively: F_q-span of {g, beta*g}."""
-        if self.dim == 0:
-            return AdditiveCode.zero(self.field, self.n)
         scaled = self.field.mul_table[self.field.beta, self.matrix]
         return AdditiveCode.from_generators(
-            self.field, np.vstack([self.matrix, scaled]))
+            self.field, np.vstack([self.matrix, scaled]), n=self.n)
 
     def hermitian_dual(self) -> "LinearCode":
-        conj = self.field.conj_table[self.matrix] if self.dim else self.matrix
-        return LinearCode(self.field, linalg.kernel(self.field,
-                          linalg.as_matrix(conj, cols=self.n)), n=self.n)
+        conj = self.field.conj_table[self.matrix]
+        return LinearCode(self.field, linalg.kernel(self.field, conj), n=self.n)
 
     def hermitian_radical(self) -> "LinearCode":
         pre = _gram_radical(self.field, self.matrix,
@@ -326,8 +322,9 @@ class MinWeightResult:
     weight: int        # ambient length + 1 means "undefined" (empty word set)
     examined: int
 
-    def is_undefined(self, n: int) -> bool:
-        return self.weight > n
+    def distance(self, n: int) -> int | None:
+        """The weight as a distance on length n; None when no word was left."""
+        return None if self.weight > n else self.weight
 
 
 class _Limbs:
@@ -478,12 +475,12 @@ def _kept_coords(n: int, coords) -> list[int]:
 
 
 def puncture(code: AdditiveCode, coords) -> AdditiveCode:
-    """Delete the 0-based coordinates from every generator and re-canonicalize."""
+    """Delete the 0-based coordinates and re-canonicalize: phi acts on each
+    coordinate alone, so this keeps preimage columns j and n + j for each
+    kept j."""
     keep = _kept_coords(code.n, coords)
-    if code.m == 0:
-        return AdditiveCode.zero(code.field, len(keep))
-    return AdditiveCode.from_generators(code.field, code.generators[:, keep],
-                                        n=len(keep))
+    cols = keep + [code.n + j for j in keep]
+    return AdditiveCode.from_preimage(code.field, code.preimage[:, cols])
 
 
 def puncture_linear(code: LinearCode, coords) -> LinearCode:
@@ -501,16 +498,28 @@ def dump_code(code: AdditiveCode) -> str:
     return linalg.dump_matrix(code.field, code.generators, comments=(header,))
 
 
-def _code_from_matrix(F: FieldSpec, M: np.ndarray) -> AdditiveCode:
+def _code_from_matrix(F: FieldSpec, M: np.ndarray, symplectic: bool) -> AdditiveCode:
+    if symplectic:
+        if F.order not in SUPPORTED_ORDERS:
+            raise FormatError(
+                f"symplectic input needs a base-field order from "
+                f"{SUPPORTED_ORDERS}, got {F.order}")
+        if M.shape[1] % 2:
+            raise FormatError("symplectic input needs an even column count")
+        return AdditiveCode.from_preimage(quadratic_field(F), M)
     if not F.is_quadratic:
         raise FormatError(
-            f"code files need a quadratic-extension field order, got {F.order}")
+            f"code files need a quadratic-extension order, got {F.order}; "
+            "pass --symplectic for base-field preimage matrices")
     return AdditiveCode.from_generators(F, M, n=M.shape[1])
 
 
-def parse_code(text: str) -> AdditiveCode:
-    return _code_from_matrix(*linalg.parse_matrix(text))
+def parse_code(text: str, symplectic: bool = False) -> AdditiveCode:
+    """A code from the matrix text format: generators over GF(q^2), or with
+    ``symplectic`` a base-field preimage matrix with 2n columns."""
+    return _code_from_matrix(*linalg.parse_matrix(text), symplectic)
 
 
-def load_code(path) -> AdditiveCode:
-    return _code_from_matrix(*linalg.load_matrix(path))
+def load_code(path, symplectic: bool = False) -> AdditiveCode:
+    """Read a code file; see :func:`parse_code`."""
+    return _code_from_matrix(*linalg.load_matrix(path), symplectic)

@@ -15,26 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EaqecneError, FormatError, RangeError
-from .gf import SUPPORTED_ORDERS, field, quadratic_field
+from .gf import SUPPORTED_ORDERS, field
 from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
-
-
-def _load_code(path: str, symplectic_input: bool) -> ac.AdditiveCode:
-    F, M = linalg.load_matrix(path)
-    if symplectic_input:
-        if F.order not in SUPPORTED_ORDERS:
-            raise FormatError(
-                f"symplectic input needs a base-field order from "
-                f"{SUPPORTED_ORDERS}, got {F.order}")
-        if M.shape[1] % 2:
-            raise FormatError("symplectic input needs an even column count")
-        return ac.AdditiveCode.from_preimage(quadratic_field(F), M)
-    if not F.is_quadratic:
-        raise FormatError(
-            f"code files need a quadratic-extension order, got {F.order}; "
-            "pass --symplectic for base-field preimage matrices")
-    return ac.AdditiveCode.from_generators(F, M, n=M.shape[1])
 
 
 def format_analysis(params: eaqec.EAQECCParams, l: int, m: int,
@@ -51,7 +34,7 @@ def format_analysis(params: eaqec.EAQECCParams, l: int, m: int,
 
 
 def cmd_analyze(args) -> int:
-    code = _load_code(args.codefile, args.symplectic)
+    code = ac.load_code(args.codefile, args.symplectic)
     compute_d = not args.no_distance
     params = eaqec.eaqec_params(code, compute_d, budget=args.budget)
     print(format_analysis(params, params.l, code.m, compute_d))
@@ -59,7 +42,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    code = _load_code(args.codefile, args.symplectic)
+    code = ac.load_code(args.codefile, args.symplectic)
     dec = ac.radical_decompose(code)
     print(f"q2={code.field.order} n={code.n} m={code.m} l={dec.l} c={dec.c}")
     if args.symplectic:
@@ -77,10 +60,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mindist(args) -> int:
-    code = _load_code(args.codefile, args.symplectic)
+    code = ac.load_code(args.codefile, args.symplectic)
     res = ac.min_weight_detail(code, budget=args.budget)
-    d = "undefined" if res.is_undefined(code.n) else str(res.weight)
-    print(f"d={d} enumerated={res.examined}")
+    d = res.distance(code.n)
+    print(f"d={'undefined' if d is None else d} enumerated={res.examined}")
     return 0
 
 

@@ -4,8 +4,8 @@ An additive code C = (n, q^m) over GF(q^2) splits as radical ⊕ complement
 with exponents l and 2c; it EA-stabilizes an [[n, k, d; c]]_q code with
 k = n - c - l, consuming c ebits.  Self-orthogonal codes are the c = 0
 special case and stabilize ordinary [[n, n-m, d]]_q codes.  Distances
-minimize the Hamming weight over the dual of the full code, excluding the
-code itself (stabilizer case) or just its radical (EA case).
+minimize the Hamming weight over the dual of the full code, excluding its
+radical, which for a self-orthogonal code is the code itself.
 
 A combination pairs Alice's EA code with a stabilizer code Bob uses to
 protect the c shared ebits on his side; Bob's code matches when it has at
@@ -117,32 +117,38 @@ class CombinationParams:
 # ---------------------------------------------------------------------------
 
 
+def _derive(code: ac.AdditiveCode, compute_d: bool, budget: int
+            ) -> tuple[EAQECCParams, ac.CodeDecomposition, int]:
+    """The one path from a code to [[n, k, d; c]]_q: C = radical ⊕ complement,
+    k = n - c - l, d minimal over C^⊥ outside the radical.  Returns the
+    parameters, the decomposition and the words the scan examined."""
+    dec = ac.radical_decompose(code)
+    d, examined = None, 0
+    if compute_d:
+        scan = ac.min_weight_excluding_detail(ac.dual(code), dec.radical,
+                                              budget=budget)
+        d, examined = scan.distance(code.n), scan.examined
+    params = EAQECCParams(q=code.base_field.order, n=code.n,
+                          k=code.n - dec.c - dec.l, c=dec.c, d=d)
+    return params, dec, examined
+
+
 def stabilizer_params(code: ac.AdditiveCode, compute_d: bool = True, *,
                       budget: int = DEFAULT_BUDGET) -> QECCParams:
-    """Parameters of the stabilizer code of a self-orthogonal additive code."""
+    """Parameters of the stabilizer code of a self-orthogonal additive code:
+    the c = 0 case of :func:`eaqec_params`, whose radical is the code."""
     witness = ac.self_orthogonality_witness(code)
     if witness is not None:
         raise NotSelfOrthogonal(
             f"generators {witness[0]} and {witness[1]} have nonzero form value")
-    q = code.base_field.order
-    d = None
-    if compute_d:
-        w = ac.min_weight_excluding(ac.dual(code), code, budget=budget)
-        d = None if w > code.n else w
-    return QECCParams(q=q, n=code.n, k=code.n - code.m, d=d)
+    params = _derive(code, compute_d, budget)[0]
+    return QECCParams(q=params.q, n=params.n, k=params.k, d=params.d)
 
 
 def eaqec_params(code: ac.AdditiveCode, compute_d: bool = True, *,
                  budget: int = DEFAULT_BUDGET) -> EAQECCParams:
     """EA parameters of an arbitrary additive code via its decomposition."""
-    dec = ac.radical_decompose(code)
-    q = code.base_field.order
-    k = code.n - dec.c - dec.l
-    d = None
-    if compute_d:
-        w = ac.min_weight_excluding(ac.dual(code), dec.radical, budget=budget)
-        d = None if w > code.n else w
-    return EAQECCParams(q=q, n=code.n, k=k, c=dec.c, d=d)
+    return _derive(code, compute_d, budget)[0]
 
 
 def classify_match(alice: EAQECCParams, bob: QECCParams) -> MatchClassification:
@@ -154,6 +160,15 @@ def classify_match(alice: EAQECCParams, bob: QECCParams) -> MatchClassification:
         faithful=matching and bob.d is not None and bob.d >= 3,
         properly_matching=matching and bob.k == alice.c,
     )
+
+
+def _pair(alice: EAQECCParams, bob: QECCParams) -> CombinationParams:
+    """Alice's code with Bob's, once Bob has a logical qudit per ebit."""
+    if alice.c > bob.k:
+        raise InsufficientProtection(
+            f"c={alice.c} ebits exceed Bob's k={bob.k} logical qudits")
+    return CombinationParams(alice=alice, bob=bob,
+                             match=classify_match(alice, bob))
 
 
 def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
@@ -171,11 +186,7 @@ def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
         bob = stabilizer_params(bob_code, compute_d, budget=budget)
     except NotSelfOrthogonal as exc:
         raise NotSelfOrthogonal(f"Bob's code: {exc}") from exc
-    if alice.c > bob.k:
-        raise InsufficientProtection(
-            f"c={alice.c} ebits exceed Bob's k={bob.k} logical qudits")
-    return CombinationParams(alice=alice, bob=bob,
-                             match=classify_match(alice, bob))
+    return _pair(alice, bob)
 
 
 def linear_formulation(code: ac.LinearCode, bob: ac.LinearCode,
@@ -186,20 +197,14 @@ def linear_formulation(code: ac.LinearCode, bob: ac.LinearCode,
     if code.field is not bob.field:
         raise FieldMismatch("Alice and Bob use different fields")
     r = code.hermitian_radical().dim
-    u = code.dim
-    c = u - r
-    k = code.n - c - 2 * r
     if ac.hermitian_witness(bob) is not None:
         raise NotSelfOrthogonal("Bob's linear code is not Hermitian self-orthogonal")
     alice = eaqec_params(code.to_additive(), compute_d, budget=budget)
-    assert (alice.c, alice.k, alice.l) == (c, k, 2 * r), \
+    # k = n - c - l then agrees too, since EAQECCParams.l is n - c - k
+    assert (alice.c, alice.l) == (code.dim - r, 2 * r), \
         "additive view disagrees with the Hermitian bookkeeping"
-    bob_params = stabilizer_params(bob.to_additive(), compute_d, budget=budget)
-    if alice.c > bob_params.k:
-        raise InsufficientProtection(
-            f"c={alice.c} ebits exceed Bob's k={bob_params.k} logical qudits")
-    return CombinationParams(alice=alice, bob=bob_params,
-                             match=classify_match(alice, bob_params))
+    return _pair(alice, stabilizer_params(bob.to_additive(), compute_d,
+                                          budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +280,18 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
     combined = ac.AdditiveCode.from_generators(
         field, np.vstack([top, np.hstack([G2, E])]), n=n + m)
 
-    dec = ac.radical_decompose(combined)
-    enumerated = 0
-    d = d1 = d2 = comp_w = None
-    claim = None
+    params, dec, enumerated = _derive(combined, compute_d, budget)
+    d1 = d2 = comp_w = claim = None
     if compute_d:
-        r0 = ac.min_weight_excluding_detail(ac.dual(combined), dec.radical,
-                                            budget=budget)
         r1 = ac.min_weight_detail(summed, budget=budget)
         block = ac.AdditiveCode.from_generators(field, E, n=m)
         r2 = ac.min_weight_detail(block, budget=budget)
         r3 = ac.min_weight_detail(appended, budget=budget)
-        enumerated = r0.examined + r1.examined + r2.examined + r3.examined
-        d = None if r0.is_undefined(n + m) else r0.weight
-        d1 = None if r1.is_undefined(n) else r1.weight
-        d2 = None if r2.is_undefined(m) else r2.weight
-        comp_w = None if r3.is_undefined(n + m) else r3.weight
-        if d is not None and d1 is not None and d2 is not None:
-            claim = d >= d1 + d2
-    params = EAQECCParams(q=field.base.order, n=n + m,
-                          k=(n + m) - dec.c - dec.l, c=dec.c, d=d)
+        enumerated += r1.examined + r2.examined + r3.examined
+        d1, d2 = r1.distance(n), r2.distance(m)
+        comp_w = r3.distance(n + m)
+        if None not in (params.d, d1, d2):
+            claim = params.d >= d1 + d2
     top_code = ac.AdditiveCode.from_generators(field, top, n=n + m)
     report = CombinationReport(
         params=params,

@@ -99,6 +99,9 @@ class FieldSpec:
                 raise ValueError("extension modulus must have degree >= 2")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
+            if not all(0 <= c < base.order for c in self.modulus):
+                raise ValueError(
+                    f"modulus {modulus} has a coefficient outside GF({base.order})")
             self.order = base.order ** self.degree
             self.e = base.e * self.degree
             B, d = base.order, self.degree

@@ -6,8 +6,8 @@ reduced row echelon form of any generating matrix, so subspace equality is
 plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
 
-There is one elimination kernel, :func:`rref`; ranks, kernels, sums,
-containment and basis extension are all read off it.
+There is one elimination kernel, :func:`rref`; ranks, kernels, containment
+and basis extension are all read off it.
 """
 
 from __future__ import annotations
@@ -97,21 +97,11 @@ def _check_ambient(a: np.ndarray, b: np.ndarray):
         raise AmbientMismatch(f"{a.shape[1]} vs {b.shape[1]} columns")
 
 
-def subspace_sum(F: FieldSpec, A, B) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    _check_ambient(A, B)
-    return row_basis(F, np.vstack([A, B]))
-
-
 def subspace_contains(F: FieldSpec, A, B) -> bool:
     """True when the row space of A contains the row space of B."""
     A, B = as_matrix(A), as_matrix(B)
     _check_ambient(A, B)
     return rank(F, A) == rank(F, np.vstack([A, B]))
-
-
-def subspace_eq(F: FieldSpec, A, B) -> bool:
-    return np.array_equal(row_basis(F, A), row_basis(F, B))
 
 
 def gram(F: FieldSpec, A, B) -> np.ndarray:
@@ -141,15 +131,6 @@ def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:
 
 def random_matrix(F: FieldSpec, rows: int, cols: int, rng) -> np.ndarray:
     return rng.integers(0, F.order, size=(rows, cols), dtype=np.int64).astype(_DT)
-
-
-def random_subspace(F: FieldSpec, dim: int, cols: int, rng) -> np.ndarray:
-    """Canonical basis of a uniformly-ish random subspace of given dimension."""
-    while True:
-        M = random_matrix(F, dim, cols, rng)
-        B = row_basis(F, M)
-        if B.shape[0] == dim:
-            return B
 
 
 # ---------------------------------------------------------------------------

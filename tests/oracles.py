@@ -7,7 +7,11 @@ forms are summed one coordinate at a time with scalar field calls, row
 reduction clears one row at a time, intersections go through stacked
 annihilators, and minimum weights enumerate every coefficient vector over the
 preimage or, in the odometer order of the package's block schedule, over
-GF(q^2) words.
+GF(q^2) words.  Puncturing goes through the GF(q^2) generators instead of
+the preimage columns.
+
+The subspace and random-code helpers at the end are test fixtures built on
+the package's own elimination; nothing in the package calls them.
 """
 
 import itertools
@@ -16,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from eaqecne import gf, linalg
+from eaqecne import addcodes as ac, gf, linalg
 
 
 def _poly_trim(f):
@@ -298,3 +302,34 @@ def subspace_intersect(F, A, B):
     annihilators, in canonical form."""
     A, B = linalg.as_matrix(A), linalg.as_matrix(B)
     return loop_kernel(F, np.vstack([loop_kernel(F, A), loop_kernel(F, B)]))
+
+
+def phi_puncture(code, coords):
+    """Puncture through phi: delete the coordinates from the GF(q^2)
+    generators and canonicalize again; the zero code stays zero."""
+    drop = set(coords)
+    keep = [j for j in range(code.n) if j not in drop]
+    if code.m == 0:
+        return ac.AdditiveCode.zero(code.field, len(keep))
+    return ac.AdditiveCode.from_generators(code.field, code.generators[:, keep],
+                                           n=len(keep))
+
+
+def subspace_sum(F, A, B):
+    return linalg.row_basis(F, np.vstack([linalg.as_matrix(A), linalg.as_matrix(B)]))
+
+
+def subspace_eq(F, A, B) -> bool:
+    return np.array_equal(linalg.row_basis(F, A), linalg.row_basis(F, B))
+
+
+def random_subspace(F, dim: int, cols: int, rng):
+    """Canonical basis of a uniformly-ish random subspace of given dimension."""
+    while True:
+        B = linalg.row_basis(F, linalg.random_matrix(F, dim, cols, rng))
+        if B.shape[0] == dim:
+            return B
+
+
+def random_additive_code(Q, n: int, m: int, rng):
+    return ac.AdditiveCode.from_preimage(Q, random_subspace(Q.base, m, 2 * n, rng))

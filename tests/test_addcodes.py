@@ -13,7 +13,8 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import odometer_scan, preimage_min_weight
+from oracles import (odometer_scan, phi_puncture, preimage_min_weight,
+                     random_additive_code, subspace_eq)
 
 
 def enumerate_codewords(code):
@@ -89,7 +90,7 @@ def test_dual_size_law(q, form):
     rng = np.random.default_rng(q * 7)
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        C = ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+        C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
         D = ac.dual(C, form)
         assert C.m + D.m == 2 * n
         assert ac.dual(D, form) == C
@@ -102,9 +103,9 @@ def test_duality_correspondence_with_symplectic(q):
     rng = np.random.default_rng(q * 13)
     for _ in range(40):
         n = int(rng.integers(1, 5))
-        C = ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+        C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
         D = ac.dual(C, "alternating")
-        assert linalg.subspace_eq(F, D.preimage, sp.symp_dual(F, C.preimage))
+        assert subspace_eq(F, D.preimage, sp.symp_dual(F, C.preimage))
 
 
 def test_char2_trace_equals_alternating_dual():
@@ -112,7 +113,7 @@ def test_char2_trace_equals_alternating_dual():
     rng = np.random.default_rng(17)
     for _ in range(40):
         n = int(rng.integers(1, 5))
-        C = ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+        C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
         assert ac.dual(C, "trace") == ac.dual(C, "alternating")
 
 
@@ -146,7 +147,7 @@ def test_radical_complement_reconstruction(q, form):
     rng = np.random.default_rng(29 + q)
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        C = ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+        C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
         if form == "trace" and q == 3:
             # odd characteristic: the trace form is symmetric, so the
             # complement dimension may be odd; skip those instances
@@ -157,7 +158,7 @@ def test_radical_complement_reconstruction(q, form):
         assert dec.radical == ac.radical(C, form)
         joined = np.vstack([dec.radical.preimage, dec.complement.preimage])
         assert linalg.rank(F, joined) == C.m
-        assert linalg.subspace_eq(F, joined, C.preimage)
+        assert subspace_eq(F, joined, C.preimage)
         assert ac.radical(dec.complement, form).m == 0
         assert dec.l + 2 * dec.c == C.m
 
@@ -180,7 +181,7 @@ def test_min_weight_excluding_sentinel():
     Q = field(4)
     C = ac.AdditiveCode.from_generators(Q, [[1, 1]])
     r = ac.min_weight_excluding_detail(C, C)
-    assert r.weight == C.n + 1 and r.is_undefined(C.n) and r.examined == 0
+    assert r.weight == C.n + 1 and r.distance(C.n) is None and r.examined == 0
 
 
 def test_min_weight_budget():
@@ -205,7 +206,7 @@ def test_min_weight_matches_oracle(q):
     rng = np.random.default_rng(41 + q)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        C = ac.random_additive_code(Q, n, int(rng.integers(0, min(2 * n, 6) + 1)), rng)
+        C = random_additive_code(Q, n, int(rng.integers(0, min(2 * n, 6) + 1)), rng)
         expect = oracle_min_weight(C)
         assert ac.min_weight(C) == expect
         assert preimage_min_weight(C) == expect
@@ -222,7 +223,7 @@ def test_min_weight_exclusion_monotone(q):
     rng = np.random.default_rng(61 + q)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        A = ac.random_additive_code(Q, n, int(rng.integers(2, 2 * n + 1)), rng)
+        A = random_additive_code(Q, n, int(rng.integers(2, 2 * n + 1)), rng)
         cut1 = int(rng.integers(0, A.m))
         cut2 = int(rng.integers(cut1, A.m))
         small = ac.AdditiveCode.from_preimage(
@@ -243,7 +244,7 @@ def test_min_weight_chunked_scan_boundaries(q, monkeypatch):
     cap = int(math.log(1000) / math.log(q))
     for _ in range(15):
         n = int(rng.integers(1, 4))
-        A = ac.random_additive_code(Q, n, int(rng.integers(1, min(2 * n, cap) + 1)), rng)
+        A = random_additive_code(Q, n, int(rng.integers(1, min(2 * n, cap) + 1)), rng)
         rows = A.preimage[: int(rng.integers(0, A.m + 1))]
         B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(rows, cols=2 * n))
         expect = oracle_min_weight(A, B)
@@ -355,7 +356,7 @@ def test_min_weight_generator_bound():
     Q = field(9)
     rng = np.random.default_rng(55)
     for _ in range(20):
-        C = ac.random_additive_code(Q, 4, int(rng.integers(1, 5)), rng)
+        C = random_additive_code(Q, 4, int(rng.integers(1, 5)), rng)
         bound = min(int((row != 0).sum()) for row in C.generators)
         assert ac.min_weight(C) <= bound
 
@@ -370,6 +371,34 @@ def test_puncture():
     assert ac.puncture(drop, [1]).m == 1
     with pytest.raises(IndexOutOfRange):
         ac.puncture(C, [5])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_puncture_matches_phi_oracle(q):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3):
+        codes = [ac.AdditiveCode.zero(Q, n), ac.AdditiveCode.full(Q, n)]
+        codes += [random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+                  for _ in range(6)]
+        for C in codes:
+            for coords in itertools.chain.from_iterable(
+                    itertools.combinations(range(n), r) for r in range(n + 1)):
+                assert ac.puncture(C, coords) == phi_puncture(C, coords)
+
+
+def test_generator_entries_range_checked():
+    Q = field(4)
+    for bad in ([[-1, 0]], [[4, 0]], [[1, 40000]]):
+        with pytest.raises(FormatError, match=r"outside GF\(4\)"):
+            ac.AdditiveCode.from_generators(Q, bad)
+        with pytest.raises(FormatError, match=r"outside GF\(4\)"):
+            ac.LinearCode(Q, bad)
+    C = ac.AdditiveCode.from_generators(Q, [[1, 3]])
+    assert C.contains_word([1, 3]) and not C.contains_word([1, 2])
+    for word in ([1, 99], [1, -1]):
+        with pytest.raises(FormatError, match=r"outside GF\(4\)"):
+            C.contains_word(word)
 
 
 def test_linear_code_hermitian():
@@ -398,13 +427,33 @@ def test_linear_hermitian_self_orthogonal():
 def test_code_file_round_trip(tmp_path):
     Q = field(9)
     rng = np.random.default_rng(3)
-    C = ac.random_additive_code(Q, 3, 4, rng)
+    C = random_additive_code(Q, 3, 4, rng)
     text = ac.dump_code(C)
     assert text.startswith("#code q2=9 n=3 m=4")
     assert ac.parse_code(text) == C
     p = tmp_path / "c.code"
     p.write_text(text)
     assert ac.load_code(p) == C
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_symplectic_code_file_round_trip(q, tmp_path):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(q)
+    for m in (0, 2, 5):
+        C = random_additive_code(Q, 3, m, rng)
+        text = sp.dump_preimage(Q.base, C.preimage)
+        assert ac.parse_code(text, symplectic=True) == C
+        p = tmp_path / f"c{m}.sym"
+        p.write_text(text)
+        assert ac.load_code(p, symplectic=True) == C
+
+
+def test_symplectic_code_file_rejections():
+    with pytest.raises(FormatError, match="base-field order"):
+        ac.parse_code("16 1 2\n1 1\n", symplectic=True)
+    with pytest.raises(FormatError, match="even column count"):
+        ac.parse_code("2 1 3\n1 0 1\n", symplectic=True)
 
 
 def test_code_file_requires_quadratic_order():

@@ -5,7 +5,7 @@ import pytest
 
 from eaqecne.errors import (FieldMismatch, InsufficientProtection,
                             NotSelfOrthogonal, PreconditionFailed, RangeError)
-from eaqecne.gf import field
+from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, symplectic as sp
 
@@ -83,15 +83,22 @@ def test_stabilizer_params_rejects_non_self_orthogonal():
 
 
 def test_eaqec_params_reduces_to_stabilizer():
-    Q = field(9)
+    # stabilizer_params goes through eaqec_params, so both are held to the
+    # stabilizer definition: k = n - m, d over C^⊥ outside C itself
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        pre = sp.random_isotropic_basis(field(3), 4, int(rng.integers(0, 5)), rng)
-        C = ac.AdditiveCode.from_preimage(Q, pre)
-        ea = eaqec.eaqec_params(C)
-        st = eaqec.stabilizer_params(C)
-        assert ea.c == 0
-        assert (ea.n, ea.k, ea.d) == (st.n, st.k, st.d)
+    for q in SUPPORTED_ORDERS:
+        F, Q = field(q), quadratic_field(field(q))
+        n = 4 if q <= 4 else 3
+        for _ in range(10):
+            pre = sp.random_isotropic_basis(F, n, int(rng.integers(0, n + 1)), rng)
+            C = ac.AdditiveCode.from_preimage(Q, pre)
+            w = ac.min_weight_excluding(ac.dual(C), C)
+            expect = (n, n - C.m, None if w > n else w)
+            ea = eaqec.eaqec_params(C)
+            st = eaqec.stabilizer_params(C)
+            assert ea.c == 0
+            assert (ea.n, ea.k, ea.d) == expect
+            assert (st.n, st.k, st.d) == expect
 
 
 def test_eaqec_params_bookkeeping_witness():

@@ -17,14 +17,15 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import scalar_inner, subspace_intersect
+from oracles import (random_additive_code, random_subspace, scalar_inner,
+                     subspace_eq, subspace_intersect)
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
 
 
 def random_code(Q, rng, max_n=4):
     n = int(rng.integers(1, max_n + 1))
-    return ac.random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    return random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
 
 
 def scalar_witness(Q, G, form):
@@ -109,11 +110,11 @@ def test_decompose_gram_laws(q):
     rng = np.random.default_rng([43, q])
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        S = linalg.random_subspace(F, int(rng.integers(0, 2 * n + 1)), 2 * n, rng)
+        S = random_subspace(F, int(rng.integers(0, 2 * n + 1)), 2 * n, rng)
         dec = sp.decompose(F, S)
         assert dec.l + 2 * dec.c == S.shape[0]
         rows = np.vstack([dec.radical, dec.pair_matrix()])
-        assert linalg.subspace_eq(F, rows, S)
+        assert subspace_eq(F, rows, S)
         G = sp.form_gram(F, rows, sp.symplectic_block(F))
         expect = np.zeros_like(G)
         for k in range(dec.c):

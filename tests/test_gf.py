@@ -173,6 +173,12 @@ def test_reducible_modulus_rejected():
         FieldSpec(base=field(3), modulus=(2, 0, 1))  # x^2+2 = (x-1)(x+1)
 
 
+def test_modulus_coefficients_range_checked():
+    for modulus in ((-1, 1, 1), (5, 1, 1), (1, 2, 1)):
+        with pytest.raises(ValueError, match="outside GF"):
+            FieldSpec(base=field(2), modulus=modulus)
+
+
 def test_trace_zero_quadratic_modulus_rejected():
     # x^2 + 1 over GF(3) is irreducible but puts beta^q on the line through
     # beta, so the designated basis {beta, beta^q} would collapse.

@@ -8,6 +8,8 @@ from eaqecne.gf import field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, pauli
 
+from oracles import random_additive_code
+
 FIVE_Q = [[1, 0, 1, 2, 2], [0, 1, 2, 2, 1]]
 
 
@@ -43,7 +45,7 @@ def test_ea_radical_projector_rank():
     rng = np.random.default_rng(31)
     for _ in range(5):
         n = 3
-        code = ac.random_additive_code(Q, n, int(rng.integers(1, 5)), rng)
+        code = random_additive_code(Q, n, int(rng.integers(1, 5)), rng)
         dec = ac.radical_decompose(code)
         if dec.l == 0:
             continue
