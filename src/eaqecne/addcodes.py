@@ -1,20 +1,19 @@
-"""Additive codes over GF(q^2): forms, duals, radicals, weights, puncturing.
+"""Additive codes over GF(q^2): duals, radicals, weights, puncturing.
 
 An additive code of length n and size q^m is the F_q-span of m generators in
 GF(q^2)^n.  Codes are canonicalized through the reduced row echelon form of
 their 2n-column preimage under the basis map from :mod:`eaqecne.symplectic`,
 so two codes are equal exactly when their canonical preimages match.
 
-Form conventions.  The Hermitian product is sum_j u_j * conj(v_j).  The
-trace form is the relative trace of the Hermitian value and is symmetric;
-the alternating form divides the antisymmetrized Hermitian value by
-beta^2 - beta^(2q).  On the preimage both are a 2x2 block per coordinate
-(:func:`form_block`): the trace block has entries rel_trace(e_i * conj(e_k))
-for e = (beta, beta^q), and the alternating block is exactly the symplectic
-one, which the trace block matches only in characteristic 2.  Duals,
-radicals and self-orthogonality checks are Gram-matrix products and
-kernels on the preimage; structural computations (radicals,
-decompositions, code parameters) default to the alternating form.
+There is one form: the trace-alternating form, which divides the
+antisymmetrized Hermitian value sum_j u_j * conj(v_j) by beta^2 - beta^(2q)
+and is the symplectic form on the preimage.  Duals, radicals and
+self-orthogonality checks are symplectic Gram-matrix products and kernels
+on the preimage.  A GF(q^2)-linear code is Hermitian self-orthogonal, or has
+Hermitian dual or radical D, exactly when its additive view is
+self-orthogonal, or has dual or radical D, under this form, so
+:class:`LinearCode` answers its Hermitian questions through
+:meth:`LinearCode.to_additive`.
 
 Minimum weights scan all q^m - q^m' words outside the excluded subcode (the
 count a ``budget`` caps) as packed F_p digits of the preimage, since phi is
@@ -28,59 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceeded, DimensionMismatch, FormatError,
-                     IndexOutOfRange, ParityViolation, PreconditionFailed)
+                     IndexOutOfRange, PreconditionFailed)
 from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
 from . import linalg, symplectic as sp
 
-FORMS = ("hermitian", "trace", "alternating")
-DUAL_FORMS = ("trace", "alternating")
-
 DEFAULT_BUDGET = 1 << 30
 _CHUNK = 1 << 16
-
-
-def form_block(Q: FieldSpec, form: str):
-    """The 2x2 block of a base-field-valued form on preimage coordinates."""
-    Q._require_quadratic()
-    if form == "alternating":
-        return sp.symplectic_block(Q.base)
-    if form == "trace":
-        e = (Q.beta, Q.beta_conj)
-        return tuple(tuple(Q.rel_trace(Q.mul(x, Q.conjugate(y))) for y in e)
-                     for x in e)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def inner(Q: FieldSpec, u, v, form: str = "hermitian") -> int:
-    """Inner product of two GF(q^2) vectors; trace/alternating values are
-    returned as base-field indices."""
-    Q._require_quadratic()
-    u = np.atleast_1d(np.asarray(u))
-    v = np.atleast_1d(np.asarray(v))
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    if form == "hermitian":
-        return int(linalg.gram(Q, u, Q.conj_table[v])[0, 0])
-    block = form_block(Q, form)
-    return int(linalg.gram(Q.base, sp.phi_inv(Q, u),
-                           sp.form_rows(Q.base, sp.phi_inv(Q, v), block))[0, 0])
-
-
-def _hermitian_gram(Q: FieldSpec, G) -> np.ndarray:
-    G = linalg.as_matrix(G)
-    return linalg.gram(Q, G, Q.conj_table[G])
-
-
-def code_gram(code: "AdditiveCode", form: str = "alternating") -> np.ndarray:
-    """Gram matrix of the generators: entry (i, j) is inner(G[i], G[j], form).
-
-    Base-field-valued forms are evaluated on the preimage rows, whose images
-    are the generators.
-    """
-    Q = code.field
-    if form == "hermitian":
-        return _hermitian_gram(Q, code.generators)
-    return sp.form_gram(Q.base, code.preimage, form_block(Q, form))
 
 
 def _field_entries(Q: FieldSpec, words, cols: int | None = None) -> np.ndarray:
@@ -89,12 +41,6 @@ def _field_entries(Q: FieldSpec, words, cols: int | None = None) -> np.ndarray:
     if ((W < 0) | (W >= Q.order)).any():
         raise FormatError(f"generator entry outside GF({Q.order})")
     return linalg.as_matrix(W, cols=cols)
-
-
-def _first_nonzero_pair(M: np.ndarray):
-    """First (i, j) with i <= j and M[i, j] != 0 in row-major order."""
-    hits = np.argwhere(np.triu(M) != 0)
-    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
 class AdditiveCode:
@@ -173,29 +119,18 @@ class AdditiveCode:
 # ---------------------------------------------------------------------------
 
 
-def dual(code: AdditiveCode, form: str = "alternating") -> AdditiveCode:
-    """Dual under the trace or alternating form: the kernel of the code's
-    preimage rows rewritten by the form's block."""
-    if form not in DUAL_FORMS:
-        raise ValueError(f"dual is defined for forms {DUAL_FORMS}, got {form!r}")
-    Q = code.field
-    pre = sp.form_dual(Q.base, code.preimage, form_block(Q, form))
-    return AdditiveCode(Q, code.n, pre)
+def dual(code: AdditiveCode) -> AdditiveCode:
+    """Symplectic dual: the kernel of the code's twisted preimage rows."""
+    return AdditiveCode(code.field, code.n,
+                        sp.symp_dual(code.base_field, code.preimage))
 
 
-def _gram_radical(F: FieldSpec, rows: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Canonical basis of the span vectors x . rows orthogonal to every row,
-    given the Gram matrix G of the rows: the coefficients x with x G = 0
-    are the kernel of G^T."""
-    return linalg.row_basis(F, linalg.gram(F, linalg.kernel(F, G.T), rows.T))
-
-
-def radical(code: AdditiveCode, form: str = "alternating") -> AdditiveCode:
-    """C ∩ C^⊥ under the trace or alternating form, read off the code's
-    Gram matrix."""
-    if form not in DUAL_FORMS:
-        raise ValueError(f"radical is defined for forms {DUAL_FORMS}, got {form!r}")
-    pre = _gram_radical(code.base_field, code.preimage, code_gram(code, form))
+def radical(code: AdditiveCode) -> AdditiveCode:
+    """C ∩ C^⊥: the span vectors x . rows with x G = 0 for the code's Gram
+    matrix G, which is antisymmetric, so x runs over the kernel of G."""
+    F = code.base_field
+    x = linalg.kernel(F, sp.symp_gram(F, code.preimage))
+    pre = linalg.row_basis(F, linalg.gram(F, x, code.preimage.T))
     return AdditiveCode(code.field, code.n, pre)
 
 
@@ -209,48 +144,33 @@ class CodeDecomposition:
     c: int
 
 
-def radical_decompose(code: AdditiveCode, form: str = "alternating") -> CodeDecomposition:
-    """Split off the radical; the complement is always a complementary-dual code.
-
-    The alternating form routes through the symplectic Gram-Schmidt of the
-    preimage; the trace form extends a radical basis to a basis of the code.
-    Either way the complement's dimension must be even for the ebit count c
-    to make sense.
-    """
+def radical_decompose(code: AdditiveCode) -> CodeDecomposition:
+    """Split off the radical through the symplectic Gram-Schmidt of the
+    preimage; the complement is always a complementary-dual code."""
     Q, F = code.field, code.base_field
-    if form == "alternating":
-        dec = sp.decompose(F, code.preimage)
-        rad = AdditiveCode(Q, code.n, linalg.row_basis(F, dec.radical))
-        comp = AdditiveCode.from_preimage(Q, dec.pair_matrix())
-        l, c2 = dec.l, 2 * dec.c
-    elif form == "trace":
-        rad = radical(code, "trace")
-        comp_rows = linalg.extend_basis(F, rad.preimage, code.preimage)
-        comp = AdditiveCode.from_preimage(Q, comp_rows)
-        l, c2 = rad.m, comp_rows.shape[0]
-    else:
-        raise ValueError(f"decomposition is defined for forms {DUAL_FORMS}")
-    if c2 % 2:
-        raise ParityViolation(
-            f"complement of the radical has odd dimension {c2}")
-    return CodeDecomposition(radical=rad, complement=comp, l=l, c=c2 // 2)
+    dec = sp.decompose(F, code.preimage)
+    rad = AdditiveCode(Q, code.n, linalg.row_basis(F, dec.radical))
+    comp = AdditiveCode.from_preimage(Q, dec.pair_matrix())
+    return CodeDecomposition(radical=rad, complement=comp, l=dec.l, c=dec.c)
 
 
-def self_orthogonality_witness(code: AdditiveCode, form: str = "alternating"):
-    """First generator pair with nonzero form value, or None if self-orthogonal."""
-    return _first_nonzero_pair(code_gram(code, form))
+def self_orthogonality_witness(code: AdditiveCode):
+    """First generator pair (i, j), i < j, with nonzero form value in
+    row-major order, or None if self-orthogonal."""
+    hits = np.argwhere(np.triu(sp.symp_gram(code.base_field, code.preimage)))
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
-def is_self_orthogonal(code: AdditiveCode, form: str = "alternating") -> bool:
-    return self_orthogonality_witness(code, form) is None
+def is_self_orthogonal(code: AdditiveCode) -> bool:
+    return self_orthogonality_witness(code) is None
 
 
-def is_acd(code: AdditiveCode, form: str = "alternating") -> bool:
-    return radical(code, form).m == 0
+def is_acd(code: AdditiveCode) -> bool:
+    return radical(code).m == 0
 
 
-def is_dual_containing(code: AdditiveCode, form: str = "alternating") -> bool:
-    return code.contains(dual(code, form))
+def is_dual_containing(code: AdditiveCode) -> bool:
+    return code.contains(dual(code))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +201,12 @@ class LinearCode:
             self.field, np.vstack([self.matrix, scaled]), n=self.n)
 
     def hermitian_dual(self) -> "LinearCode":
-        conj = self.field.conj_table[self.matrix]
-        return LinearCode(self.field, linalg.kernel(self.field, conj), n=self.n)
+        return LinearCode(self.field, dual(self.to_additive()).generators,
+                          n=self.n)
 
     def hermitian_radical(self) -> "LinearCode":
-        pre = _gram_radical(self.field, self.matrix,
-                            _hermitian_gram(self.field, self.matrix))
-        return LinearCode(self.field, pre, n=self.n)
+        return LinearCode(self.field, radical(self.to_additive()).generators,
+                          n=self.n)
 
     def __eq__(self, other):
         return (isinstance(other, LinearCode) and other.field is self.field
@@ -300,16 +219,12 @@ class LinearCode:
         return f"LinearCode(q2={self.field.order}, n={self.n}, k={self.dim})"
 
 
-def hermitian_witness(code: LinearCode):
-    return _first_nonzero_pair(_hermitian_gram(code.field, code.matrix))
-
-
 def is_hermitian_self_orthogonal(code: LinearCode) -> bool:
-    return hermitian_witness(code) is None
+    return is_self_orthogonal(code.to_additive())
 
 
 def is_hermitian_lcd(code: LinearCode) -> bool:
-    return code.hermitian_radical().dim == 0
+    return is_acd(code.to_additive())
 
 
 # ---------------------------------------------------------------------------

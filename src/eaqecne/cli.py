@@ -149,11 +149,11 @@ def cmd_fidelity(args) -> int:
 def cmd_verify_pauli(args) -> int:
     p, n = args.p, args.n
     pauli.PauliLabel.identity(p, n)  # rejects p that is not a supported prime
+    pauli.check_cap(p, n, pauli.DEFAULT_DIM_CAP)  # both laws build p^n x p^n matrices
     F = field(p)
     rng = np.random.default_rng(args.seed)
-    classes = list(itertools.product(itertools.product(range(p), repeat=n),
-                                     repeat=2))
-    if len(classes) ** 2 <= min(args.samples ** 2, 10000):
+    if p ** (4 * n) <= min(args.samples ** 2, 10000):  # all p^(2n) classes, paired
+        classes = itertools.product(itertools.product(range(p), repeat=n), repeat=2)
         labels = [pauli.PauliLabel(p, n, 0, x, z) for x, z in classes]
         pairs, mode = list(itertools.product(labels, repeat=2)), "exhaustive"
     else:

@@ -196,13 +196,9 @@ def linear_formulation(code: ac.LinearCode, bob: ac.LinearCode,
     self-orthogonal [m,v]; c = u - r with r the Hermitian radical dimension."""
     if code.field is not bob.field:
         raise FieldMismatch("Alice and Bob use different fields")
-    r = code.hermitian_radical().dim
-    if ac.hermitian_witness(bob) is not None:
+    if not ac.is_hermitian_self_orthogonal(bob):
         raise NotSelfOrthogonal("Bob's linear code is not Hermitian self-orthogonal")
     alice = eaqec_params(code.to_additive(), compute_d, budget=budget)
-    # k = n - c - l then agrees too, since EAQECCParams.l is n - c - k
-    assert (alice.c, alice.l) == (code.dim - r, 2 * r), \
-        "additive view disagrees with the Hermitian bookkeeping"
     return _pair(alice, stabilizer_params(bob.to_additive(), compute_d,
                                           budget=budget))
 
@@ -225,7 +221,7 @@ class CombinationReport:
     complement_min_weight: int | None
     distance_claim_holds: bool | None   # measured d >= d1 + d2
     radical_is_top_block: bool
-    c_identity_value: int            # (n + m) - l - k, the claimed identity
+    c_identity_value: int            # (n + m) - dim(G|0) - k, the claimed identity
     enumerated: int
 
     def lines(self) -> list[str]:
@@ -302,7 +298,7 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
         complement_min_weight=comp_w,
         distance_claim_holds=claim,
         radical_is_top_block=(dec.radical == top_code),
-        c_identity_value=(n + m) - dec.l - params.k,
+        c_identity_value=(n + m) - top_code.m - params.k,
         enumerated=enumerated,
     )
     return combined, report
@@ -337,7 +333,7 @@ def puncture_to_eaqecc(code: ac.LinearCode, c: int, compute_d: bool = True, *,
                        budget: int = DEFAULT_BUDGET) -> PunctureReport:
     """Drop the last c coordinates of a Hermitian self-orthogonal code and
     measure the EA parameters of the result."""
-    if ac.hermitian_witness(code) is not None:
+    if not ac.is_hermitian_self_orthogonal(code):
         raise NotSelfOrthogonal("source code is not Hermitian self-orthogonal")
     u, N = code.dim, code.n
     if not 0 < c <= u:

@@ -50,10 +50,6 @@ class NotSelfOrthogonal(EaqecneError):
     """Code is not self-orthogonal under the required form."""
 
 
-class ParityViolation(EaqecneError):
-    """Radical co-dimension inside the code came out odd."""
-
-
 class InsufficientProtection(EaqecneError):
     """Bob's code has too few logical qudits to cover the ebits."""
 

@@ -129,10 +129,6 @@ def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:
     return rows[np.array([p - k for p in pivots if p >= k], dtype=np.intp)]
 
 
-def random_matrix(F: FieldSpec, rows: int, cols: int, rng) -> np.ndarray:
-    return rng.integers(0, F.order, size=(rows, cols), dtype=np.int64).astype(_DT)
-
-
 # ---------------------------------------------------------------------------
 # shared matrix text format
 # ---------------------------------------------------------------------------

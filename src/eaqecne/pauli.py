@@ -86,14 +86,14 @@ def _check_pair(g: PauliLabel, h: PauliLabel):
         raise DimensionMismatch("labels act on different systems")
 
 
-def _check_cap(p: int, n: int, cap: int):
+def check_cap(p: int, n: int, cap: int):
     if p ** n > cap:
         raise DimensionCap(f"p^n = {p ** n} exceeds the cap {cap}")
 
 
 def pauli_matrix(g: PauliLabel, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Dense unitary for the label, built as a Kronecker product."""
-    _check_cap(g.p, g.n, cap)
+    check_cap(g.p, g.n, cap)
     p = g.p
     omega = np.exp(2j * np.pi / p)
     out = np.array([[1.0 + 0j]])
@@ -114,7 +114,7 @@ def commutation_phase(g: PauliLabel, h: PauliLabel,
     product of the label images is what the certification suite asserts.
     """
     _check_pair(g, h)
-    _check_cap(g.p, g.n, cap)
+    check_cap(g.p, g.n, cap)
     A = pauli_matrix(g, cap)
     B = pauli_matrix(h, cap)
     lhs = B @ A
@@ -165,7 +165,7 @@ def codespace_dim(generators, cap: int = DEFAULT_DIM_CAP,
             raise ValueError("empty generator set needs explicit p and n")
         gens = [PauliLabel.identity(p, n)]
     p, n = gens[0].p, gens[0].n
-    _check_cap(p, n, cap)
+    check_cap(p, n, cap)
     for a, b in itertools.combinations(gens, 2):
         if commutation_phase(a, b, cap, atol) != 0:
             raise NotAbelian(f"labels {a} and {b} do not commute")

@@ -6,12 +6,12 @@ the two halves; subspaces are row-basis matrices with 2n columns as in
 (a_j, b_j) to beta*a_j + beta^q*b_j and is applied through a per-field
 lookup table.
 
-Every bilinear form on this space is a fixed 2x2 block T applied to each
-coordinate pair: <x, y> = sum_j sum_{i,k} T[i][k] x_ij y_kj with
-(x_0j, x_1j) = (a_j, b_j).  :func:`form_rows` rewrites rows y so that
-<x, y> is a plain dot product with them; a Gram matrix is then one
-:func:`eaqecne.linalg.gram` product and a dual is one kernel.  The
-symplectic form a.b' - b.a' is the block ((0, 1), (-1, 0)).
+The one form on this space is the symplectic form
+<(a|b), (a'|b')> = a.b' - b.a'.  It is the plain dot product of (a|b) with
+(b'|-a'), so a Gram matrix is one :func:`eaqecne.linalg.gram` product and a
+dual is one kernel.  Under the map to GF(q^2)^n it is the trace-alternating
+form, and for a GF(q^2)-linear code the Hermitian dual is the symplectic
+dual of its preimage.
 """
 
 from __future__ import annotations
@@ -32,29 +32,16 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v[..., :n], v[..., n:]
 
 
-def symplectic_block(F: FieldSpec) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The block of a.b' - b.a'."""
-    return ((0, 1), (F.neg(1), 0))
-
-
-def form_rows(F: FieldSpec, rows, block) -> np.ndarray:
-    """Map each row (a|b) to (t00*a + t01*b | t10*a + t11*b), so that the
-    block's form <x, row> is the plain dot product of x with the result."""
-    (t00, t01), (t10, t11) = block
+def _twist(F: FieldSpec, rows) -> np.ndarray:
+    """Map each row (a|b) to (b|-a): <x, y> is the dot product of x with
+    the image of y."""
     a, b = _halves(linalg.as_matrix(rows))
-    ADD, MUL = F.add_table, F.mul_table
-    return np.hstack([ADD[MUL[t00, a], MUL[t01, b]],
-                      ADD[MUL[t10, a], MUL[t11, b]]])
+    return np.hstack([b, F.neg_table[a]])
 
 
-def form_gram(F: FieldSpec, rows, block) -> np.ndarray:
-    """Gram matrix <row_i, row_j> of the block's form."""
-    return linalg.gram(F, rows, form_rows(F, rows, block))
-
-
-def form_dual(F: FieldSpec, basis, block) -> np.ndarray:
-    """Canonical basis of {x : <x, s> = 0 for all s in the row space}."""
-    return linalg.kernel(F, form_rows(F, basis, block))
+def symp_gram(F: FieldSpec, rows) -> np.ndarray:
+    """Gram matrix <row_i, row_j> of the symplectic form."""
+    return linalg.gram(F, rows, _twist(F, rows))
 
 
 def symp_inner(F: FieldSpec, u, v) -> int:
@@ -63,7 +50,7 @@ def symp_inner(F: FieldSpec, u, v) -> int:
     v = np.asarray(v)
     if u.shape != v.shape:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    return int(linalg.gram(F, u, form_rows(F, v, symplectic_block(F)))[0, 0])
+    return int(linalg.gram(F, u, _twist(F, v))[0, 0])
 
 
 def symp_weight(u) -> int:
@@ -74,12 +61,12 @@ def symp_weight(u) -> int:
 
 def symp_dual(F: FieldSpec, basis) -> np.ndarray:
     """Canonical basis of the symplectic dual of the row space."""
-    return form_dual(F, basis, symplectic_block(F))
+    return linalg.kernel(F, _twist(F, basis))
 
 
 def is_totally_isotropic(F: FieldSpec, basis) -> bool:
     """True when the symplectic Gram matrix of the rows vanishes."""
-    return not form_gram(F, basis, symplectic_block(F)).any()
+    return not symp_gram(F, basis).any()
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,7 @@ def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
     b = <v,e>.  The rows left once G vanishes span the radical.
     """
     W = linalg.row_basis(F, basis)
-    G = form_gram(F, W, symplectic_block(F))
+    G = symp_gram(F, W)
     ADD, SUB, MUL = F.add_table, F.sub_table, F.mul_table
     pairs = []
     while True:

@@ -1,6 +1,6 @@
 """Slow reference implementations that the fast paths are checked against.
 
-None of these share code with the package's field tables, form engine,
+None of these share code with the package's field tables, symplectic form,
 elimination or minimum-weight scan: field tables are filled one element pair
 at a time from plain Python ints with trial division for irreducibility,
 forms are summed one coordinate at a time with scalar field calls, row
@@ -8,7 +8,9 @@ reduction clears one row at a time, intersections go through stacked
 annihilators, and minimum weights enumerate every coefficient vector over the
 preimage or, in the odometer order of the package's block schedule, over
 GF(q^2) words.  Puncturing goes through the GF(q^2) generators instead of
-the preimage columns.
+the preimage columns.  Hermitian duals and radicals of linear codes, and
+trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
+form values, never of the preimage's symplectic form.
 
 The subspace and random-code helpers at the end are test fixtures built on
 the package's own elimination; nothing in the package calls them.
@@ -20,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from eaqecne import addcodes as ac, gf, linalg
+from eaqecne import addcodes as ac, gf, linalg, symplectic as sp
 
 
 def _poly_trim(f):
@@ -202,6 +204,41 @@ def scalar_inner(Q, u, v, form: str = "hermitian") -> int:
     raise ValueError(form)
 
 
+def hermitian_gram(Q, M) -> np.ndarray:
+    """Scalar Hermitian products h(M_i, M_j) of the rows of M."""
+    M = linalg.as_matrix(M, cols=np.shape(M)[-1])
+    return np.array([[scalar_inner(Q, u, v) for v in M] for u in M],
+                    dtype=np.int16).reshape(len(M), len(M))
+
+
+def hermitian_dual(Q, M) -> np.ndarray:
+    """Canonical basis of {v : h(u, v) = 0 for every row u of M}: the
+    kernel of the conjugated rows."""
+    M = linalg.as_matrix(M, cols=np.shape(M)[-1])
+    conj = [[Q.conjugate(int(a)) for a in row] for row in M]
+    return loop_kernel(Q, linalg.as_matrix(conj, cols=M.shape[1]))
+
+
+def hermitian_radical(Q, M) -> np.ndarray:
+    """Canonical basis of the span words x . M with h(x . M, M_j) = 0 for
+    every j: x runs over the kernel of the transposed Hermitian Gram matrix."""
+    M = linalg.as_matrix(M, cols=np.shape(M)[-1])
+    x = loop_kernel(Q, hermitian_gram(Q, M).T)
+    words = [[scalar_dot(Q, c, col) for col in M.T] for c in x]
+    R, rank, _ = loop_rref(Q, linalg.as_matrix(words, cols=M.shape[1]))
+    return R[:rank]
+
+
+def trace_dual(code) -> np.ndarray:
+    """Preimage basis of the dual of an additive code under the trace form
+    rel_trace(h(u, v)): the kernel of the scalar trace values of each
+    generator against the 2n preimage unit vectors."""
+    Q, n = code.field, code.n
+    units = sp.phi(Q, np.eye(2 * n, dtype=np.int16))
+    A = [[scalar_inner(Q, g, e, "trace") for e in units] for g in code.generators]
+    return loop_kernel(Q.base, linalg.as_matrix(A, cols=2 * n))
+
+
 def span_words(F, rows) -> np.ndarray:
     """Every F-linear combination of the rows, one word per coefficient vector."""
     rows = np.asarray(rows, dtype=np.int16).reshape(-1, np.shape(rows)[-1])
@@ -315,6 +352,10 @@ def phi_puncture(code, coords):
                                            n=len(keep))
 
 
+def random_matrix(F, rows: int, cols: int, rng) -> np.ndarray:
+    return rng.integers(0, F.order, size=(rows, cols), dtype=np.int64).astype(np.int16)
+
+
 def subspace_sum(F, A, B):
     return linalg.row_basis(F, np.vstack([linalg.as_matrix(A), linalg.as_matrix(B)]))
 
@@ -326,7 +367,7 @@ def subspace_eq(F, A, B) -> bool:
 def random_subspace(F, dim: int, cols: int, rng):
     """Canonical basis of a uniformly-ish random subspace of given dimension."""
     while True:
-        B = linalg.row_basis(F, linalg.random_matrix(F, dim, cols, rng))
+        B = linalg.row_basis(F, random_matrix(F, dim, cols, rng))
         if B.shape[0] == dim:
             return B
 

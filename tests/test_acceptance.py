@@ -16,7 +16,8 @@ from eaqecne.gf import field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
 
-from oracles import preimage_min_weight, random_additive_code, subspace_eq
+from oracles import (preimage_min_weight, random_additive_code, random_matrix,
+                     subspace_eq)
 
 
 def announce(ident: str, limit_s: float, started: float, extra: str = ""):
@@ -86,13 +87,12 @@ def test_criterion_3_duality_laws():
             for _ in range(200):
                 n = int(rng.integers(1, 7))
                 dim = int(rng.integers(0, 2 * n + 1))
-                S = linalg.row_basis(F, linalg.random_matrix(F, dim, 2 * n, rng))
+                S = linalg.row_basis(F, random_matrix(F, dim, 2 * n, rng))
                 D = sp.symp_dual(F, S)
                 assert S.shape[0] + D.shape[0] == 2 * n
                 assert subspace_eq(F, sp.symp_dual(F, D), S)
                 code = ac.AdditiveCode(Q, n, S)
-                assert subspace_eq(
-                    F, ac.dual(code, "alternating").preimage, D)
+                assert subspace_eq(F, ac.dual(code).preimage, D)
     announce("3 duality-laws", 60, started, "subspaces=800")
 
 
@@ -106,7 +106,7 @@ def test_criterion_4_decomposition_laws():
             for _ in range(200):
                 n = int(rng.integers(1, 6))
                 m = int(rng.integers(0, 2 * n + 1))
-                gens_raw = linalg.random_matrix(Q.base, m, 2 * n, rng)
+                gens_raw = random_matrix(Q.base, m, 2 * n, rng)
                 code = ac.AdditiveCode.from_preimage(Q, gens_raw)
                 dec = ac.radical_decompose(code)
                 assert (code.m - dec.l) % 2 == 0

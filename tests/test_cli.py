@@ -1,5 +1,7 @@
 """End-to-end checks of every CLI subcommand."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,20 @@ def test_verify_pauli_random_mode(capsys):
     rc2, out2, _ = run(capsys, ["verify-pauli", "--p", "3", "--n", "2",
                                 "--samples", "20", "--sets", "3", "--seed", "7"])
     assert out2 == out
+
+
+def test_verify_pauli_cap_before_allocation(capsys):
+    """Above the dimension cap the command ends before it builds any label
+    class: p^(2n) classes at n = 10 would take tens of MB."""
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, ["verify-pauli", "--p", "2", "--n", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and out == ""
+    assert err == "error: p^n = 1024 exceeds the cap 243\n"
+    assert peak < 5 * 2 ** 20
 
 
 def test_decompose_symplectic_output(capsys, tmp_path):

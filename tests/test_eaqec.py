@@ -234,6 +234,32 @@ def test_combine_construct_witness():
     assert rep.params.d == 1 and rep.distance_claim_holds is False
 
 
+def test_c_identity_reads_the_top_block(monkeypatch):
+    """c_identity_value is measured against dim (G|0), not against the
+    decomposition's own l: a decomposition that misses the top block,
+    here one whose radical is zero with k = N - c kept consistent, fails
+    the identity."""
+    Q = field(4)
+    derive = eaqec._derive
+
+    def without_radical(code, compute_d, budget):
+        params, dec, examined = derive(code, compute_d, budget)
+        zero = ac.AdditiveCode.zero(code.field, code.n)
+        dec = ac.CodeDecomposition(radical=zero, complement=dec.complement,
+                                   l=0, c=dec.c)
+        params = eaqec.EAQECCParams(q=params.q, n=params.n,
+                                    k=params.n - dec.c, c=dec.c, d=params.d)
+        return params, dec, examined
+
+    monkeypatch.setattr(eaqec, "_derive", without_radical)
+    _, rep = eaqec.combine_construct(Q, WITNESS_G, WITNESS_G2, WITNESS_E,
+                                     compute_d=False)
+    lines = dict(line.split("=", 1) for line in rep.lines())
+    assert lines["radical_is_top_block"] == "false"
+    assert rep.c_identity_value == rep.c - 1
+    assert lines["c_identity_holds"] == "false"
+
+
 def test_combine_construct_preconditions():
     Q = field(4)
     # span(G)+span(G2) not inside dual(span(G)): G=(1,0), G2=(2,0) pair fails

@@ -1,8 +1,10 @@
-"""Laws of the Gram-matrix form engine over every supported q.
+"""Laws of the symplectic Gram engine over every supported q.
 
-Each fast route (``linalg.gram``, the 2x2 form blocks on the preimage, the
-Gram-updated symplectic Gram-Schmidt) is checked against a scalar oracle or
-a pinned output.
+Each fast route (``linalg.gram``, ``symp_gram`` on the preimage, the
+Gram-updated symplectic Gram-Schmidt, the Hermitian questions of linear
+codes answered on their additive view) is checked against a scalar oracle
+or a pinned output.  The Hermitian and trace forms have no path of their
+own: their values and duals are read off symplectic ones.
 """
 
 import json
@@ -15,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from eaqecne.cli import main
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
-from eaqecne import linalg, symplectic as sp
+from eaqecne import eaqec, linalg, symplectic as sp
 
-from oracles import (random_additive_code, random_subspace, scalar_inner,
-                     subspace_eq, subspace_intersect)
+from oracles import (hermitian_dual, hermitian_gram, hermitian_radical,
+                     random_additive_code, random_matrix, random_subspace,
+                     scalar_inner, subspace_eq, subspace_intersect, trace_dual)
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
 
@@ -36,54 +39,84 @@ def scalar_witness(Q, G, form):
     return None
 
 
+def cross_gram(Q, U, V):
+    """Symplectic values <phi^-1(U_i), phi^-1(V_j)>: the off-diagonal block
+    of one symp_gram of the stacked preimages."""
+    P = sp.phi_inv(Q, np.vstack([U, V]))
+    return sp.symp_gram(Q.base, P)[:len(U), len(U):]
+
+
+def form_gram(Q, G, form):
+    """Gram matrix of the rows of G under `form`, from symplectic values
+    only.  With delta = beta^2 - beta^(2q), alt(u, v) = rel_trace(h / delta),
+    so trace(u, v) = alt(u, -delta v), and solving the pair alt(u, v),
+    alt(u, beta v) gives h = delta (alt(u, beta v) - beta alt(u, v)) /
+    (beta^q - beta)."""
+    MUL, SUB = Q.mul_table, Q.sub_table
+    delta, beta = Q.alt_normalizer, Q.beta
+    if form == "alternating":
+        return sp.symp_gram(Q.base, sp.phi_inv(Q, G))
+    if form == "trace":
+        return cross_gram(Q, G, MUL[Q.neg(delta), G])
+    t1, t2 = cross_gram(Q, G, G), cross_gram(Q, G, MUL[beta, G])
+    scale = Q.div(delta, Q.sub(Q.beta_conj, beta))
+    return MUL[scale, SUB[t2, MUL[beta, t1]]]
+
+
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
-@pytest.mark.parametrize("form", ac.FORMS)
+@pytest.mark.parametrize("form", ("hermitian", "trace", "alternating"))
 def test_code_gram_matches_scalar_oracle(q, form):
     Q = quadratic_field(field(q))
     rng = np.random.default_rng([31, q])
     for _ in range(8):
         code = random_code(Q, rng)
         G = code.generators
-        gram = ac.code_gram(code, form)
+        gram = form_gram(Q, G, form)
         assert gram.shape == (code.m, code.m)
         for i in range(code.m):
             for j in range(code.m):
                 expect = scalar_inner(Q, G[i], G[j], form)
                 assert gram[i, j] == expect
-                assert ac.inner(Q, G[i], G[j], form) == expect
+                if form == "alternating":
+                    assert sp.symp_inner(Q.base, code.preimage[i],
+                                         code.preimage[j]) == expect
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_form_blocks(q):
-    Q = quadratic_field(field(q))
-    F = Q.base
-    assert ac.form_block(Q, "alternating") == sp.symplectic_block(F)
-    (t00, t01), (t10, t11) = ac.form_block(Q, "trace")
-    assert (t00, t01) == (t11, t10)           # symmetric, same on both halves
-    det = F.sub(F.mul(t00, t11), F.mul(t01, t10))
-    assert det != 0                           # the trace form is nondegenerate
-    if Q.p == 2:
-        assert ac.form_block(Q, "trace") == ((0, t01), (t01, 0))
-    with pytest.raises(ValueError):
-        ac.form_block(Q, "hermitian")
+    """On the unit vectors of F_q^4 the symplectic Gram matrix is
+    ((0, I), (-I, 0)): the block ((0, 1), (-1, 0)) on each coordinate."""
+    F = field(q)
+    I = np.eye(2, dtype=np.int16)
+    expect = np.block([[0 * I, I], [F.neg(1) * I, 0 * I]])
+    assert np.array_equal(sp.symp_gram(F, np.eye(4, dtype=np.int16)), expect)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
-@pytest.mark.parametrize("form", ac.DUAL_FORMS)
+@pytest.mark.parametrize("form", ("trace", "alternating"))
 def test_dual_laws(q, form):
+    """The alternating dual, and the trace dual as -1/delta times it."""
     Q = quadratic_field(field(q))
     rng = np.random.default_rng([37, q])
+    lam = Q.neg(Q.inv(Q.alt_normalizer)) if form == "trace" else 1
+
+    def dual(code):
+        gens = Q.mul_table[lam, ac.dual(code).generators]
+        return ac.AdditiveCode.from_generators(Q, gens, n=code.n)
+
     for _ in range(8):
         code = random_code(Q, rng)
-        d = ac.dual(code, form)
+        d = dual(code)
         assert code.m + d.m == 2 * code.n
-        assert ac.dual(d, form) == code
+        assert dual(d) == code
         # every dual word is orthogonal to every code word
-        gram = linalg.gram(Q.base, d.preimage,
-                           sp.form_rows(Q.base, code.preimage, ac.form_block(Q, form)))
-        assert not gram.any()
+        for u in code.generators:
+            for v in d.generators:
+                assert scalar_inner(Q, u, v, form) == 0
         if form == "alternating":
             assert np.array_equal(d.preimage, sp.symp_dual(Q.base, code.preimage))
+        else:
+            assert np.array_equal(d.preimage, trace_dual(code))
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -97,11 +130,11 @@ def test_witnesses_match_scalar_scan(q):
             code = ac.AdditiveCode.from_preimage(Q, pre)
         else:
             code = random_code(Q, rng)
-        for form in ac.FORMS:
-            assert (ac.self_orthogonality_witness(code, form)
-                    == scalar_witness(Q, code.generators, form))
-        lin = ac.LinearCode(Q, linalg.random_matrix(Q, int(rng.integers(0, 3)), n, rng), n=n)
-        assert ac.hermitian_witness(lin) == scalar_witness(Q, lin.matrix, "hermitian")
+        assert (ac.self_orthogonality_witness(code)
+                == scalar_witness(Q, code.generators, "alternating"))
+        lin = ac.LinearCode(Q, random_matrix(Q, int(rng.integers(0, 3)), n, rng), n=n)
+        assert (ac.is_hermitian_self_orthogonal(lin)
+                == (scalar_witness(Q, lin.matrix, "hermitian") is None))
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -115,7 +148,7 @@ def test_decompose_gram_laws(q):
         assert dec.l + 2 * dec.c == S.shape[0]
         rows = np.vstack([dec.radical, dec.pair_matrix()])
         assert subspace_eq(F, rows, S)
-        G = sp.form_gram(F, rows, sp.symplectic_block(F))
+        G = sp.symp_gram(F, rows)
         expect = np.zeros_like(G)
         for k in range(dec.c):
             e, f = dec.l + 2 * k, dec.l + 2 * k + 1
@@ -131,16 +164,16 @@ def codes_with_isotropic_part(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 4))
     iso = sp.random_isotropic_basis(Q.base, n, draw(st.integers(0, n)), rng)
-    extra = linalg.random_matrix(Q.base, draw(st.integers(0, 2)), 2 * n, rng)
+    extra = random_matrix(Q.base, draw(st.integers(0, 2)), 2 * n, rng)
     return ac.AdditiveCode.from_preimage(Q, np.vstack([iso, extra]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(codes_with_isotropic_part(), st.sampled_from(ac.DUAL_FORMS))
-def test_radical_matches_intersection_oracle(code, form):
+@given(codes_with_isotropic_part())
+def test_radical_matches_intersection_oracle(code):
     expect = subspace_intersect(code.base_field, code.preimage,
-                                ac.dual(code, form).preimage)
-    assert np.array_equal(ac.radical(code, form).preimage, expect)
+                                ac.dual(code).preimage)
+    assert np.array_equal(ac.radical(code).preimage, expect)
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,7 +184,7 @@ def test_hermitian_radical_matches_intersection_oracle(q, seed, isotropic):
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
-    rows = linalg.random_matrix(Q, int(rng.integers(0, n + 1)), n, rng)
+    rows = random_matrix(Q, int(rng.integers(0, n + 1)), n, rng)
     if isotropic:
         v = np.zeros((1, n), dtype=np.int16)
         v[0, :2] = 1, next(x for x in range(Q.order)
@@ -163,6 +196,48 @@ def test_hermitian_radical_matches_intersection_oracle(q, seed, isotropic):
     expect = subspace_intersect(Q, code.matrix, code.hermitian_dual().matrix)
     assert np.array_equal(code.hermitian_radical().matrix,
                           linalg.as_matrix(expect, cols=n))
+
+
+@st.composite
+def linear_codes(draw):
+    """A GF(q^2)-linear code of length 2..5.  Its first j rows carry
+    (1, x), x^(q+1) = -1, on disjoint coordinate pairs, so they are
+    Hermitian self-orthogonal; the other rows are drawn from their Hermitian
+    dual, so the first rows lie in the radical.  With no other rows the
+    code is self-orthogonal."""
+    q = draw(st.sampled_from(SUPPORTED_ORDERS))
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 5))
+    planted = draw(st.integers(0, n // 2))
+    x = next(x for x in range(Q.order) if Q.add(Q.pow(x, q + 1), 1) == 0)
+    V = np.zeros((planted, n), dtype=np.int16)
+    for i in range(planted):
+        V[i, 2 * i:2 * i + 2] = 1, x
+    perp = hermitian_dual(Q, V)
+    coeffs = random_matrix(Q, draw(st.integers(0, perp.shape[0])), perp.shape[0], rng)
+    return ac.LinearCode(Q, np.vstack([V, linalg.gram(Q, coeffs, perp.T)]), n=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_codes())
+def test_hermitian_route_matches_oracle(code):
+    """Hermitian dual, radical, self-orthogonality and LCD through the
+    additive view equal the GF(q^2) Hermitian route, and the linear
+    formulation spends c = u - r ebits for the Hermitian radical dimension r."""
+    Q, n = code.field, code.n
+    rad = hermitian_radical(Q, code.matrix)
+    assert np.array_equal(code.hermitian_dual().matrix,
+                          linalg.as_matrix(hermitian_dual(Q, code.matrix), cols=n))
+    assert np.array_equal(code.hermitian_radical().matrix,
+                          linalg.as_matrix(rad, cols=n))
+    assert (ac.is_hermitian_self_orthogonal(code)
+            == (not hermitian_gram(Q, code.matrix).any()))
+    assert ac.is_hermitian_lcd(code) == (rad.shape[0] == 0)
+    bob = ac.LinearCode(Q, linalg.empty_matrix(max(code.dim, 1)))
+    alice = eaqec.linear_formulation(code, bob, compute_d=False).alice
+    assert alice.c == code.dim - rad.shape[0]
+    assert alice.l == 2 * rad.shape[0]
 
 
 def _golden_ids():

@@ -50,5 +50,5 @@ def test_eaqec_params_counts(Q, n, data):
     assert P.k == n - P.c - l
     assert code.m == l + 2 * P.c
     # 2c is the rank of the symplectic Gram matrix of the code
-    gram = sp.form_gram(Q.base, code.preimage, sp.symplectic_block(Q.base))
+    gram = sp.symp_gram(Q.base, code.preimage)
     assert 2 * P.c == linalg.rank(Q.base, gram)

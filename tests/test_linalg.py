@@ -11,8 +11,8 @@ from eaqecne.errors import AmbientMismatch, FormatError
 from eaqecne.gf import SUPPORTED_ORDERS, field
 from eaqecne import linalg, symplectic as sp
 
-from oracles import (loop_kernel, loop_rref, scalar_dot, subspace_eq,
-                     subspace_intersect, subspace_sum)
+from oracles import (loop_kernel, loop_rref, random_matrix, scalar_dot,
+                     subspace_eq, subspace_intersect, subspace_sum)
 
 ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
@@ -72,7 +72,7 @@ def test_rref_idempotent_random(q):
     F = field(q)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        M = linalg.random_matrix(F, int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
+        M = random_matrix(F, int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
         R, _, _ = linalg.rref(F, M)
         R2, _, _ = linalg.rref(F, R)
         assert np.array_equal(R, R2)
@@ -120,7 +120,7 @@ def test_rank_nullity(q):
     rng = np.random.default_rng(11)
     for _ in range(200):
         r, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        M = linalg.random_matrix(F, r, n, rng)
+        M = random_matrix(F, r, n, rng)
         assert linalg.rank(F, M) + linalg.kernel(F, M).shape[0] == n
         # kernel rows really annihilate M
         for x in linalg.kernel(F, M):
@@ -141,8 +141,8 @@ def test_modular_law_gf3():
     F = field(3)
     rng = np.random.default_rng(3)
     for _ in range(100):
-        A = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, 5)), 6, rng))
-        B = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, 5)), 6, rng))
+        A = linalg.row_basis(F, random_matrix(F, int(rng.integers(0, 5)), 6, rng))
+        B = linalg.row_basis(F, random_matrix(F, int(rng.integers(0, 5)), 6, rng))
         s = subspace_sum(F, A, B).shape[0]
         i = subspace_intersect(F, A, B).shape[0]
         assert s + i == A.shape[0] + B.shape[0]
@@ -197,8 +197,8 @@ def test_gram_matches_scalar_dot(q):
     for _ in range(10):
         r, s = (int(v) for v in rng.integers(0, 5, size=2))
         n = int(rng.integers(1, 6))
-        A = linalg.random_matrix(F, r, n, rng)
-        B = linalg.random_matrix(F, s, n, rng)
+        A = random_matrix(F, r, n, rng)
+        B = random_matrix(F, s, n, rng)
         G = linalg.gram(F, A, B)
         assert G.shape == (r, s)
         for i in range(r):
@@ -212,7 +212,7 @@ def test_double_complement_nondegenerate(q):
     rng = np.random.default_rng(19)
     for _ in range(25):
         n = int(rng.integers(1, 4)) * 2
-        S = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
+        S = linalg.row_basis(F, random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
         assert subspace_eq(F, sp.symp_dual(F, sp.symp_dual(F, S)), S)
 
 
@@ -222,8 +222,8 @@ def test_extend_basis_matches_greedy_loop(q):
     rng = np.random.default_rng(23 + q)
     for _ in range(30):
         n = int(rng.integers(1, 6))
-        S = linalg.row_basis(F, linalg.random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
-        rows = linalg.random_matrix(F, int(rng.integers(0, 6)), n, rng)
+        S = linalg.row_basis(F, random_matrix(F, int(rng.integers(0, n + 1)), n, rng))
+        rows = random_matrix(F, int(rng.integers(0, 6)), n, rng)
         rows[rng.random(rows.shape[0]) < 0.3] = 0
         picked, expect = S, []
         for row in rows:

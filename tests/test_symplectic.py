@@ -9,7 +9,7 @@ from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
 from eaqecne.gf import field, quadratic_field
 from eaqecne import linalg, symplectic as sp
 
-from oracles import subspace_eq, subspace_intersect
+from oracles import random_matrix, subspace_eq, subspace_intersect
 
 
 def all_vectors(q, length):
@@ -77,7 +77,7 @@ def test_dual_dimension_and_involution(q):
     for _ in range(60):
         n = int(rng.integers(1, 7))
         dim = int(rng.integers(0, 2 * n + 1))
-        S = linalg.row_basis(F, linalg.random_matrix(F, dim, 2 * n, rng))
+        S = linalg.row_basis(F, random_matrix(F, dim, 2 * n, rng))
         D = sp.symp_dual(F, S)
         assert S.shape[0] + D.shape[0] == 2 * n
         assert subspace_eq(F, sp.symp_dual(F, D), S)
@@ -125,7 +125,7 @@ def test_decompose_random_properties(q):
     for _ in range(60):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, 2 * n + 1))
-        S = linalg.row_basis(F, linalg.random_matrix(F, m, 2 * n, rng))
+        S = linalg.row_basis(F, random_matrix(F, m, 2 * n, rng))
         dec = sp.decompose(F, S)
         assert dec.l + 2 * dec.c == S.shape[0]
         check_gram(F, dec)
