@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import EaqecneError, FormatError, RangeError
+from .errors import EaqecneError, FormatError
 from .gf import SUPPORTED_ORDERS, field
 from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
@@ -122,11 +121,7 @@ def cmd_fidelity(args) -> int:
     m, db = _parse_ints(args.b, 2, "--b")
     if None in (N, d, n, da, m, db):
         raise FormatError("--c, --ea and --b need a length and a distance")
-    try:
-        lam = Fraction(args.lam)
-    except (ValueError, ZeroDivisionError):
-        raise RangeError(f"cannot read {args.lam!r} as a degradation "
-                         f"coefficient") from None
+    lam = fid.read_rational(args.lam, "degradation coefficient")
     if lam > 1:
         print(f"warning: degradation coefficient {args.lam} exceeds 1",
               file=sys.stderr)

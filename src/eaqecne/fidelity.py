@@ -8,7 +8,10 @@ hit at per-qudit depolarizing rate p:
 
 A combined pair multiplies Alice's term at rate p_a with the ebit-protection
 term at rate p_b = lambda * p_a.  These values sit extremely close to 1, so
-every value is computed in exact rational arithmetic.
+every value is exact: with p = a/b and c = b - a the tail is the one integer
+c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i) over b^N, which pays a single gcd.
+A tail falls as its rate grows, so at fixed p_a the pair falls monotonically
+in lambda, and bisection finds the one crossover against a single code.
 """
 
 from __future__ import annotations
@@ -16,26 +19,37 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from operator import index
 
 from .errors import RangeError
 
 
-def _rate(p) -> Fraction:
+def read_rational(x, what: str) -> Fraction:
+    """x as an exact rational; anything Fraction cannot read is a RangeError."""
     try:
-        r = Fraction(p)
-    except (ValueError, TypeError) as exc:
-        raise RangeError(f"cannot read {p!r} as a rate") from exc
+        return Fraction(x)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise RangeError(f"cannot read {x!r} as a {what}") from exc
+
+
+def _rate(p) -> Fraction:
+    r = read_rational(p, "rate")
     if not 0 <= r <= 1:
         raise RangeError(f"rate {p} outside [0, 1]")
     return r
 
 
-def _check_code(length: int, distance: int):
+def _check_code(length, distance) -> tuple[int, int]:
+    try:
+        length, distance = index(length), index(distance)
+    except TypeError as exc:
+        raise RangeError(f"length {length!r} and distance {distance!r} "
+                         f"must be integers") from exc
     if length < 1:
         raise RangeError(f"length {length} must be positive")
     if not 1 <= distance <= length:
         raise RangeError(f"distance {distance} outside [1, {length}]")
+    return length, distance
 
 
 def correction_radius(distance: int) -> int:
@@ -44,14 +58,17 @@ def correction_radius(distance: int) -> int:
 
 def approx_fidelity(length: int, distance: int, rate) -> Fraction:
     """Exact rational binomial tail: P(at most t errors among `length`)."""
-    _check_code(length, distance)
+    N, d = _check_code(length, distance)
     p = _rate(rate)
-    t = correction_radius(distance)
-    one = Fraction(1)
-    total = Fraction(0)
+    t = correction_radius(d)
+    a, b = p.numerator, p.denominator
+    c = b - a
+    # Horner in c over the running terms C(N,i) a^i
+    head, term = 0, 1
     for i in range(t + 1):
-        total += comb(length, i) * p ** i * (one - p) ** (length - i)
-    return total
+        head = head * c + term
+        term = term * (N - i) * a // (i + 1)
+    return Fraction(head * c ** (N - t), b ** N)
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,7 @@ class ChannelModel:
     def from_degradation(cls, p_a, lam) -> "ChannelModel":
         """p_b = lam * p_a; lam above 1 is allowed but flagged."""
         pa = _rate(p_a)
-        lam = Fraction(lam)
+        lam = read_rational(lam, "degradation coefficient")
         if lam < 0:
             raise RangeError(f"degradation coefficient {lam} is negative")
         return cls(pa, _rate(lam * pa))
@@ -118,18 +135,21 @@ def crossover_degradation(c_params, d_params, p_a,
     """Bisect lam in [0, 1] for the sign change of P(D) - P(C).
 
     Returns None when the difference has the same sign at both endpoints;
-    exact rational evaluations, lam resolved to within `tol` > 0.
+    exact rational evaluations, lam resolved to within `tol` > 0.  Only Bob's
+    tail depends on lam, so P(C) and Alice's term are computed once.
     """
-    if not tol > 0:
+    width = read_rational(tol, "tolerance")
+    if not width > 0:
         raise RangeError(f"tol must be positive, got {tol}")
     pa = _rate(p_a)
     if not 0 < pa < 1:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")
     pc = approx_fidelity(c_params[0], c_params[1], pa)
+    (n, da), (m, db) = d_params
+    alice = approx_fidelity(n, da, pa)
 
     def diff(lam: Fraction) -> Fraction:
-        ch = ChannelModel.from_degradation(pa, lam)
-        return combined_fidelity(d_params[0], d_params[1], ch) - pc
+        return alice * approx_fidelity(m, db, lam * pa) - pc
 
     lo, hi = Fraction(0), Fraction(1)
     f_lo, f_hi = diff(lo), diff(hi)
@@ -139,7 +159,7 @@ def crossover_degradation(c_params, d_params, p_a,
         return hi
     if (f_lo > 0) == (f_hi > 0):
         return None
-    while hi - lo > Fraction(tol):
+    while hi - lo > width:
         mid = (lo + hi) / 2
         f_mid = diff(mid)
         if f_mid == 0:
@@ -174,7 +194,7 @@ def sweep(c_params: tuple[int, int],
           lam, p_grid, c_label: str | None = None,
           d_label: str | None = None) -> FidelityCurve:
     """Evaluate both codes on a strictly increasing grid of p_a values."""
-    lamf = Fraction(lam)
+    lamf = read_rational(lam, "degradation coefficient")
     rows = []
     for p in p_grid:
         pa = _rate(p)
@@ -194,11 +214,10 @@ def sweep(c_params: tuple[int, int],
 
 
 def format_15(x: Fraction) -> str:
-    """Render an exact rational to 15 significant decimal digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 15
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(d)
+    """Render an exact rational to 15 significant digits in a fixed context."""
+    ctx = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
+                          capitals=1, traps=[])
+    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
 
 
 def curve_csv(curve: FidelityCurve) -> str:

@@ -12,6 +12,8 @@ and basis extension are all read off it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import AmbientMismatch, FormatError
@@ -164,20 +166,29 @@ def parse_matrix(text: str) -> tuple[FieldSpec, np.ndarray]:
     body = data[1:]
     if len(body) != rows:
         raise FormatError(f"expected {rows} rows, found {len(body)}")
-    out = np.zeros((rows, cols), dtype=_DT)
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != cols:
-            raise FormatError(f"row {i}: expected {cols} entries, got {len(parts)}")
-        for j, tok in enumerate(parts):
-            try:
-                v = int(tok)
-            except ValueError as exc:
-                raise FormatError(f"row {i}: bad entry {tok!r}") from exc
-            if not 0 <= v < order:
-                raise FormatError(f"row {i}: entry {v} outside [0, {order})")
-            out[i, j] = v
-    return F, out
+    tokens = [line.split() for line in body]
+    try:
+        out = np.array(list(map(int, itertools.chain.from_iterable(tokens))),
+                       dtype=_DT)
+        # a negative entry reads as a large unsigned one
+        ok = (all(len(row) == cols for row in tokens)
+              and (out.view(np.uint16) < order).all())
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        # the first bad row length or entry, in reading order
+        for i, parts in enumerate(tokens):
+            if len(parts) != cols:
+                raise FormatError(
+                    f"row {i}: expected {cols} entries, got {len(parts)}")
+            for tok in parts:
+                try:
+                    v = int(tok)
+                except ValueError as exc:
+                    raise FormatError(f"row {i}: bad entry {tok!r}") from exc
+                if not 0 <= v < order:
+                    raise FormatError(f"row {i}: entry {v} outside [0, {order})")
+    return F, out.reshape(rows, cols)
 
 
 def load_matrix(path) -> tuple[FieldSpec, np.ndarray]:

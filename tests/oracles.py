@@ -10,15 +10,19 @@ preimage or, in the odometer order of the package's block schedule, over
 GF(q^2) words.  Puncturing goes through the GF(q^2) generators instead of
 the preimage columns.  Hermitian duals and radicals of linear codes, and
 trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
-form values, never of the preimage's symplectic form.
+form values, never of the preimage's symplectic form.  Binomial fidelity
+tails add one Fraction term at a time, with binomials from math.comb or from
+Pascal's triangle, and the crossover bisection evaluates both codes of the
+pair at every step.
 
 The subspace and random-code helpers at the end are test fixtures built on
 the package's own elimination; nothing in the package calls them.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -350,6 +354,57 @@ def phi_puncture(code, coords):
         return ac.AdditiveCode.zero(code.field, len(keep))
     return ac.AdditiveCode.from_generators(code.field, code.generators[:, keep],
                                            n=len(keep))
+
+
+def term_fidelity(N, d, p):
+    """P(at most (d-1)//2 of N qudits hit) summed one Fraction term at a time."""
+    p = Fraction(p)
+    total = Fraction(0)
+    for i in range((d - 1) // 2 + 1):
+        total += comb(N, i) * p ** i * (1 - p) ** (N - i)
+    return total
+
+
+def pascal_fidelity(N, d, p):
+    """The same tail with Pascal-recurrence binomials."""
+    p = Fraction(p)
+    t = (d - 1) // 2
+    row = [1]
+    for _ in range(N):
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+    q = 1 - p
+    return sum((row[i] * p ** i * q ** (N - i) for i in range(t + 1)),
+               Fraction(0))
+
+
+def bisect_crossover(c_params, d_params, p_a, tol=1e-9):
+    """Bisect lam in [0, 1] for the sign change of P(D) - P(C), evaluating
+    P(C) and both factors of P(D) afresh at every step."""
+    (N, d), ((n, da), (m, db)) = c_params, d_params
+    pa = Fraction(p_a)
+
+    def diff(lam):
+        return (term_fidelity(n, da, pa) * term_fidelity(m, db, lam * pa)
+                - term_fidelity(N, d, pa))
+
+    lo, hi = Fraction(0), Fraction(1)
+    f_lo, f_hi = diff(lo), diff(hi)
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        return None
+    while hi - lo > Fraction(tol):
+        mid = (lo + hi) / 2
+        f_mid = diff(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def random_matrix(F, rows: int, cols: int, rng) -> np.ndarray:

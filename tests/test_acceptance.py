@@ -16,8 +16,8 @@ from eaqecne.gf import field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
 
-from oracles import (preimage_min_weight, random_additive_code, random_matrix,
-                     subspace_eq)
+from oracles import (pascal_fidelity, preimage_min_weight, random_additive_code,
+                     random_matrix, subspace_eq)
 
 
 def announce(ident: str, limit_s: float, started: float, extra: str = ""):
@@ -193,18 +193,6 @@ def test_criterion_6_block_construction_witness():
              f"enumerated={rep.enumerated}")
 
 
-def oracle_fidelity(N, d, p):
-    """Independent oracle: Pascal-recurrence binomials, explicit tail sum."""
-    p = Fraction(p)
-    t = (d - 1) // 2
-    row = [1]
-    for _ in range(N):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    q = 1 - p
-    return sum((row[i] * p ** i * q ** (N - i) for i in range(t + 1)),
-               Fraction(0))
-
-
 def test_criterion_7_fidelity_oracle_agreement():
     started = time.monotonic()
     with _Fail("7 fidelity-formulas"):
@@ -213,7 +201,7 @@ def test_criterion_7_fidelity_oracle_agreement():
             N = rnd.randint(1, 64)
             d = rnd.randint(1, N)
             p = Fraction(rnd.randint(0, 997), 997)
-            assert fid.approx_fidelity(N, d, p) == oracle_fidelity(N, d, p)
+            assert fid.approx_fidelity(N, d, p) == pascal_fidelity(N, d, p)
         for _ in range(50):
             N = rnd.randint(1, 40)
             d = rnd.randint(1, N)

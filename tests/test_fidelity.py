@@ -1,23 +1,20 @@
 """Binomial fidelity approximation, comparisons, crossover, and sweeps."""
 
+import decimal
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eaqecne.cli import main
 from eaqecne.errors import RangeError
 from eaqecne import fidelity as fid
 
+from oracles import bisect_crossover, pascal_fidelity as oracle_fidelity, term_fidelity
 
-def oracle_fidelity(N, d, p):
-    """Independent oracle: Pascal-recurrence binomials, explicit tail sum."""
-    p = Fraction(p)
-    t = (d - 1) // 2
-    row = [1]
-    for _ in range(N):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    q = 1 - p
-    return sum((row[i] * p ** i * q ** (N - i) for i in range(t + 1)),
-               Fraction(0))
+GOLDEN = json.loads(Path(__file__).with_name("golden_fidelity.json").read_text())
 
 
 # frozen from the oracle at N=17, d=7, p=1/100
@@ -182,3 +179,88 @@ def test_parse_grid():
     for bad in ("1:2", "a:b:3", "0.5:0.1:3", "0.1:0.2:0"):
         with pytest.raises(RangeError):
             fid.parse_grid(bad)
+
+
+@st.composite
+def tails(draw):
+    N = draw(st.integers(1, 300))
+    b = draw(st.integers(1, 10 ** 6))
+    a = draw(st.one_of(st.just(0), st.just(b), st.integers(0, b)))
+    return N, draw(st.integers(1, N)), Fraction(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tails())
+def test_tail_matches_term_sum(case):
+    # p = 1 makes c = b - a = 0; p = 0 makes every term past i = 0 vanish
+    N, d, p = case
+    assert fid.approx_fidelity(N, d, p) == term_fidelity(N, d, p)
+
+
+@st.composite
+def paper_pairs(draw):
+    """C = [[n+m, ., d]] against Alice's [[n, ., d; c]] with Bob's [[m, ., db]]."""
+    n, m = draw(st.integers(3, 60)), draw(st.integers(3, 12))
+    d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
+    pa = Fraction(draw(st.integers(1, 2000)), 10007)
+    tol = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    return (n + m, d), ((n, d), (m, db)), pa, tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(paper_pairs())
+def test_crossover_matches_unhoisted_bisection(case):
+    c, dpair, pa, tol = case
+    assert (fid.crossover_degradation(c, dpair, pa, tol=tol)
+            == bisect_crossover(c, dpair, pa, tol=tol))
+
+
+@pytest.mark.parametrize("k", range(len(GOLDEN["sweeps"])))
+def test_sweep_golden(k, capsys):
+    """CLI stdout pinned byte for byte, from N = 17 to N = 255."""
+    entry = GOLDEN["sweeps"][k]
+    assert main(entry["argv"]) == 0
+    assert capsys.readouterr().out == entry["stdout"]
+
+
+@pytest.mark.parametrize("k", range(len(GOLDEN["crossovers"])))
+def test_crossover_golden(k):
+    e = GOLDEN["crossovers"][k]
+    kw = {} if e["tol"] is None else {"tol": float(e["tol"])}
+    got = fid.crossover_degradation(tuple(e["c"]), (tuple(e["ea"]), tuple(e["b"])),
+                                    Fraction(e["p_a"]), **kw)
+    assert got == (None if e["lam"] is None else Fraction(e["lam"]))
+
+
+GRID = [Fraction(1, 100), Fraction(2, 100)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fid.approx_fidelity(5, 3, float("inf")),
+    lambda: fid.approx_fidelity(5, 3, "1/0"),
+    lambda: fid.approx_fidelity(5, 3, None),
+    lambda: fid.approx_fidelity(5.5, 3, 0.1),
+    lambda: fid.approx_fidelity(5, 2.5, 0.1),
+    lambda: fid.approx_fidelity("5", 3, 0.1),
+    lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), "abc"),
+    lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), "x", GRID),
+    lambda: fid.ChannelModel.from_degradation(Fraction(1, 100), float("inf")),
+    lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 3)),
+                                      Fraction(1, 1000), tol="x"),
+], ids=["rate-inf", "rate-zero-denominator", "rate-none", "length-float",
+        "distance-float", "length-str", "compare-lambda", "sweep-lambda",
+        "degradation-inf", "tol-text"])
+def test_unreadable_numbers_are_range_errors(call):
+    with pytest.raises(RangeError):
+        call()
+
+
+def test_format_15_ignores_ambient_decimal_context():
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        ctx.traps[decimal.Inexact] = True
+        ctx.capitals = 0
+        ctx.prec = 3
+        assert fid.format_15(Fraction(2, 3)) == "0.666666666666667"
+        assert fid.format_15(Fraction(-1, 3 * 10 ** 9)) == "-3.33333333333333E-10"
+        assert fid.format_15(FROZEN_17_7) == "0.999978555245860"

@@ -261,3 +261,29 @@ def test_matrix_format_ignores_noise():
 def test_matrix_format_errors(bad):
     with pytest.raises(FormatError):
         linalg.parse_matrix(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("3 3 2\n1 2\n0 1\n2 3\n", "row 2: entry 3 outside [0, 3)"),
+    ("3 3 2\n1 2\n0 1\n2 -1\n", "row 2: entry -1 outside [0, 3)"),
+    ("3 3 2\n1 2\n0 x\n2 9\n", "row 1: bad entry 'x'"),
+    ("3 3 2\n1 2\n0 9\n2 x\n", "row 1: entry 9 outside [0, 3)"),
+    ("3 3 2\n1 2\n0 1 2\n2 x\n", "row 1: expected 2 entries, got 3"),
+    ("3 3 2\n1 2\n0 x\n2\n", "row 1: bad entry 'x'"),
+    ("3 2 2\n1 0 1\n2\n", "row 0: expected 2 entries, got 3"),
+    ("3 2 2\n1 2\n0 99999999999999999999999\n",
+     "row 1: entry 99999999999999999999999 outside [0, 3)"),
+    ("3 2 2\n1 2\n0 1.0\n", "row 1: bad entry '1.0'"),
+])
+def test_matrix_format_first_bad_entry(bad, message):
+    # the first offending row and token in reading order, after good rows
+    with pytest.raises(FormatError) as info:
+        linalg.parse_matrix(bad)
+    assert str(info.value) == message
+
+
+def test_matrix_format_accepts_int_spellings():
+    # whatever int() reads is an entry: signs, underscores, leading zeros
+    F, M = linalg.parse_matrix("16 2 3\n+3 1_0 08\n0 -0 15\n")
+    assert F.order == 16 and M.dtype == np.int16
+    assert M.tolist() == [[3, 10, 8], [0, 0, 15]]
