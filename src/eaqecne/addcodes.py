@@ -146,9 +146,9 @@ class CodeDecomposition:
 
 def radical_decompose(code: AdditiveCode) -> CodeDecomposition:
     """Split off the radical through the symplectic Gram-Schmidt of the
-    preimage; the complement is always a complementary-dual code."""
+    canonical preimage; the complement is always a complementary-dual code."""
     Q, F = code.field, code.base_field
-    dec = sp.decompose(F, code.preimage)
+    dec = sp._gram_schmidt(F, code.preimage)
     rad = AdditiveCode(Q, code.n, linalg.row_basis(F, dec.radical))
     comp = AdditiveCode.from_preimage(Q, dec.pair_matrix())
     return CodeDecomposition(radical=rad, complement=comp, l=dec.l, c=dec.c)

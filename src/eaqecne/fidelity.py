@@ -213,11 +213,27 @@ def sweep(c_params: tuple[int, int],
     )
 
 
+# built once (a Context costs about a short division); its flags go unread
+_FORMAT_CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
+                                  capitals=1, traps=[])
+
+
 def format_15(x: Fraction) -> str:
-    """Render an exact rational to 15 significant digits in a fixed context."""
-    ctx = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
-                          capitals=1, traps=[])
-    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
+    """Render an exact rational to 15 significant digits in a fixed context.
+
+    An integer quotient of at least 17 digits, with a sticky digit 1 for a
+    nonzero remainder, rounds once to the digits of the exact value; only an
+    exact quotient goes through ``Context.divide``, for its ideal exponent
+    (1/8 prints 0.125)."""
+    ctx = _FORMAT_CONTEXT
+    n, d = abs(x.numerator), x.denominator
+    # 1233 / 4096 is just below log10(2)
+    k = 18 - ((n.bit_length() - d.bit_length() - 1) * 1233 >> 12)
+    q, rem = divmod(n * 10 ** k, d) if k >= 0 else divmod(n, d * 10 ** -k)
+    if not rem:
+        return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
+    sign = "-" if x < 0 else ""
+    return ctx.to_sci_string(ctx.create_decimal(f"{sign}{q}1E{-k - 1}"))
 
 
 def curve_csv(curve: FidelityCurve) -> str:

@@ -124,6 +124,11 @@ class FieldSpec:
                 raise ValueError(
                     f"modulus {modulus} is reducible over GF({base.order})")
         idx = np.arange(self.order)
+        # for linalg.gram: F_p digits, and x -> x*b on them, [i, b] the digits
+        # of p^i * b; int32 holds a sum of n*e products (each <= 36) to 5e7
+        powers = self.p ** np.arange(self.e)
+        self.digit_table = (idx[:, None] // powers % self.p).astype(np.int32)
+        self.mul_matrix_table = self.digit_table[self.mul_table[powers]]
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)

@@ -7,7 +7,8 @@ plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
 
 There is one elimination kernel, :func:`rref`; ranks, kernels, containment
-and basis extension are all read off it.
+and basis extension are all read off it.  Every row update is one
+:func:`sub_multiples` call and every Gram matrix one integer product.
 """
 
 from __future__ import annotations
@@ -47,14 +48,24 @@ def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=_DT)
 
 
+def sub_multiples(F: FieldSpec, M, coeffs, row) -> np.ndarray:
+    """M - coeffs[:, None] * row over F, picked from the q multiples of
+    ``row``: XOR of indices (their F_2 digit vectors) in characteristic 2,
+    otherwise one flat ``sub_table`` lookup."""
+    P = F.mul_table[:, row][coeffs]
+    if F.p == 2:
+        return M ^ P
+    return F.sub_table.ravel().take(M * F.order + P)
+
+
 def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (matrix, rank, pivot columns).
 
-    Each pivot clears its column from every other row in one table update,
-    starting at the pivot column since the pivot row is zero left of it."""
+    Each pivot clears its column from every other row in one sub_multiples
+    update, starting at the pivot column (the pivot row is zero left of it)."""
     M = as_matrix(mat).copy()
     rows, cols = M.shape
-    SUB, MUL, INV = F.sub_table, F.mul_table, F.inv_table
+    MUL, INV = F.mul_table, F.inv_table
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -67,7 +78,7 @@ def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
         row = MUL[INV[M[p, c]], M[p, c:]]
         if p != r:
             M[p] = M[r]
-        M[:, c:] = SUB[M[:, c:], MUL[M[:, c, None], row]]
+        M[:, c:] = sub_multiples(F, M[:, c:], M[:, c], row)
         M[r, c:] = row
         pivots.append(c)
     return M, len(pivots), tuple(pivots)
@@ -108,14 +119,15 @@ def subspace_contains(F: FieldSpec, A, B) -> bool:
 
 def gram(F: FieldSpec, A, B) -> np.ndarray:
     """The product A . B^T over F: entry (i, j) is the dot product of row i
-    of A with row j of B, accumulated one column at a time through the
-    field tables."""
+    of A with row j of B.  It is one int32 product of A's F_p digits with the
+    blocks x -> x*B[j, k] on digits, mod p: (A @ B^T) % p for a prime field."""
     A, B = as_matrix(A), as_matrix(B)
     _check_ambient(A, B)
-    out = np.zeros((A.shape[0], B.shape[0]), dtype=_DT)
-    for a, b in zip(A.T, B.T):
-        out = F.add_table[out, F.mul_table[a[:, None], b[None, :]]]
-    return out
+    (r, n), s, e = A.shape, B.shape[0], F.e
+    DA = F.digit_table[A].transpose(0, 2, 1).reshape(r, e * n)
+    D = DA @ F.mul_matrix_table[:, B.T].reshape(e * n, s * e)
+    D %= F.p
+    return (D.reshape(r, s, e) @ F.p ** np.arange(e)).astype(_DT)
 
 
 def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:

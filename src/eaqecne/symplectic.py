@@ -103,11 +103,16 @@ def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
     entry G[i, j] in row-major order pairs e = W[i] with f = W[j] / G[i, j];
     every other row v becomes v - <v,f> e + <v,e> f, orthogonal to both, and
     G follows by the rank-2 update G + a b^T - b a^T with a = <v,f> and
-    b = <v,e>.  The rows left once G vanishes span the radical.
+    b = <v,e>, each two ``linalg.sub_multiples`` calls.  The rows left once
+    G vanishes span the radical.
     """
-    W = linalg.row_basis(F, basis)
+    return _gram_schmidt(F, linalg.row_basis(F, basis))
+
+
+def _gram_schmidt(F: FieldSpec, W: np.ndarray) -> HyperbolicDecomposition:
+    """:func:`decompose` on a basis W that is already canonical."""
     G = symp_gram(F, W)
-    ADD, SUB, MUL = F.add_table, F.sub_table, F.mul_table
+    MUL, NEG, sub = F.mul_table, F.neg_table, linalg.sub_multiples
     pairs = []
     while True:
         hits = np.flatnonzero(G)
@@ -117,10 +122,9 @@ def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
         inv = F.inv(int(G[i, j]))
         e, f = W[i], MUL[inv, W[j]]
         rest = np.delete(np.arange(W.shape[0]), (i, j))
-        a = MUL[inv, G[rest, j]][:, None]
-        b = G[rest, i][:, None]
-        W = ADD[SUB[W[rest], MUL[a, e]], MUL[b, f]]
-        G = SUB[ADD[G[np.ix_(rest, rest)], MUL[a, b.T]], MUL[b, a.T]]
+        a, b = MUL[inv, G[rest, j]], G[rest, i]
+        W = sub(F, sub(F, W[rest], a, e), NEG[b], f)
+        G = sub(F, sub(F, G[np.ix_(rest, rest)], NEG[a], b), b, a)
         pairs.append((e, f))
     return HyperbolicDecomposition(radical=W, pairs=tuple(pairs))
 

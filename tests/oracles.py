@@ -13,12 +13,14 @@ trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
 form values, never of the preimage's symplectic form.  Binomial fidelity
 tails add one Fraction term at a time, with binomials from math.comb or from
 Pascal's triangle, and the crossover bisection evaluates both codes of the
-pair at every step.
+pair at every step.  Decimal rendering divides the full numerator by the
+full denominator.
 
 The subspace and random-code helpers at the end are test fixtures built on
 the package's own elimination; nothing in the package calls them.
 """
 
+import decimal
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -118,6 +120,13 @@ class LoopField:
             tables.update(self._quadratic_tables())
         for name, rows in tables.items():
             setattr(self, name, np.array(rows, dtype=np.int16))
+        # F_p digits, and at [i, b] the digits of p^i * b; int32 like the
+        # package's, which feed an integer matmul
+        digits = [[a // self.p ** i % self.p for i in range(self.e)] for a in elems]
+        self.digit_table = np.array(digits, dtype=np.int32).reshape(self.order, self.e)
+        self.mul_matrix_table = np.array(
+            [[digits[self.mul(self.p ** i, b)] for b in elems] for i in range(self.e)],
+            dtype=np.int32).reshape(self.e, self.order, self.e)
 
     def _quadratic_tables(self):
         q = self.base.order
@@ -405,6 +414,14 @@ def bisect_crossover(c_params, d_params, p_a, tol=1e-9):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def decimal_format_15(x):
+    """15 significant digits through one Decimal division of the full
+    numerator by the full denominator."""
+    ctx = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
+                          capitals=1, traps=[])
+    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
 
 
 def random_matrix(F, rows: int, cols: int, rng) -> np.ndarray:

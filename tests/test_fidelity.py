@@ -6,13 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eaqecne.cli import main
 from eaqecne.errors import RangeError
 from eaqecne import fidelity as fid
 
-from oracles import bisect_crossover, pascal_fidelity as oracle_fidelity, term_fidelity
+from oracles import (bisect_crossover, decimal_format_15, pascal_fidelity as oracle_fidelity,
+                     term_fidelity)
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_fidelity.json").read_text())
 
@@ -264,3 +265,42 @@ def test_format_15_ignores_ambient_decimal_context():
         assert fid.format_15(Fraction(2, 3)) == "0.666666666666667"
         assert fid.format_15(Fraction(-1, 3 * 10 ** 9)) == "-3.33333333333333E-10"
         assert fid.format_15(FROZEN_17_7) == "0.999978555245860"
+
+
+@st.composite
+def rationals_to_render(draw):
+    """Signed rationals of every size, exact decimal quotients, values a
+    hair from a power of ten or from a 15-digit rounding midpoint, and
+    differences of two fidelity tails."""
+    kind = draw(st.sampled_from(["any", "exact", "near_power", "midpoint",
+                                 "tail_diff"]))
+    if kind == "any":
+        x = Fraction(draw(st.integers(-10 ** 80, 10 ** 80)),
+                     draw(st.integers(1, 10 ** 80)))
+    elif kind == "exact":
+        x = Fraction(draw(st.integers(-10 ** 20, 10 ** 20)),
+                     2 ** draw(st.integers(0, 80)) * 5 ** draw(st.integers(0, 80)))
+    elif kind == "near_power":
+        x = (Fraction(10) ** draw(st.integers(-40, 40))
+             + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 10 ** 60))))
+    elif kind == "midpoint":
+        m = draw(st.integers(10 ** 14, 10 ** 15 - 1))
+        x = ((Fraction(2 * m + 1, 2)
+              + Fraction(draw(st.integers(-1, 1)), draw(st.integers(1, 10 ** 40))))
+             * Fraction(10) ** draw(st.integers(-30, 30)))
+    else:
+        N = draw(st.integers(1, 255))
+        p = Fraction(draw(st.integers(0, 1000)), 1000)
+        d1, d2 = draw(st.integers(1, N)), draw(st.integers(1, N))
+        x = fid.approx_fidelity(N, d1, p) - fid.approx_fidelity(N, d2, p)
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=400, deadline=None)
+@given(rationals_to_render())
+# a hair above a power of two over a hair below one, far below 1: the
+# bit-length estimate of the digit count is loosest here, and a quotient
+# one digit short of 17 misrounds
+@example(Fraction(8, 2 ** 2634 - 1))
+def test_format_15_matches_decimal_division(x):
+    assert fid.format_15(x) == decimal_format_15(x)

@@ -206,6 +206,65 @@ def test_gram_matches_scalar_dot(q):
                 assert G[i, j] == scalar_dot(F, A[i], B[j])
 
 
+@st.composite
+def gram_operands(draw):
+    """Two matrices over one of the 14 fields with a shared column count,
+    any of the three sizes possibly zero."""
+    F = field(draw(st.sampled_from(ALL_ORDERS)))
+    r, s, n = (draw(st.integers(0, top)) for top in (40, 40, 70))
+    A, B = (draw(hnp.arrays(np.int16, shape, elements=st.integers(0, F.order - 1)))
+            for shape in ((r, n), (s, n)))
+    return F, A, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_operands())
+def test_gram_matches_scalar_dot_any_shape(case):
+    F, A, B = case
+    G = linalg.gram(F, A, B)
+    assert G.dtype == np.int16 and G.shape == (A.shape[0], B.shape[0])
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            assert G[i, j] == scalar_dot(F, a, b)
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+@pytest.mark.parametrize("r, s, n", [(0, 0, 0), (0, 3, 5), (4, 0, 5), (4, 3, 0)])
+def test_gram_empty_shapes(q, r, s, n):
+    F = field(q)
+    G = linalg.gram(F, np.ones((r, n), dtype=np.int16), np.ones((s, n), dtype=np.int16))
+    assert G.dtype == np.int16 and G.shape == (r, s) and not G.any()
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_rref_matches_row_loop_wide(q):
+    F = field(q)
+    rng = np.random.default_rng(29 + q)
+    for _ in range(3):
+        rows, cols = int(rng.integers(1, 31)), int(rng.integers(31, 121))
+        M = random_matrix(F, rows, cols, rng)
+        M[rng.integers(0, rows)] = M[rng.integers(0, rows)]
+        R, rk, piv = linalg.rref(F, M)
+        R0, rk0, piv0 = loop_rref(F, M)
+        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+        assert (rk, piv) == (rk0, piv0)
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_sub_multiples_matches_scalar_ops(q):
+    F = field(q)
+    rng = np.random.default_rng(31 + q)
+    for rows, cols in ((0, 4), (5, 0), (6, 9), (q + 1, 3)):
+        M = random_matrix(F, rows, cols, rng)
+        coeffs = random_matrix(F, 1, rows, rng)[0]
+        row = random_matrix(F, 1, cols, rng)[0]
+        got = linalg.sub_multiples(F, M, coeffs, row)
+        assert got.dtype == np.int16 and got.shape == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                assert got[i, j] == F.sub(int(M[i, j]), F.mul(int(coeffs[i]), int(row[j])))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_double_complement_nondegenerate(q):
     F = field(q)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
-from eaqecne.gf import field, quadratic_field
-from eaqecne import linalg, symplectic as sp
+from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
+from eaqecne import addcodes as ac, linalg, symplectic as sp
 
 from oracles import random_matrix, subspace_eq, subspace_intersect
 
@@ -103,6 +103,26 @@ def test_decompose_single_pair():
     assert dec.l == 0 and dec.c == 1
     e, f = dec.pairs[0]
     assert sp.symp_inner(F, e, f) == 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_decompose_redundant_generators_match_canonical(q):
+    """decompose reduces its input first; radical_decompose starts from the
+    code's canonical preimage; both give one radical span and one (l, c)."""
+    F, Q = field(q), quadratic_field(field(q))
+    rng = np.random.default_rng(37 + q)
+    for _ in range(8):
+        n = int(rng.integers(1, 7))
+        S = random_matrix(F, int(rng.integers(0, 2 * n + 1)), 2 * n, rng)
+        extra = linalg.gram(F, random_matrix(F, int(rng.integers(0, 4)), S.shape[0], rng),
+                            S.T)
+        gens = np.vstack([S, extra])[rng.permutation(S.shape[0] + extra.shape[0])]
+        dec = sp.decompose(F, gens)
+        canon = sp.decompose(F, linalg.row_basis(F, gens))
+        split = ac.radical_decompose(ac.AdditiveCode.from_preimage(Q, gens))
+        assert (dec.l, dec.c) == (canon.l, canon.c) == (split.l, split.c)
+        assert subspace_eq(F, dec.radical, canon.radical)
+        assert subspace_eq(F, dec.radical, split.radical.preimage)
 
 
 def check_gram(F, dec):
