@@ -1,19 +1,22 @@
 """Additive codes over GF(q^2): duals, radicals, weights, puncturing.
 
 An additive code of length n and size q^m is the F_q-span of m generators in
-GF(q^2)^n.  Codes are canonicalized through the reduced row echelon form of
-their 2n-column preimage under the basis map from :mod:`eaqecne.symplectic`,
-so two codes are equal exactly when their canonical preimages match.
+GF(q^2)^n.  A code holds the reduced row echelon form of its 2n-column
+preimage under the basis map from :mod:`eaqecne.symplectic`, reducing any
+other preimage it is given, so two codes are equal exactly when their
+preimages match.
 
 There is one form: the trace-alternating form, which divides the
 antisymmetrized Hermitian value sum_j u_j * conj(v_j) by beta^2 - beta^(2q)
-and is the symplectic form on the preimage.  Duals, radicals and
-self-orthogonality checks are symplectic Gram-matrix products and kernels
-on the preimage.  A GF(q^2)-linear code is Hermitian self-orthogonal, or has
-Hermitian dual or radical D, exactly when its additive view is
-self-orthogonal, or has dual or radical D, under this form, so
-:class:`LinearCode` answers its Hermitian questions through
-:meth:`LinearCode.to_additive`.
+and is the symplectic form on the preimage.  Duals and self-orthogonality
+checks are a kernel and a Gram matrix on the preimage.  The radical comes
+from one split, :func:`radical_decompose`: C ∩ C^⊥ (``dec.radical``, size
+q^``dec.l``) and the 2c preimage rows ``dec.pairs`` of ``dec.c`` hyperbolic
+pairs; ``dec.complement``, the code they span, is built when read.  A
+GF(q^2)-linear code is Hermitian self-orthogonal, or has Hermitian dual or
+radical D, exactly when its additive view is self-orthogonal, or has dual
+or radical D, under this form, so :class:`LinearCode` answers its Hermitian
+questions through :meth:`LinearCode.to_additive`.
 
 Minimum weights scan all q^m - q^m' words outside the excluded subcode (the
 count a ``budget`` caps) as packed F_p digits of the preimage, since phi is
@@ -48,19 +51,19 @@ class AdditiveCode:
 
     __slots__ = ("field", "n", "preimage")
 
-    def __init__(self, field: FieldSpec, n: int, preimage: np.ndarray):
+    def __init__(self, field: FieldSpec, n: int, preimage):
         field._require_quadratic()
-        if preimage.shape[1] != 2 * n:
+        P = linalg.as_matrix(preimage)
+        if P.shape[1] != 2 * n:
             raise DimensionMismatch(
-                f"preimage has {preimage.shape[1]} columns, expected {2 * n}")
+                f"preimage has {P.shape[1]} columns, expected {2 * n}")
         self.field = field
         self.n = n
-        self.preimage = preimage
+        self.preimage = P if linalg.is_rref(P) else linalg.row_basis(field.base, P)
 
     @classmethod
     def from_preimage(cls, field: FieldSpec, preimage) -> "AdditiveCode":
-        pre = linalg.as_matrix(preimage)
-        return cls(field, pre.shape[1] // 2, linalg.row_basis(field.base, pre))
+        return cls(field, np.shape(preimage)[-1] // 2, preimage)
 
     @classmethod
     def from_generators(cls, field: FieldSpec, gens, n: int | None = None) -> "AdditiveCode":
@@ -125,33 +128,37 @@ def dual(code: AdditiveCode) -> AdditiveCode:
                         sp.symp_dual(code.base_field, code.preimage))
 
 
-def radical(code: AdditiveCode) -> AdditiveCode:
-    """C ∩ C^⊥: the span vectors x . rows with x G = 0 for the code's Gram
-    matrix G, which is antisymmetric, so x runs over the kernel of G."""
-    F = code.base_field
-    x = linalg.kernel(F, sp.symp_gram(F, code.preimage))
-    pre = linalg.row_basis(F, linalg.gram(F, x, code.preimage.T))
-    return AdditiveCode(code.field, code.n, pre)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeDecomposition:
-    """Split C = radical ⊕ complement with the complement form-nondegenerate."""
+    """C = radical ⊕ span(pairs): the radical C ∩ C^⊥, of size q^l, and the
+    preimage rows e1, f1, e2, f2, ... of c hyperbolic pairs."""
 
     radical: AdditiveCode
-    complement: AdditiveCode
-    l: int
-    c: int
+    pairs: np.ndarray
+
+    @property
+    def l(self) -> int:
+        return self.radical.m
+
+    @property
+    def c(self) -> int:
+        return len(self.pairs) // 2
+
+    @property
+    def complement(self) -> AdditiveCode:
+        """The complementary-dual code the pairs span, built when read."""
+        return AdditiveCode.from_preimage(self.radical.field, self.pairs)
 
 
 def radical_decompose(code: AdditiveCode) -> CodeDecomposition:
-    """Split off the radical through the symplectic Gram-Schmidt of the
-    canonical preimage; the complement is always a complementary-dual code."""
-    Q, F = code.field, code.base_field
-    dec = sp._gram_schmidt(F, code.preimage)
-    rad = AdditiveCode(Q, code.n, linalg.row_basis(F, dec.radical))
-    comp = AdditiveCode.from_preimage(Q, dec.pair_matrix())
-    return CodeDecomposition(radical=rad, complement=comp, l=dec.l, c=dec.c)
+    """The one split of C: symplectic Gram-Schmidt of its canonical preimage."""
+    rad, pairs = sp.decompose(code.base_field, code.preimage)
+    return CodeDecomposition(AdditiveCode(code.field, code.n, rad), pairs)
+
+
+def radical(code: AdditiveCode) -> AdditiveCode:
+    """C ∩ C^⊥, read off :func:`radical_decompose`."""
+    return radical_decompose(code).radical
 
 
 def self_orthogonality_witness(code: AdditiveCode):

@@ -19,9 +19,8 @@ from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
 
 
-def format_analysis(params: eaqec.EAQECCParams, l: int, m: int,
-                    compute_d: bool) -> str:
-    q = params.q
+def format_analysis(params: eaqec.EAQECCParams, m: int, compute_d: bool) -> str:
+    q, l = params.q, params.l
     d_part = "" if params.d is None else f",{params.d}"
     if params.c == 0:
         line = f"[[{params.n},{params.k}{d_part}]]_{q} c=0 l={l} m={m}"
@@ -36,7 +35,7 @@ def cmd_analyze(args) -> int:
     code = ac.load_code(args.codefile, args.symplectic)
     compute_d = not args.no_distance
     params = eaqec.eaqec_params(code, compute_d, budget=args.budget)
-    print(format_analysis(params, params.l, code.m, compute_d))
+    print(format_analysis(params, code.m, compute_d))
     return 0
 
 
@@ -44,17 +43,13 @@ def cmd_decompose(args) -> int:
     code = ac.load_code(args.codefile, args.symplectic)
     dec = ac.radical_decompose(code)
     print(f"q2={code.field.order} n={code.n} m={code.m} l={dec.l} c={dec.c}")
-    if args.symplectic:
-        F = code.base_field
-        print(sp.dump_preimage(F, dec.radical.preimage,
-                               ("radical basis",)), end="")
-        print(sp.dump_preimage(F, dec.complement.preimage,
-                               ("complement basis",)), end="")
-    else:
-        print(linalg.dump_matrix(code.field, dec.radical.generators,
-                                 comments=("radical generators",)), end="")
-        print(linalg.dump_matrix(code.field, dec.complement.generators,
-                                 comments=("complement generators",)), end="")
+    for name, part in (("radical", dec.radical), ("complement", dec.complement)):
+        if args.symplectic:
+            print(sp.dump_preimage(code.base_field, part.preimage,
+                                   (f"{name} basis",)), end="")
+        else:
+            print(linalg.dump_matrix(code.field, part.generators,
+                                     comments=(f"{name} generators",)), end="")
     return 0
 
 

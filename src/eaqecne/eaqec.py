@@ -119,7 +119,7 @@ class CombinationParams:
 
 def _derive(code: ac.AdditiveCode, compute_d: bool, budget: int
             ) -> tuple[EAQECCParams, ac.CodeDecomposition, int]:
-    """The one path from a code to [[n, k, d; c]]_q: C = radical ⊕ complement,
+    """The one path from a code to [[n, k, d; c]]_q: C = radical ⊕ c pairs,
     k = n - c - l, d minimal over C^⊥ outside the radical.  Returns the
     parameters, the decomposition and the words the scan examined."""
     dec = ac.radical_decompose(code)

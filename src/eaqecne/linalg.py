@@ -90,6 +90,17 @@ def row_basis(F: FieldSpec, mat) -> np.ndarray:
     return R[:rank]
 
 
+def is_rref(M: np.ndarray) -> bool:
+    """M is its own canonical basis: rows lead with a 1, the leads strictly
+    increase and each is alone in its column.  Array tests, no elimination."""
+    if not M.size:
+        return not M.shape[0]
+    lead = (M != 0).argmax(axis=1)
+    return bool((M[np.arange(len(M)), lead] == 1).all()
+                and (np.diff(lead) > 0).all()
+                and (np.count_nonzero(M[:, lead], axis=0) == 1).all())
+
+
 def rank(F: FieldSpec, mat) -> int:
     return rref(F, mat)[1]
 

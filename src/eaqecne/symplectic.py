@@ -12,11 +12,12 @@ The one form on this space is the symplectic form
 dual is one kernel.  Under the map to GF(q^2)^n it is the trace-alternating
 form, and for a GF(q^2)-linear code the Hermitian dual is the symplectic
 dual of its preimage.
+
+:func:`decompose`, the one symplectic Gram-Schmidt, splits a span into its
+radical (dimension l) and c hyperbolic pairs; 2c is its Gram matrix's rank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,60 +65,23 @@ def symp_dual(F: FieldSpec, basis) -> np.ndarray:
     return linalg.kernel(F, _twist(F, basis))
 
 
-def is_totally_isotropic(F: FieldSpec, basis) -> bool:
-    """True when the symplectic Gram matrix of the rows vanishes."""
-    return not symp_gram(F, basis).any()
+def decompose(F: FieldSpec, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic Gram-Schmidt of any spanning rows: (radical rows, pair rows
+    e1, f1, e2, f2, ...), <e_i, f_i> = 1 the only nonzero values among them.
 
-
-@dataclass(frozen=True)
-class HyperbolicDecomposition:
-    """Radical basis plus hyperbolic pairs splitting a subspace.
-
-    The radical spans the intersection with the symplectic dual; each pair
-    (e, f) satisfies <e,f> = 1 and is orthogonal to everything else in the
-    output.  Only the counts and the Gram conditions are canonical; the
-    particular basis depends on the documented row-order scan.
+    The first nonzero entry G[i, j] of the rows' Gram matrix, row-major,
+    pairs e = W[i] with f = W[j] / G[i, j]; every other row v becomes
+    v - <v,f> e + <v,e> f and G takes the rank-2 update G + a b^T - b a^T,
+    a = <v,f>, b = <v,e>: two ``linalg.sub_multiples`` calls each.  The rows
+    left once G vanishes span the radical, being orthogonal to the span and
+    spanning it with the pairs: no row reduction comes first, and they are
+    a basis exactly when the input rows are independent.
     """
-
-    radical: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @property
-    def l(self) -> int:
-        return self.radical.shape[0]
-
-    @property
-    def c(self) -> int:
-        return len(self.pairs)
-
-    def pair_matrix(self) -> np.ndarray:
-        cols = self.radical.shape[1]
-        rows = [v for pair in self.pairs for v in pair]
-        return np.array(rows, dtype=self.radical.dtype).reshape(len(rows), cols)
-
-
-def decompose(F: FieldSpec, basis) -> HyperbolicDecomposition:
-    """Symplectic Gram-Schmidt with row-order tie-breaking.
-
-    Works on the canonical basis W and its Gram matrix G.  The first nonzero
-    entry G[i, j] in row-major order pairs e = W[i] with f = W[j] / G[i, j];
-    every other row v becomes v - <v,f> e + <v,e> f, orthogonal to both, and
-    G follows by the rank-2 update G + a b^T - b a^T with a = <v,f> and
-    b = <v,e>, each two ``linalg.sub_multiples`` calls.  The rows left once
-    G vanishes span the radical.
-    """
-    return _gram_schmidt(F, linalg.row_basis(F, basis))
-
-
-def _gram_schmidt(F: FieldSpec, W: np.ndarray) -> HyperbolicDecomposition:
-    """:func:`decompose` on a basis W that is already canonical."""
+    W = linalg.as_matrix(rows)
     G = symp_gram(F, W)
     MUL, NEG, sub = F.mul_table, F.neg_table, linalg.sub_multiples
     pairs = []
-    while True:
-        hits = np.flatnonzero(G)
-        if hits.size == 0:
-            break
+    while (hits := np.flatnonzero(G)).size:
         i, j = divmod(int(hits[0]), G.shape[1])
         inv = F.inv(int(G[i, j]))
         e, f = W[i], MUL[inv, W[j]]
@@ -125,8 +89,8 @@ def _gram_schmidt(F: FieldSpec, W: np.ndarray) -> HyperbolicDecomposition:
         a, b = MUL[inv, G[rest, j]], G[rest, i]
         W = sub(F, sub(F, W[rest], a, e), NEG[b], f)
         G = sub(F, sub(F, G[np.ix_(rest, rest)], NEG[a], b), b, a)
-        pairs.append((e, f))
-    return HyperbolicDecomposition(radical=W, pairs=tuple(pairs))
+        pairs += [e, f]
+    return W, linalg.as_matrix(pairs, cols=W.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ preimage or, in the odometer order of the package's block schedule, over
 GF(q^2) words.  Puncturing goes through the GF(q^2) generators instead of
 the preimage columns.  Hermitian duals and radicals of linear codes, and
 trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
-form values, never of the preimage's symplectic form.  Binomial fidelity
-tails add one Fraction term at a time, with binomials from math.comb or from
-Pascal's triangle, and the crossover bisection evaluates both codes of the
-pair at every step.  Decimal rendering divides the full numerator by the
+form values, never of the preimage's symplectic form.  The radical of a
+span of preimage rows is the kernel of their scalar symplectic Gram matrix,
+not a Gram-Schmidt split.  Binomial fidelity tails add one Fraction term at
+a time, with binomials from math.comb or from Pascal's triangle, and the
+crossover bisection evaluates both codes of the pair at every step.  Decimal rendering divides the full numerator by the
 full denominator.
 
 The subspace and random-code helpers at the end are test fixtures built on
@@ -239,6 +240,24 @@ def hermitian_radical(Q, M) -> np.ndarray:
     x = loop_kernel(Q, hermitian_gram(Q, M).T)
     words = [[scalar_dot(Q, c, col) for col in M.T] for c in x]
     R, rank, _ = loop_rref(Q, linalg.as_matrix(words, cols=M.shape[1]))
+    return R[:rank]
+
+
+def symp_scalar(F, u, v) -> int:
+    """<(a|b), (a'|b')> = a.b' - b.a' from two scalar dot products."""
+    n = len(u) // 2
+    return F.sub(scalar_dot(F, u[:n], v[n:]), scalar_dot(F, u[n:], v[:n]))
+
+
+def kernel_radical(F, rows) -> np.ndarray:
+    """Canonical basis of the radical of the span of any rows: the words
+    x . rows with x G = 0 for their symplectic Gram matrix G, which is
+    antisymmetric, so x runs over the kernel of G."""
+    M = linalg.as_matrix(rows, cols=np.shape(rows)[-1])
+    G = [[symp_scalar(F, u, v) for v in M] for u in M]
+    x = loop_kernel(F, linalg.as_matrix(G, cols=len(M)))
+    words = [[scalar_dot(F, c, col) for col in M.T] for c in x]
+    R, rank, _ = loop_rref(F, linalg.as_matrix(words, cols=M.shape[1]))
     return R[:rank]
 
 

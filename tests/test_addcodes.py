@@ -164,6 +164,18 @@ def test_decompose_examples():
     assert dec.c == 0 and dec.radical == S and dec.complement.m == 0
 
 
+def test_constructor_canonicalizes_preimage():
+    """Three rows, two equal: the constructor row-reduces them to the code
+    from_preimage builds, so m, equality, hashing and the split agree."""
+    Q = field(4)
+    P = [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+    code, canon = ac.AdditiveCode(Q, 2, P), ac.AdditiveCode.from_preimage(Q, P)
+    assert code.m == 2 and code == canon and hash(code) == hash(canon)
+    assert code.preimage.dtype == np.int16
+    dec, ref = ac.radical_decompose(code), ac.radical_decompose(canon)
+    assert (dec.l, dec.c) == (ref.l, ref.c) == (0, 1)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_radical_complement_reconstruction(q):
     Q = quadratic_field(field(q))

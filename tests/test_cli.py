@@ -33,7 +33,7 @@ def test_analyze_round_trip(capsys, five_q_code_file):
     rc, out, _ = run(capsys, ["analyze", str(path)])
     assert rc == 0
     params = eaqec.eaqec_params(code, True)
-    assert out == format_analysis(params, params.l, code.m, True) + "\n"
+    assert out == format_analysis(params, code.m, True) + "\n"
     assert out == "[[5,1,3]]_2 c=0 l=4 m=4\n"
 
 

@@ -245,8 +245,7 @@ def test_c_identity_reads_the_top_block(monkeypatch):
     def without_radical(code, compute_d, budget):
         params, dec, examined = derive(code, compute_d, budget)
         zero = ac.AdditiveCode.zero(code.field, code.n)
-        dec = ac.CodeDecomposition(radical=zero, complement=dec.complement,
-                                   l=0, c=dec.c)
+        dec = ac.CodeDecomposition(radical=zero, pairs=dec.pairs)
         params = eaqec.EAQECCParams(q=params.q, n=params.n,
                                     k=params.n - dec.c, c=dec.c, d=params.d)
         return params, dec, examined

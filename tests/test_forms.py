@@ -20,8 +20,9 @@ from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
 
 from oracles import (hermitian_dual, hermitian_gram, hermitian_radical,
-                     random_additive_code, random_matrix, random_subspace,
-                     scalar_inner, subspace_eq, subspace_intersect, trace_dual)
+                     kernel_radical, random_additive_code, random_matrix,
+                     random_subspace, scalar_inner, subspace_eq,
+                     subspace_intersect, trace_dual)
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
 
@@ -144,16 +145,59 @@ def test_decompose_gram_laws(q):
     for _ in range(10):
         n = int(rng.integers(1, 5))
         S = random_subspace(F, int(rng.integers(0, 2 * n + 1)), 2 * n, rng)
-        dec = sp.decompose(F, S)
-        assert dec.l + 2 * dec.c == S.shape[0]
-        rows = np.vstack([dec.radical, dec.pair_matrix()])
+        radical, pairs = sp.decompose(F, S)
+        l, c = len(radical), len(pairs) // 2
+        assert l + 2 * c == S.shape[0]
+        rows = np.vstack([radical, pairs])
         assert subspace_eq(F, rows, S)
         G = sp.symp_gram(F, rows)
         expect = np.zeros_like(G)
-        for k in range(dec.c):
-            e, f = dec.l + 2 * k, dec.l + 2 * k + 1
+        for k in range(c):
+            e, f = l + 2 * k, l + 2 * k + 1
             expect[e, f], expect[f, e] = 1, F.neg(1)
         assert np.array_equal(G, expect)
+
+
+@st.composite
+def spanning_rows(draw):
+    """Shuffled rows over one of the seven q: an isotropic part, a few random
+    rows, zero rows and combinations of the others, so the radical is often
+    nontrivial and the rows are often dependent."""
+    Q = quadratic_field(field(draw(st.sampled_from(SUPPORTED_ORDERS))))
+    F = Q.base
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4))
+    S = np.vstack([sp.random_isotropic_basis(F, n, draw(st.integers(0, n)), rng),
+                   random_matrix(F, draw(st.integers(0, 3)), 2 * n, rng)])
+    combos = random_matrix(F, draw(st.integers(0, 3)), len(S), rng)
+    zeros = np.zeros((draw(st.integers(0, 1)), 2 * n), dtype=np.int16)
+    rows = np.vstack([S, linalg.gram(F, combos, S.T), zeros])
+    return Q, rows[rng.permutation(len(rows))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_rows())
+def test_decompose_law_on_spanning_rows(case):
+    """On any spanning rows the leftover rows span the radical and the pairs
+    are standard hyperbolic blocks orthogonal to it: l + 2c is the rank,
+    and the pairs span a complementary-dual code."""
+    Q, rows = case
+    F, n = Q.base, rows.shape[1] // 2
+    radical, pairs = sp.decompose(F, rows)
+    assert np.array_equal(linalg.row_basis(F, radical), kernel_radical(F, rows))
+    l, c = linalg.rank(F, radical), len(pairs) // 2
+    expect = np.zeros((len(radical) + 2 * c,) * 2, dtype=np.int16)
+    for k in range(len(radical), len(expect), 2):
+        expect[k, k + 1], expect[k + 1, k] = 1, F.neg(1)
+    assert np.array_equal(sp.symp_gram(F, np.vstack([radical, pairs])), expect)
+    assert subspace_eq(F, np.vstack([radical, pairs]), rows)
+    assert l + 2 * c == linalg.rank(F, rows)
+    dec = ac.CodeDecomposition(ac.AdditiveCode(Q, n, radical), pairs)
+    assert (dec.l, dec.c) == (l, c)
+    assert dec.complement.m == 2 * c
+    assert kernel_radical(F, dec.complement.preimage).shape[0] == 0
+    split = ac.radical_decompose(ac.AdditiveCode.from_preimage(Q, rows))
+    assert (split.l, split.c) == (l, c) and split.radical == dec.radical
 
 
 @st.composite

@@ -265,6 +265,31 @@ def test_sub_multiples_matches_scalar_ops(q):
                 assert got[i, j] == F.sub(int(M[i, j]), F.mul(int(coeffs[i]), int(row[j])))
 
 
+@settings(max_examples=300, deadline=None)
+@given(field_matrices(), st.data())
+def test_is_rref_exactly_when_row_basis_is_identity(case, data):
+    """is_rref holds on every canonical basis and on nothing else, also one
+    entry away from a canonical basis."""
+    F, M = case
+    R = linalg.row_basis(F, M)
+    assert linalg.is_rref(R)
+    if R.size:
+        R = R.copy()
+        i, j = (data.draw(st.integers(0, k - 1)) for k in R.shape)
+        R[i, j] = data.draw(st.integers(0, F.order - 1))
+    for A in (M, R):
+        assert linalg.is_rref(A) == np.array_equal(linalg.row_basis(F, A), A)
+
+
+def test_is_rref_shapes():
+    assert linalg.is_rref(linalg.empty_matrix(4))
+    assert linalg.is_rref(linalg.empty_matrix(0))
+    assert not linalg.is_rref(np.zeros((2, 0), dtype=np.int16))
+    assert not linalg.is_rref(np.array([[1, 2], [0, 1]], dtype=np.int16))
+    assert not linalg.is_rref(np.array([[0, 1], [1, 0]], dtype=np.int16))
+    assert not linalg.is_rref(np.array([[2, 0]], dtype=np.int16))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_double_complement_nondegenerate(q):
     F = field(q)

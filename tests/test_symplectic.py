@@ -92,23 +92,23 @@ def test_weight():
 def test_decompose_isotropic_input():
     F = field(2)
     S = linalg.row_basis(F, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    dec = sp.decompose(F, S)
-    assert dec.c == 0 and dec.l == 2
-    assert subspace_eq(F, dec.radical, S)
+    radical, pairs = sp.decompose(F, S)
+    assert pairs.shape == (0, 4) and len(radical) == 2
+    assert subspace_eq(F, radical, S)
 
 
 def test_decompose_single_pair():
     F = field(2)
-    dec = sp.decompose(F, [[1, 0], [0, 1]])
-    assert dec.l == 0 and dec.c == 1
-    e, f = dec.pairs[0]
+    radical, (e, f) = sp.decompose(F, [[1, 0], [0, 1]])
+    assert radical.shape == (0, 2)
     assert sp.symp_inner(F, e, f) == 1
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_decompose_redundant_generators_match_canonical(q):
-    """decompose reduces its input first; radical_decompose starts from the
-    code's canonical preimage; both give one radical span and one (l, c)."""
+    """decompose on redundant shuffled rows leaves rows spanning the radical
+    (some of them dependent) and as many pairs as on the canonical basis,
+    which is where radical_decompose starts."""
     F, Q = field(q), quadratic_field(field(q))
     rng = np.random.default_rng(37 + q)
     for _ in range(8):
@@ -117,23 +117,26 @@ def test_decompose_redundant_generators_match_canonical(q):
         extra = linalg.gram(F, random_matrix(F, int(rng.integers(0, 4)), S.shape[0], rng),
                             S.T)
         gens = np.vstack([S, extra])[rng.permutation(S.shape[0] + extra.shape[0])]
-        dec = sp.decompose(F, gens)
+        radical, pairs = sp.decompose(F, gens)
         canon = sp.decompose(F, linalg.row_basis(F, gens))
         split = ac.radical_decompose(ac.AdditiveCode.from_preimage(Q, gens))
-        assert (dec.l, dec.c) == (canon.l, canon.c) == (split.l, split.c)
-        assert subspace_eq(F, dec.radical, canon.radical)
-        assert subspace_eq(F, dec.radical, split.radical.preimage)
+        l = linalg.rank(F, radical)
+        assert (l, len(pairs)) == (len(canon[0]), len(canon[1]))
+        assert (l, len(pairs)) == (split.l, 2 * split.c)
+        assert subspace_eq(F, radical, canon[0])
+        assert subspace_eq(F, radical, split.radical.preimage)
 
 
-def check_gram(F, dec):
-    for i, (e, f) in enumerate(dec.pairs):
+def check_gram(F, radical, pairs):
+    pairs = list(zip(pairs[::2], pairs[1::2]))
+    for i, (e, f) in enumerate(pairs):
         assert sp.symp_inner(F, e, f) == 1
-        for j, (e2, f2) in enumerate(dec.pairs):
+        for j, (e2, f2) in enumerate(pairs):
             if i != j:
                 for u in (e, f):
                     for v in (e2, f2):
                         assert sp.symp_inner(F, u, v) == 0
-        for r in dec.radical:
+        for r in radical:
             assert sp.symp_inner(F, r, e) == 0
             assert sp.symp_inner(F, r, f) == 0
 
@@ -146,18 +149,18 @@ def test_decompose_random_properties(q):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, 2 * n + 1))
         S = linalg.row_basis(F, random_matrix(F, m, 2 * n, rng))
-        dec = sp.decompose(F, S)
-        assert dec.l + 2 * dec.c == S.shape[0]
-        check_gram(F, dec)
+        radical, pairs = sp.decompose(F, S)
+        assert len(radical) + len(pairs) == S.shape[0]
+        check_gram(F, radical, pairs)
         # radical spans S intersect S-perp
         expect = subspace_intersect(F, S, sp.symp_dual(F, S))
-        assert subspace_eq(F, dec.radical, expect)
+        assert subspace_eq(F, radical, expect)
         # internal direct sum reassembles S
-        both = np.vstack([dec.radical, dec.pair_matrix()])
+        both = np.vstack([radical, pairs])
         assert linalg.rank(F, both) == S.shape[0]
         assert subspace_eq(F, both, S)
         # c = 0 exactly when totally isotropic
-        assert (dec.c == 0) == sp.is_totally_isotropic(F, S)
+        assert (len(pairs) == 0) == (not sp.symp_gram(F, S).any())
 
 
 def test_phi_examples_gf4():
@@ -232,4 +235,4 @@ def test_random_isotropic_basis(q):
         m = int(rng.integers(0, n + 1))
         B = sp.random_isotropic_basis(F, n, m, rng)
         assert B.shape == (m, 2 * n)
-        assert sp.is_totally_isotropic(F, B)
+        assert not sp.symp_gram(F, B).any()
