@@ -22,7 +22,7 @@ from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
 from .fidelity import (ChannelModel, FidelityCurve, approx_fidelity,
                        combined_fidelity, compare, crossover_degradation,
                        sweep)
-from .gf import FieldElement, FieldSpec, field, quadratic_field
+from .gf import FieldSpec, field, quadratic_field
 from .pauli import PauliLabel, codespace_dim, commutation_phase, pauli_matrix
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "CombinationReport",
     "EAQECCParams",
     "FidelityCurve",
-    "FieldElement",
     "FieldSpec",
     "LinearCode",
     "MatchClassification",

@@ -342,8 +342,12 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, skip_below: int):
 
 
 def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode) -> np.ndarray:
-    """Preimage rows of `outer` ordered so the trailing block spans `excluded`."""
+    """Preimage rows of `outer` ordered so the trailing block spans `excluded`.
+    Both preimages are bases, so the rows are a basis of outer + excluded,
+    and there are outer.m of them exactly when `excluded` lies in `outer`."""
     ext = linalg.extend_basis(outer.base_field, excluded.preimage, outer.preimage)
+    if len(ext) + excluded.m != outer.m:
+        raise PreconditionFailed("excluded code is not contained in the outer code")
     return np.vstack([ext, excluded.preimage])
 
 
@@ -351,8 +355,7 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
                                 *, budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     """Minimum Hamming weight over words of `outer` not in `excluded`."""
     outer._check_peer(excluded)
-    if not outer.contains(excluded):
-        raise PreconditionFailed("excluded code is not contained in the outer code")
+    rows = _exclusion_basis(outer, excluded)
     q = outer.base_field.order
     n = outer.n
     total = q ** outer.m
@@ -362,8 +365,7 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
         return MinWeightResult(weight=n + 1, examined=0)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    best, examined = _scan_preimage(outer.base_field,
-                                    _exclusion_basis(outer, excluded), skip)
+    best, examined = _scan_preimage(outer.base_field, rows, skip)
     return MinWeightResult(weight=best, examined=examined)
 
 

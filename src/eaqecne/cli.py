@@ -94,6 +94,8 @@ def _parse_ints(text: str, count: int, what: str) -> list[int | None]:
 def cmd_match(args) -> int:
     n, k, d, c = _parse_ints(args.alice, 4, "--alice")
     m, kb, db = _parse_ints(args.bob, 3, "--bob")
+    if None in (n, k, c, m, kb):
+        raise FormatError("only the distances d and db may be '?' or empty")
     alice = eaqec.EAQECCParams(q=args.q, n=n, k=k, c=c, d=d)
     bob = eaqec.QECCParams(q=args.q, n=m, k=kb, d=db)
     print(f"match={eaqec.classify_match(alice, bob)}")

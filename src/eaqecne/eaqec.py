@@ -23,7 +23,7 @@ from .errors import (DimensionMismatch, FieldMismatch, InsufficientProtection,
                      NotSelfOrthogonal, PreconditionFailed, RangeError)
 from .gf import FieldSpec
 from . import addcodes as ac
-from . import linalg
+from . import linalg, symplectic as sp
 
 DEFAULT_BUDGET = ac.DEFAULT_BUDGET
 
@@ -263,9 +263,10 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
         raise DimensionMismatch(
             f"G2 has {G2.shape[0]} rows, E has {E.shape[0]}")
     n, m = G.shape[1], E.shape[1]
-    left = ac.AdditiveCode.from_generators(field, G, n=n)
     summed = ac.AdditiveCode.from_generators(field, np.vstack([G, G2]), n=n)
-    if not ac.dual(left).contains(summed):
+    # inside span(G)'s dual: every row of G orthogonal to the sum's rows
+    rows = np.vstack([sp.phi_inv(field, G), summed.preimage])
+    if sp.symp_gram(field.base, rows)[:len(G), len(G):].any():
         raise PreconditionFailed(
             "span(G)+span(G2) is not contained in the dual of span(G)")
     appended = ac.AdditiveCode.from_generators(

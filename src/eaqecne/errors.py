@@ -10,11 +10,11 @@ class EaqecneError(Exception):
 
 
 class FieldMismatch(EaqecneError):
-    """Operands belong to different field specs."""
+    """Codes or parameters belong to different fields."""
 
 
 class DivisionByZero(EaqecneError, ZeroDivisionError):
-    """Division by the zero element of a finite field."""
+    """Inversion of the zero element of a finite field."""
 
 
 class NotQuadraticExtension(EaqecneError):

@@ -1,4 +1,4 @@
-"""Finite fields GF(p^e) and their quadratic extensions, table-driven.
+"""Finite fields GF(p^e) and their quadratic extensions, as lookup tables.
 
 Every element is an integer index in ``[0, order)``.  A prime-field index is
 the element itself.  An extension element with coefficient vector
@@ -14,6 +14,10 @@ generator of GF(q^2) over GF(q).  A modulus of the shape ``x^2 + const``
 would make that residue class and its conjugate linearly dependent, so the
 linear term is mandatory.
 
+A field is its lookup tables.  The package asks every Hermitian and trace
+question on the symplectic preimage, so traces, conjugation and Frobenius
+are not computed here; they live only in the test oracle.
+
 All orders are at most 81, so every table is a full array, built for all
 elements at once by a few numpy expressions when :func:`field` first asks for
 the field (never at import) and shared after; operations on numpy index
@@ -24,13 +28,12 @@ checked on the product table rather than by trial division (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .errors import DivisionByZero, FieldMismatch, NotQuadraticExtension
+from .errors import DivisionByZero, NotQuadraticExtension
 
 #: Base-field orders with fixed moduli shipped by the package.
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
@@ -56,7 +59,7 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """Immutable arithmetic tables for one finite field.
+    """Immutable lookup tables for one finite field, read by add/sub/neg/mul/inv.
 
     Build through :func:`field`; direct construction is for the fixed table
     entries only.  Safe to share across threads: nothing mutates after
@@ -132,16 +135,7 @@ class FieldSpec:
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)
-        frob = idx
-        for _ in range(self.p - 1):
-            frob = self.mul_table[frob, idx]
-        self.frob_table = frob.astype(_TABLE_DTYPE)
-        trace, x = np.zeros_like(idx), idx
-        for _ in range(self.e):
-            trace, x = self.add_table[trace, x], self.frob_table[x]
-        assert (trace < self.p).all(), "absolute trace left the prime subfield"
-        self.abs_trace_table = trace.astype(_TABLE_DTYPE)
-        if self.base is not None and self.degree == 2:
+        if self.is_quadratic:
             self._finalize_quadratic(idx)
         else:
             self.beta = None
@@ -151,13 +145,10 @@ class FieldSpec:
     def _finalize_quadratic(self, idx):
         q = self.base.order
         self.beta = q  # residue class of x: coefficients (0, 1)
-        conj = idx
-        for _ in range(self.base.e):
-            conj = self.frob_table[conj]
-        assert (conj[conj] == idx).all()
-        assert (conj[:q] == idx[:q]).all(), "conjugation moved GF(q)"
-        self.conj_table = conj
-        self.beta_conj = int(conj[self.beta])
+        beta_q = self.beta
+        for _ in range(q - 1):
+            beta_q = self.mul_table[beta_q, self.beta]
+        self.beta_conj = int(beta_q)
         # {beta, beta^q} must be a GF(q)-basis of GF(q^2)
         if (self.mul_table[self.beta, :q] == self.beta_conj).any():
             raise ValueError("beta and beta^q are linearly dependent")
@@ -165,9 +156,6 @@ class FieldSpec:
                                        self.mul(self.beta_conj, self.beta_conj))
         if self.alt_normalizer == 0:
             raise ValueError("beta^2 - beta^(2q) vanishes")
-        rel = self.add_table[idx, conj]
-        assert (rel < q).all(), "relative trace left the base field"
-        self.rel_trace_table = rel
         # phi on a single coordinate pair: (a|b) -> beta*a + beta^q*b,
         # indexed by a + q*b; a bijection GF(q)^2 -> GF(q^2).
         phi = self.add_table[self.mul_table[self.beta, idx % q],
@@ -197,20 +185,6 @@ class FieldSpec:
             raise DivisionByZero(f"division by zero in {self!r}")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        out, acc = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            k >>= 1
-        return out
-
     # -- encoding -------------------------------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
@@ -223,21 +197,7 @@ class FieldSpec:
             out.append(r)
         return tuple(out)
 
-    def index(self, coeffs) -> int:
-        a = 0
-        for c in reversed(tuple(coeffs)):
-            a = a * self.base.order + c if self.base else c
-        return a
-
-    def prime_coeffs(self, a: int) -> tuple[int, ...]:
-        """Flat F_p coefficient vector (base-p digits of the index)."""
-        out = []
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return tuple(out)
-
-    # -- quadratic-extension operations ---------------------------------------
+    # -- quadratic extensions -------------------------------------------------
 
     @property
     def is_quadratic(self) -> bool:
@@ -248,29 +208,7 @@ class FieldSpec:
             raise NotQuadraticExtension(
                 f"{self!r} is not a quadratic extension")
 
-    def conjugate(self, a: int) -> int:
-        """x -> x^q, q the base-field order."""
-        self._require_quadratic()
-        return int(self.conj_table[a])
-
-    def rel_trace(self, a: int) -> int:
-        """x + x^q, returned as a base-field index."""
-        self._require_quadratic()
-        return int(self.rel_trace_table[a])
-
-    def abs_trace(self, a: int) -> int:
-        """x + x^p + ... + x^(p^(e-1)), an element of F_p."""
-        return int(self.abs_trace_table[a])
-
-    def frobenius(self, a: int) -> int:
-        return int(self.frob_table[a])
-
     # -- presentation -----------------------------------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} outside [0, {self.order})")
-        return FieldElement(self, index)
 
     def _terms(self, coeffs, var: str) -> list[str]:
         """Rendered nonzero terms c_i*var^i, low degree first.
@@ -329,45 +267,3 @@ def quadratic_field(base: FieldSpec) -> FieldSpec:
         raise ValueError(f"no quadratic extension shipped for {base!r}")
     return field(base.order ** 2)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its spec; thin wrapper over the index API."""
-
-    spec: FieldSpec
-    index: int
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec:
-                raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
-            return other.index
-        return self.spec.element(int(other)).index
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.index, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.index, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.index, self._peer(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.div(self.index, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.index))
-
-    def conjugate(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.conjugate(self.index))
-
-    def rel_trace(self) -> "FieldElement":
-        self.spec._require_quadratic()
-        return FieldElement(self.spec.base, self.spec.rel_trace(self.index))
-
-    def abs_trace(self) -> "FieldElement":
-        return FieldElement(field(self.spec.p), self.spec.abs_trace(self.index))
-
-    def __str__(self) -> str:
-        return str(self.index)

@@ -3,19 +3,21 @@
 None of these share code with the package's field tables, symplectic form,
 elimination or minimum-weight scan: field tables are filled one element pair
 at a time from plain Python ints with trial division for irreducibility,
-forms are summed one coordinate at a time with scalar field calls, row
-reduction clears one row at a time, intersections go through stacked
-annihilators, and minimum weights enumerate every coefficient vector over the
-preimage or, in the odometer order of the package's block schedule, over
-GF(q^2) words.  Puncturing goes through the GF(q^2) generators instead of
-the preimage columns.  Hermitian duals and radicals of linear codes, and
-trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
-form values, never of the preimage's symplectic form.  The radical of a
-span of preimage rows is the kernel of their scalar symplectic Gram matrix,
-not a Gram-Schmidt split.  Binomial fidelity tails add one Fraction term at
-a time, with binomials from math.comb or from Pascal's triangle, and the
-crossover bisection evaluates both codes of the pair at every step.  Decimal rendering divides the full numerator by the
-full denominator.
+forms are summed one coordinate at a time with scalar field calls (the
+Hermitian and trace forms take conjugation, traces and division from
+``LoopField``, their only home), row reduction clears one row at a time,
+intersections go through stacked annihilators, and minimum weights enumerate
+every coefficient vector over the preimage or, in the odometer order of the
+package's block schedule, over GF(q^2) words.  Puncturing goes through the
+GF(q^2) generators instead of the preimage columns.  Hermitian duals and
+radicals of linear codes, and trace duals of additive codes, are kernels
+over GF(q^2) or F_q of scalar form values, never of the preimage's
+symplectic form.  The radical of a span of preimage rows is the kernel of
+their scalar symplectic Gram matrix, not a Gram-Schmidt split.  Binomial
+fidelity tails add one Fraction term at a time, with binomials from
+math.comb or from Pascal's triangle, and the crossover bisection evaluates
+both codes of the pair at every step.  Decimal rendering divides the full
+numerator by the full denominator.
 
 The subspace and random-code helpers at the end are test fixtures built on
 the package's own elimination; nothing in the package calls them.
@@ -78,7 +80,12 @@ class LoopField:
     reduced by the modulus above it.  Raises ``ValueError`` for a modulus of
     degree < 2, a non-monic or reducible one (trial division), and, for a
     quadratic extension, one that makes {beta, beta^q} dependent.  The
-    finished tables are int16 arrays under the package's attribute names."""
+    finished tables are int16 arrays under the package's attribute names.
+
+    Division, conjugation x -> x^q and the relative and absolute traces,
+    which the package has no use for, are scalar lookups into private
+    Python lists; the Hermitian and trace oracles below take them from
+    here, never from the package's field."""
 
     def __init__(self, p=None, base=None, modulus=None):
         if base is None:
@@ -100,22 +107,21 @@ class LoopField:
                           for cb in coeff] for ca in coeff]
             self._neg = [self.index([base.neg(c) for c in ca]) for ca in coeff]
         elems = range(self.order)
-        inv = [0] * self.order
+        self._inv = [0] * self.order
         for a in elems[1:]:
             hits = [b for b in elems if self.mul(a, b) == 1]
             assert len(hits) == 1
-            inv[a] = hits[0]
+            self._inv[a] = hits[0]
         frob = [self.pow(a, self.p) for a in elems]
-        abs_trace = []
+        self._abs_trace = []
         for a in elems:
             acc, x = 0, a
             for _ in range(self.e):
                 acc, x = self.add(acc, x), frob[x]
-            abs_trace.append(acc)
+            self._abs_trace.append(acc)
         tables = {"add_table": self._add, "mul_table": self._mul,
-                  "neg_table": self._neg, "inv_table": inv,
-                  "sub_table": [[self.sub(a, b) for b in elems] for a in elems],
-                  "frob_table": frob, "abs_trace_table": abs_trace}
+                  "neg_table": self._neg, "inv_table": self._inv,
+                  "sub_table": [[self.sub(a, b) for b in elems] for a in elems]}
         self.beta = None
         if self.base is not None and self.degree == 2:
             tables.update(self._quadratic_tables())
@@ -133,7 +139,8 @@ class LoopField:
         q = self.base.order
         elems = range(self.order)
         self.beta = q
-        conj = [self.pow(a, q) for a in elems]
+        self._conj = conj = [self.pow(a, q) for a in elems]
+        self._rel_trace = [self.add(a, conj[a]) for a in elems]
         self.beta_conj = conj[q]
         if any(self.mul(lam, q) == self.beta_conj for lam in range(q)):
             raise ValueError("beta and beta^q are linearly dependent")
@@ -148,8 +155,7 @@ class LoopField:
         phi_inv = [-1] * self.order
         for i, v in enumerate(phi):
             phi_inv[v] = i
-        return {"conj_table": conj, "phi_table": phi, "phi_inv_table": phi_inv,
-                "rel_trace_table": [self.add(a, conj[a]) for a in elems]}
+        return {"phi_table": phi, "phi_inv_table": phi_inv}
 
     def add(self, a, b):
         return self._add[a][b]
@@ -163,11 +169,28 @@ class LoopField:
     def sub(self, a, b):
         return self._add[a][self._neg[b]]
 
+    def div(self, a, b):
+        if b == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.order})")
+        return self.mul(a, self._inv[b])
+
     def pow(self, a, k):
         out = 1
         for _ in range(k):
             out = self.mul(out, a)
         return out
+
+    def conjugate(self, a):
+        """x -> x^q on a quadratic extension of GF(q)."""
+        return self._conj[a]
+
+    def rel_trace(self, a):
+        """x + x^q, a base-field index."""
+        return self._rel_trace[a]
+
+    def abs_trace(self, a):
+        """x + x^p + ... + x^(p^(e-1)), an element of F_p."""
+        return self._abs_trace[a]
 
     def coeffs(self, a):
         out = []
@@ -205,16 +228,17 @@ def scalar_dot(F, u, v) -> int:
 
 def scalar_inner(Q, u, v, form: str = "hermitian") -> int:
     """Hermitian, trace or alternating form of two GF(q^2) vectors from the
-    Hermitian sum, one coordinate at a time."""
+    Hermitian sum, one coordinate at a time in the loop oracle of Q."""
+    L = loop_field(Q.order)
     h = 0
     for a, b in zip(u, v, strict=True):
-        h = Q.add(h, Q.mul(int(a), Q.conjugate(int(b))))
+        h = L.add(h, L.mul(int(a), L.conjugate(int(b))))
     if form == "hermitian":
         return h
     if form == "trace":
-        return Q.rel_trace(h)
+        return L.rel_trace(h)
     if form == "alternating":
-        return Q.div(Q.sub(h, Q.conjugate(h)), Q.alt_normalizer)
+        return L.div(L.sub(h, L.conjugate(h)), L.alt_normalizer)
     raise ValueError(form)
 
 
@@ -228,8 +252,8 @@ def hermitian_gram(Q, M) -> np.ndarray:
 def hermitian_dual(Q, M) -> np.ndarray:
     """Canonical basis of {v : h(u, v) = 0 for every row u of M}: the
     kernel of the conjugated rows."""
-    M = linalg.as_matrix(M, cols=np.shape(M)[-1])
-    conj = [[Q.conjugate(int(a)) for a in row] for row in M]
+    M, L = linalg.as_matrix(M, cols=np.shape(M)[-1]), loop_field(Q.order)
+    conj = [[L.conjugate(int(a)) for a in row] for row in M]
     return loop_kernel(Q, linalg.as_matrix(conj, cols=M.shape[1]))
 
 

@@ -13,9 +13,9 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import (odometer_scan, phi_puncture, preimage_min_weight,
-                     random_additive_code, random_matrix, scalar_inner,
-                     subspace_eq, trace_dual)
+from oracles import (loop_field, odometer_scan, phi_puncture,
+                     preimage_min_weight, random_additive_code, random_matrix,
+                     scalar_inner, subspace_eq, trace_dual)
 
 
 def enumerate_codewords(code):
@@ -57,12 +57,12 @@ def test_inner_examples():
 
 def test_inner_trace_is_rel_trace_of_hermitian():
     """The trace-alternating form is rel_trace(h / (beta^2 - beta^(2q)))."""
-    Q = field(9)
+    Q, L = field(9), loop_field(9)
     rng = np.random.default_rng(1)
     for _ in range(50):
         u, v = rng.integers(0, 9, size=(2, 3))
         h = scalar_inner(Q, u, v, "hermitian")
-        assert symp_value(Q, u, v) == Q.rel_trace(Q.div(h, Q.alt_normalizer))
+        assert symp_value(Q, u, v) == L.rel_trace(L.div(h, Q.alt_normalizer))
 
 
 def test_alternating_form_antisymmetric_base_valued():
@@ -228,6 +228,37 @@ def test_min_weight_noncontained_exclusion():
     B = ac.AdditiveCode.from_generators(Q, [[0, 1]])
     with pytest.raises(PreconditionFailed):
         ac.min_weight_excluding(A, B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("random", "subcode", "zero", "equal")))
+def test_exclusion_precondition_is_containment(q, seed, kind):
+    """The scan setup rejects `excluded` exactly when `outer` does not
+    contain it; budget 0 stops every contained case before the scan."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    outer = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    if kind == "zero" or (kind == "subcode" and outer.m == 0):
+        excluded = ac.AdditiveCode.zero(Q, n)
+    elif kind == "subcode":
+        coeffs = random_matrix(Q.base, int(rng.integers(1, outer.m + 1)), outer.m, rng)
+        excluded = ac.AdditiveCode.from_preimage(
+            Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
+    elif kind == "equal":
+        excluded = outer
+    else:
+        excluded = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    try:
+        ac.min_weight_excluding_detail(outer, excluded, budget=0)
+    except PreconditionFailed:
+        raised = True
+    except BudgetExceeded:
+        raised = False
+    else:
+        raised = False
+    assert raised == (not outer.contains(excluded))
 
 
 @pytest.mark.parametrize("q", [2, 3])

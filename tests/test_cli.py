@@ -290,6 +290,9 @@ FID = ["fidelity", "--c", "17,5", "--ea", "5,3", "--b", "3,1",
        "--lambda", "1/2", "--grid", "0.01:0.1:3"]
 
 
+UNKNOWN = "error: only the distances d and db may be '?' or empty\n"
+
+
 def with_option(argv, option, value):
     out = list(argv)
     out[out.index(option) + 1] = value
@@ -308,10 +311,16 @@ def with_option(argv, option, value):
      "error: --c, --ea and --b need a length and a distance\n"),
     (["match", "--q", "2", "--alice", "8,x,3,1", "--bob", "5,1,3"],
      "error: --alice: 'x' is not an integer\n"),
+    (["match", "--q", "2", "--alice", "?,1,3,1", "--bob", "5,1,3"], UNKNOWN),
+    (["match", "--q", "2", "--alice", "8,?,5,1", "--bob", "5,1,3"], UNKNOWN),
+    (["match", "--q", "2", "--alice", "8,1,5,", "--bob", "5,1,3"], UNKNOWN),
+    (["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "?,1,3"], UNKNOWN),
+    (["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "5,?,3"], UNKNOWN),
     (["tables", "--family-m", "x"],
      "error: --family-m needs comma-separated integers, got 'x'\n"),
 ], ids=["lambda-text", "lambda-zero-denominator", "c", "ea", "b",
-        "c-missing-distance", "alice", "family-m"])
+        "c-missing-distance", "alice", "alice-n-unknown", "alice-k-unknown",
+        "alice-c-empty", "bob-m-unknown", "bob-kb-unknown", "family-m"])
 def test_bad_values_end_in_one_error_line(capsys, argv, err):
     rc, out, got = run(capsys, argv)
     assert (rc, out, got) == (1, "", err)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqecne.errors import (FieldMismatch, InsufficientProtection,
                             NotSelfOrthogonal, PreconditionFailed, RangeError)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
-from eaqecne import eaqec, symplectic as sp
+from eaqecne import eaqec, linalg, symplectic as sp
+
+from oracles import random_matrix
 
 # Hermitian self-orthogonal [5,2] over GF(4) (cyclic, generator (0,1,w,w,1));
 # its stabilizer code is the classic five-qudit [[5,1,3]]_2.
@@ -267,6 +270,37 @@ def test_combine_construct_preconditions():
     # (G2|E) not complementary-dual: repeat a self-orthogonal row
     with pytest.raises(PreconditionFailed):
         eaqec.combine_construct(Q, [[1, 1]], [[0, 0], [0, 0]], [[1, 1], [2, 2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_combine_sum_precondition_matches_dual_oracle(q, seed, planted):
+    """The Gram-block test of span(G) + span(G2) inside span(G)'s dual
+    agrees with a dual kernel and a containment check.  With `planted`, G
+    is isotropic and G2 lies in its dual, so the precondition holds."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    if planted:
+        rows = sp.random_isotropic_basis(Q.base, n, int(rng.integers(0, n + 1)), rng)
+        G = sp.phi(Q, rows)
+        perp = sp.symp_dual(Q.base, rows)
+        coeffs = random_matrix(Q.base, int(rng.integers(0, 3)), perp.shape[0], rng)
+        G2 = sp.phi(Q, linalg.gram(Q.base, coeffs, perp.T))
+    else:
+        G = random_matrix(Q, int(rng.integers(0, 3)), n, rng)
+        G2 = random_matrix(Q, int(rng.integers(0, 3)), n, rng)
+    E = random_matrix(Q, G2.shape[0], m, rng)
+    left = ac.AdditiveCode.from_generators(Q, G, n=n)
+    summed = ac.AdditiveCode.from_generators(Q, np.vstack([G, G2]), n=n)
+    holds = ac.dual(left).contains(summed)
+    assert holds or not planted
+    try:
+        eaqec.combine_construct(Q, G, G2, E, compute_d=False)
+    except PreconditionFailed as exc:
+        assert holds == ("span(G)+span(G2)" not in str(exc))
+    else:
+        assert holds
 
 
 def test_combine_construct_radical_contains_top_block_random():

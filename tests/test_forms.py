@@ -20,8 +20,8 @@ from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
 
 from oracles import (hermitian_dual, hermitian_gram, hermitian_radical,
-                     kernel_radical, random_additive_code, random_matrix,
-                     random_subspace, scalar_inner, subspace_eq,
+                     kernel_radical, loop_field, random_additive_code,
+                     random_matrix, random_subspace, scalar_inner, subspace_eq,
                      subspace_intersect, trace_dual)
 
 GOLDEN = Path(__file__).with_name("golden_decompose.json")
@@ -60,7 +60,7 @@ def form_gram(Q, G, form):
     if form == "trace":
         return cross_gram(Q, G, MUL[Q.neg(delta), G])
     t1, t2 = cross_gram(Q, G, G), cross_gram(Q, G, MUL[beta, G])
-    scale = Q.div(delta, Q.sub(Q.beta_conj, beta))
+    scale = Q.mul(delta, Q.inv(Q.sub(Q.beta_conj, beta)))
     return MUL[scale, SUB[t2, MUL[beta, t1]]]
 
 
@@ -231,8 +231,9 @@ def test_hermitian_radical_matches_intersection_oracle(q, seed, isotropic):
     rows = random_matrix(Q, int(rng.integers(0, n + 1)), n, rng)
     if isotropic:
         v = np.zeros((1, n), dtype=np.int16)
+        L = loop_field(Q.order)
         v[0, :2] = 1, next(x for x in range(Q.order)
-                           if Q.add(Q.pow(x, q + 1), 1) == 0)
+                           if L.add(L.pow(x, q + 1), 1) == 0)
         perp = ac.LinearCode(Q, v).hermitian_dual().matrix
         rows = np.vstack([v, linalg.gram(Q, rows[:, :perp.shape[0]], perp.T)])
     code = ac.LinearCode(Q, rows, n=n)
@@ -254,7 +255,8 @@ def linear_codes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 5))
     planted = draw(st.integers(0, n // 2))
-    x = next(x for x in range(Q.order) if Q.add(Q.pow(x, q + 1), 1) == 0)
+    L = loop_field(Q.order)
+    x = next(x for x in range(Q.order) if L.add(L.pow(x, q + 1), 1) == 0)
     V = np.zeros((planted, n), dtype=np.int16)
     for i in range(planted):
         V[i, 2 * i:2 * i + 2] = 1, x

@@ -9,7 +9,7 @@ from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac, linalg, symplectic as sp
 
-from oracles import random_matrix, subspace_eq, subspace_intersect
+from oracles import loop_field, random_matrix, subspace_eq, subspace_intersect
 
 
 def all_vectors(q, length):
@@ -192,9 +192,10 @@ def test_phi_weight_preserving(q):
 
 
 def hermitian_dot(Q, u, v):
+    L = loop_field(Q.order)
     acc = 0
     for a, b in zip(u, v):
-        acc = Q.add(acc, Q.mul(int(a), Q.conjugate(int(b))))
+        acc = L.add(acc, L.mul(int(a), L.conjugate(int(b))))
     return acc
 
 
