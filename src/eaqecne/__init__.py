@@ -9,16 +9,14 @@ constructions (:mod:`eaqecne.eaqec`), a dense-matrix Pauli-group oracle
 (:mod:`eaqecne.fidelity`).  ``eaqecne.cli`` exposes all of it as one command.
 """
 
-from .addcodes import (AdditiveCode, CodeDecomposition, LinearCode, dual,
-                       is_acd, is_dual_containing, is_hermitian_lcd,
-                       is_hermitian_self_orthogonal, is_self_orthogonal,
-                       min_weight, min_weight_excluding, puncture, radical,
+from .addcodes import (AdditiveCode, CodeDecomposition, dual, is_acd,
+                       is_dual_containing, is_self_orthogonal, min_weight,
+                       min_weight_excluding, puncture, radical,
                        radical_decompose)
 from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
                     MatchClassification, QECCParams, classify_match,
                     combine_construct, combine_neb, eaqec_params,
-                    linear_formulation, known_tables,
-                    puncture_to_eaqecc, stabilizer_params)
+                    known_tables, puncture_to_eaqecc, stabilizer_params)
 from .fidelity import (ChannelModel, FidelityCurve, approx_fidelity,
                        combined_fidelity, compare, crossover_degradation,
                        sweep)
@@ -36,7 +34,6 @@ __all__ = [
     "EAQECCParams",
     "FidelityCurve",
     "FieldSpec",
-    "LinearCode",
     "MatchClassification",
     "PauliLabel",
     "QECCParams",
@@ -54,10 +51,7 @@ __all__ = [
     "field",
     "is_acd",
     "is_dual_containing",
-    "is_hermitian_lcd",
-    "is_hermitian_self_orthogonal",
     "is_self_orthogonal",
-    "linear_formulation",
     "min_weight",
     "min_weight_excluding",
     "pauli_matrix",

@@ -12,11 +12,14 @@ and is the symplectic form on the preimage.  Duals and self-orthogonality
 checks are a kernel and a Gram matrix on the preimage.  The radical comes
 from one split, :func:`radical_decompose`: C ∩ C^⊥ (``dec.radical``, size
 q^``dec.l``) and the 2c preimage rows ``dec.pairs`` of ``dec.c`` hyperbolic
-pairs; ``dec.complement``, the code they span, is built when read.  A
-GF(q^2)-linear code is Hermitian self-orthogonal, or has Hermitian dual or
-radical D, exactly when its additive view is self-orthogonal, or has dual
-or radical D, under this form, so :class:`LinearCode` answers its Hermitian
-questions through :meth:`LinearCode.to_additive`.
+pairs; ``dec.complement``, the code they span, is built when read.
+
+A GF(q^2)-linear code is the additive code :meth:`AdditiveCode.from_linear`
+spans with its generators g and beta*g.  Its Hermitian dual and radical are
+its :func:`dual` and :func:`radical` under this form, and it is Hermitian
+self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
+:func:`is_acd` holds.  A GF(q^2) basis of it is
+``linalg.row_basis(Q, code.generators)``.
 
 Minimum weights scan all q^m - q^m' words outside the excluded subcode (the
 count a ``budget`` caps) as packed F_p digits of the preimage, since phi is
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DimensionMismatch, FormatError,
-                     IndexOutOfRange, PreconditionFailed)
+from .errors import (AmbientMismatch, BudgetExceeded, DimensionMismatch,
+                     FormatError, IndexOutOfRange, PreconditionFailed)
 from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
 from . import linalg, symplectic as sp
 
@@ -71,6 +74,15 @@ class AdditiveCode:
         return cls.from_preimage(field, sp.phi_inv(field, G))
 
     @classmethod
+    def from_linear(cls, field: FieldSpec, gens, n: int | None = None) -> "AdditiveCode":
+        """The GF(q^2)-linear span of the generators: the F_q-span of g and
+        beta*g for each generator g."""
+        field._require_quadratic()
+        G = _field_entries(field, gens, cols=n)
+        return cls.from_generators(
+            field, np.vstack([G, field.mul_table[field.beta, G]]), n=G.shape[1])
+
+    @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "AdditiveCode":
         return cls(field, n, linalg.empty_matrix(2 * n))
 
@@ -94,12 +106,18 @@ class AdditiveCode:
 
     def contains(self, other: "AdditiveCode") -> bool:
         self._check_peer(other)
-        return linalg.subspace_contains(self.base_field, self.preimage,
-                                        other.preimage)
+        return self._spans(other.preimage)
 
     def contains_word(self, w) -> bool:
-        pre = sp.phi_inv(self.field, _field_entries(self.field, w))
-        return linalg.subspace_contains(self.base_field, self.preimage, pre)
+        W = _field_entries(self.field, w)
+        if W.shape[1] != self.n:
+            raise AmbientMismatch(f"word has {W.shape[1]} coordinates, code {self.n}")
+        return self._spans(sp.phi_inv(self.field, W))
+
+    def _spans(self, rows: np.ndarray) -> bool:
+        """The preimage rows lie in the code: stacked under its basis they
+        leave the rank at m.  One elimination."""
+        return linalg.rank(self.base_field, np.vstack([self.preimage, rows])) == self.m
 
     def _check_peer(self, other: "AdditiveCode"):
         if other.field is not self.field or other.n != self.n:
@@ -181,60 +199,6 @@ def is_dual_containing(code: AdditiveCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear codes over GF(q^2) and Hermitian duality
-# ---------------------------------------------------------------------------
-
-
-class LinearCode:
-    """GF(q^2)-linear code, canonicalized by RREF over GF(q^2)."""
-
-    __slots__ = ("field", "n", "matrix")
-
-    def __init__(self, field: FieldSpec, gens, n: int | None = None):
-        field._require_quadratic()
-        G = _field_entries(field, gens, cols=n)
-        self.field = field
-        self.n = G.shape[1]
-        self.matrix = linalg.row_basis(field, G)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_additive(self) -> AdditiveCode:
-        """The same set viewed additively: F_q-span of {g, beta*g}."""
-        scaled = self.field.mul_table[self.field.beta, self.matrix]
-        return AdditiveCode.from_generators(
-            self.field, np.vstack([self.matrix, scaled]), n=self.n)
-
-    def hermitian_dual(self) -> "LinearCode":
-        return LinearCode(self.field, dual(self.to_additive()).generators,
-                          n=self.n)
-
-    def hermitian_radical(self) -> "LinearCode":
-        return LinearCode(self.field, radical(self.to_additive()).generators,
-                          n=self.n)
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearCode) and other.field is self.field
-                and other.n == self.n and np.array_equal(other.matrix, self.matrix))
-
-    def __hash__(self):
-        return hash((id(self.field), self.n, self.matrix.tobytes()))
-
-    def __repr__(self):
-        return f"LinearCode(q2={self.field.order}, n={self.n}, k={self.dim})"
-
-
-def is_hermitian_self_orthogonal(code: LinearCode) -> bool:
-    return is_self_orthogonal(code.to_additive())
-
-
-def is_hermitian_lcd(code: LinearCode) -> bool:
-    return is_acd(code.to_additive())
-
-
-# ---------------------------------------------------------------------------
 # minimum weight by exhaustive enumeration
 # ---------------------------------------------------------------------------
 
@@ -275,8 +239,7 @@ class _Limbs:
         if p > 2:
             self.guard = every(self.w, 1 << (self.w - 1))
             self.bias = every(self.w, (1 << (self.w - 1)) - p)
-        x = F.mul_table[p ** np.arange(e - 1, -1, -1)[:, None], rows[:, None, :]]
-        digits = x[..., None] // p ** np.arange(e) % p            # (m, e, 2n, e)
+        digits = F.mul_matrix_table[::-1][:, rows].transpose(1, 0, 2, 3)  # (m, e, 2n, e)
         digits = digits.reshape(len(rows) * e, 1, 2, n, e).transpose(0, 1, 3, 2, 4)
         D = np.zeros((len(digits), p, L * per, 2, e), dtype=np.uint64)
         D[:, :, :n] = digits * np.arange(p)[:, None, None, None] % p
@@ -389,27 +352,17 @@ def min_weight(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kept_coords(n: int, coords) -> list[int]:
-    """Coordinates of [0, n) left after deleting the 0-based `coords`."""
-    drop = set(int(c) for c in coords)
-    for c in sorted(drop):
-        if not 0 <= c < n:
-            raise IndexOutOfRange(f"coordinate {c} outside [0, {n})")
-    return [j for j in range(n) if j not in drop]
-
-
 def puncture(code: AdditiveCode, coords) -> AdditiveCode:
     """Delete the 0-based coordinates and re-canonicalize: phi acts on each
     coordinate alone, so this keeps preimage columns j and n + j for each
     kept j."""
-    keep = _kept_coords(code.n, coords)
+    drop = set(int(c) for c in coords)
+    for c in sorted(drop):
+        if not 0 <= c < code.n:
+            raise IndexOutOfRange(f"coordinate {c} outside [0, {code.n})")
+    keep = [j for j in range(code.n) if j not in drop]
     cols = keep + [code.n + j for j in keep]
     return AdditiveCode.from_preimage(code.field, code.preimage[:, cols])
-
-
-def puncture_linear(code: LinearCode, coords) -> LinearCode:
-    keep = _kept_coords(code.n, coords)
-    return LinearCode(code.field, code.matrix[:, keep], n=len(keep))
 
 
 # ---------------------------------------------------------------------------

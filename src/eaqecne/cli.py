@@ -141,7 +141,7 @@ def cmd_fidelity(args) -> int:
 def cmd_verify_pauli(args) -> int:
     p, n = args.p, args.n
     pauli.PauliLabel.identity(p, n)  # rejects p that is not a supported prime
-    pauli.check_cap(p, n, pauli.DEFAULT_DIM_CAP)  # both laws build p^n x p^n matrices
+    pauli.check_cap(p, n)  # both laws build p^n x p^n matrices
     F = field(p)
     rng = np.random.default_rng(args.seed)
     if p ** (4 * n) <= min(args.samples ** 2, 10000):  # all p^(2n) classes, paired

@@ -162,22 +162,16 @@ def classify_match(alice: EAQECCParams, bob: QECCParams) -> MatchClassification:
     )
 
 
-def _pair(alice: EAQECCParams, bob: QECCParams) -> CombinationParams:
-    """Alice's code with Bob's, once Bob has a logical qudit per ebit."""
-    if alice.c > bob.k:
-        raise InsufficientProtection(
-            f"c={alice.c} ebits exceed Bob's k={bob.k} logical qudits")
-    return CombinationParams(alice=alice, bob=bob,
-                             match=classify_match(alice, bob))
-
-
 def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
                 compute_d: bool = True, *,
                 budget: int = DEFAULT_BUDGET) -> CombinationParams:
     """Pair an arbitrary EA-stabilizer image with a self-orthogonal Bob code.
 
     Bob's code must be self-orthogonal and leave him at least c logical
-    qudits, i.e. c <= m - r.
+    qudits, i.e. c <= m - r.  On ``AdditiveCode.from_linear`` codes this is
+    the paper's linear formulation: Alice any [n, u] code and Bob a
+    Hermitian self-orthogonal one, with c = u - r and l = 2r for the
+    dimension r of Alice's Hermitian radical.
     """
     if alice_code.base_field is not bob_code.base_field:
         raise FieldMismatch("Alice and Bob use different base fields")
@@ -186,21 +180,11 @@ def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
         bob = stabilizer_params(bob_code, compute_d, budget=budget)
     except NotSelfOrthogonal as exc:
         raise NotSelfOrthogonal(f"Bob's code: {exc}") from exc
-    return _pair(alice, bob)
-
-
-def linear_formulation(code: ac.LinearCode, bob: ac.LinearCode,
-                       compute_d: bool = True, *,
-                       budget: int = DEFAULT_BUDGET) -> CombinationParams:
-    """Combination from linear codes: Alice any [n,u], Bob Hermitian
-    self-orthogonal [m,v]; c = u - r with r the Hermitian radical dimension."""
-    if code.field is not bob.field:
-        raise FieldMismatch("Alice and Bob use different fields")
-    if not ac.is_hermitian_self_orthogonal(bob):
-        raise NotSelfOrthogonal("Bob's linear code is not Hermitian self-orthogonal")
-    alice = eaqec_params(code.to_additive(), compute_d, budget=budget)
-    return _pair(alice, stabilizer_params(bob.to_additive(), compute_d,
-                                          budget=budget))
+    if alice.c > bob.k:
+        raise InsufficientProtection(
+            f"c={alice.c} ebits exceed Bob's k={bob.k} logical qudits")
+    return CombinationParams(alice=alice, bob=bob,
+                             match=classify_match(alice, bob))
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +314,21 @@ class PunctureReport:
         ]
 
 
-def puncture_to_eaqecc(code: ac.LinearCode, c: int, compute_d: bool = True, *,
+def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
                        budget: int = DEFAULT_BUDGET) -> PunctureReport:
-    """Drop the last c coordinates of a Hermitian self-orthogonal code and
-    measure the EA parameters of the result."""
-    if not ac.is_hermitian_self_orthogonal(code):
+    """Drop the last c coordinates of a Hermitian self-orthogonal
+    GF(q^2)-linear code, of dimension u = m/2, and measure the EA parameters
+    of the result."""
+    if ac.AdditiveCode.from_linear(code.field, code.generators, n=code.n) != code:
+        raise PreconditionFailed("source code is not GF(q^2)-linear")
+    if not ac.is_self_orthogonal(code):
         raise NotSelfOrthogonal("source code is not Hermitian self-orthogonal")
-    u, N = code.dim, code.n
+    u, N = code.m // 2, code.n
     if not 0 < c <= u:
         raise RangeError(f"c={c} outside (0, {u}]")
-    source = stabilizer_params(code.to_additive(), compute_d, budget=budget)
-    punctured = ac.puncture_linear(code, range(N - c, N))
-    params = eaqec_params(punctured.to_additive(), compute_d, budget=budget)
+    source = stabilizer_params(code, compute_d, budget=budget)
+    params = eaqec_params(ac.puncture(code, range(N - c, N)), compute_d,
+                          budget=budget)
     return PunctureReport(
         params=params,
         requested_c=c,

@@ -175,9 +175,6 @@ def crossover_degradation(c_params, d_params, p_a,
 class FidelityCurve:
     """Sampled (p_a, P_C, P_D) rows at a fixed degradation coefficient."""
 
-    c_label: str
-    d_label: str
-    degradation: Fraction
     rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
@@ -191,8 +188,7 @@ class FidelityCurve:
 
 def sweep(c_params: tuple[int, int],
           d_params: tuple[tuple[int, int], tuple[int, int]],
-          lam, p_grid, c_label: str | None = None,
-          d_label: str | None = None) -> FidelityCurve:
+          lam, p_grid) -> FidelityCurve:
     """Evaluate both codes on a strictly increasing grid of p_a values."""
     lamf = read_rational(lam, "degradation coefficient")
     rows = []
@@ -204,13 +200,7 @@ def sweep(c_params: tuple[int, int],
         rows.append((pa,
                      approx_fidelity(c_params[0], c_params[1], pa),
                      combined_fidelity(d_params[0], d_params[1], ch)))
-    (N, d), ((n, da), (m, db)) = c_params, d_params
-    return FidelityCurve(
-        c_label=c_label or f"[[{N},.,{d}]]",
-        d_label=d_label or f"[[{n},.,{da};c]]+[[{m},.,{db}]]",
-        degradation=lamf,
-        rows=tuple(rows),
-    )
+    return FidelityCurve(rows=tuple(rows))
 
 
 # built once (a Context costs about a short division); its flags go unread

@@ -6,8 +6,8 @@ reduced row echelon form of any generating matrix, so subspace equality is
 plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
 
-There is one elimination kernel, :func:`rref`; ranks, kernels, containment
-and basis extension are all read off it.  Every row update is one
+There is one elimination kernel, :func:`rref`; ranks, kernels and basis
+extension are all read off it.  Every row update is one
 :func:`sub_multiples` call and every Gram matrix one integer product.
 """
 
@@ -119,13 +119,6 @@ def kernel(F: FieldSpec, mat) -> np.ndarray:
 def _check_ambient(a: np.ndarray, b: np.ndarray):
     if a.shape[1] != b.shape[1]:
         raise AmbientMismatch(f"{a.shape[1]} vs {b.shape[1]} columns")
-
-
-def subspace_contains(F: FieldSpec, A, B) -> bool:
-    """True when the row space of A contains the row space of B."""
-    A, B = as_matrix(A), as_matrix(B)
-    _check_ambient(A, B)
-    return rank(F, A) == rank(F, np.vstack([A, B]))
 
 
 def gram(F: FieldSpec, A, B) -> np.ndarray:

@@ -86,14 +86,14 @@ def _check_pair(g: PauliLabel, h: PauliLabel):
         raise DimensionMismatch("labels act on different systems")
 
 
-def check_cap(p: int, n: int, cap: int):
-    if p ** n > cap:
-        raise DimensionCap(f"p^n = {p ** n} exceeds the cap {cap}")
+def check_cap(p: int, n: int):
+    if p ** n > DEFAULT_DIM_CAP:
+        raise DimensionCap(f"p^n = {p ** n} exceeds the cap {DEFAULT_DIM_CAP}")
 
 
-def pauli_matrix(g: PauliLabel, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def pauli_matrix(g: PauliLabel) -> np.ndarray:
     """Dense unitary for the label, built as a Kronecker product."""
-    check_cap(g.p, g.n, cap)
+    check_cap(g.p, g.n)
     p = g.p
     omega = np.exp(2j * np.pi / p)
     out = np.array([[1.0 + 0j]])
@@ -106,22 +106,20 @@ def pauli_matrix(g: PauliLabel, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     return (omega ** g.phase) * out
 
 
-def commutation_phase(g: PauliLabel, h: PauliLabel,
-                      cap: int = DEFAULT_DIM_CAP, atol: float = _ATOL) -> int:
+def commutation_phase(g: PauliLabel, h: PauliLabel) -> int:
     """The unique s with matrix(h) matrix(g) = w^s matrix(g) matrix(h).
 
     Resolved purely from dense matrices; equality with the symplectic inner
     product of the label images is what the certification suite asserts.
     """
     _check_pair(g, h)
-    check_cap(g.p, g.n, cap)
-    A = pauli_matrix(g, cap)
-    B = pauli_matrix(h, cap)
+    A = pauli_matrix(g)
+    B = pauli_matrix(h)
     lhs = B @ A
     rhs = A @ B
     omega = np.exp(2j * np.pi / g.p)
     for s in range(g.p):
-        if np.allclose(lhs, (omega ** s) * rhs, atol=atol, rtol=0.0):
+        if np.allclose(lhs, (omega ** s) * rhs, atol=_ATOL, rtol=0.0):
             return s
     raise NonPauliResult("matrices are not related by any root-of-unity phase")
 
@@ -150,8 +148,7 @@ def close_group(generators) -> list[PauliLabel]:
     return list(seen.values())
 
 
-def codespace_dim(generators, cap: int = DEFAULT_DIM_CAP,
-                  atol: float = _ATOL, *, p: int | None = None,
+def codespace_dim(generators, *, p: int | None = None,
                   n: int | None = None) -> int:
     """Rank of the group-average projector of a stabilizer generator set.
 
@@ -165,9 +162,9 @@ def codespace_dim(generators, cap: int = DEFAULT_DIM_CAP,
             raise ValueError("empty generator set needs explicit p and n")
         gens = [PauliLabel.identity(p, n)]
     p, n = gens[0].p, gens[0].n
-    check_cap(p, n, cap)
+    check_cap(p, n)
     for a, b in itertools.combinations(gens, 2):
-        if commutation_phase(a, b, cap, atol) != 0:
+        if commutation_phase(a, b) != 0:
             raise NotAbelian(f"labels {a} and {b} do not commute")
     group = close_group(gens)
     for g in group:
@@ -176,9 +173,9 @@ def codespace_dim(generators, cap: int = DEFAULT_DIM_CAP,
     dim = p ** n
     proj = np.zeros((dim, dim), dtype=complex)
     for g in group:
-        proj += pauli_matrix(g, cap)
+        proj += pauli_matrix(g)
     proj /= len(group)
-    if not np.allclose(proj @ proj, proj, atol=atol, rtol=0.0):
+    if not np.allclose(proj @ proj, proj, atol=_ATOL, rtol=0.0):
         raise NonPauliResult("group average is not idempotent")
     trace = proj.trace()
     rank = round(trace.real)

@@ -20,7 +20,8 @@ both codes of the pair at every step.  Decimal rendering divides the full
 numerator by the full denominator.
 
 The subspace and random-code helpers at the end are test fixtures built on
-the package's own elimination; nothing in the package calls them.
+the package's own elimination, and :func:`count_rref` records the fields
+that elimination runs over; nothing in the package calls them.
 """
 
 import decimal
@@ -479,6 +480,11 @@ def subspace_eq(F, A, B) -> bool:
     return np.array_equal(linalg.row_basis(F, A), linalg.row_basis(F, B))
 
 
+def subspace_contains(F, A, B) -> bool:
+    """The row space of A holds that of B: adding B's rows leaves it equal."""
+    return subspace_eq(F, A, subspace_sum(F, A, B))
+
+
 def random_subspace(F, dim: int, cols: int, rng):
     """Canonical basis of a uniformly-ish random subspace of given dimension."""
     while True:
@@ -489,3 +495,15 @@ def random_subspace(F, dim: int, cols: int, rng):
 
 def random_additive_code(Q, n: int, m: int, rng):
     return ac.AdditiveCode.from_preimage(Q, random_subspace(Q.base, m, 2 * n, rng))
+
+
+def count_rref(monkeypatch) -> list:
+    """Wrap ``linalg.rref``; the returned list gets the field of each call."""
+    fields, rref = [], linalg.rref
+
+    def counted(F, mat):
+        fields.append(F)
+        return rref(F, mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return fields

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.errors import (BudgetExceeded, FormatError, IndexOutOfRange,
-                            PreconditionFailed)
+from eaqecne.errors import (AmbientMismatch, BudgetExceeded, FormatError,
+                            IndexOutOfRange, PreconditionFailed)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import (loop_field, odometer_scan, phi_puncture,
+from oracles import (count_rref, loop_field, odometer_scan, phi_puncture,
                      preimage_min_weight, random_additive_code, random_matrix,
-                     scalar_inner, subspace_eq, trace_dual)
+                     scalar_inner, subspace_contains, subspace_eq, trace_dual)
 
 
 def enumerate_codewords(code):
@@ -454,35 +454,85 @@ def test_generator_entries_range_checked():
         with pytest.raises(FormatError, match=r"outside GF\(4\)"):
             ac.AdditiveCode.from_generators(Q, bad)
         with pytest.raises(FormatError, match=r"outside GF\(4\)"):
-            ac.LinearCode(Q, bad)
+            ac.AdditiveCode.from_linear(Q, bad)
     C = ac.AdditiveCode.from_generators(Q, [[1, 3]])
     assert C.contains_word([1, 3]) and not C.contains_word([1, 2])
     for word in ([1, 99], [1, -1]):
         with pytest.raises(FormatError, match=r"outside GF\(4\)"):
             C.contains_word(word)
+    with pytest.raises(AmbientMismatch):
+        C.contains_word([1, 3, 0])
 
 
 def test_linear_code_hermitian():
     Q = field(9)
-    D = ac.LinearCode(Q, [[1]])
-    assert D.dim == 1
-    assert ac.is_hermitian_lcd(D)
-    dual = D.hermitian_dual()
-    assert dual.dim == 0
-    add = D.to_additive()
-    assert add.m == 2
+    D = ac.AdditiveCode.from_linear(Q, [[1]])
+    assert D.m // 2 == 1
+    assert ac.is_acd(D)
+    assert ac.dual(D).m == 0
     # closure under GF(9)-scalars
     for lam in range(9):
-        assert add.contains_word(np.array([Q.mul(lam, 1)]))
+        assert D.contains_word(np.array([Q.mul(lam, 1)]))
 
 
 def test_linear_hermitian_self_orthogonal():
     Q = field(4)
-    D = ac.LinearCode(Q, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    assert ac.is_hermitian_self_orthogonal(D)
-    assert not ac.is_hermitian_lcd(D)
-    assert D.hermitian_radical().dim == 2
-    assert D.hermitian_dual().dim == 2
+    D = ac.AdditiveCode.from_linear(Q, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    assert ac.is_self_orthogonal(D)
+    assert not ac.is_acd(D)
+    assert ac.radical(D).m // 2 == 2
+    assert ac.dual(D).m // 2 == 2
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_contains_is_one_elimination(q, monkeypatch):
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([61, q])
+    outer, inner = (random_additive_code(Q, 3, m, rng) for m in (4, 2))
+    fields = count_rref(monkeypatch)
+    outer.contains(inner)
+    assert fields == [Q.base]
+    outer.contains_word(inner.generators[0])
+    assert fields == [Q.base, Q.base]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_contains_matches_sum_oracle(q, seed, subcode):
+    """C contains D, or a word w, exactly when C + D, or C + <w>, is C."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    outer = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    if subcode and outer.m:
+        coeffs = random_matrix(Q.base, int(rng.integers(1, outer.m + 1)), outer.m, rng)
+        inner = ac.AdditiveCode.from_preimage(
+            Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
+    else:
+        inner = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    assert outer.contains(inner) == subspace_contains(
+        Q.base, outer.preimage, inner.preimage)
+    word = random_matrix(Q, 1, n, rng)
+    assert outer.contains_word(word) == subspace_contains(
+        Q.base, outer.preimage, sp.phi_inv(Q, word))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_from_linear_fixes_exactly_linear_codes(q, seed, linear):
+    """from_linear(Q, C.generators) == C exactly when beta * g lies in C for
+    every generator g; a from_linear code always passes."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    if linear:
+        C = ac.AdditiveCode.from_linear(
+            Q, random_matrix(Q, int(rng.integers(0, n + 1)), n, rng), n=n)
+    else:
+        C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+    closed = all(C.contains_word(Q.mul_table[Q.beta, g]) for g in C.generators)
+    assert (ac.AdditiveCode.from_linear(Q, C.generators, n=n) == C) == closed
+    assert closed or not linear
 
 
 def test_code_file_round_trip(tmp_path):

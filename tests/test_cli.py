@@ -16,7 +16,7 @@ FIVE_Q = [[1, 0, 1, 2, 2], [0, 1, 2, 2, 1]]
 @pytest.fixture
 def five_q_code_file(tmp_path):
     Q = field(4)
-    code = ac.LinearCode(Q, FIVE_Q).to_additive()
+    code = ac.AdditiveCode.from_linear(Q, FIVE_Q)
     p = tmp_path / "five.code"
     p.write_text(ac.dump_code(code))
     return p, code

@@ -60,9 +60,9 @@ def test_stabilizer_params_zero_code():
 
 def test_stabilizer_params_five_qudit():
     Q = field(4)
-    L = ac.LinearCode(Q, FIVE_Q)
-    assert ac.is_hermitian_self_orthogonal(L)
-    P = eaqec.stabilizer_params(L.to_additive())
+    L = ac.AdditiveCode.from_linear(Q, FIVE_Q)
+    assert ac.is_self_orthogonal(L)
+    P = eaqec.stabilizer_params(L)
     assert str(P) == "[[5,1,3]]_2"  # [N, N-2u, d] with N=5, u=2
 
 
@@ -172,17 +172,17 @@ def test_combine_neb_bob_not_self_orthogonal():
 def test_linear_formulation_lcd_and_self_orthogonal():
     Q = field(4)
     # Hermitian LCD Alice: r=0, c=u, k=n-u
-    D = ac.LinearCode(Q, [[1, 0], [0, 1]])
+    D = ac.AdditiveCode.from_linear(Q, [[1, 0], [0, 1]])
     # [6,2] Hermitian self-orthogonal Bob: k_b = 6 - 4 = 2 covers c = 2
-    bob = ac.LinearCode(Q, [[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0]])
-    combo = eaqec.linear_formulation(D, bob, compute_d=False)
+    bob = ac.AdditiveCode.from_linear(Q, [[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0]])
+    combo = eaqec.combine_neb(D, bob, compute_d=False)
     assert (combo.alice.c, combo.alice.k) == (2, 0)
     assert combo.match.properly_matching
     # Hermitian self-orthogonal Alice: r=u, c=0
-    D2 = ac.LinearCode(Q, [[1, 0, 1, 0]])
-    combo2 = eaqec.linear_formulation(D2, bob, compute_d=False)
+    D2 = ac.AdditiveCode.from_linear(Q, [[1, 0, 1, 0]])
+    combo2 = eaqec.combine_neb(D2, bob, compute_d=False)
     assert combo2.alice.c == 0
-    assert combo2.alice.k == D2.n - 2 * D2.dim
+    assert combo2.alice.k == D2.n - 2 * (D2.m // 2)
 
 
 def test_linear_formulation_radical_one():
@@ -190,24 +190,24 @@ def test_linear_formulation_radical_one():
     Q = field(9)
     rng = np.random.default_rng(11)
     while True:
-        D = ac.LinearCode(Q, rng.integers(0, 9, size=(2, 6)))
-        if D.dim == 2 and D.hermitian_radical().dim == 1:
+        D = ac.AdditiveCode.from_linear(Q, rng.integers(0, 9, size=(2, 6)))
+        if D.m // 2 == 2 and ac.radical(D).m // 2 == 1:
             break
-    bob = ac.LinearCode(Q, np.zeros((0, 3), dtype=int), n=3)  # [3,0]: [[3,3]]
-    combo = eaqec.linear_formulation(D, bob, compute_d=False)
+    bob = ac.AdditiveCode.from_linear(Q, np.zeros((0, 3), dtype=int), n=3)  # [3,0]: [[3,3]]
+    combo = eaqec.combine_neb(D, bob, compute_d=False)
     assert (combo.alice.c, combo.alice.k) == (1, 3)
-    # cross-check against the additive view
-    add = eaqec.eaqec_params(D.to_additive(), compute_d=False)
+    # cross-check against the parameters of Alice's code alone
+    add = eaqec.eaqec_params(D, compute_d=False)
     assert (add.c, add.k, add.l) == (1, 3, 2)
 
 
 def test_linear_formulation_rejects_bob():
     # odd characteristic so a weight-2 all-ones row is NOT self-orthogonal
     Q = field(9)
-    D = ac.LinearCode(Q, [[1, 0], [0, 1]])
-    bob = ac.LinearCode(Q, [[1, 1]])  # (g,g)_h = 1 + 1 = 2 != 0 over GF(9)
+    D = ac.AdditiveCode.from_linear(Q, [[1, 0], [0, 1]])
+    bob = ac.AdditiveCode.from_linear(Q, [[1, 1]])  # (g,g)_h = 1 + 1 = 2 != 0 over GF(9)
     with pytest.raises(NotSelfOrthogonal):
-        eaqec.linear_formulation(D, bob)
+        eaqec.combine_neb(D, bob)
 
 
 def test_combine_construct_degenerate_blocks():
@@ -325,7 +325,7 @@ def test_combine_construct_radical_contains_top_block_random():
 
 def test_puncture_to_eaqecc():
     Q = field(4)
-    L = ac.LinearCode(Q, FIVE_Q)
+    L = ac.AdditiveCode.from_linear(Q, FIVE_Q)
     with pytest.raises(RangeError):
         eaqec.puncture_to_eaqecc(L, 0)
     with pytest.raises(RangeError):
@@ -343,7 +343,21 @@ def test_puncture_to_eaqecc():
 def test_puncture_to_eaqecc_rejects_source():
     Q = field(4)
     with pytest.raises(NotSelfOrthogonal):
-        eaqec.puncture_to_eaqecc(ac.LinearCode(Q, [[1, 0]]), 1)
+        eaqec.puncture_to_eaqecc(ac.AdditiveCode.from_linear(Q, [[1, 0]]), 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_puncture_to_eaqecc_rejects_nonlinear_source(q):
+    """A self-orthogonal additive code that is not GF(q^2)-linear: one word
+    (m = 1), and for GF(4) the F_2-span of the [[5,1,3]] generators."""
+    Q = quadratic_field(field(q))
+    sources = [ac.AdditiveCode.from_generators(Q, [[1, 0]])]
+    if q == 2:
+        sources.append(ac.AdditiveCode.from_generators(Q, FIVE_Q))
+    for code in sources:
+        assert ac.is_self_orthogonal(code)
+        with pytest.raises(PreconditionFailed, match="linear"):
+            eaqec.puncture_to_eaqecc(code, 1)
 
 
 def test_known_tables():

@@ -1,10 +1,10 @@
 """Laws of the symplectic Gram engine over every supported q.
 
 Each fast route (``linalg.gram``, ``symp_gram`` on the preimage, the
-Gram-updated symplectic Gram-Schmidt, the Hermitian questions of linear
-codes answered on their additive view) is checked against a scalar oracle
-or a pinned output.  The Hermitian and trace forms have no path of their
-own: their values and duals are read off symplectic ones.
+Gram-updated symplectic Gram-Schmidt, the Hermitian questions of
+GF(q^2)-linear codes answered on ``from_linear`` codes) is checked against
+a scalar oracle or a pinned output.  The Hermitian and trace forms have no
+path of their own: their values and duals are read off symplectic ones.
 """
 
 import json
@@ -133,9 +133,9 @@ def test_witnesses_match_scalar_scan(q):
             code = random_code(Q, rng)
         assert (ac.self_orthogonality_witness(code)
                 == scalar_witness(Q, code.generators, "alternating"))
-        lin = ac.LinearCode(Q, random_matrix(Q, int(rng.integers(0, 3)), n, rng), n=n)
-        assert (ac.is_hermitian_self_orthogonal(lin)
-                == (scalar_witness(Q, lin.matrix, "hermitian") is None))
+        G = random_matrix(Q, int(rng.integers(0, 3)), n, rng)
+        assert (ac.is_self_orthogonal(ac.AdditiveCode.from_linear(Q, G, n=n))
+                == (scalar_witness(Q, G, "hermitian") is None))
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -234,13 +234,14 @@ def test_hermitian_radical_matches_intersection_oracle(q, seed, isotropic):
         L = loop_field(Q.order)
         v[0, :2] = 1, next(x for x in range(Q.order)
                            if L.add(L.pow(x, q + 1), 1) == 0)
-        perp = ac.LinearCode(Q, v).hermitian_dual().matrix
+        perp = hermitian_dual(Q, v)
         rows = np.vstack([v, linalg.gram(Q, rows[:, :perp.shape[0]], perp.T)])
-    code = ac.LinearCode(Q, rows, n=n)
-    assert not isotropic or code.hermitian_radical().dim >= 1
-    expect = subspace_intersect(Q, code.matrix, code.hermitian_dual().matrix)
-    assert np.array_equal(code.hermitian_radical().matrix,
-                          linalg.as_matrix(expect, cols=n))
+    code = ac.AdditiveCode.from_linear(Q, rows, n=n)
+    rad = ac.radical(code)
+    assert not isotropic or rad.m >= 2
+    expect = subspace_intersect(Q, linalg.as_matrix(rows, cols=n),
+                                ac.dual(code).generators)
+    assert rad == ac.AdditiveCode.from_linear(Q, expect, n=n)
 
 
 @st.composite
@@ -262,27 +263,25 @@ def linear_codes(draw):
         V[i, 2 * i:2 * i + 2] = 1, x
     perp = hermitian_dual(Q, V)
     coeffs = random_matrix(Q, draw(st.integers(0, perp.shape[0])), perp.shape[0], rng)
-    return ac.LinearCode(Q, np.vstack([V, linalg.gram(Q, coeffs, perp.T)]), n=n)
+    return ac.AdditiveCode.from_linear(
+        Q, np.vstack([V, linalg.gram(Q, coeffs, perp.T)]), n=n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(linear_codes())
 def test_hermitian_route_matches_oracle(code):
-    """Hermitian dual, radical, self-orthogonality and LCD through the
-    additive view equal the GF(q^2) Hermitian route, and the linear
-    formulation spends c = u - r ebits for the Hermitian radical dimension r."""
-    Q, n = code.field, code.n
-    rad = hermitian_radical(Q, code.matrix)
-    assert np.array_equal(code.hermitian_dual().matrix,
-                          linalg.as_matrix(hermitian_dual(Q, code.matrix), cols=n))
-    assert np.array_equal(code.hermitian_radical().matrix,
-                          linalg.as_matrix(rad, cols=n))
-    assert (ac.is_hermitian_self_orthogonal(code)
-            == (not hermitian_gram(Q, code.matrix).any()))
-    assert ac.is_hermitian_lcd(code) == (rad.shape[0] == 0)
-    bob = ac.LinearCode(Q, linalg.empty_matrix(max(code.dim, 1)))
-    alice = eaqec.linear_formulation(code, bob, compute_d=False).alice
-    assert alice.c == code.dim - rad.shape[0]
+    """Dual, radical, self-orthogonality and ACD of a from_linear code equal
+    the GF(q^2) Hermitian route, and combine_neb spends c = u - r ebits for
+    the Hermitian radical dimension r."""
+    Q, n, G = code.field, code.n, code.generators
+    rad = hermitian_radical(Q, G)
+    assert ac.dual(code) == ac.AdditiveCode.from_linear(Q, hermitian_dual(Q, G), n=n)
+    assert ac.radical(code) == ac.AdditiveCode.from_linear(Q, rad, n=n)
+    assert ac.is_self_orthogonal(code) == (not hermitian_gram(Q, G).any())
+    assert ac.is_acd(code) == (rad.shape[0] == 0)
+    bob = ac.AdditiveCode.zero(Q, max(code.m // 2, 1))
+    alice = eaqec.combine_neb(code, bob, compute_d=False).alice
+    assert alice.c == code.m // 2 - rad.shape[0]
     assert alice.l == 2 * rad.shape[0]
 
 

@@ -76,9 +76,6 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         eaqec.combine_neb(ac.AdditiveCode.zero(field(4), 1),
                           ac.AdditiveCode.zero(field(9), 1))
-    with pytest.raises(FieldMismatch):
-        eaqec.linear_formulation(ac.LinearCode(field(4), [[1]]),
-                                 ac.LinearCode(field(9), [[1]]))
 
 
 def test_conjugate_gf4():

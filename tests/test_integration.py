@@ -1,14 +1,16 @@
 """Cross-layer checks: codes built algebraically, certified by the dense
-Pauli oracle."""
+Pauli oracle, and the fields that the commands and the linear-code paths
+row-reduce over."""
 
 import numpy as np
 import pytest
 
-from eaqecne.gf import field, quadratic_field
+from eaqecne.cli import main
+from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
-from eaqecne import eaqec, pauli
+from eaqecne import eaqec, linalg, pauli
 
-from oracles import random_additive_code
+from oracles import count_rref, random_additive_code, random_matrix
 
 FIVE_Q = [[1, 0, 1, 2, 2], [0, 1, 2, 2, 1]]
 
@@ -16,7 +18,7 @@ FIVE_Q = [[1, 0, 1, 2, 2], [0, 1, 2, 2, 1]]
 def test_five_qudit_code_projector_rank():
     # the [[5,1,3]]_2 stabilizer group really fixes a 2-dimensional space
     Q = field(4)
-    code = ac.LinearCode(Q, FIVE_Q).to_additive()
+    code = ac.AdditiveCode.from_linear(Q, FIVE_Q)
     params = eaqec.stabilizer_params(code)
     assert (params.k, params.d) == (1, 3)
     labels = pauli.labels_from_rows(2, code.preimage)
@@ -59,8 +61,40 @@ def test_hermitian_double_dual():
         Q = field(q2)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            D = ac.LinearCode(Q, rng.integers(0, q2, size=(int(rng.integers(0, n + 1)), n)),
-                              n=n)
-            dd = D.hermitian_dual().hermitian_dual()
-            assert dd == D
-            assert D.dim + D.hermitian_dual().dim == n
+            D = ac.AdditiveCode.from_linear(
+                Q, rng.integers(0, q2, size=(int(rng.integers(0, n + 1)), n)), n=n)
+            perp = ac.dual(D)
+            assert ac.AdditiveCode.from_linear(Q, perp.generators, n=n) == perp
+            assert ac.dual(perp) == D
+            assert D.m // 2 + perp.m // 2 == n
+
+
+def test_elimination_runs_over_base_fields_only(tmp_path, monkeypatch, capsys):
+    """Every rref the CLI commands and the from_linear paths run is over the
+    base field GF(q) of the codes, never over GF(q^2)."""
+    fields = count_rref(monkeypatch)
+    Q = field(4)
+    five = tmp_path / "five.code"
+    five.write_text(ac.dump_code(ac.AdditiveCode.from_linear(Q, FIVE_Q)))
+    blocks = {"G": [[3, 0, 1, 2]], "G2": [[0, 2, 3, 3], [2, 3, 1, 1]],
+              "E": [[0, 2, 1], [3, 1, 3]]}
+    for name, rows in blocks.items():
+        (tmp_path / name).write_text(linalg.dump_matrix(Q, np.array(rows)))
+    for argv in (["analyze", five], ["decompose", five], ["mindist", five],
+                 ["combine"] + [tmp_path / name for name in blocks]):
+        assert main([str(a) for a in argv]) == 0
+        assert {F.order for F in fields} <= {2}, argv[0]
+    assert fields
+    capsys.readouterr()
+    rng = np.random.default_rng(71)
+    for q in SUPPORTED_ORDERS:
+        Q = quadratic_field(field(q))
+        fields.clear()
+        alice = ac.AdditiveCode.from_linear(Q, random_matrix(Q, 2, 4, rng), n=4)
+        # the all-ones word is Hermitian self-orthogonal at length q^2
+        bob = ac.AdditiveCode.from_linear(Q, np.ones((1, q * q), dtype=np.int16))
+        ac.dual(alice)
+        ac.radical(alice)
+        eaqec.combine_neb(alice, bob, compute_d=False)
+        eaqec.puncture_to_eaqecc(bob, 1, compute_d=False)
+        assert fields and all(F is Q.base for F in fields), q

@@ -12,7 +12,8 @@ from eaqecne.gf import SUPPORTED_ORDERS, field
 from eaqecne import linalg, symplectic as sp
 
 from oracles import (loop_kernel, loop_rref, random_matrix, scalar_dot,
-                     subspace_eq, subspace_intersect, subspace_sum)
+                     subspace_contains, subspace_eq, subspace_intersect,
+                     subspace_sum)
 
 ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
@@ -151,15 +152,17 @@ def test_modular_law_gf3():
 def test_contains_and_eq():
     F = field(3)
     A = [[1, 0, 2], [0, 1, 1]]
-    assert linalg.subspace_contains(F, A, [[1, 1, 0]])  # (1,0,2)+(0,1,1)
-    assert not linalg.subspace_contains(F, [[1, 1, 0]], A)
+    assert subspace_contains(F, A, [[1, 1, 0]])  # (1,0,2)+(0,1,1)
+    assert not subspace_contains(F, [[1, 1, 0]], A)
     assert subspace_eq(F, A, [[2, 0, 1], [0, 2, 2]])
 
 
 def test_ambient_mismatch():
     F = field(2)
     with pytest.raises(AmbientMismatch):
-        linalg.subspace_contains(F, [[1, 0]], [[1, 0, 0]])
+        linalg.gram(F, [[1, 0]], [[1, 0, 0]])
+    with pytest.raises(AmbientMismatch):
+        linalg.extend_basis(F, [[1, 0]], [[1, 0, 0]])
 
 
 def test_gram_trivial_cases():
