@@ -21,13 +21,15 @@ self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
 :func:`is_acd` holds.  A GF(q^2) basis of it is
 ``linalg.row_basis(Q, code.generators)``.
 
-Minimum weights scan all q^m - q^m' words outside the excluded subcode (the
-count a ``budget`` caps) as packed F_p digits of the preimage, since phi is
-F_q-linear and preserves weight.
+Minimum weights weigh one word of each F_q^* orbit outside the excluded
+subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
+packed F_p digits of the preimage, since phi is F_q-linear and preserves
+weight.  A ``budget`` caps q^m - q^m', the count of all words outside it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +208,7 @@ def is_dual_containing(code: AdditiveCode) -> bool:
 @dataclass(frozen=True)
 class MinWeightResult:
     weight: int        # ambient length + 1 means "undefined" (empty word set)
-    examined: int
+    examined: int      # words weighed, one per F_q^* orbit
 
     def distance(self, n: int) -> int | None:
         """The weight as a distance on length n; None when no word was left."""
@@ -233,7 +235,7 @@ class _Limbs:
         bits = 2 * e * self.w + (p == 2)
         per = 64 // bits
         self.limbs = L = -(-n // per)
-        every = lambda step, v: np.uint64(sum(v << b for b in range(0, per * bits, step)))
+        every = lambda step, v: np.uint64(v * ((1 << per * bits) - 1) // ((1 << step) - 1))
         self.top = every(bits, 1 << (bits - 1))
         self.low = every(bits, (1 << (bits - 1)) - 1)
         if p > 2:
@@ -243,59 +245,75 @@ class _Limbs:
         digits = digits.reshape(len(rows) * e, 1, 2, n, e).transpose(0, 1, 3, 2, 4)
         D = np.zeros((len(digits), p, L * per, 2, e), dtype=np.uint64)
         D[:, :, :n] = digits * np.arange(p)[:, None, None, None] % p
-        shifts = (np.arange(per)[:, None] * bits + np.arange(2 * e) * self.w).ravel()
-        packed = D.reshape(len(D), p, L, per * 2 * e) << shifts.astype(np.uint64)
-        self.rows = packed.sum(axis=-1).transpose(2, 0, 1)
+        shifts = np.arange(per * bits, dtype=np.uint64).reshape(per, bits)
+        powers = np.uint64(1) << shifts[:, :2 * e * self.w:self.w].ravel()
+        self.rows = (D.reshape(len(D), p, L, per * 2 * e) @ powers).transpose(2, 0, 1)
 
-    def span(self, rows: np.ndarray) -> np.ndarray:
+    def span(self, rows: np.ndarray, lead: int | None = None) -> np.ndarray:
         """Every F_p-combination of packed rows in odometer order, last row
-        fastest: part c of the table of rows r, r+1, ... is the table of
-        rows r+1, ... plus c times row r."""
+        fastest, with first-row coefficients below `lead` (default p): part c
+        of the table of rows r, r+1, ... is the table of rows r+1, ... plus c
+        times row r."""
         p, L = self.p, self.limbs
         T = np.zeros((L, p ** rows.shape[1]), dtype=np.uint64)
         carry = np.empty_like(T)
         k = 1
         for r in range(rows.shape[1] - 1, -1, -1):
-            V = T[:, :p * k].reshape(L, p, k)
-            x, y, out = V[:, :1], rows[:, r, 1:, None], V[:, 1:]
+            c = lead if r == 0 and lead else p
+            V = T[:, :c * k].reshape(L, c, k)
+            x, y, out = V[:, :1], rows[:, r, 1:c, None], V[:, 1:]
             if p == 2:
                 np.bitwise_xor(x, y, out=out)
             else:
                 t = np.add(np.add(x, y, out=out), self.bias,
-                           out=carry[:, :(p - 1) * k].reshape(L, p - 1, k))
+                           out=carry[:, :(c - 1) * k].reshape(L, c - 1, k))
                 t &= self.guard
                 t >>= np.uint64(self.w - 1)
                 t *= np.uint64(p)
                 out -= t
-            k *= p
-        return T
+            k *= c
+        return T[:, :k]
 
 
-def _scan_preimage(F: FieldSpec, rows: np.ndarray, skip_below: int):
-    """Min weight over the F_q-span of preimage rows, skipping odometer
-    indices below `skip_below`; returns (best, examined).
+def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
+    """Min weight over the F_q-span of preimage rows outside the span of the
+    last `excluded` rows, weighing one word of each F_q^* orbit; returns
+    (best, examined).
 
     Block i is the q^s words of the last s rows (the largest q^s <= _CHUNK)
-    plus prefix word i of the others.  The scan stops after the first block
-    with a word of weight <= 1.  Coordinate j of x + c vanishes exactly
-    when x_j = -c_j, so a block's weights are those of suffix XOR -c.
+    plus word i of the others, both tables in odometer order, last row
+    fastest.  Block 0 is the suffix table less the sum u of its rows: its
+    first (q^s - q^excluded)/(q - 1) words are those whose first nonzero
+    coefficient is -1 and lies before the excluded rows.  The other blocks
+    weighed are i in [q^(j-s), 2q^(j-s)) for max(s, excluded) <= j < m,
+    whose prefix words lead with 1.  Every other word is a multiple of one
+    weighed no later, so the weights agree with a scan of every word, and
+    no table needs the first row's x^(e-1), ..., x^1 parts or more than 0
+    and 1 times its x^0 part.  The scan stops after the first block with a
+    word of weight <= 1.  Coordinate j of x - c vanishes exactly when x_j = c_j, so
+    a block's weights are those of suffix XOR c, for c = u or minus prefix
+    word i.
     """
     q, e, m = F.order, F.e, rows.shape[0]
     s = 0
     while s < m and q ** (s + 1) <= _CHUNK:
         s += 1
     W = _Limbs(F, rows)
-    suffix = W.span(W.rows[:, e * (m - s):])
-    negated = W.span(W.rows[:, :e * (m - s), -np.arange(W.p) % W.p])
-    size = suffix.shape[1]
+    cut = e * (m - s)
+    suffix = W.span(W.rows[:, cut or e - 1:], None if cut else 2)
+    negated = W.span(W.rows[:, min(cut, e - 1):cut, -np.arange(W.p) % W.p], 2)
+    runs = itertools.chain(
+        [(suffix[:, (q ** s - 1) // (q - 1), None],
+          (q ** s - q ** excluded) // (q - 1))] * (excluded < s),
+        ((negated[:, i, None], q ** s) for j in range(max(excluded, s), m)
+         for i in range(q ** (j - s), 2 * q ** (j - s))))
     words, counts = np.empty_like(suffix), np.empty(suffix.shape, dtype=np.uint8)
     best, examined = rows.shape[1] // 2 + 1, 0
-    for i in range(skip_below // size, negated.shape[1]):
-        k = max(skip_below - i * size, 0)
-        z = np.bitwise_xor(suffix[:, k:], negated[:, i, None], out=words[:, k:])
+    for v, b in runs:
+        z = np.bitwise_xor(suffix[:, :b], v, out=words[:, :b])
         z += W.low
         z &= W.top
-        c = np.bitwise_count(z, out=counts[:, k:])
+        c = np.bitwise_count(z, out=counts[:, :b])
         weights = c[0] if W.limbs == 1 else c.sum(axis=0, dtype=np.uint32)
         examined += weights.size
         best = min(best, int(weights.min()))
@@ -319,16 +337,13 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
     """Minimum Hamming weight over words of `outer` not in `excluded`."""
     outer._check_peer(excluded)
     rows = _exclusion_basis(outer, excluded)
-    q = outer.base_field.order
-    n = outer.n
-    total = q ** outer.m
-    skip = q ** excluded.m
-    required = total - skip
+    q, n = outer.base_field.order, outer.n
+    required = q ** outer.m - q ** excluded.m
     if required == 0:
         return MinWeightResult(weight=n + 1, examined=0)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    best, examined = _scan_preimage(outer.base_field, rows, skip)
+    best, examined = _scan_preimage(outer.base_field, rows, excluded.m)
     return MinWeightResult(weight=best, examined=examined)
 
 

@@ -350,6 +350,44 @@ def odometer_scan(Q, gens, skip_below, chunk):
     return best, examined
 
 
+def orbit_scan(Q, gens, excluded, chunk):
+    """Minimum Hamming weight over the F_q-span of GF(q^2) rows outside the
+    span of the last `excluded` rows, one word per F_q^* orbit: the
+    coefficient vectors whose first nonzero digit is 1 and comes before the
+    last `excluded` digits.  With s as in `odometer_scan`, block 0 holds
+    those whose first m - s digits are zero, and each later block the q^s
+    vectors that follow one such prefix, the prefixes in odometer order.
+    Stops after the first block with weight <= 1.  Returns (best, examined)
+    with best = n + 1 when nothing was examined."""
+    q = Q.base.order
+    m, n = gens.shape
+    s = 0
+    while s < m and q ** (s + 1) <= chunk:
+        s += 1
+
+    def leads(v, stop):
+        first = next((i for i, d in enumerate(v) if d), None)
+        return first is not None and first < stop and v[first] == 1
+
+    suffixes = list(itertools.product(range(q), repeat=s))
+    prefixes = [v for v in itertools.product(range(q), repeat=m - s)
+                if leads(v, m - excluded)]
+    best, examined = n + 1, 0
+    for prefix in [(0,) * (m - s)] + prefixes:
+        block = [prefix + v for v in suffixes
+                 if any(prefix) or leads(v, s - excluded)]
+        if not block:
+            continue
+        words = np.zeros((len(block), n), dtype=np.int16)
+        for c, g in zip(np.array(block).reshape(len(block), m).T, gens):
+            words = Q.add_table[words, Q.mul_table[c[:, None], g[None, :]]]
+        examined += len(block)
+        best = min(best, int((words != 0).sum(axis=1).min()))
+        if best <= 1:
+            break
+    return best, examined
+
+
 def loop_rref(F, mat):
     """Reduced row echelon form clearing one row per step; returns
     (matrix, rank, pivot columns) like ``linalg.rref``."""

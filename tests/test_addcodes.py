@@ -13,9 +13,10 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
 
-from oracles import (count_rref, loop_field, odometer_scan, phi_puncture,
-                     preimage_min_weight, random_additive_code, random_matrix,
-                     scalar_inner, subspace_contains, subspace_eq, trace_dual)
+from oracles import (count_rref, loop_field, odometer_scan, orbit_scan,
+                     phi_puncture, preimage_min_weight, random_additive_code,
+                     random_matrix, scalar_inner, subspace_contains,
+                     subspace_eq, trace_dual)
 
 
 def enumerate_codewords(code):
@@ -334,13 +335,16 @@ def planted_rows(F, n, m, weight1, rng):
     return rows
 
 
-def assert_kernel_matches_oracle(Q, rows, skip, chunk):
-    """(weight, examined) of the packed kernel equal the GF(q^2) odometer
-    scan over the same rows."""
+def assert_kernel_matches_oracle(Q, rows, excluded, chunk):
+    """(weight, examined) of the packed kernel equal the orbit scan over the
+    same GF(q^2) rows, and the weight equals the odometer scan of all words
+    outside the span of the last `excluded` rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "_CHUNK", chunk)
-        got = ac._scan_preimage(Q.base, rows, skip)
-    assert got == odometer_scan(Q, sp.phi(Q, rows), skip, chunk)
+        got = ac._scan_preimage(Q.base, rows, excluded)
+    gens = sp.phi(Q, rows)
+    assert got == orbit_scan(Q, gens, excluded, chunk)
+    assert got[0] == odometer_scan(Q, gens, Q.base.order ** excluded, chunk)[0]
 
 
 def scan_case(Q, n, m, k, rng):
@@ -353,15 +357,17 @@ def scan_case(Q, n, m, k, rng):
 
 
 def assert_min_weight_matches_oracle(A, B, chunk):
-    """min_weight_excluding_detail equals the odometer scan over the
-    exclusion basis, which skips the q^dim(B) words of B."""
+    """min_weight_excluding_detail equals the orbit scan over the exclusion
+    basis, whose last dim(B) rows span B, and its weight equals the odometer
+    scan that skips the q^dim(B) words of B."""
     Q = A.field
-    rows = ac._exclusion_basis(A, B)
-    expect = odometer_scan(Q, sp.phi(Q, rows), Q.base.order ** B.m, chunk)
+    gens = sp.phi(Q, ac._exclusion_basis(A, B))
+    expect = orbit_scan(Q, gens, B.m, chunk)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "_CHUNK", chunk)
         r = ac.min_weight_excluding_detail(A, B)
     assert (r.weight, r.examined) == expect
+    assert r.weight == odometer_scan(Q, gens, Q.base.order ** B.m, chunk)[0]
     if A.m == B.m:
         assert expect == (A.n + 1, 0)
 
@@ -369,14 +375,14 @@ def assert_min_weight_matches_oracle(A, B, chunk):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 24), st.data())
 def test_scan_matches_odometer_oracle(q, n, data):
-    # any rows, dependent ones included, and any skip offset
+    # any rows, dependent ones included, and any count of excluded rows
     Q = quadratic_field(field(q))
     m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
-    skip = data.draw(st.integers(0, q ** m))
+    excluded = data.draw(st.integers(0, m))
     chunk = data.draw(st.sampled_from(chunks(q)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     rows = planted_rows(Q.base, n, m, data.draw(st.booleans()), rng)
-    assert_kernel_matches_oracle(Q, rows, skip, chunk)
+    assert_kernel_matches_oracle(Q, rows, excluded, chunk)
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,8 +398,9 @@ def test_min_weight_detail_matches_odometer_oracle(q, n, data):
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_scan_multi_limb_words(q):
-    # 22 coordinates need two limbs for every q; the chunk sizes and skips
-    # give partial first blocks, whole skipped blocks and weight-1 exits
+    # 22 coordinates need two limbs for every q; the chunk sizes and
+    # excluded rows give partial first blocks, whole skipped blocks and
+    # weight-1 exits
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(90 + q)
     m = int(math.log(2000) / math.log(q))
@@ -401,7 +408,7 @@ def test_scan_multi_limb_words(q):
     for k, chunk in itertools.product(range(m), (q, q * q)):
         assert_min_weight_matches_oracle(*scan_case(Q, 22, m, k, rng), chunk)
         rows = planted_rows(Q.base, 22, m, True, rng)
-        assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, q ** m)), chunk)
+        assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, m + 1)), chunk)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -409,8 +416,27 @@ def test_scan_zero_outer_code(q):
     Q = quadratic_field(field(q))
     zero = ac.AdditiveCode.zero(Q, 3)
     assert_min_weight_matches_oracle(zero, zero, 4)
-    assert ac._scan_preimage(Q.base, zero.preimage, 1) == (4, 0)
+    assert ac._scan_preimage(Q.base, zero.preimage, 0) == (4, 0)
     assert_kernel_matches_oracle(Q, zero.preimage, 0, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(2, 24), st.data())
+def test_exhausted_scan_weighs_one_word_per_orbit(q, n, data):
+    """A scan that does not stop early weighs one word of each F_q^* orbit
+    outside the excluded code: examined * (q - 1) == q^m - q^m'."""
+    Q = quadratic_field(field(q))
+    m = data.draw(st.integers(0, min(2 * n, int(math.log(1 << 15) / math.log(q)))))
+    k = data.draw(st.integers(0, m))
+    chunk = data.draw(st.sampled_from(chunks(q)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    A = random_additive_code(Q, n, m, rng)
+    B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(A.preimage[:k], cols=2 * n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac, "_CHUNK", chunk)
+        r = ac.min_weight_excluding_detail(A, B)
+    if r.weight > 1:
+        assert r.examined * (q - 1) == q ** A.m - q ** B.m
 
 
 def test_min_weight_generator_bound():

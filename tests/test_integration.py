@@ -27,6 +27,19 @@ def test_five_qudit_code_projector_rank():
     assert pauli.codespace_dim(labels) == 2 ** params.k
 
 
+def test_reed_solomon_distance_is_k_plus_one():
+    """RS_2 over all 9 points of GF(9) is Hermitian self-orthogonal and
+    gives the quantum MDS code [[9,5,3]]_3; punctured once it is the EA code
+    [[8,5,3;1]]_3.  Both distances are scanned, not declared: d = k + 1."""
+    Q = field(9)
+    code = ac.AdditiveCode.from_linear(Q, [[1] * 9, list(range(9))])
+    assert ac.is_self_orthogonal(code)
+    assert str(eaqec.stabilizer_params(code)) == "[[9,5,3]]_3"
+    assert str(eaqec.puncture_to_eaqecc(code, c=1).params) == "[[8,5,3;1]]_3"
+    scan = ac.min_weight_excluding_detail(ac.dual(code), code)
+    assert (scan.weight, scan.examined) == (3, (3 ** 14 - 3 ** 4) // 2)
+
+
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
 def test_random_stabilizer_codes_agree_with_projector(p, n):
     Q = quadratic_field(field(p))
