@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Record a BENCH file: the benchmark of a parent checkout against this one.
 
-    python3 tools/bench_record.py --base HEAD --pairs 10 --seconds 10
+    python3 tools/bench_record.py --base HEAD
 
 Runs ``bench/run.py`` of the parent (``--base``: a git revision of this
-repository, exported with ``git archive`` into a temporary directory, or the
-path of a checkout) and of the checkout this script sits in, in alternating
-pairs for every workload: pair k runs both sides on seed ``--seed + k``, the
-parent first on even k and the change first on odd k.  Then it runs one
-traced (``--trace 1``) ``distance`` run per side on the first seed.  Every
-run is a fresh process.
+repository, exported with ``git archive`` into a temporary directory) and of
+the checkout this script sits in, in ten alternating pairs for every
+workload of ``BENCHMARK.json``, each run as long as its ``run_seconds``:
+pair k runs both sides on seed 21 + k, the parent first on even k and the
+change first on odd k.  Then it runs one traced (``--trace 1``) ``distance``
+run per side on seed 21.  Every run is a fresh process.  The settings are
+fixed so that every record is taken the same way as the benchmark.
 
 It writes ``BENCH_<yyyymmdd>.json`` into this checkout: for each workload and
 end-to-end metric the median and quartiles of each side, the pairs the
@@ -43,18 +44,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("distance", "structure", "fidelity")
-END_TO_END = ("setup_s", "wall_s", "op_p50_s", "op_p90_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+END_TO_END = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+SECONDS = BENCHMARK["run_seconds"]
+SEEDS = tuple(range(21, 31))        # one per pair; the traced runs use the first
 UNDIRECTED = ("addcodes.scan.words_per_s", "addcodes.scan.examined_ratio",
               "addcodes.scan.early_exits")
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int = 0) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``bench/run.py`` process; its last stdout line, or a failure."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -138,19 +141,19 @@ def host_note(extra: str) -> dict:
     }
 
 
-def record(parent: Path, args) -> dict:
-    host = host_note(args.note)
+def record(parent: Path, note: str) -> dict:
+    host = host_note(note)
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for w in WORKLOADS:
-        for k in range(args.pairs):
+        for k, seed in enumerate(SEEDS):
             sides = [("parent", parent), ("change", ROOT)]
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-                res = run_bench(checkout, w, args.seed + k, args.seconds)
+                res = run_bench(checkout, w, seed)
                 runs[w][side].append(res)
                 print(f"{w} pair {k} {side}: correct={res.get('correct')} "
                       f"wall_s={res.get('metrics', {}).get('wall_s', {}).get('value')}",
                       file=sys.stderr)
-    traced = {side: run_bench(checkout, "distance", args.seed, args.seconds, 1)
+    traced = {side: run_bench(checkout, "distance", SEEDS[0], 1)
               for side, checkout in (("parent", parent), ("change", ROOT))}
     host["loadavg_at_end"] = os.getloadavg()
 
@@ -174,12 +177,10 @@ def record(parent: Path, args) -> dict:
                         "change": layers["change"].get(name)}
                  for name in sorted(set(layers["parent"]) | set(layers["change"]))}
     return {
-        "command": "python3 tools/bench_record.py " + " ".join(args.argv),
         "date": datetime.date.today().isoformat(),
         "host": host,
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.seed + k for k in range(args.pairs)],
-                     "traced_seed": args.seed},
+        "settings": {"pairs": len(SEEDS), "seconds": SECONDS,
+                     "seeds": list(SEEDS), "traced_seed": SEEDS[0]},
         "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
         "correct": correct,
         "end_to_end": end_to_end,
@@ -191,21 +192,14 @@ def record(parent: Path, args) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True,
-                        help="parent: a git revision or a checkout directory")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=21)
+                        help="the parent: a git revision of this repository")
     parser.add_argument("--note", default="", help="free text for the host note")
     args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
 
     out = ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json"
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(args.base)
-        parent = base.resolve() if base.is_dir() else export(args.base, Path(tmp))
-        report = record(parent, args)
+        report = record(export(args.base, Path(tmp)), args.note)
+    report["command"] = f"python3 tools/bench_record.py --base {args.base}"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for w, metrics in report["end_to_end"].items():
         for name, c in metrics.items():
