@@ -14,7 +14,7 @@ from .addcodes import (AdditiveCode, CodeDecomposition, dual, is_acd,
                        min_weight_excluding, puncture, radical,
                        radical_decompose)
 from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
-                    MatchClassification, QECCParams, classify_match,
+                    MatchClassification, classify_match,
                     combine_construct, combine_neb, eaqec_params,
                     known_tables, puncture_to_eaqecc, stabilizer_params)
 from .fidelity import (ChannelModel, FidelityCurve, approx_fidelity,
@@ -36,7 +36,6 @@ __all__ = [
     "FieldSpec",
     "MatchClassification",
     "PauliLabel",
-    "QECCParams",
     "approx_fidelity",
     "classify_match",
     "codespace_dim",

@@ -20,12 +20,7 @@ from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
 
 
 def format_analysis(params: eaqec.EAQECCParams, m: int, compute_d: bool) -> str:
-    q, l = params.q, params.l
-    d_part = "" if params.d is None else f",{params.d}"
-    if params.c == 0:
-        line = f"[[{params.n},{params.k}{d_part}]]_{q} c=0 l={l} m={m}"
-    else:
-        line = f"[[{params.n},{params.k}{d_part};{params.c}]]_{q} l={l} m={m}"
+    line = f"{params}{'' if params.c else ' c=0'} l={params.l} m={m}"
     if compute_d and params.d is None:
         line += " d=undefined"
     return line
@@ -97,7 +92,7 @@ def cmd_match(args) -> int:
     if None in (n, k, c, m, kb):
         raise FormatError("only the distances d and db may be '?' or empty")
     alice = eaqec.EAQECCParams(q=args.q, n=n, k=k, c=c, d=d)
-    bob = eaqec.QECCParams(q=args.q, n=m, k=kb, d=db)
+    bob = eaqec.EAQECCParams(q=args.q, n=m, k=kb, c=0, d=db)
     print(f"match={eaqec.classify_match(alice, bob)}")
     return 0
 
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=500)
     p.add_argument("--sets", type=_int_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_verify_pauli)
 
     p = sub.add_parser("print-field", help="modulus table and element encodings")

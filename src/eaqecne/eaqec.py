@@ -3,9 +3,11 @@
 An additive code C = (n, q^m) over GF(q^2) splits as radical ⊕ complement
 with exponents l and 2c; it EA-stabilizes an [[n, k, d; c]]_q code with
 k = n - c - l, consuming c ebits.  Self-orthogonal codes are the c = 0
-special case and stabilize ordinary [[n, n-m, d]]_q codes.  Distances
-minimize the Hamming weight over the dual of the full code, excluding its
-radical, which for a self-orthogonal code is the code itself.
+special case and stabilize ordinary [[n, n-m, d]]_q codes: one
+:class:`EAQECCParams` record holds both, and :func:`stabilizer_params`
+returns it with c = 0.  Distances minimize the Hamming weight over the
+dual of the full code, excluding its radical, which for a self-orthogonal
+code is the code itself.
 
 A combination pairs Alice's EA code with a stabilizer code Bob uses to
 protect the c shared ebits on his side; Bob's code matches when it has at
@@ -33,29 +35,9 @@ def _fmt_d(d) -> str:
 
 
 @dataclass(frozen=True)
-class QECCParams:
-    """Stabilizer-code parameters [[n, k, d]]_q; d may be unknown."""
-
-    q: int
-    n: int
-    k: int
-    d: int | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise RangeError(f"k={self.k} outside [0, {self.n}]")
-        if self.d is not None and not 1 <= self.d <= self.n:
-            raise RangeError(f"d={self.d} outside [1, {self.n}]")
-
-    def __str__(self):
-        if self.d is None:
-            return f"[[{self.n},{self.k}]]_{self.q}"
-        return f"[[{self.n},{self.k},{self.d}]]_{self.q}"
-
-
-@dataclass(frozen=True)
 class EAQECCParams:
-    """EA-code parameters [[n, k, d; c]]_q; d may be unknown or undefined."""
+    """EA-code parameters [[n, k, d; c]]_q; d may be unknown or undefined.
+    A stabilizer code is the c = 0 case, written [[n, k, d]]_q."""
 
     q: int
     n: int
@@ -78,9 +60,9 @@ class EAQECCParams:
         return self.n - self.c - self.k
 
     def __str__(self):
-        if self.d is None:
-            return f"[[{self.n},{self.k};{self.c}]]_{self.q}"
-        return f"[[{self.n},{self.k},{self.d};{self.c}]]_{self.q}"
+        d = "" if self.d is None else f",{self.d}"
+        c = f";{self.c}" if self.c else ""
+        return f"[[{self.n},{self.k}{d}{c}]]_{self.q}"
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,7 @@ class CombinationParams:
     """Alice's EA code paired with Bob's ebit-protection code."""
 
     alice: EAQECCParams
-    bob: QECCParams
+    bob: EAQECCParams  # a stabilizer code, c = 0
     match: MatchClassification
 
     def __str__(self):
@@ -134,15 +116,14 @@ def _derive(code: ac.AdditiveCode, compute_d: bool, budget: int
 
 
 def stabilizer_params(code: ac.AdditiveCode, compute_d: bool = True, *,
-                      budget: int = DEFAULT_BUDGET) -> QECCParams:
+                      budget: int = DEFAULT_BUDGET) -> EAQECCParams:
     """Parameters of the stabilizer code of a self-orthogonal additive code:
     the c = 0 case of :func:`eaqec_params`, whose radical is the code."""
     witness = ac.self_orthogonality_witness(code)
     if witness is not None:
         raise NotSelfOrthogonal(
             f"generators {witness[0]} and {witness[1]} have nonzero form value")
-    params = _derive(code, compute_d, budget)[0]
-    return QECCParams(q=params.q, n=params.n, k=params.k, d=params.d)
+    return _derive(code, compute_d, budget)[0]
 
 
 def eaqec_params(code: ac.AdditiveCode, compute_d: bool = True, *,
@@ -151,9 +132,11 @@ def eaqec_params(code: ac.AdditiveCode, compute_d: bool = True, *,
     return _derive(code, compute_d, budget)[0]
 
 
-def classify_match(alice: EAQECCParams, bob: QECCParams) -> MatchClassification:
+def classify_match(alice: EAQECCParams, bob: EAQECCParams) -> MatchClassification:
     if alice.q != bob.q:
         raise FieldMismatch(f"q={alice.q} vs q={bob.q}")
+    if bob.c:
+        raise RangeError(f"Bob's code {bob} is not a stabilizer code")
     matching = bob.k >= alice.c
     return MatchClassification(
         matching=matching,
@@ -301,7 +284,7 @@ class PunctureReport:
     achieved_c: int
     claimed_n: int               # N - c
     claimed_k: int               # N - 2u
-    equivalent_to: QECCParams    # the source stabilizer code
+    equivalent_to: EAQECCParams  # the source stabilizer code, c = 0
 
     def lines(self) -> list[str]:
         return [
@@ -346,7 +329,7 @@ def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
 
 def _entry(q, n, k, d, c, m, kb, db) -> CombinationParams:
     alice = EAQECCParams(q=q, n=n, k=k, c=c, d=d)
-    bob = QECCParams(q=q, n=m, k=kb, d=db)
+    bob = EAQECCParams(q=q, n=m, k=kb, c=0, d=db)
     return CombinationParams(alice=alice, bob=bob,
                              match=classify_match(alice, bob))
 

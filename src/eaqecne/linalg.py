@@ -175,6 +175,8 @@ def parse_matrix(text: str) -> tuple[FieldSpec, np.ndarray]:
         order, rows, cols = (int(t) for t in head)
     except ValueError as exc:
         raise FormatError(f"non-integer header {data[0]!r}") from exc
+    if min(rows, cols) < 0:
+        raise FormatError(f"negative shape in header {data[0]!r}")
     try:
         F = field(order)
     except ValueError as exc:

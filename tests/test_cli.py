@@ -44,6 +44,25 @@ def test_analyze_no_distance(capsys, five_q_code_file):
     assert out == "[[5,1]]_2 c=0 l=4 m=4\n"
 
 
+# the five-qudit code punctured at its last coordinate: an EA code, c = 1
+PUNCTURED_FIVE_Q = ac.dump_code(
+    ac.puncture(ac.AdditiveCode.from_linear(field(4), FIVE_Q), [4]))
+
+
+@pytest.mark.parametrize("text, flags, line", [
+    (PUNCTURED_FIVE_Q, [], "[[4,1,3;1]]_2 l=2 m=4"),
+    (PUNCTURED_FIVE_Q, ["--no-distance"], "[[4,1;1]]_2 l=2 m=4"),
+    ("9 1 2\n1 0\n", ["--symplectic"], "[[1,0]]_9 c=0 l=1 m=1 d=undefined"),
+    ("2 2 2\n1 0\n0 1\n", ["--symplectic"],
+     "[[1,0;1]]_2 l=0 m=2 d=undefined"),
+], ids=["ea", "ea-no-distance", "stabilizer-undefined", "ea-undefined"])
+def test_analyze_line_shapes(capsys, tmp_path, text, flags, line):
+    p = tmp_path / "code.txt"
+    p.write_text(text)
+    rc, out, err = run(capsys, ["analyze", str(p)] + flags)
+    assert (rc, out, err) == (0, line + "\n", "")
+
+
 def test_analyze_symplectic_input(capsys, tmp_path):
     F = field(2)
     pre = np.array([[1, 0, 0, 0]])
@@ -135,6 +154,18 @@ def test_combine(capsys, tmp_path):
     assert lines["radical_is_top_block"] == "true"
     assert lines["d1"] == "3" and lines["d2"] == "2"
     assert lines["c_identity_holds"] == "true"
+
+
+def test_combine_stabilizer_params_line(capsys, tmp_path):
+    # G alone, with an empty (G2|E): a self-orthogonal [[5,4,1]] code, c = 0
+    paths = []
+    for name, text in (("G", "4 1 3\n1 0 0\n"), ("G2", "4 0 3\n"),
+                       ("E", "4 0 2\n")):
+        paths.append(tmp_path / f"{name}.mat")
+        paths[-1].write_text(text)
+    rc, out, _ = run(capsys, ["combine"] + [str(p) for p in paths])
+    assert rc == 0
+    assert out.splitlines()[0] == "params=[[5,4,1]]_2"
 
 
 def test_combine_precondition_exit(capsys, tmp_path):
@@ -276,6 +307,15 @@ def test_missing_code_file(capsys, tmp_path):
     assert err == f"error: cannot read {missing}: No such file or directory\n"
 
 
+def test_negative_header_shape(capsys, tmp_path):
+    bad = tmp_path / "neg.mat"
+    bad.write_text("4 0 -2\n")
+    for argv in (["analyze", str(bad)], ["combine", str(bad), str(bad), str(bad)]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: negative shape in header '4 0 -2'\n"
+
+
 def test_non_utf8_code_file(capsys, tmp_path):
     bad = tmp_path / "bad.code"
     bad.write_bytes(b"4 1 1\n\xff\n")
@@ -341,7 +381,9 @@ def test_fidelity_csv_into_missing_directory(capsys, tmp_path):
     ["print-field", "--order", "6"],
     ["analyze", "--no-distance", "--budget", "-5", "x.code"],
     ["mindist", "--budget", "abc", "x.code"],
-], ids=["n-zero", "n-negative", "no-samples", "negative-sets", "order-6", "negative-budget", "text-budget"])
+    ["verify-pauli", "--p", "2", "--n", "1", "--seed", "-1"],
+], ids=["n-zero", "n-negative", "no-samples", "negative-sets", "order-6", "negative-budget", "text-budget",
+        "negative-seed"])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

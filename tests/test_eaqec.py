@@ -41,9 +41,9 @@ def isotropic_witness_code(Q, n, radical_coords, pair_coords):
 
 def test_params_validation():
     with pytest.raises(RangeError):
-        eaqec.QECCParams(q=2, n=5, k=6)
+        eaqec.EAQECCParams(q=2, n=5, k=6, c=0)
     with pytest.raises(RangeError):
-        eaqec.QECCParams(q=2, n=5, k=1, d=6)
+        eaqec.EAQECCParams(q=2, n=5, k=1, c=0, d=6)
     with pytest.raises(RangeError):
         eaqec.EAQECCParams(q=2, n=5, k=5, c=1)
     p = eaqec.EAQECCParams(q=3, n=11, k=1, c=2, d=7)
@@ -102,6 +102,7 @@ def test_eaqec_params_reduces_to_stabilizer():
             assert ea.c == 0
             assert (ea.n, ea.k, ea.d) == expect
             assert (st.n, st.k, st.d) == expect
+            assert st == ea
 
 
 def test_eaqec_params_bookkeeping_witness():
@@ -115,21 +116,28 @@ def test_eaqec_params_bookkeeping_witness():
 
 def test_classify_match_examples():
     prop = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
-                                eaqec.QECCParams(q=2, n=5, k=1, d=3))
+                                eaqec.EAQECCParams(q=2, n=5, k=1, c=0, d=3))
     assert prop.properly_matching and prop.faithful
     assert prop.label == "properly-matching+faithful"
     vac = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
-                               eaqec.QECCParams(q=2, n=3, k=1, d=1))
+                               eaqec.EAQECCParams(q=2, n=3, k=1, c=0, d=1))
     assert vac.matching and vac.properly_matching is False
     big = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
-                               eaqec.QECCParams(q=2, n=11, k=5, d=3))
+                               eaqec.EAQECCParams(q=2, n=11, k=5, c=0, d=3))
     assert big.properly_matching and big.faithful
     none = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
-                                eaqec.QECCParams(q=2, n=11, k=4, d=3))
+                                eaqec.EAQECCParams(q=2, n=11, k=4, c=0, d=3))
     assert none.label == "none"
     with pytest.raises(FieldMismatch):
         eaqec.classify_match(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
-                             eaqec.QECCParams(q=3, n=3, k=1))
+                             eaqec.EAQECCParams(q=3, n=3, k=1, c=0))
+
+
+def test_classify_match_rejects_ea_bob():
+    # Bob protects Alice's ebits with a stabilizer code: c = 0 only
+    with pytest.raises(RangeError):
+        eaqec.classify_match(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
+                             eaqec.EAQECCParams(q=2, n=5, k=1, c=1, d=3))
 
 
 def test_combine_neb_trivial_bob():

@@ -344,6 +344,8 @@ def test_matrix_format_ignores_noise():
     "2 2 2\n1 0\n",
     "2 1 2\n1 5\n",
     "2 1 2\nx y\n",
+    "4 0 -2\n",
+    "4 -1 2\n",
 ])
 def test_matrix_format_errors(bad):
     with pytest.raises(FormatError):
