@@ -10,16 +10,14 @@ constructions (:mod:`eaqecne.eaqec`), a dense-matrix Pauli-group oracle
 """
 
 from .addcodes import (AdditiveCode, CodeDecomposition, dual, is_acd,
-                       is_dual_containing, is_self_orthogonal, min_weight,
-                       min_weight_excluding, puncture, radical,
+                       is_dual_containing, is_self_orthogonal,
+                       min_weight_excluding_detail, puncture, radical,
                        radical_decompose)
 from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
                     MatchClassification, classify_match,
                     combine_construct, combine_neb, eaqec_params,
                     known_tables, puncture_to_eaqecc, stabilizer_params)
-from .fidelity import (ChannelModel, FidelityCurve, approx_fidelity,
-                       combined_fidelity, compare, crossover_degradation,
-                       sweep)
+from .fidelity import approx_fidelity, compare, crossover_degradation, sweep
 from .gf import FieldSpec, field, quadratic_field
 from .pauli import PauliLabel, codespace_dim, commutation_phase, pauli_matrix
 
@@ -27,12 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveCode",
-    "ChannelModel",
     "CodeDecomposition",
     "CombinationParams",
     "CombinationReport",
     "EAQECCParams",
-    "FidelityCurve",
     "FieldSpec",
     "MatchClassification",
     "PauliLabel",
@@ -41,7 +37,6 @@ __all__ = [
     "codespace_dim",
     "combine_construct",
     "combine_neb",
-    "combined_fidelity",
     "commutation_phase",
     "compare",
     "crossover_degradation",
@@ -51,8 +46,7 @@ __all__ = [
     "is_acd",
     "is_dual_containing",
     "is_self_orthogonal",
-    "min_weight",
-    "min_weight_excluding",
+    "min_weight_excluding_detail",
     "pauli_matrix",
     "known_tables",
     "puncture",

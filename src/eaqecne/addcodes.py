@@ -332,9 +332,13 @@ def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode) -> np.ndarray:
     return np.vstack([ext, excluded.preimage])
 
 
-def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
-                                *, budget: int = DEFAULT_BUDGET) -> MinWeightResult:
-    """Minimum Hamming weight over words of `outer` not in `excluded`."""
+def min_weight_excluding_detail(outer: AdditiveCode,
+                                excluded: AdditiveCode | None = None, *,
+                                budget: int = DEFAULT_BUDGET) -> MinWeightResult:
+    """Minimum Hamming weight over words of `outer` not in `excluded` (None:
+    the zero code), the package's one minimum-weight scan."""
+    if excluded is None:
+        excluded = AdditiveCode.zero(outer.field, outer.n)
     outer._check_peer(excluded)
     rows = _exclusion_basis(outer, excluded)
     q, n = outer.base_field.order, outer.n
@@ -345,21 +349,6 @@ def min_weight_excluding_detail(outer: AdditiveCode, excluded: AdditiveCode,
         raise BudgetExceeded(required, budget)
     best, examined = _scan_preimage(outer.base_field, rows, excluded.m)
     return MinWeightResult(weight=best, examined=examined)
-
-
-def min_weight_excluding(outer: AdditiveCode, excluded: AdditiveCode, *,
-                         budget: int = DEFAULT_BUDGET) -> int:
-    return min_weight_excluding_detail(outer, excluded, budget=budget).weight
-
-
-def min_weight_detail(code: AdditiveCode, *,
-                      budget: int = DEFAULT_BUDGET) -> MinWeightResult:
-    return min_weight_excluding_detail(
-        code, AdditiveCode.zero(code.field, code.n), budget=budget)
-
-
-def min_weight(code: AdditiveCode, *, budget: int = DEFAULT_BUDGET) -> int:
-    return min_weight_detail(code, budget=budget).weight
 
 
 # ---------------------------------------------------------------------------

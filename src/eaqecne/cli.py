@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import EaqecneError, FormatError
+from .errors import EaqecneError, FormatError, RangeError
 from .gf import SUPPORTED_ORDERS, field
 from . import addcodes as ac
 from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
@@ -50,7 +50,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_mindist(args) -> int:
     code = ac.load_code(args.codefile, args.symplectic)
-    res = ac.min_weight_detail(code, budget=args.budget)
+    res = ac.min_weight_excluding_detail(code, budget=args.budget)
     d = res.distance(code.n)
     print(f"d={'undefined' if d is None else d} enumerated={res.examined}")
     return 0
@@ -86,13 +86,20 @@ def _parse_ints(text: str, count: int, what: str) -> list[int | None]:
     return out
 
 
+def _params(flag: str, **fields) -> eaqec.EAQECCParams:
+    try:
+        return eaqec.EAQECCParams(**fields)
+    except RangeError as exc:
+        raise RangeError(f"{flag}: {exc}") from None
+
+
 def cmd_match(args) -> int:
     n, k, d, c = _parse_ints(args.alice, 4, "--alice")
     m, kb, db = _parse_ints(args.bob, 3, "--bob")
     if None in (n, k, c, m, kb):
         raise FormatError("only the distances d and db may be '?' or empty")
-    alice = eaqec.EAQECCParams(q=args.q, n=n, k=k, c=c, d=d)
-    bob = eaqec.EAQECCParams(q=args.q, n=m, k=kb, c=0, d=db)
+    alice = _params("--alice", q=args.q, n=n, k=k, c=c, d=d)
+    bob = _params("--bob", q=args.q, n=m, k=kb, c=0, d=db)
     print(f"match={eaqec.classify_match(alice, bob)}")
     return 0
 
@@ -118,8 +125,8 @@ def cmd_fidelity(args) -> int:
         print(f"warning: degradation coefficient {args.lam} exceeds 1",
               file=sys.stderr)
     grid = fid.parse_grid(args.grid)
-    curve = fid.sweep((N, d), ((n, da), (m, db)), lam, grid)
-    text = fid.curve_csv(curve)
+    rows = fid.sweep((N, d), ((n, da), (m, db)), lam, grid)
+    text = fid.curve_csv(rows)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -127,7 +134,7 @@ def cmd_fidelity(args) -> int:
         except OSError as exc:
             raise FormatError(
                 f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-        print(f"wrote {len(curve.rows)} rows to {args.csv}")
+        print(f"wrote {len(rows)} rows to {args.csv}")
     else:
         print(text, end="")
     return 0

@@ -49,8 +49,7 @@ class EAQECCParams:
         if self.c < 0 or self.k < 0:
             raise RangeError(f"c={self.c}, k={self.k} must be nonnegative")
         if self.n - self.c - self.k < 0:
-            raise RangeError(
-                f"[[{self.n},{self.k};{self.c}]] forces negative isotropic dimension")
+            raise RangeError(f"{self} forces negative isotropic dimension")
         if self.d is not None and not 1 <= self.d <= self.n:
             raise RangeError(f"d={self.d} outside [1, {self.n}]")
 
@@ -247,10 +246,10 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
     params, dec, enumerated = _derive(combined, compute_d, budget)
     d1 = d2 = comp_w = claim = None
     if compute_d:
-        r1 = ac.min_weight_detail(summed, budget=budget)
+        r1 = ac.min_weight_excluding_detail(summed, budget=budget)
         block = ac.AdditiveCode.from_generators(field, E, n=m)
-        r2 = ac.min_weight_detail(block, budget=budget)
-        r3 = ac.min_weight_detail(appended, budget=budget)
+        r2 = ac.min_weight_excluding_detail(block, budget=budget)
+        r3 = ac.min_weight_excluding_detail(appended, budget=budget)
         enumerated += r1.examined + r2.examined + r3.examined
         d1, d2 = r1.distance(n), r2.distance(m)
         comp_w = r3.distance(n + m)

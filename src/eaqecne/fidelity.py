@@ -7,17 +7,19 @@ hit at per-qudit depolarizing rate p:
     sum_{i=0}^{t} C(N,i) p^i (1-p)^(N-i).
 
 A combined pair multiplies Alice's term at rate p_a with the ebit-protection
-term at rate p_b = lambda * p_a.  These values sit extremely close to 1, so
-every value is exact: with p = a/b and c = b - a the tail is the one integer
-c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i) over b^N, which pays a single gcd.
-A tail falls as its rate grows, so at fixed p_a the pair falls monotonically
-in lambda, and bisection finds the one crossover against a single code.
+term at rate p_b = lambda * p_a.  One pair evaluation serves :func:`sweep`,
+:func:`compare` and :func:`crossover_degradation`: P_C and Alice's term at
+p_a, and Bob's tail as a function of lambda, the only factor lambda moves.
+Every value is exact, since they sit extremely close to 1: with p = a/b and
+c = b - a the tail is one integer, c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i),
+over b^N, which pays a single gcd.  A tail falls as its rate grows, so at
+fixed p_a the pair falls monotonically in lambda, and bisection finds the
+one crossover against a single code.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
@@ -52,15 +54,11 @@ def _check_code(length, distance) -> tuple[int, int]:
     return length, distance
 
 
-def correction_radius(distance: int) -> int:
-    return (distance - 1) // 2
-
-
 def approx_fidelity(length: int, distance: int, rate) -> Fraction:
     """Exact rational binomial tail: P(at most t errors among `length`)."""
     N, d = _check_code(length, distance)
     p = _rate(rate)
-    t = correction_radius(d)
+    t = (d - 1) // 2
     a, b = p.numerator, p.denominator
     c = b - a
     # Horner in c over the running terms C(N,i) a^i
@@ -71,44 +69,23 @@ def approx_fidelity(length: int, distance: int, rate) -> Fraction:
     return Fraction(head * c ** (N - t), b ** N)
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Depolarizing rates for Alice's channel and Bob's ebit storage."""
+def _pair(c_params, d_params, pa: Fraction):
+    """P_C and Alice's term at p_a, and Bob's tail as a function of lam."""
+    pc = approx_fidelity(c_params[0], c_params[1], pa)
+    (n, da), (m, db) = d_params
+    alice = approx_fidelity(n, da, pa)
 
-    p_a: Fraction
-    p_b: Fraction
+    def bob(lam: Fraction) -> Fraction:
+        return approx_fidelity(m, db, lam * pa)
 
-    @classmethod
-    def from_rates(cls, p_a, p_b) -> "ChannelModel":
-        return cls(_rate(p_a), _rate(p_b))
-
-    @classmethod
-    def from_degradation(cls, p_a, lam) -> "ChannelModel":
-        """p_b = lam * p_a; lam above 1 is allowed but flagged."""
-        pa = _rate(p_a)
-        lam = read_rational(lam, "degradation coefficient")
-        if lam < 0:
-            raise RangeError(f"degradation coefficient {lam} is negative")
-        return cls(pa, _rate(lam * pa))
-
-    @property
-    def degradation(self) -> Fraction | None:
-        """lam = p_b / p_a, undefined at p_a = 0."""
-        return None if self.p_a == 0 else self.p_b / self.p_a
-
-    @property
-    def degradation_exceeds_unity(self) -> bool:
-        lam = self.degradation
-        return lam is not None and lam > 1
+    return pc, alice, bob
 
 
-def combined_fidelity(ea: tuple[int, int], b: tuple[int, int],
-                      ch: ChannelModel) -> Fraction:
-    """P(pair) = P(Alice at p_a) * P(Bob at p_b)."""
-    n, d = ea
-    m, db = b
-    return (approx_fidelity(n, d, ch.p_a)
-            * approx_fidelity(m, db, ch.p_b))
+def _check_degradation(lam: Fraction, pa: Fraction) -> None:
+    """lam >= 0 with p_b = lam * p_a a rate; lam above 1 is allowed."""
+    if lam < 0:
+        raise RangeError(f"degradation coefficient {lam} is negative")
+    _rate(lam * pa)
 
 
 D_BETTER = "D_better"
@@ -120,9 +97,11 @@ def compare(c_params: tuple[int, int],
             d_params: tuple[tuple[int, int], tuple[int, int]],
             p_a, lam) -> str:
     """Exact ordering of the combined pair D against the single code C."""
-    ch = ChannelModel.from_degradation(p_a, lam)
-    pc = approx_fidelity(c_params[0], c_params[1], ch.p_a)
-    pd = combined_fidelity(d_params[0], d_params[1], ch)
+    pa = _rate(p_a)
+    lam = read_rational(lam, "degradation coefficient")
+    _check_degradation(lam, pa)
+    pc, alice, bob = _pair(c_params, d_params, pa)
+    pd = alice * bob(lam)
     if pd > pc:
         return D_BETTER
     if pc > pd:
@@ -144,12 +123,10 @@ def crossover_degradation(c_params, d_params, p_a,
     pa = _rate(p_a)
     if not 0 < pa < 1:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")
-    pc = approx_fidelity(c_params[0], c_params[1], pa)
-    (n, da), (m, db) = d_params
-    alice = approx_fidelity(n, da, pa)
+    pc, alice, bob = _pair(c_params, d_params, pa)
 
     def diff(lam: Fraction) -> Fraction:
-        return alice * approx_fidelity(m, db, lam * pa) - pc
+        return alice * bob(lam) - pc
 
     lo, hi = Fraction(0), Fraction(1)
     f_lo, f_hi = diff(lo), diff(hi)
@@ -171,36 +148,24 @@ def crossover_degradation(c_params, d_params, p_a,
     return (lo + hi) / 2
 
 
-@dataclass(frozen=True)
-class FidelityCurve:
-    """Sampled (p_a, P_C, P_D) rows at a fixed degradation coefficient."""
-
-    rows: tuple[tuple[Fraction, Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        for (a, pc, pd) in self.rows:
-            if not (0 <= pc <= 1 and 0 <= pd <= 1):
-                raise RangeError("fidelity values left [0, 1]")
-        grid = [r[0] for r in self.rows]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise RangeError("p_a grid must be strictly increasing")
-
-
 def sweep(c_params: tuple[int, int],
           d_params: tuple[tuple[int, int], tuple[int, int]],
-          lam, p_grid) -> FidelityCurve:
-    """Evaluate both codes on a strictly increasing grid of p_a values."""
+          lam, p_grid) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Exact (p_a, P_C, P_D) rows on a strictly increasing grid of p_a."""
     lamf = read_rational(lam, "degradation coefficient")
     rows = []
     for p in p_grid:
         pa = _rate(p)
         if not 0 < pa < 1:
             raise RangeError(f"grid point {p} outside (0, 1)")
-        ch = ChannelModel.from_degradation(pa, lamf)
-        rows.append((pa,
-                     approx_fidelity(c_params[0], c_params[1], pa),
-                     combined_fidelity(d_params[0], d_params[1], ch)))
-    return FidelityCurve(rows=tuple(rows))
+        _check_degradation(lamf, pa)
+        pc, alice, bob = _pair(c_params, d_params, pa)
+        rows.append((pa, pc, alice * bob(lamf)))
+    if not all(0 <= pc <= 1 and 0 <= pd <= 1 for _, pc, pd in rows):
+        raise RangeError("fidelity values left [0, 1]")
+    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+        raise RangeError("p_a grid must be strictly increasing")
+    return rows
 
 
 # built once (a Context costs about a short division); its flags go unread
@@ -226,9 +191,10 @@ def format_15(x: Fraction) -> str:
     return ctx.to_sci_string(ctx.create_decimal(f"{sign}{q}1E{-k - 1}"))
 
 
-def curve_csv(curve: FidelityCurve) -> str:
+def curve_csv(rows) -> str:
+    """The (p_a, P_C, P_D) rows of :func:`sweep` as CSV with a diff column."""
     lines = ["p_a,P_C,P_D,diff"]
-    for pa, pc, pd in curve.rows:
+    for pa, pc, pd in rows:
         lines.append(",".join([format_15(pa), format_15(pc), format_15(pd),
                                format_15(pd - pc)]))
     return "\n".join(lines) + "\n"

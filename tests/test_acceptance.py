@@ -212,9 +212,8 @@ def test_criterion_7_fidelity_oracle_agreement():
             # product law
             m, db = rnd.randint(1, 20), 1 + 2 * rnd.randint(0, 4)
             db = min(db, m)
-            ch = fid.ChannelModel.from_degradation(p, Fraction(1, 2))
-            assert fid.combined_fidelity((N, d), (m, db), ch) == \
-                fid.approx_fidelity(N, d, ch.p_a) * fid.approx_fidelity(m, db, ch.p_b)
+            [(_, _, pd)] = fid.sweep((N, d), ((N, d), (m, db)), Fraction(1, 2), [p])
+            assert pd == fid.approx_fidelity(N, d, p) * fid.approx_fidelity(m, db, p / 2)
     announce("7 fidelity-formulas", 60, started, "triples=1000")
 
 
@@ -226,12 +225,9 @@ def test_criterion_8_example_comparison():
         grid = [Fraction(i, 1000) for i in range(1, 51)]
         lams = [Fraction(1, 100), Fraction(1, 10), Fraction(1, 2),
                 Fraction(99, 100)]
-        for pa in grid:
-            pc = fid.approx_fidelity(*c_params, pa)
-            diffs = []
-            for lam in lams:
-                ch = fid.ChannelModel.from_degradation(pa, lam)
-                diffs.append(fid.combined_fidelity(*d_params, ch) - pc)
+        sweeps = [fid.sweep(c_params, d_params, lam, grid) for lam in lams]
+        for rows in zip(*sweeps):
+            diffs = [pd - pc for _, pc, pd in rows]
             # the pair beats the monolithic code at lambda = 0.01 everywhere
             assert diffs[0] > 0
             # and the advantage shrinks monotonically with the degradation
@@ -254,7 +250,8 @@ def test_criterion_9_enumeration_strategies_agree():
             code = random_additive_code(Q, n, m, rng)
             # the scan over GF(q^2) words against brute force over the
             # preimage with symplectic weights: two independent routes
-            assert ac.min_weight(code) == preimage_min_weight(code)
+            assert (ac.min_weight_excluding_detail(code).weight
+                    == preimage_min_weight(code))
             checked += 1
         assert checked == 50
     announce("9 enumeration-strategies", 60, started, "codes=50")

@@ -124,7 +124,7 @@ def test_mindist(capsys, five_q_code_file):
     path, code = five_q_code_file
     rc, out, _ = run(capsys, ["mindist", str(path)])
     assert rc == 0
-    d, q = ac.min_weight(code), code.base_field.order
+    d, q = ac.min_weight_excluding_detail(code).weight, code.base_field.order
     assert out == f"d={d} enumerated={(q ** code.m - 1) // (q - 1)}\n"
     with pytest.raises(SystemExit) as exc:
         main(["mindist", str(path), "--threads", "2"])
@@ -284,7 +284,14 @@ def test_match_rejects_distance_beyond_length(capsys):
     rc, out, err = run(capsys, ["match", "--q", "2",
                                 "--alice", "8,1,99,1", "--bob", "5,1,3"])
     assert rc == 1 and out == ""
-    assert err == "error: d=99 outside [1, 8]\n"
+    assert err == "error: --alice: d=99 outside [1, 8]\n"
+
+
+def test_match_rejects_bob_beyond_length(capsys):
+    rc, out, err = run(capsys, ["match", "--q", "2",
+                                "--alice", "8,1,5,1", "--bob", "5,6,3"])
+    assert rc == 1 and out == ""
+    assert err == "error: --bob: [[5,6,3]]_2 forces negative isotropic dimension\n"
 
 
 def test_match_rejects_unsupported_q(capsys):
@@ -349,6 +356,9 @@ def with_option(argv, option, value):
     (with_option(FID, "--b", "x,1"), "error: --b: 'x' is not an integer\n"),
     (with_option(FID, "--c", "17,"),
      "error: --c, --ea and --b need a length and a distance\n"),
+    # the grid point is checked before the sign of lambda
+    (with_option(with_option(FID, "--lambda", "-1"), "--grid", "0:0.5:3"),
+     "error: grid point 0 outside (0, 1)\n"),
     (["match", "--q", "2", "--alice", "8,x,3,1", "--bob", "5,1,3"],
      "error: --alice: 'x' is not an integer\n"),
     (["match", "--q", "2", "--alice", "?,1,3,1", "--bob", "5,1,3"], UNKNOWN),
@@ -359,7 +369,8 @@ def with_option(argv, option, value):
     (["tables", "--family-m", "x"],
      "error: --family-m needs comma-separated integers, got 'x'\n"),
 ], ids=["lambda-text", "lambda-zero-denominator", "c", "ea", "b",
-        "c-missing-distance", "alice", "alice-n-unknown", "alice-k-unknown",
+        "c-missing-distance", "negative-lambda-grid-point-0", "alice",
+        "alice-n-unknown", "alice-k-unknown",
         "alice-c-empty", "bob-m-unknown", "bob-kb-unknown", "family-m"])
 def test_bad_values_end_in_one_error_line(capsys, argv, err):
     rc, out, got = run(capsys, argv)

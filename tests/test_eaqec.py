@@ -74,7 +74,7 @@ def test_stabilizer_params_span_11():
     # oracle: dual has exponent 3, minimize over its words outside C
     D = ac.dual(C)
     assert D.m == 3
-    assert P.d == ac.min_weight_excluding(D, C)
+    assert P.d == ac.min_weight_excluding_detail(D, C).weight
 
 
 def test_stabilizer_params_rejects_non_self_orthogonal():
@@ -95,7 +95,7 @@ def test_eaqec_params_reduces_to_stabilizer():
         for _ in range(10):
             pre = sp.random_isotropic_basis(F, n, int(rng.integers(0, n + 1)), rng)
             C = ac.AdditiveCode.from_preimage(Q, pre)
-            w = ac.min_weight_excluding(ac.dual(C), C)
+            w = ac.min_weight_excluding_detail(ac.dual(C), C).weight
             expect = (n, n - C.m, None if w > n else w)
             ea = eaqec.eaqec_params(C)
             st = eaqec.stabilizer_params(C)

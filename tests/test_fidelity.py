@@ -67,7 +67,7 @@ def test_bounds_and_monotonicity():
         # non-increasing in p on [0, 1/2]
         assert all(a >= b for a, b in zip(values, values[1:]))
         # equals 1 only at p = 0 when t < N
-        if fid.correction_radius(d) < N:
+        if (d - 1) // 2 < N:
             assert values[0] == 1 and all(v < 1 for v in values[1:])
 
 
@@ -79,29 +79,31 @@ def test_monotone_in_distance():
 
 
 def test_channel_model():
-    ch = fid.ChannelModel.from_degradation(Fraction(1, 50), Fraction(1, 10))
-    assert ch.p_b == Fraction(1, 500)
-    assert ch.degradation == Fraction(1, 10)
-    assert not ch.degradation_exceeds_unity
-    hot = fid.ChannelModel.from_rates(Fraction(1, 100), Fraction(2, 100))
-    assert hot.degradation_exceeds_unity
-    assert fid.ChannelModel.from_rates(0, 0).degradation is None
-    with pytest.raises(RangeError):
-        fid.ChannelModel.from_degradation(Fraction(1, 2), 3)  # p_b > 1
+    # p_b = lam * p_a: Bob's tail is taken at p_a / 10
+    [(pa, pc, pd)] = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
+                               [Fraction(1, 50)])
+    assert pa == Fraction(1, 50) and pc == fid.approx_fidelity(17, 7, pa)
+    assert pd == fid.approx_fidelity(11, 7, pa) * fid.approx_fidelity(6, 3, Fraction(1, 500))
+    # lam * p_a > 1
+    for call in (lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 2), 3),
+                 lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), 3, [Fraction(1, 2)])):
+        with pytest.raises(RangeError, match=r"^rate 3/2 outside \[0, 1\]$"):
+            call()
 
 
 def test_combined_fidelity_identities():
-    ea, bob = (11, 7), (6, 3)
-    ch0 = fid.ChannelModel.from_rates(Fraction(1, 30), 0)
-    assert fid.combined_fidelity(ea, bob, ch0) == fid.approx_fidelity(11, 7, Fraction(1, 30))
-    # d_b = 1: the Bob factor collapses to (1-p_b)^m
-    ch = fid.ChannelModel.from_rates(Fraction(1, 30), Fraction(1, 60))
-    got = fid.combined_fidelity(ea, (6, 1), ch)
-    assert got == fid.approx_fidelity(11, 7, ch.p_a) * (1 - ch.p_b) ** 6
+    ea, bob, pa = (11, 7), (6, 3), Fraction(1, 30)
+    [(_, _, pd0)] = fid.sweep((17, 7), (ea, bob), 0, [pa])
+    assert pd0 == fid.approx_fidelity(11, 7, pa)
+    assert fid.compare((11, 7), (ea, bob), pa, 0) == fid.TIE
+    # d_b = 1: the Bob factor collapses to (1-p_b)^m, here p_b = 1/60
+    pb = Fraction(1, 60)
+    [(_, _, got)] = fid.sweep((17, 7), (ea, (6, 1)), Fraction(1, 2), [pa])
+    assert got == fid.approx_fidelity(11, 7, pa) * (1 - pb) ** 6
     # product is below both factors
-    both = fid.combined_fidelity(ea, bob, ch)
-    assert both <= fid.approx_fidelity(11, 7, ch.p_a)
-    assert both <= fid.approx_fidelity(6, 3, ch.p_b)
+    [(_, _, both)] = fid.sweep((17, 7), (ea, bob), Fraction(1, 2), [pa])
+    assert both <= fid.approx_fidelity(11, 7, pa)
+    assert both <= fid.approx_fidelity(6, 3, pb)
 
 
 def test_compare():
@@ -152,21 +154,76 @@ def test_crossover_rejects_nonpositive_tol(tol):
 
 def test_sweep_structure():
     grid = [Fraction(i, 1000) for i in range(1, 6)]
-    curve = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
-    assert len(curve.rows) == 5
+    rows = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
+    assert len(rows) == 5
     single = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 2), grid[:1])
-    assert len(single.rows) == 1
+    assert len(single) == 1
     # C column ignores the degradation coefficient
     other = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(99, 100), grid)
-    assert [r[1] for r in curve.rows] == [r[1] for r in other.rows]
+    assert [r[1] for r in rows] == [r[1] for r in other]
     with pytest.raises(RangeError):
         fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 2), [Fraction(0)])
 
 
+@pytest.mark.parametrize("grid", [[Fraction(1, 4), Fraction(1, 4)],
+                                  [Fraction(1, 4), Fraction(1, 8)],
+                                  [Fraction(1, 100), Fraction(3, 100), Fraction(2, 100)]],
+                         ids=["repeated", "decreasing", "unordered"])
+def test_sweep_rejects_grid_not_increasing(grid):
+    with pytest.raises(RangeError, match="^p_a grid must be strictly increasing$"):
+        fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10), grid)
+
+
+def test_sweep_empty_grid_has_no_rows():
+    # nothing is evaluated, so neither lambda's sign nor the codes are checked
+    assert fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10), []) == []
+    assert fid.sweep((0, 0), ((11, 7), (6, 3)), -1, []) == []
+    assert fid.curve_csv([]) == "p_a,P_C,P_D,diff\n"
+
+
+# inputs bad in two ways at once: p_a, then lambda, then lambda * p_a, then
+# the codes, and every grid point before the grid's order
+@pytest.mark.parametrize("call, message", [
+    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
+                       [Fraction(1, 2), Fraction(1, 4), Fraction(1)]),
+     "grid point 1 outside (0, 1)"),
+    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
+                       [Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)]),
+     "rate 3/2 outside [0, 1]"),
+    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), -1, [Fraction(1, 2), Fraction(1, 4)]),
+     "degradation coefficient -1 is negative"),
+    (lambda: fid.sweep((17, 0), ((11, 7), (6, 3)), Fraction(1, 10),
+                       [Fraction(1, 2), Fraction(1, 4)]),
+     "distance 0 outside [1, 17]"),
+    (lambda: fid.sweep((17, 0), ((11, 0), (6, 3)), 3, [Fraction(1, 2)]),
+     "rate 3/2 outside [0, 1]"),
+    (lambda: fid.compare((17, 7), ((11, 0), (6, 3)), Fraction(1, 2), 3),
+     "rate 3/2 outside [0, 1]"),
+    (lambda: fid.compare((17, 99), ((11, 7), (6, 9)), Fraction(1, 2), 3),
+     "rate 3/2 outside [0, 1]"),
+    (lambda: fid.compare((0, 7), ((11, 7), (6, 3)), Fraction(1, 2), -1),
+     "degradation coefficient -1 is negative"),
+    (lambda: fid.compare((17, 7), ((11, 7), (6, 3)), 2, -1),
+     "rate 2 outside [0, 1]"),
+    (lambda: fid.crossover_degradation((17, 0), ((11, 0), (6, 0)), Fraction(1, 2)),
+     "distance 0 outside [1, 17]"),
+    (lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 0)), Fraction(1, 2)),
+     "distance 0 outside [1, 6]"),
+], ids=["unordered-grid-point-1", "unordered-grid-rate", "unordered-negative-lambda",
+        "unordered-bad-code", "sweep-bad-codes-hot-bob", "compare-bad-pair-hot-bob",
+        "compare-bad-distances-hot-bob", "compare-bad-code-negative-lambda",
+        "compare-bad-rate-negative-lambda", "crossover-bad-codes",
+        "crossover-bad-bob"])
+def test_first_error_of_doubly_bad_inputs(call, message):
+    with pytest.raises(RangeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_csv_rendering():
     grid = [Fraction(1, 100)]
-    curve = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
-    text = fid.curve_csv(curve)
+    rows = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
+    text = fid.curve_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "p_a,P_C,P_D,diff"
     assert lines[1].startswith("0.01,0.999978555245860,")
@@ -245,7 +302,7 @@ GRID = [Fraction(1, 100), Fraction(2, 100)]
     lambda: fid.approx_fidelity("5", 3, 0.1),
     lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), "abc"),
     lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), "x", GRID),
-    lambda: fid.ChannelModel.from_degradation(Fraction(1, 100), float("inf")),
+    lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), float("inf")),
     lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 3)),
                                       Fraction(1, 1000), tol="x"),
 ], ids=["rate-inf", "rate-zero-denominator", "rate-none", "length-float",
