@@ -14,7 +14,6 @@ from .addcodes import (AdditiveCode, CodeDecomposition, dual, is_acd,
                        min_weight_excluding_detail, puncture, radical,
                        radical_decompose)
 from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
-                    MatchClassification, classify_match,
                     combine_construct, combine_neb, eaqec_params,
                     known_tables, puncture_to_eaqecc, stabilizer_params)
 from .fidelity import approx_fidelity, compare, crossover_degradation, sweep
@@ -30,10 +29,8 @@ __all__ = [
     "CombinationReport",
     "EAQECCParams",
     "FieldSpec",
-    "MatchClassification",
     "PauliLabel",
     "approx_fidelity",
-    "classify_match",
     "codespace_dim",
     "combine_construct",
     "combine_neb",

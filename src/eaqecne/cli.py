@@ -100,7 +100,7 @@ def cmd_match(args) -> int:
         raise FormatError("only the distances d and db may be '?' or empty")
     alice = _params("--alice", q=args.q, n=n, k=k, c=c, d=d)
     bob = _params("--bob", q=args.q, n=m, k=kb, c=0, d=db)
-    print(f"match={eaqec.classify_match(alice, bob)}")
+    print(f"match={eaqec.CombinationParams(alice, bob).label}")
     return 0
 
 

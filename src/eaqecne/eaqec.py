@@ -10,9 +10,12 @@ dual of the full code, excluding its radical, which for a self-orthogonal
 code is the code itself.
 
 A combination pairs Alice's EA code with a stabilizer code Bob uses to
-protect the c shared ebits on his side; Bob's code matches when it has at
-least c logical qudits, properly matches when it has exactly c, and the
-pair is faithful when Bob's distance is at least 3.
+protect the c shared ebits on his side.  :class:`CombinationParams`
+``(alice, bob)`` classifies the pair from the two records and rejects a
+Bob record with c != 0: Bob's code matches when it has at least c logical
+qudits, properly matches when it has exactly c, and the pair is faithful
+when Bob's distance is at least 3.  :func:`puncture_to_eaqecc` returns the
+punctured code's record with its source (``equivalent_to``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ DEFAULT_BUDGET = ac.DEFAULT_BUDGET
 
 def _fmt_d(d) -> str:
     return "?" if d is None else str(d)
+
+
+def _fmt_bool(b) -> str:
+    return "?" if b is None else str(b).lower()
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,30 @@ class EAQECCParams:
 
 
 @dataclass(frozen=True)
-class MatchClassification:
-    matching: bool
-    faithful: bool
-    properly_matching: bool
+class CombinationParams:
+    """Alice's EA code paired with Bob's ebit-protection code; the match
+    classification is read off the two records."""
+
+    alice: EAQECCParams
+    bob: EAQECCParams  # a stabilizer code, c = 0
+
+    def __post_init__(self):
+        if self.alice.q != self.bob.q:
+            raise FieldMismatch(f"q={self.alice.q} vs q={self.bob.q}")
+        if self.bob.c:
+            raise RangeError(f"Bob's code {self.bob} is not a stabilizer code")
+
+    @property
+    def matching(self) -> bool:
+        return self.bob.k >= self.alice.c
+
+    @property
+    def properly_matching(self) -> bool:
+        return self.bob.k == self.alice.c
+
+    @property
+    def faithful(self) -> bool:
+        return self.matching and self.bob.d is not None and self.bob.d >= 3
 
     @property
     def label(self) -> str:
@@ -76,18 +103,6 @@ class MatchClassification:
             return "none"
         head = "properly-matching" if self.properly_matching else "matching"
         return head + "+faithful" if self.faithful else head
-
-    def __str__(self):
-        return self.label
-
-
-@dataclass(frozen=True)
-class CombinationParams:
-    """Alice's EA code paired with Bob's ebit-protection code."""
-
-    alice: EAQECCParams
-    bob: EAQECCParams  # a stabilizer code, c = 0
-    match: MatchClassification
 
     def __str__(self):
         return f"{self.alice} + {self.bob}"
@@ -131,19 +146,6 @@ def eaqec_params(code: ac.AdditiveCode, compute_d: bool = True, *,
     return _derive(code, compute_d, budget)[0]
 
 
-def classify_match(alice: EAQECCParams, bob: EAQECCParams) -> MatchClassification:
-    if alice.q != bob.q:
-        raise FieldMismatch(f"q={alice.q} vs q={bob.q}")
-    if bob.c:
-        raise RangeError(f"Bob's code {bob} is not a stabilizer code")
-    matching = bob.k >= alice.c
-    return MatchClassification(
-        matching=matching,
-        faithful=matching and bob.d is not None and bob.d >= 3,
-        properly_matching=matching and bob.k == alice.c,
-    )
-
-
 def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
                 compute_d: bool = True, *,
                 budget: int = DEFAULT_BUDGET) -> CombinationParams:
@@ -165,8 +167,7 @@ def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
     if alice.c > bob.k:
         raise InsufficientProtection(
             f"c={alice.c} ebits exceed Bob's k={bob.k} logical qudits")
-    return CombinationParams(alice=alice, bob=bob,
-                             match=classify_match(alice, bob))
+    return CombinationParams(alice, bob)
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +180,35 @@ def combine_neb(alice_code: ac.AdditiveCode, bob_code: ac.AdditiveCode,
 class CombinationReport:
     """Ground-truth measurements for one block construction instance."""
 
-    params: EAQECCParams
-    l: int
-    c: int
+    params: EAQECCParams             # measured on the combined code
     d1: int | None                   # min weight of the left-block sum code
     d2: int | None                   # min weight of the appended block code
     complement_min_weight: int | None
-    distance_claim_holds: bool | None   # measured d >= d1 + d2
     radical_is_top_block: bool
     c_identity_value: int            # (n + m) - dim(G|0) - k, the claimed identity
     enumerated: int
 
+    # read-only views of params, kept for bench/test_bench.py
+    l = property(lambda self: self.params.l)
+    c = property(lambda self: self.params.c)
+
     def lines(self) -> list[str]:
-        out = [
-            f"params={self.params}",
-            f"l={self.l}",
-            f"c={self.c}",
+        p = self.params
+        claim = (None if None in (p.d, self.d1, self.d2)
+                 else p.d >= self.d1 + self.d2)
+        return [
+            f"params={p}",
+            f"l={p.l}",
+            f"c={p.c}",
             f"d1={_fmt_d(self.d1)}",
             f"d2={_fmt_d(self.d2)}",
             f"complement_min_weight={_fmt_d(self.complement_min_weight)}",
-            f"distance_claim_d_ge_d1_plus_d2="
-            + ("?" if self.distance_claim_holds is None
-               else str(self.distance_claim_holds).lower()),
-            f"radical_is_top_block={str(self.radical_is_top_block).lower()}",
+            f"distance_claim_d_ge_d1_plus_d2={_fmt_bool(claim)}",
+            f"radical_is_top_block={_fmt_bool(self.radical_is_top_block)}",
             f"c_identity_value={self.c_identity_value}",
-            f"c_identity_holds={str(self.c_identity_value == self.c).lower()}",
+            f"c_identity_holds={_fmt_bool(self.c_identity_value == p.c)}",
             f"enumerated={self.enumerated}",
         ]
-        return out
 
 
 def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
@@ -244,7 +246,7 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
         field, np.vstack([top, np.hstack([G2, E])]), n=n + m)
 
     params, dec, enumerated = _derive(combined, compute_d, budget)
-    d1 = d2 = comp_w = claim = None
+    d1 = d2 = comp_w = None
     if compute_d:
         r1 = ac.min_weight_excluding_detail(summed, budget=budget)
         block = ac.AdditiveCode.from_generators(field, E, n=m)
@@ -253,17 +255,12 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
         enumerated += r1.examined + r2.examined + r3.examined
         d1, d2 = r1.distance(n), r2.distance(m)
         comp_w = r3.distance(n + m)
-        if None not in (params.d, d1, d2):
-            claim = params.d >= d1 + d2
     top_code = ac.AdditiveCode.from_generators(field, top, n=n + m)
     report = CombinationReport(
         params=params,
-        l=dec.l,
-        c=dec.c,
         d1=d1,
         d2=d2,
         complement_min_weight=comp_w,
-        distance_claim_holds=claim,
         radical_is_top_block=(dec.radical == top_code),
         c_identity_value=(n + m) - top_code.m - params.k,
         enumerated=enumerated,
@@ -279,21 +276,7 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
 @dataclass(frozen=True)
 class PunctureReport:
     params: EAQECCParams         # measured on the punctured code
-    requested_c: int
-    achieved_c: int
-    claimed_n: int               # N - c
-    claimed_k: int               # N - 2u
     equivalent_to: EAQECCParams  # the source stabilizer code, c = 0
-
-    def lines(self) -> list[str]:
-        return [
-            f"params={self.params}",
-            f"requested_c={self.requested_c}",
-            f"achieved_c={self.achieved_c}",
-            f"claimed_n={self.claimed_n}",
-            f"claimed_k={self.claimed_k}",
-            f"equivalent_to={self.equivalent_to}",
-        ]
 
 
 def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
@@ -311,26 +294,12 @@ def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
     source = stabilizer_params(code, compute_d, budget=budget)
     params = eaqec_params(ac.puncture(code, range(N - c, N)), compute_d,
                           budget=budget)
-    return PunctureReport(
-        params=params,
-        requested_c=c,
-        achieved_c=params.c,
-        claimed_n=N - c,
-        claimed_k=N - 2 * u,
-        equivalent_to=source,
-    )
+    return PunctureReport(params=params, equivalent_to=source)
 
 
 # ---------------------------------------------------------------------------
 # parameter tables for the published construction families
 # ---------------------------------------------------------------------------
-
-
-def _entry(q, n, k, d, c, m, kb, db) -> CombinationParams:
-    alice = EAQECCParams(q=q, n=n, k=k, c=c, d=d)
-    bob = EAQECCParams(q=q, n=m, k=kb, c=0, d=db)
-    return CombinationParams(alice=alice, bob=bob,
-                             match=classify_match(alice, bob))
 
 
 #: Binary two-parameter families, instantiated per m; distances declared.
@@ -362,20 +331,20 @@ _TERNARY_FIXED = (
 
 def known_tables(family_ms=(2, 3, 4)) -> list[CombinationParams]:
     """Published parameter families with declared (not recomputed) distances."""
-    out = []
+    rows = []
     for m in family_ms:
         if m < 2:
             raise RangeError(f"family parameter m={m} must be at least 2")
-        for make in _BINARY_FAMILY:
-            out.append(_entry(*make(m)))
-    out.extend(_entry(*row) for row in _BINARY_FIXED)
-    out.extend(_entry(*row) for row in _TERNARY_FIXED)
-    return out
+        rows.extend(make(m) for make in _BINARY_FAMILY)
+    rows.extend(_BINARY_FIXED + _TERNARY_FIXED)
+    return [CombinationParams(EAQECCParams(q=q, n=n, k=k, c=c, d=d),
+                              EAQECCParams(q=q, n=mb, k=kb, c=0, d=db))
+            for q, n, k, d, c, mb, kb, db in rows]
 
 
 def tables_csv(family_ms=(2, 3, 4)) -> str:
     lines = ["q,n,k,d,c,m,kb,db,match"]
     for entry in known_tables(family_ms):
         a, b = entry.alice, entry.bob
-        lines.append(f"{a.q},{a.n},{a.k},{a.d},{a.c},{b.n},{b.k},{b.d},{entry.match}")
+        lines.append(f"{a.q},{a.n},{a.k},{a.d},{a.c},{b.n},{b.k},{b.d},{entry.label}")
     return "\n".join(lines) + "\n"

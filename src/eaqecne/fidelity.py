@@ -161,8 +161,6 @@ def sweep(c_params: tuple[int, int],
         _check_degradation(lamf, pa)
         pc, alice, bob = _pair(c_params, d_params, pa)
         rows.append((pa, pc, alice * bob(lamf)))
-    if not all(0 <= pc <= 1 and 0 <= pd <= 1 for _, pc, pd in rows):
-        raise RangeError("fidelity values left [0, 1]")
     if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
         raise RangeError("p_a grid must be strictly increasing")
     return rows

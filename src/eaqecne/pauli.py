@@ -64,8 +64,8 @@ class PauliLabel:
         return f"w^{self.phase} X{self.x} Z{self.z}"
 
 
-def random_label(p: int, n: int, rng, with_phase: bool = True) -> PauliLabel:
-    phase = int(rng.integers(0, p)) if with_phase else 0
+def random_label(p: int, n: int, rng) -> PauliLabel:
+    phase = int(rng.integers(0, p))
     return PauliLabel(p, n, phase,
                       tuple(int(v) for v in rng.integers(0, p, size=n)),
                       tuple(int(v) for v in rng.integers(0, p, size=n)))

@@ -157,7 +157,7 @@ def test_criterion_5_parameter_tables():
         assert eaqec.tables_csv((2, 3, 4)) == EXPECTED_TABLES_CSV
         entries = eaqec.known_tables((2, 3, 4))
         for e in entries:
-            assert e.match.properly_matching and e.match.faithful
+            assert e.properly_matching and e.faithful
             # k = n - c - l with a nonnegative integral l
             assert e.alice.l == e.alice.n - e.alice.c - e.alice.k >= 0
         eleven = [e for e in entries if str(e.alice) == "[[11,1,7;2]]_3"]
@@ -178,17 +178,19 @@ def test_criterion_6_block_construction_witness():
         M, rep = eaqec.combine_construct(Q, WITNESS_G, WITNESS_G2, WITNESS_E,
                                          budget=1 << 20)
         n, m = 4, 3
-        assert n + m <= 10 and rep.l <= 2 and rep.c == 1
+        l, c = rep.params.l, rep.params.c
+        assert n + m <= 10 and (l, c, rep.params.k) == (1, 1, 5)
         assert rep.radical_is_top_block
-        assert M.m == rep.l + 2 * rep.c
-        assert rep.params.k == (n + m) - rep.c - rep.l
+        assert M.m == l + 2 * c
         assert rep.complement_min_weight >= rep.d1 + rep.d2
-        print(f"\n  c={rep.c} vs statement identity (n+m)-l-k="
+        print(f"\n  c={c} vs statement identity (n+m)-l-k="
               f"{rep.c_identity_value} -> "
-              f"{'equal' if rep.c_identity_value == rep.c else 'DIFFERENT'}")
+              f"{'equal' if rep.c_identity_value == c else 'DIFFERENT'}")
         print(f"  measured d={rep.params.d}, d1+d2={rep.d1 + rep.d2}, "
-              f"claim d>=d1+d2 holds: {rep.distance_claim_holds}")
-        assert rep.c_identity_value == rep.c
+              f"claim d>=d1+d2 holds: {rep.params.d >= rep.d1 + rep.d2}")
+        assert rep.params.d < rep.d1 + rep.d2
+        assert "distance_claim_d_ge_d1_plus_d2=false" in rep.lines()
+        assert rep.c_identity_value == c
     announce("6 block-construction", 60, started,
              f"enumerated={rep.enumerated}")
 

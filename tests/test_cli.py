@@ -154,6 +154,19 @@ def test_combine(capsys, tmp_path):
     assert lines["radical_is_top_block"] == "true"
     assert lines["d1"] == "3" and lines["d2"] == "2"
     assert lines["c_identity_holds"] == "true"
+    assert out == ("params=[[7,5,1;1]]_2\nl=1\nc=1\nd1=3\nd2=2\n"
+                   "complement_min_weight=5\n"
+                   "distance_claim_d_ge_d1_plus_d2=false\n"
+                   "radical_is_top_block=true\nc_identity_value=1\n"
+                   "c_identity_holds=true\nenumerated=2059\n")
+    rc, out, _ = run(capsys, ["combine", "--no-distance",
+                              names["G"], names["G2"], names["E"]])
+    assert rc == 0
+    assert out == ("params=[[7,5;1]]_2\nl=1\nc=1\nd1=?\nd2=?\n"
+                   "complement_min_weight=?\n"
+                   "distance_claim_d_ge_d1_plus_d2=?\n"
+                   "radical_is_top_block=true\nc_identity_value=1\n"
+                   "c_identity_holds=true\nenumerated=0\n")
 
 
 def test_combine_stabilizer_params_line(capsys, tmp_path):

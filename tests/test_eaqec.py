@@ -115,29 +115,33 @@ def test_eaqec_params_bookkeeping_witness():
 
 
 def test_classify_match_examples():
-    prop = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
-                                eaqec.EAQECCParams(q=2, n=5, k=1, c=0, d=3))
+    prop = eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
+                                   eaqec.EAQECCParams(q=2, n=5, k=1, c=0, d=3))
     assert prop.properly_matching and prop.faithful
     assert prop.label == "properly-matching+faithful"
-    vac = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
-                               eaqec.EAQECCParams(q=2, n=3, k=1, c=0, d=1))
+    vac = eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
+                                  eaqec.EAQECCParams(q=2, n=3, k=1, c=0, d=1))
     assert vac.matching and vac.properly_matching is False
-    big = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
-                               eaqec.EAQECCParams(q=2, n=11, k=5, c=0, d=3))
+    big = eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
+                                  eaqec.EAQECCParams(q=2, n=11, k=5, c=0, d=3))
     assert big.properly_matching and big.faithful
-    none = eaqec.classify_match(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
-                                eaqec.EAQECCParams(q=2, n=11, k=4, c=0, d=3))
+    none = eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=7, k=2, c=5, d=5),
+                                   eaqec.EAQECCParams(q=2, n=11, k=4, c=0, d=3))
     assert none.label == "none"
     with pytest.raises(FieldMismatch):
-        eaqec.classify_match(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
-                             eaqec.EAQECCParams(q=3, n=3, k=1, c=0))
+        eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=4, k=4, c=0),
+                                eaqec.EAQECCParams(q=3, n=3, k=1, c=0))
 
 
 def test_classify_match_rejects_ea_bob():
     # Bob protects Alice's ebits with a stabilizer code: c = 0 only
     with pytest.raises(RangeError):
-        eaqec.classify_match(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
-                             eaqec.EAQECCParams(q=2, n=5, k=1, c=1, d=3))
+        eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
+                                eaqec.EAQECCParams(q=2, n=5, k=1, c=1, d=3))
+    # the field is checked first
+    with pytest.raises(FieldMismatch):
+        eaqec.CombinationParams(eaqec.EAQECCParams(q=2, n=8, k=1, c=1, d=5),
+                                eaqec.EAQECCParams(q=3, n=5, k=1, c=1, d=3))
 
 
 def test_combine_neb_trivial_bob():
@@ -147,8 +151,8 @@ def test_combine_neb_trivial_bob():
     combo = eaqec.combine_neb(alice, ac.AdditiveCode.zero(Q, 2))
     assert combo.alice.c == 2
     assert str(combo.bob) == "[[2,2,1]]_3"
-    assert combo.match.matching and combo.match.properly_matching
-    assert not combo.match.faithful  # d_b = 1 < 3
+    assert combo.matching and combo.properly_matching
+    assert not combo.faithful  # d_b = 1 < 3
 
 
 def test_combine_neb_degenerate_alice():
@@ -157,7 +161,7 @@ def test_combine_neb_degenerate_alice():
     bob = ac.AdditiveCode.zero(Q, 1)
     combo = eaqec.combine_neb(alice, bob)
     assert combo.alice.c == 0
-    assert combo.match.matching
+    assert combo.matching
 
 
 def test_combine_neb_insufficient_protection():
@@ -185,7 +189,7 @@ def test_linear_formulation_lcd_and_self_orthogonal():
     bob = ac.AdditiveCode.from_linear(Q, [[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0]])
     combo = eaqec.combine_neb(D, bob, compute_d=False)
     assert (combo.alice.c, combo.alice.k) == (2, 0)
-    assert combo.match.properly_matching
+    assert combo.properly_matching
     # Hermitian self-orthogonal Alice: r=u, c=0
     D2 = ac.AdditiveCode.from_linear(Q, [[1, 0, 1, 0]])
     combo2 = eaqec.combine_neb(D2, bob, compute_d=False)
@@ -224,7 +228,7 @@ def test_combine_construct_degenerate_blocks():
     G2 = np.zeros((0, 3), dtype=int)
     E = np.zeros((0, 2), dtype=int)
     M, rep = eaqec.combine_construct(Q, G, G2, E)
-    assert rep.c == 0
+    assert (rep.params.l, rep.params.c) == (2, 0)
     assert rep.radical_is_top_block
     assert M.n == 5
     assert rep.params.c == 0
@@ -233,16 +237,16 @@ def test_combine_construct_degenerate_blocks():
 def test_combine_construct_witness():
     Q = field(4)
     M, rep = eaqec.combine_construct(Q, WITNESS_G, WITNESS_G2, WITNESS_E)
-    assert (rep.l, rep.c) == (1, 1)
+    assert (rep.params.l, rep.params.c, rep.params.k) == (1, 1, 5)
     assert rep.radical_is_top_block
     assert (rep.d1, rep.d2) == (3, 2)
     assert rep.complement_min_weight == 5
     assert rep.complement_min_weight >= rep.d1 + rep.d2
-    assert rep.c_identity_value == rep.c
-    assert rep.params.k == (4 + 3) - rep.c - rep.l
-    assert M.m == rep.l + 2 * rep.c
+    assert rep.c_identity_value == rep.params.c
+    assert M.m == rep.params.l + 2 * rep.params.c
     # the distance claim is measured, not assumed: this witness refutes it
-    assert rep.params.d == 1 and rep.distance_claim_holds is False
+    assert rep.params.d == 1 and rep.params.d < rep.d1 + rep.d2
+    assert "distance_claim_d_ge_d1_plus_d2=false" in rep.lines()
 
 
 def test_c_identity_reads_the_top_block(monkeypatch):
@@ -266,7 +270,7 @@ def test_c_identity_reads_the_top_block(monkeypatch):
                                      compute_d=False)
     lines = dict(line.split("=", 1) for line in rep.lines())
     assert lines["radical_is_top_block"] == "false"
-    assert rep.c_identity_value == rep.c - 1
+    assert rep.c_identity_value == rep.params.c - 1
     assert lines["c_identity_holds"] == "false"
 
 
@@ -340,12 +344,35 @@ def test_puncture_to_eaqecc():
         eaqec.puncture_to_eaqecc(L, 3)
     rep = eaqec.puncture_to_eaqecc(L, 1)
     assert str(rep.params) == "[[4,1,3;1]]_2"
-    assert rep.achieved_c == rep.requested_c == 1
-    assert (rep.claimed_n, rep.claimed_k) == (4, 1)
+    assert rep.params.c == 1
+    assert (rep.params.n, rep.params.k) == (4, 1)
     assert str(rep.equivalent_to) == "[[5,1,3]]_2"
     rep2 = eaqec.puncture_to_eaqecc(L, 2)  # c = u
-    assert (rep2.claimed_n, rep2.claimed_k) == (3, 1)
-    assert rep2.params.n == 3
+    assert (rep2.params.n, rep2.params.k, rep2.params.c) == (3, 1, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_puncture_rs_family(q):
+    """RS_k over all q^2 points of GF(q^2), k <= q - 1, is Hermitian
+    self-orthogonal; dropping c <= k coordinates gives
+    [[q^2 - c, q^2 - 2k, k + 1; c]]_q with the source's k and d.  The
+    distance is measured for q <= 3; for larger q the dual is over the
+    budget."""
+    Q = quadratic_field(field(q))
+    N = Q.order
+    for k in range(1, q):
+        rows = [[1] * N]  # a^0, ..., a^(k-1) at every point a
+        for _ in range(1, k):
+            rows.append([Q.mul(r, a) for r, a in zip(rows[-1], range(N))])
+        code = ac.AdditiveCode.from_linear(Q, rows)
+        assert ac.is_self_orthogonal(code)
+        for c in range(1, k + 1):
+            rep = eaqec.puncture_to_eaqecc(code, c, compute_d=q <= 3)
+            p = rep.params
+            assert (p.n, p.k, p.c) == (N - c, N - 2 * k, c)
+            assert p.k == rep.equivalent_to.k
+            if q <= 3:
+                assert p.d == rep.equivalent_to.d == k + 1
 
 
 def test_puncture_to_eaqecc_rejects_source():
@@ -376,7 +403,7 @@ def test_known_tables():
     assert "[[28,2,13;6]]_3 + [[10,6,3]]_3" in rendered
     assert "[[11,1,7;2]]_3 + [[6,2,3]]_3" in rendered
     for e in entries:
-        assert e.match.properly_matching and e.match.faithful
+        assert e.properly_matching and e.faithful
         assert e.bob.k == e.alice.c and e.bob.d >= 3
         assert e.alice.l >= 0
     # 4 family shapes x 3 instantiations + 7 binary + 5 ternary fixed rows

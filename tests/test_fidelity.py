@@ -58,7 +58,7 @@ def test_range_errors():
 
 def test_bounds_and_monotonicity():
     import random
-    rnd = random.Random(7)
+    rnd, pair_rnd = random.Random(7), random.Random(8)
     for _ in range(30):
         N = rnd.randint(2, 40)
         d = rnd.randint(1, N)
@@ -69,6 +69,13 @@ def test_bounds_and_monotonicity():
         # equals 1 only at p = 0 when t < N
         if (d - 1) // 2 < N:
             assert values[0] == 1 and all(v < 1 for v in values[1:])
+        # sweep rows on p_a in (0, 1/2]: lam <= 2 keeps p_b = lam * p_a a rate
+        n, m = pair_rnd.randint(1, 40), pair_rnd.randint(1, 40)
+        pair = ((n, pair_rnd.randint(1, n)), (m, pair_rnd.randint(1, m)))
+        lam = Fraction(pair_rnd.randint(0, 80), 40)
+        grid = [Fraction(i, 40) for i in range(1, 21)]
+        rows = fid.sweep((N, d), pair, lam, grid)
+        assert all(0 <= pc <= 1 and 0 <= pd <= 1 for _, pc, pd in rows)
 
 
 def test_monotone_in_distance():

@@ -100,8 +100,8 @@ def test_commutation_certifies_symplectic_exhaustive(p):
 def test_commutation_phase_ignores_label_phases():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        g = pauli.random_label(3, 1, rng, with_phase=True)
-        h = pauli.random_label(3, 1, rng, with_phase=True)
+        g = pauli.random_label(3, 1, rng)
+        h = pauli.random_label(3, 1, rng)
         g0 = pauli.PauliLabel(3, 1, 0, g.x, g.z)
         h0 = pauli.PauliLabel(3, 1, 0, h.x, h.z)
         assert pauli.commutation_phase(g, h) == pauli.commutation_phase(g0, h0)
