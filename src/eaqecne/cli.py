@@ -120,7 +120,7 @@ def cmd_fidelity(args) -> int:
     m, db = _parse_ints(args.b, 2, "--b")
     if None in (N, d, n, da, m, db):
         raise FormatError("--c, --ea and --b need a length and a distance")
-    lam = fid.read_rational(args.lam, "degradation coefficient")
+    lam = fid.read_degradation(args.lam)
     if lam > 1:
         print(f"warning: degradation coefficient {args.lam} exceeds 1",
               file=sys.stderr)

@@ -12,9 +12,9 @@ term at rate p_b = lambda * p_a.  One pair evaluation serves :func:`sweep`,
 p_a, and Bob's tail as a function of lambda, the only factor lambda moves.
 Every value is exact, since they sit extremely close to 1: with p = a/b and
 c = b - a the tail is one integer, c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i),
-over b^N, which pays a single gcd.  A tail falls as its rate grows, so at
-fixed p_a the pair falls monotonically in lambda, and bisection finds the
-one crossover against a single code.
+over b^N, for a/b reduced or not.  Values stay such pairs, checks and
+comparisons cross-multiply, and only a returned value becomes a Fraction.  P_D
+falls monotonically in lambda at fixed p_a, so bisection finds the crossover.
 """
 
 from __future__ import annotations
@@ -34,9 +34,14 @@ def read_rational(x, what: str) -> Fraction:
         raise RangeError(f"cannot read {x!r} as a {what}") from exc
 
 
+def read_degradation(lam) -> Fraction:
+    """The degradation coefficient lam = p_b / p_a as an exact rational."""
+    return read_rational(lam, "degradation coefficient")
+
+
 def _rate(p) -> Fraction:
     r = read_rational(p, "rate")
-    if not 0 <= r <= 1:
+    if not 0 <= r.numerator <= r.denominator:
         raise RangeError(f"rate {p} outside [0, 1]")
     return r
 
@@ -51,41 +56,45 @@ def _check_code(length, distance) -> tuple[int, int]:
         raise RangeError(f"length {length} must be positive")
     if not 1 <= distance <= length:
         raise RangeError(f"distance {distance} outside [1, {length}]")
-    return length, distance
+    return length, (distance - 1) // 2  # and the t errors the code corrects
+
+
+def _tail(N: int, t: int, a: int, b: int) -> int:
+    """Numerator over b**N of P(at most t of N hit) at rate a/b, reduced or not."""
+    # Horner in c over the running terms C(N,i) a^i
+    c, head, term = b - a, 0, 1
+    for i in range(t + 1):
+        head = head * c + term
+        term = term * (N - i) * a // (i + 1)
+    return head * c ** (N - t)
 
 
 def approx_fidelity(length: int, distance: int, rate) -> Fraction:
     """Exact rational binomial tail: P(at most t errors among `length`)."""
-    N, d = _check_code(length, distance)
+    N, t = _check_code(length, distance)
     p = _rate(rate)
-    t = (d - 1) // 2
-    a, b = p.numerator, p.denominator
-    c = b - a
-    # Horner in c over the running terms C(N,i) a^i
-    head, term = 0, 1
-    for i in range(t + 1):
-        head = head * c + term
-        term = term * (N - i) * a // (i + 1)
-    return Fraction(head * c ** (N - t), b ** N)
+    return Fraction(_tail(N, t, p.numerator, p.denominator), p.denominator ** N)
 
 
 def _pair(c_params, d_params, pa: Fraction):
-    """P_C and Alice's term at p_a, and Bob's tail as a function of lam."""
-    pc = approx_fidelity(c_params[0], c_params[1], pa)
-    (n, da), (m, db) = d_params
-    alice = approx_fidelity(n, da, pa)
+    """(num, den) of P_C and Alice's term at p_a, and lam -> Bob's (num, den)."""
+    N, t = _check_code(c_params[0], c_params[1])
+    (n, ta), (m, tb) = (_check_code(length, d) for length, d in d_params)
+    a, b = pa.numerator, pa.denominator
 
-    def bob(lam: Fraction) -> Fraction:
-        return approx_fidelity(m, db, lam * pa)
+    def bob(lam: Fraction) -> tuple[int, int]:
+        den = lam.denominator * b  # the rate lam_num * a / den, unreduced
+        return _tail(m, tb, lam.numerator * a, den), den ** m
 
-    return pc, alice, bob
+    return (_tail(N, t, a, b), b ** N), (_tail(n, ta, a, b), b ** n), bob
 
 
 def _check_degradation(lam: Fraction, pa: Fraction) -> None:
     """lam >= 0 with p_b = lam * p_a a rate; lam above 1 is allowed."""
-    if lam < 0:
+    if lam.numerator < 0:
         raise RangeError(f"degradation coefficient {lam} is negative")
-    _rate(lam * pa)
+    if lam.numerator * pa.numerator > lam.denominator * pa.denominator:
+        raise RangeError(f"rate {lam * pa} outside [0, 1]")
 
 
 D_BETTER = "D_better"
@@ -98,15 +107,12 @@ def compare(c_params: tuple[int, int],
             p_a, lam) -> str:
     """Exact ordering of the combined pair D against the single code C."""
     pa = _rate(p_a)
-    lam = read_rational(lam, "degradation coefficient")
+    lam = read_degradation(lam)
     _check_degradation(lam, pa)
-    pc, alice, bob = _pair(c_params, d_params, pa)
-    pd = alice * bob(lam)
-    if pd > pc:
-        return D_BETTER
-    if pc > pd:
-        return C_BETTER
-    return TIE
+    (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
+    num, den = bob(lam)
+    gap = alice * num * dc - pc * da * den  # P_D - P_C times dc * da * den > 0
+    return D_BETTER if gap > 0 else C_BETTER if gap < 0 else TIE
 
 
 def crossover_degradation(c_params, d_params, p_a,
@@ -121,12 +127,14 @@ def crossover_degradation(c_params, d_params, p_a,
     if not width > 0:
         raise RangeError(f"tol must be positive, got {tol}")
     pa = _rate(p_a)
-    if not 0 < pa < 1:
+    if not 0 < pa.numerator < pa.denominator:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")
-    pc, alice, bob = _pair(c_params, d_params, pa)
+    (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
+    alice_dc, pc_da = alice * dc, pc * da
 
-    def diff(lam: Fraction) -> Fraction:
-        return alice * bob(lam) - pc
+    def diff(lam: Fraction) -> int:  # P(D) - P(C) times dc * da * den > 0
+        num, den = bob(lam)
+        return alice_dc * num - pc_da * den
 
     lo, hi = Fraction(0), Fraction(1)
     f_lo, f_hi = diff(lo), diff(hi)
@@ -152,15 +160,16 @@ def sweep(c_params: tuple[int, int],
           d_params: tuple[tuple[int, int], tuple[int, int]],
           lam, p_grid) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Exact (p_a, P_C, P_D) rows on a strictly increasing grid of p_a."""
-    lamf = read_rational(lam, "degradation coefficient")
+    lamf = read_degradation(lam)
     rows = []
     for p in p_grid:
         pa = _rate(p)
-        if not 0 < pa < 1:
+        if not 0 < pa.numerator < pa.denominator:
             raise RangeError(f"grid point {p} outside (0, 1)")
         _check_degradation(lamf, pa)
-        pc, alice, bob = _pair(c_params, d_params, pa)
-        rows.append((pa, pc, alice * bob(lamf)))
+        (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
+        num, den = bob(lamf)
+        rows.append((pa, Fraction(pc, dc), Fraction(alice * num, da * den)))
     if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
         raise RangeError("p_a grid must be strictly increasing")
     return rows
@@ -171,30 +180,36 @@ _FORMAT_CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
                                   capitals=1, traps=[])
 
 
-def format_15(x: Fraction) -> str:
-    """Render an exact rational to 15 significant digits in a fixed context.
+def _format_15(num: int, den: int) -> str:
+    """Render num / den, den > 0, reduced or not, to 15 significant digits.
 
     An integer quotient of at least 17 digits, with a sticky digit 1 for a
     nonzero remainder, rounds once to the digits of the exact value; only an
     exact quotient goes through ``Context.divide``, for its ideal exponent
-    (1/8 prints 0.125)."""
+    (1/8 and 2/16 print 0.125)."""
     ctx = _FORMAT_CONTEXT
-    n, d = abs(x.numerator), x.denominator
+    n = abs(num)
     # 1233 / 4096 is just below log10(2)
-    k = 18 - ((n.bit_length() - d.bit_length() - 1) * 1233 >> 12)
-    q, rem = divmod(n * 10 ** k, d) if k >= 0 else divmod(n, d * 10 ** -k)
+    k = 18 - ((n.bit_length() - den.bit_length() - 1) * 1233 >> 12)
+    q, rem = divmod(n * 10 ** k, den) if k >= 0 else divmod(n, den * 10 ** -k)
     if not rem:
-        return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
-    sign = "-" if x < 0 else ""
+        return ctx.to_sci_string(ctx.divide(num, den))
+    sign = "-" if num < 0 else ""
     return ctx.to_sci_string(ctx.create_decimal(f"{sign}{q}1E{-k - 1}"))
+
+
+def format_15(x: Fraction) -> str:
+    """Render an exact rational to 15 significant digits in a fixed context."""
+    return _format_15(x.numerator, x.denominator)
 
 
 def curve_csv(rows) -> str:
     """The (p_a, P_C, P_D) rows of :func:`sweep` as CSV with a diff column."""
     lines = ["p_a,P_C,P_D,diff"]
     for pa, pc, pd in rows:
-        lines.append(",".join([format_15(pa), format_15(pc), format_15(pd),
-                               format_15(pd - pc)]))
+        diff = _format_15(pd.numerator * pc.denominator - pc.numerator * pd.denominator,
+                          pd.denominator * pc.denominator)
+        lines.append(",".join([format_15(pa), format_15(pc), format_15(pd), diff]))
     return "\n".join(lines) + "\n"
 
 
@@ -214,5 +229,6 @@ def parse_grid(spec: str) -> list[Fraction]:
         return [start]
     if stop <= start:
         raise RangeError("grid stop must exceed start")
-    step = (stop - start) / (steps - 1)
-    return [start + i * step for i in range(steps)]
+    # point i is start + i * (stop - start) / (steps - 1) over one denominator
+    (a, b), (c, d), s = start.as_integer_ratio(), stop.as_integer_ratio(), steps - 1
+    return [Fraction(a * d * s + i * (c * b - a * d), b * d * s) for i in range(steps)]

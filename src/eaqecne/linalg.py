@@ -155,10 +155,9 @@ def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:
 def dump_matrix(F: FieldSpec, mat, comments: tuple[str, ...] = ()) -> str:
     """Render the shared text format: `q rows cols` then one row per line."""
     M = as_matrix(mat)
-    lines = [f"#{c}" for c in comments]
-    lines.append(f"{F.order} {M.shape[0]} {M.shape[1]}")
-    for row in M:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines = [f"#{c}" for c in comments] + [f"{F.order} {M.shape[0]} {M.shape[1]}"]
+    names = [str(v) for v in range(F.order)]
+    lines.extend(" ".join([names[v] for v in row.tolist()]) for row in M)
     return "\n".join(lines) + "\n"
 
 

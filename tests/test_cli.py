@@ -390,6 +390,28 @@ def test_bad_values_end_in_one_error_line(capsys, argv, err):
     assert (rc, out, got) == (1, "", err)
 
 
+# lambda is read once, before the grid; its sign and lambda * p_a are checked
+# at each grid point, after that point's own range checks, so a bad first
+# point reports before a negative lambda
+@pytest.mark.parametrize("lam, grid, err", [
+    ("abc", "0.01:0.1:3", "error: cannot read 'abc' as a degradation coefficient\n"),
+    ("abc", "0.1:0.2", "error: cannot read 'abc' as a degradation coefficient\n"),
+    ("-1", "1:1.5:2", "error: grid point 1 outside (0, 1)\n"),
+    ("-0.5", "1.05:2:3", "error: rate 21/20 outside [0, 1]\n"),
+    ("-1", "0.01:0.1:3", "error: degradation coefficient -1 is negative\n"),
+    ("3", "0.25:0.5:2", "warning: degradation coefficient 3 exceeds 1\n"
+                        "error: rate 3/2 outside [0, 1]\n"),
+    # p_b = 1 at 2/7 is a rate; at 4/7 it is 28/14 = 2
+    ("7/2", "2/7:4/7:2", "warning: degradation coefficient 7/2 exceeds 1\n"
+                         "error: rate 2 outside [0, 1]\n"),
+], ids=["text", "text-bad-grid", "negative-grid-point-1", "negative-grid-point-above-1",
+        "negative", "hot-bob", "hot-bob-reduced"])
+def test_fidelity_lambda_checks_in_order(capsys, lam, grid, err):
+    rc, out, got = run(capsys, with_option(with_option(FID, "--lambda", lam), "--grid", grid))
+    assert (rc, out, got) == (1, "", err)
+    assert sum(line.startswith("error:") for line in got.splitlines()) == 1
+
+
 def test_fidelity_csv_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "x.csv"
     rc, out, err = run(capsys, FID + ["--csv", str(target)])

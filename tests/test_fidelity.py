@@ -368,3 +368,123 @@ def rationals_to_render(draw):
 @example(Fraction(8, 2 ** 2634 - 1))
 def test_format_15_matches_decimal_division(x):
     assert fid.format_15(x) == decimal_format_15(x)
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scaled_tails(draw):
+    """A tail at rate a/b with both terms scaled by k, reduced or not."""
+    N = draw(st.integers(1, 260))
+    b = draw(st.integers(1, 10 ** 4))
+    a = draw(st.one_of(st.just(0), st.just(b), st.integers(0, b)))
+    return N, draw(st.integers(1, N)), a, b, draw(st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_tails())
+def test_integer_tail_matches_oracle_at_every_scaling(case):
+    N, d, a, b, k = case
+    t = (d - 1) // 2
+    want = oracle_fidelity(N, d, Fraction(a, b))
+    assert Fraction(fid._tail(N, t, a, b), b ** N) == want
+    assert Fraction(fid._tail(N, t, k * a, k * b), (k * b) ** N) == want
+
+
+@st.composite
+def long_pairs(draw):
+    """C = [[n+m, ., d]] against ([[n, ., d]], [[m, ., db]]) with n + m <= 260,
+    p_a in (0, 1), and lam in [0, 1/p_a]: lam = 0, p_b = 1, and lam * p_a
+    sharing factors with both terms all come up."""
+    n, m = draw(st.integers(1, 200)), draw(st.integers(1, 60))
+    d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
+    b = draw(st.sampled_from([7, 12, 100, 1000, 10007]))
+    pa = Fraction(draw(st.integers(1, b - 1)), b)
+    lam = draw(st.one_of(st.just(Fraction(0)), st.just(1 / pa),
+                         st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 3, 7, 14]))
+                         .filter(lambda x: x * pa <= 1)))
+    return (n + m, d), ((n, d), (m, db)), pa, lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_pairs())
+def test_compare_matches_oracle_ordering(case):
+    c, ((n, d), (m, db)), pa, lam = case
+    pc = oracle_fidelity(*c, pa)
+    pd = oracle_fidelity(n, d, pa) * oracle_fidelity(m, db, lam * pa)
+    want = fid.D_BETTER if pd > pc else fid.C_BETTER if pc > pd else fid.TIE
+    assert fid.compare(c, ((n, d), (m, db)), pa, lam) == want
+    [row] = fid.sweep(c, ((n, d), (m, db)), lam, [pa])
+    assert row == (pa, pc, pd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_pairs(), st.sampled_from([1e-2, 1e-4]))
+def test_crossover_matches_oracle_bisection_on_long_pairs(case, tol):
+    c, dpair, pa, _ = case
+    assert (fid.crossover_degradation(c, dpair, pa, tol=tol)
+            == bisect_crossover(c, dpair, pa, tol=tol))
+
+
+# ---------------------------------------------------------------------------
+# rendering from numerator and denominator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, text", [
+    (Fraction(1, 8), "0.125"), (Fraction(-1, 8), "-0.125"), (Fraction(0), "0"),
+    (Fraction(2, 3), "0.666666666666667"), (Fraction(-5, 2), "-2.5"),
+    (FROZEN_17_7, "0.999978555245860"),
+])
+@pytest.mark.parametrize("k", [1, 2, 7, 10 ** 40 + 1])
+def test_format_core_ignores_common_factors(x, text, k):
+    assert fid.format_15(x) == text
+    assert fid._format_15(x.numerator * k, x.denominator * k) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals_to_render(), st.integers(1, 10 ** 30))
+def test_format_core_matches_format_15_unreduced(x, k):
+    assert fid._format_15(x.numerator * k, x.denominator * k) == fid.format_15(x)
+
+
+@st.composite
+def random_sweeps(draw):
+    N = draw(st.integers(2, 120))
+    n = draw(st.integers(1, N - 1))
+    m = N - n
+    d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
+    den = draw(st.sampled_from([100, 1000, 10007]))
+    lam = Fraction(draw(st.integers(0, 40)), draw(st.sampled_from([1, 3, 10, 101])))
+    first = draw(st.integers(1, den // 4))
+    steps = draw(st.integers(1, 6))
+    step = draw(st.integers(1, den // 20))
+    grid = [Fraction(first + i * step, den) for i in range(steps)]
+    lam = min(lam, 1 / grid[-1])
+    return (N, d), ((n, d), (m, db)), lam, grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_sweeps())
+def test_curve_csv_matches_oracle_rendering(case):
+    c, ((n, d), (m, db)), lam, grid = case
+    lines = ["p_a,P_C,P_D,diff"]
+    for pa in grid:
+        pc = oracle_fidelity(*c, pa)
+        pd = oracle_fidelity(n, d, pa) * oracle_fidelity(m, db, lam * pa)
+        lines.append(",".join(decimal_format_15(v) for v in (pa, pc, pd, pd - pc)))
+    assert fid.curve_csv(fid.sweep(c, ((n, d), (m, db)), lam, grid)) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(0, 1), st.fractions(0, 1), st.integers(2, 50))
+def test_parse_grid_points_are_start_plus_i_steps(start, stop, steps):
+    if stop <= start:
+        start, stop = stop, start + 1
+    step = (stop - start) / (steps - 1)
+    got = fid.parse_grid(f"{start}:{stop}:{steps}")
+    assert got == [start + i * step for i in range(steps)]
+    assert got[0] == start and got[-1] == stop
