@@ -12,8 +12,8 @@ term at rate p_b = lambda * p_a.  One pair evaluation serves :func:`sweep`,
 p_a, and Bob's tail as a function of lambda, the only factor lambda moves.
 Every value is exact, since they sit extremely close to 1: with p = a/b and
 c = b - a the tail is one integer, c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i),
-over b^N, for a/b reduced or not.  Values stay such pairs, checks and
-comparisons cross-multiply, and only a returned value becomes a Fraction.  P_D
+over b^N, for a/b reduced or not.  P_C is :func:`approx_fidelity`'s Fraction,
+other terms stay such pairs, and checks and comparisons cross-multiply.  P_D
 falls monotonically in lambda at fixed p_a, so bisection finds the crossover.
 """
 
@@ -77,8 +77,8 @@ def approx_fidelity(length: int, distance: int, rate) -> Fraction:
 
 
 def _pair(c_params, d_params, pa: Fraction):
-    """(num, den) of P_C and Alice's term at p_a, and lam -> Bob's (num, den)."""
-    N, t = _check_code(c_params[0], c_params[1])
+    """P_C and Alice's (num, den) at p_a, and lam -> Bob's (num, den)."""
+    pc = approx_fidelity(c_params[0], c_params[1], pa)
     (n, ta), (m, tb) = (_check_code(length, d) for length, d in d_params)
     a, b = pa.numerator, pa.denominator
 
@@ -86,7 +86,7 @@ def _pair(c_params, d_params, pa: Fraction):
         den = lam.denominator * b  # the rate lam_num * a / den, unreduced
         return _tail(m, tb, lam.numerator * a, den), den ** m
 
-    return (_tail(N, t, a, b), b ** N), (_tail(n, ta, a, b), b ** n), bob
+    return pc, (_tail(n, ta, a, b), b ** n), bob
 
 
 def _check_degradation(lam: Fraction, pa: Fraction) -> None:
@@ -109,9 +109,9 @@ def compare(c_params: tuple[int, int],
     pa = _rate(p_a)
     lam = read_degradation(lam)
     _check_degradation(lam, pa)
-    (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
+    pc, (alice, da), bob = _pair(c_params, d_params, pa)
     num, den = bob(lam)
-    gap = alice * num * dc - pc * da * den  # P_D - P_C times dc * da * den > 0
+    gap = alice * num * pc.denominator - pc.numerator * da * den  # sign of P_D - P_C
     return D_BETTER if gap > 0 else C_BETTER if gap < 0 else TIE
 
 
@@ -129,10 +129,10 @@ def crossover_degradation(c_params, d_params, p_a,
     pa = _rate(p_a)
     if not 0 < pa.numerator < pa.denominator:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")
-    (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
-    alice_dc, pc_da = alice * dc, pc * da
+    pc, (alice, da), bob = _pair(c_params, d_params, pa)
+    alice_dc, pc_da = alice * pc.denominator, pc.numerator * da
 
-    def diff(lam: Fraction) -> int:  # P(D) - P(C) times dc * da * den > 0
+    def diff(lam: Fraction) -> int:  # P(D) - P(C) times a positive integer
         num, den = bob(lam)
         return alice_dc * num - pc_da * den
 
@@ -167,9 +167,9 @@ def sweep(c_params: tuple[int, int],
         if not 0 < pa.numerator < pa.denominator:
             raise RangeError(f"grid point {p} outside (0, 1)")
         _check_degradation(lamf, pa)
-        (pc, dc), (alice, da), bob = _pair(c_params, d_params, pa)
+        pc, (alice, da), bob = _pair(c_params, d_params, pa)
         num, den = bob(lamf)
-        rows.append((pa, Fraction(pc, dc), Fraction(alice * num, da * den)))
+        rows.append((pa, pc, Fraction(alice * num, da * den)))
     if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
         raise RangeError("p_a grid must be strictly increasing")
     return rows

@@ -251,31 +251,43 @@ def tails(draw):
     N = draw(st.integers(1, 300))
     b = draw(st.integers(1, 10 ** 6))
     a = draw(st.one_of(st.just(0), st.just(b), st.integers(0, b)))
-    return N, draw(st.integers(1, N)), Fraction(a, b)
+    return N, draw(st.integers(1, N)), Fraction(a, b), draw(st.integers(1, 30))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tails())
 def test_tail_matches_term_sum(case):
-    # p = 1 makes c = b - a = 0; p = 0 makes every term past i = 0 vanish
-    N, d, p = case
-    assert fid.approx_fidelity(N, d, p) == term_fidelity(N, d, p)
+    # p = 1 makes c = b - a = 0; p = 0 makes every term past i = 0 vanish;
+    # k scales the rate to the unreduced k*a / k*b
+    N, d, p, k = case
+    want = term_fidelity(N, d, p)
+    assert fid.approx_fidelity(N, d, p) == want
+    a, b = p.numerator * k, p.denominator * k
+    assert Fraction(fid._tail(N, (d - 1) // 2, a, b), b ** N) == want
+    if N <= 260:
+        assert oracle_fidelity(N, d, p) == want
 
 
 @st.composite
 def paper_pairs(draw):
-    """C = [[n+m, ., d]] against Alice's [[n, ., d; c]] with Bob's [[m, ., db]]."""
-    n, m = draw(st.integers(3, 60)), draw(st.integers(3, 12))
+    """C = [[n+m, ., d]] against Alice's [[n, ., d; c]] with Bob's [[m, ., db]],
+    n + m <= 260, p_a in (0, 1) and lam in [0, 1/p_a]: lam = 0, p_b = 1, and
+    lam * p_a sharing factors with both terms all come up."""
+    n, m = draw(st.integers(3, 200)), draw(st.integers(3, 60))
     d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
-    pa = Fraction(draw(st.integers(1, 2000)), 10007)
+    b = draw(st.sampled_from([7, 12, 100, 1000, 10007]))
+    pa = Fraction(draw(st.integers(1, min(b - 1, 2000))), b)
+    lam = draw(st.one_of(st.just(Fraction(0)), st.just(1 / pa),
+                         st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 3, 7, 14]))
+                         .filter(lambda x: x * pa <= 1)))
     tol = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
-    return (n + m, d), ((n, d), (m, db)), pa, tol
+    return (n + m, d), ((n, d), (m, db)), pa, lam, tol
 
 
 @settings(max_examples=100, deadline=None)
 @given(paper_pairs())
 def test_crossover_matches_unhoisted_bisection(case):
-    c, dpair, pa, tol = case
+    c, dpair, pa, _, tol = case
     assert (fid.crossover_degradation(c, dpair, pa, tol=tol)
             == bisect_crossover(c, dpair, pa, tol=tol))
 
@@ -361,13 +373,16 @@ def rationals_to_render(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(rationals_to_render())
+@given(rationals_to_render(), st.integers(1, 10 ** 30))
 # a hair above a power of two over a hair below one, far below 1: the
 # bit-length estimate of the digit count is loosest here, and a quotient
 # one digit short of 17 misrounds
-@example(Fraction(8, 2 ** 2634 - 1))
-def test_format_15_matches_decimal_division(x):
-    assert fid.format_15(x) == decimal_format_15(x)
+@example(Fraction(8, 2 ** 2634 - 1), 1)
+def test_format_15_matches_decimal_division(x, k):
+    # the integer core renders x from any common multiple of its terms
+    text = decimal_format_15(x)
+    assert fid.format_15(x) == text
+    assert fid._format_15(x.numerator * k, x.denominator * k) == text
 
 
 # ---------------------------------------------------------------------------
@@ -375,58 +390,16 @@ def test_format_15_matches_decimal_division(x):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def scaled_tails(draw):
-    """A tail at rate a/b with both terms scaled by k, reduced or not."""
-    N = draw(st.integers(1, 260))
-    b = draw(st.integers(1, 10 ** 4))
-    a = draw(st.one_of(st.just(0), st.just(b), st.integers(0, b)))
-    return N, draw(st.integers(1, N)), a, b, draw(st.integers(1, 30))
-
-
-@settings(max_examples=60, deadline=None)
-@given(scaled_tails())
-def test_integer_tail_matches_oracle_at_every_scaling(case):
-    N, d, a, b, k = case
-    t = (d - 1) // 2
-    want = oracle_fidelity(N, d, Fraction(a, b))
-    assert Fraction(fid._tail(N, t, a, b), b ** N) == want
-    assert Fraction(fid._tail(N, t, k * a, k * b), (k * b) ** N) == want
-
-
-@st.composite
-def long_pairs(draw):
-    """C = [[n+m, ., d]] against ([[n, ., d]], [[m, ., db]]) with n + m <= 260,
-    p_a in (0, 1), and lam in [0, 1/p_a]: lam = 0, p_b = 1, and lam * p_a
-    sharing factors with both terms all come up."""
-    n, m = draw(st.integers(1, 200)), draw(st.integers(1, 60))
-    d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
-    b = draw(st.sampled_from([7, 12, 100, 1000, 10007]))
-    pa = Fraction(draw(st.integers(1, b - 1)), b)
-    lam = draw(st.one_of(st.just(Fraction(0)), st.just(1 / pa),
-                         st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 3, 7, 14]))
-                         .filter(lambda x: x * pa <= 1)))
-    return (n + m, d), ((n, d), (m, db)), pa, lam
-
-
 @settings(max_examples=40, deadline=None)
-@given(long_pairs())
+@given(paper_pairs())
 def test_compare_matches_oracle_ordering(case):
-    c, ((n, d), (m, db)), pa, lam = case
+    c, ((n, d), (m, db)), pa, lam, _ = case
     pc = oracle_fidelity(*c, pa)
     pd = oracle_fidelity(n, d, pa) * oracle_fidelity(m, db, lam * pa)
     want = fid.D_BETTER if pd > pc else fid.C_BETTER if pc > pd else fid.TIE
     assert fid.compare(c, ((n, d), (m, db)), pa, lam) == want
     [row] = fid.sweep(c, ((n, d), (m, db)), lam, [pa])
     assert row == (pa, pc, pd)
-
-
-@settings(max_examples=25, deadline=None)
-@given(long_pairs(), st.sampled_from([1e-2, 1e-4]))
-def test_crossover_matches_oracle_bisection_on_long_pairs(case, tol):
-    c, dpair, pa, _ = case
-    assert (fid.crossover_degradation(c, dpair, pa, tol=tol)
-            == bisect_crossover(c, dpair, pa, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +409,10 @@ def test_crossover_matches_oracle_bisection_on_long_pairs(case, tol):
 
 @pytest.mark.parametrize("x, text", [
     (Fraction(1, 8), "0.125"), (Fraction(-1, 8), "-0.125"), (Fraction(0), "0"),
-    (Fraction(2, 3), "0.666666666666667"), (Fraction(-5, 2), "-2.5"),
-    (FROZEN_17_7, "0.999978555245860"),
 ])
-@pytest.mark.parametrize("k", [1, 2, 7, 10 ** 40 + 1])
+@pytest.mark.parametrize("k", [1, 2, 10 ** 40 + 1])
 def test_format_core_ignores_common_factors(x, text, k):
-    assert fid.format_15(x) == text
     assert fid._format_15(x.numerator * k, x.denominator * k) == text
-
-
-@settings(max_examples=200, deadline=None)
-@given(rationals_to_render(), st.integers(1, 10 ** 30))
-def test_format_core_matches_format_15_unreduced(x, k):
-    assert fid._format_15(x.numerator * k, x.denominator * k) == fid.format_15(x)
 
 
 @st.composite
