@@ -3,8 +3,8 @@
 An additive code of length n and size q^m is the F_q-span of m generators in
 GF(q^2)^n.  A code holds the reduced row echelon form of its 2n-column
 preimage under the basis map from :mod:`eaqecne.symplectic`, reducing any
-other preimage it is given, so two codes are equal exactly when their
-preimages match.
+other preimage it is given: its columns give n, its pivot entries give the
+coordinates of a word, and two codes are equal exactly when they match.
 
 There is one form: the trace-alternating form, which divides the
 antisymmetrized Hermitian value sum_j u_j * conj(v_j) by beta^2 - beta^(2q)
@@ -24,7 +24,8 @@ self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
 Minimum weights weigh one word of each F_q^* orbit outside the excluded
 subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
 packed F_p digits of the preimage, since phi is F_q-linear and preserves
-weight.  A ``budget`` caps q^m - q^m', the count of all words outside it.
+weight; the result's ``d`` is None when no word is left.  A ``budget`` caps
+q^m - q^m', the count of all words outside it.
 """
 
 from __future__ import annotations
@@ -43,54 +44,49 @@ DEFAULT_BUDGET = 1 << 30
 _CHUNK = 1 << 16
 
 
-def _field_entries(Q: FieldSpec, words, cols: int | None = None) -> np.ndarray:
+def _field_entries(Q: FieldSpec, words) -> np.ndarray:
     """Words as an index matrix; table lookups would wrap entries below 0."""
     W = np.asarray(words)
     if ((W < 0) | (W >= Q.order)).any():
         raise FormatError(f"generator entry outside GF({Q.order})")
-    return linalg.as_matrix(W, cols=cols)
+    return linalg.as_matrix(W)
 
 
 class AdditiveCode:
-    """F_q-linear subgroup of GF(q^2)^n, canonicalized via its preimage."""
+    """F_q-linear subgroup of GF(q^2)^n, canonicalized via its preimage,
+    whose 2n columns give the length."""
 
     __slots__ = ("field", "n", "preimage")
 
-    def __init__(self, field: FieldSpec, n: int, preimage):
+    def __init__(self, field: FieldSpec, preimage):
         field._require_quadratic()
         P = linalg.as_matrix(preimage)
-        if P.shape[1] != 2 * n:
-            raise DimensionMismatch(
-                f"preimage has {P.shape[1]} columns, expected {2 * n}")
+        if P.shape[1] % 2:
+            raise DimensionMismatch(f"preimage has an odd column count {P.shape[1]}")
         self.field = field
-        self.n = n
+        self.n = P.shape[1] // 2
         self.preimage = P if linalg.is_rref(P) else linalg.row_basis(field.base, P)
 
     @classmethod
-    def from_preimage(cls, field: FieldSpec, preimage) -> "AdditiveCode":
-        return cls(field, np.shape(preimage)[-1] // 2, preimage)
+    def from_generators(cls, field: FieldSpec, gens) -> "AdditiveCode":
+        """The F_q-span of the rows of a generator matrix, (0, n) for none."""
+        return cls(field, sp.phi_inv(field, _field_entries(field, gens)))
 
     @classmethod
-    def from_generators(cls, field: FieldSpec, gens, n: int | None = None) -> "AdditiveCode":
-        G = _field_entries(field, gens, cols=n)
-        return cls.from_preimage(field, sp.phi_inv(field, G))
-
-    @classmethod
-    def from_linear(cls, field: FieldSpec, gens, n: int | None = None) -> "AdditiveCode":
+    def from_linear(cls, field: FieldSpec, gens) -> "AdditiveCode":
         """The GF(q^2)-linear span of the generators: the F_q-span of g and
         beta*g for each generator g."""
         field._require_quadratic()
-        G = _field_entries(field, gens, cols=n)
-        return cls.from_generators(
-            field, np.vstack([G, field.mul_table[field.beta, G]]), n=G.shape[1])
+        G = _field_entries(field, gens)
+        return cls.from_generators(field, np.vstack([G, field.mul_table[field.beta, G]]))
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "AdditiveCode":
-        return cls(field, n, linalg.empty_matrix(2 * n))
+        return cls(field, linalg.empty_matrix(2 * n))
 
     @classmethod
     def full(cls, field: FieldSpec, n: int) -> "AdditiveCode":
-        return cls(field, n, linalg.identity_matrix(2 * n))
+        return cls(field, linalg.identity_matrix(2 * n))
 
     @property
     def generators(self) -> np.ndarray:
@@ -117,9 +113,11 @@ class AdditiveCode:
         return self._spans(sp.phi_inv(self.field, W))
 
     def _spans(self, rows: np.ndarray) -> bool:
-        """The preimage rows lie in the code: stacked under its basis they
-        leave the rank at m.  One elimination."""
-        return linalg.rank(self.base_field, np.vstack([self.preimage, rows])) == self.m
+        """The preimage rows lie in the code: each is its pivot entries times
+        the canonical basis.  One product, no elimination."""
+        B = self.preimage
+        return np.array_equal(
+            linalg.gram(self.base_field, rows[:, linalg.pivots(B)], B.T), rows)
 
     def _check_peer(self, other: "AdditiveCode"):
         if other.field is not self.field or other.n != self.n:
@@ -127,7 +125,6 @@ class AdditiveCode:
 
     def __eq__(self, other):
         return (isinstance(other, AdditiveCode) and other.field is self.field
-                and other.n == self.n
                 and np.array_equal(other.preimage, self.preimage))
 
     def __hash__(self):
@@ -144,8 +141,7 @@ class AdditiveCode:
 
 def dual(code: AdditiveCode) -> AdditiveCode:
     """Symplectic dual: the kernel of the code's twisted preimage rows."""
-    return AdditiveCode(code.field, code.n,
-                        sp.symp_dual(code.base_field, code.preimage))
+    return AdditiveCode(code.field, sp.symp_dual(code.base_field, code.preimage))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +163,13 @@ class CodeDecomposition:
     @property
     def complement(self) -> AdditiveCode:
         """The complementary-dual code the pairs span, built when read."""
-        return AdditiveCode.from_preimage(self.radical.field, self.pairs)
+        return AdditiveCode(self.radical.field, self.pairs)
 
 
 def radical_decompose(code: AdditiveCode) -> CodeDecomposition:
     """The one split of C: symplectic Gram-Schmidt of its canonical preimage."""
     rad, pairs = sp.decompose(code.base_field, code.preimage)
-    return CodeDecomposition(AdditiveCode(code.field, code.n, rad), pairs)
+    return CodeDecomposition(AdditiveCode(code.field, rad), pairs)
 
 
 def radical(code: AdditiveCode) -> AdditiveCode:
@@ -207,12 +203,8 @@ def is_dual_containing(code: AdditiveCode) -> bool:
 
 @dataclass(frozen=True)
 class MinWeightResult:
-    weight: int        # ambient length + 1 means "undefined" (empty word set)
+    d: int | None      # None when no word lies outside the excluded code
     examined: int      # words weighed, one per F_q^* orbit
-
-    def distance(self, n: int) -> int | None:
-        """The weight as a distance on length n; None when no word was left."""
-        return None if self.weight > n else self.weight
 
 
 class _Limbs:
@@ -323,32 +315,36 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
 
 
 def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode) -> np.ndarray:
-    """Preimage rows of `outer` ordered so the trailing block spans `excluded`.
-    Both preimages are bases, so the rows are a basis of outer + excluded,
-    and there are outer.m of them exactly when `excluded` lies in `outer`."""
-    ext = linalg.extend_basis(outer.base_field, excluded.preimage, outer.preimage)
-    if len(ext) + excluded.m != outer.m:
+    """A basis of `outer` whose trailing block is the basis of `excluded`.
+
+    The rows of `outer` kept in front are those the greedy extension of
+    `excluded` by them keeps: row i is dropped exactly when some excluded
+    word has its last nonzero coordinate over `outer` at i, so the dropped
+    rows are the pivots of the reversed l x m' coordinate matrix."""
+    if not outer._spans(excluded.preimage):
         raise PreconditionFailed("excluded code is not contained in the outer code")
-    return np.vstack([ext, excluded.preimage])
+    coords = excluded.preimage[:, linalg.pivots(outer.preimage)]
+    last = np.array(linalg.rref(outer.base_field, coords[:, ::-1])[2], dtype=np.intp)
+    kept = np.delete(outer.preimage, outer.m - 1 - last, axis=0)
+    return np.vstack([kept, excluded.preimage])
 
 
 def min_weight_excluding_detail(outer: AdditiveCode,
                                 excluded: AdditiveCode | None = None, *,
                                 budget: int = DEFAULT_BUDGET) -> MinWeightResult:
-    """Minimum Hamming weight over words of `outer` not in `excluded` (None:
-    the zero code), the package's one minimum-weight scan."""
+    """Minimum Hamming weight ``d`` over words of `outer` not in `excluded`
+    (None: the zero code), the package's one minimum-weight scan."""
     if excluded is None:
         excluded = AdditiveCode.zero(outer.field, outer.n)
     outer._check_peer(excluded)
     rows = _exclusion_basis(outer, excluded)
-    q, n = outer.base_field.order, outer.n
+    q = outer.base_field.order
     required = q ** outer.m - q ** excluded.m
     if required == 0:
-        return MinWeightResult(weight=n + 1, examined=0)
+        return MinWeightResult(d=None, examined=0)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    best, examined = _scan_preimage(outer.base_field, rows, excluded.m)
-    return MinWeightResult(weight=best, examined=examined)
+    return MinWeightResult(*_scan_preimage(outer.base_field, rows, excluded.m))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +362,7 @@ def puncture(code: AdditiveCode, coords) -> AdditiveCode:
             raise IndexOutOfRange(f"coordinate {c} outside [0, {code.n})")
     keep = [j for j in range(code.n) if j not in drop]
     cols = keep + [code.n + j for j in keep]
-    return AdditiveCode.from_preimage(code.field, code.preimage[:, cols])
+    return AdditiveCode(code.field, code.preimage[:, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +383,12 @@ def _code_from_matrix(F: FieldSpec, M: np.ndarray, symplectic: bool) -> Additive
                 f"{SUPPORTED_ORDERS}, got {F.order}")
         if M.shape[1] % 2:
             raise FormatError("symplectic input needs an even column count")
-        return AdditiveCode.from_preimage(quadratic_field(F), M)
+        return AdditiveCode(quadratic_field(F), M)
     if not F.is_quadratic:
         raise FormatError(
             f"code files need a quadratic-extension order, got {F.order}; "
             "pass --symplectic for base-field preimage matrices")
-    return AdditiveCode.from_generators(F, M, n=M.shape[1])
+    return AdditiveCode.from_generators(F, M)
 
 
 def parse_code(text: str, symplectic: bool = False) -> AdditiveCode:

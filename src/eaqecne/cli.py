@@ -51,8 +51,7 @@ def cmd_decompose(args) -> int:
 def cmd_mindist(args) -> int:
     code = ac.load_code(args.codefile, args.symplectic)
     res = ac.min_weight_excluding_detail(code, budget=args.budget)
-    d = res.distance(code.n)
-    print(f"d={'undefined' if d is None else d} enumerated={res.examined}")
+    print(f"d={'undefined' if res.d is None else res.d} enumerated={res.examined}")
     return 0
 
 

@@ -119,14 +119,13 @@ def _derive(code: ac.AdditiveCode, compute_d: bool, budget: int
     k = n - c - l, d minimal over C^⊥ outside the radical.  Returns the
     parameters, the decomposition and the words the scan examined."""
     dec = ac.radical_decompose(code)
-    d, examined = None, 0
+    scan = ac.MinWeightResult(d=None, examined=0)
     if compute_d:
         scan = ac.min_weight_excluding_detail(ac.dual(code), dec.radical,
                                               budget=budget)
-        d, examined = scan.distance(code.n), scan.examined
     params = EAQECCParams(q=code.base_field.order, n=code.n,
-                          k=code.n - dec.c - dec.l, c=dec.c, d=d)
-    return params, dec, examined
+                          k=code.n - dec.c - dec.l, c=dec.c, d=scan.d)
+    return params, dec, scan.examined
 
 
 def stabilizer_params(code: ac.AdditiveCode, compute_d: bool = True, *,
@@ -231,31 +230,28 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
         raise DimensionMismatch(
             f"G2 has {G2.shape[0]} rows, E has {E.shape[0]}")
     n, m = G.shape[1], E.shape[1]
-    summed = ac.AdditiveCode.from_generators(field, np.vstack([G, G2]), n=n)
+    summed = ac.AdditiveCode.from_generators(field, np.vstack([G, G2]))
     # inside span(G)'s dual: every row of G orthogonal to the sum's rows
     rows = np.vstack([sp.phi_inv(field, G), summed.preimage])
     if sp.symp_gram(field.base, rows)[:len(G), len(G):].any():
         raise PreconditionFailed(
             "span(G)+span(G2) is not contained in the dual of span(G)")
-    appended = ac.AdditiveCode.from_generators(
-        field, np.hstack([G2, E]), n=n + m)
+    appended = ac.AdditiveCode.from_generators(field, np.hstack([G2, E]))
     if not ac.is_acd(appended):
         raise PreconditionFailed("(G2|E) does not generate a complementary-dual code")
     top = np.hstack([G, np.zeros((G.shape[0], m), dtype=G.dtype)])
     combined = ac.AdditiveCode.from_generators(
-        field, np.vstack([top, np.hstack([G2, E])]), n=n + m)
+        field, np.vstack([top, np.hstack([G2, E])]))
 
     params, dec, enumerated = _derive(combined, compute_d, budget)
     d1 = d2 = comp_w = None
     if compute_d:
-        r1 = ac.min_weight_excluding_detail(summed, budget=budget)
-        block = ac.AdditiveCode.from_generators(field, E, n=m)
-        r2 = ac.min_weight_excluding_detail(block, budget=budget)
-        r3 = ac.min_weight_excluding_detail(appended, budget=budget)
-        enumerated += r1.examined + r2.examined + r3.examined
-        d1, d2 = r1.distance(n), r2.distance(m)
-        comp_w = r3.distance(n + m)
-    top_code = ac.AdditiveCode.from_generators(field, top, n=n + m)
+        block = ac.AdditiveCode.from_generators(field, E)
+        scans = [ac.min_weight_excluding_detail(code, budget=budget)
+                 for code in (summed, block, appended)]
+        enumerated += sum(r.examined for r in scans)
+        d1, d2, comp_w = (r.d for r in scans)
+    top_code = ac.AdditiveCode.from_generators(field, top)
     report = CombinationReport(
         params=params,
         d1=d1,
@@ -284,7 +280,7 @@ def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
     """Drop the last c coordinates of a Hermitian self-orthogonal
     GF(q^2)-linear code, of dimension u = m/2, and measure the EA parameters
     of the result."""
-    if ac.AdditiveCode.from_linear(code.field, code.generators, n=code.n) != code:
+    if ac.AdditiveCode.from_linear(code.field, code.generators) != code:
         raise PreconditionFailed("source code is not GF(q^2)-linear")
     if not ac.is_self_orthogonal(code):
         raise NotSelfOrthogonal("source code is not Hermitian self-orthogonal")

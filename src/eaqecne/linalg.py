@@ -6,9 +6,10 @@ reduced row echelon form of any generating matrix, so subspace equality is
 plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
 
-There is one elimination kernel, :func:`rref`; ranks, kernels and basis
-extension are all read off it.  Every row update is one
-:func:`sub_multiples` call and every Gram matrix one integer product.
+There is one elimination kernel, :func:`rref`; ranks and kernels are read
+off it, and a canonical basis states its own :func:`pivots`.  Every row
+update is one :func:`sub_multiples` call and every Gram matrix one integer
+product.
 """
 
 from __future__ import annotations
@@ -90,12 +91,18 @@ def row_basis(F: FieldSpec, mat) -> np.ndarray:
     return R[:rank]
 
 
+def pivots(M: np.ndarray) -> np.ndarray:
+    """The pivot columns of a canonical basis: each row's first nonzero entry.
+    Row r of the basis's span is then r[:, pivots] times the basis."""
+    return (M != 0).argmax(axis=1) if M.size else np.zeros(0, dtype=np.intp)
+
+
 def is_rref(M: np.ndarray) -> bool:
     """M is its own canonical basis: rows lead with a 1, the leads strictly
     increase and each is alone in its column.  Array tests, no elimination."""
     if not M.size:
         return not M.shape[0]
-    lead = (M != 0).argmax(axis=1)
+    lead = pivots(M)
     return bool((M[np.arange(len(M)), lead] == 1).all()
                 and (np.diff(lead) > 0).all()
                 and (np.count_nonzero(M[:, lead], axis=0) == 1).all())
@@ -132,19 +139,6 @@ def gram(F: FieldSpec, A, B) -> np.ndarray:
     D = DA @ F.mul_matrix_table[:, B.T].reshape(e * n, s * e)
     D %= F.p
     return (D.reshape(r, s, e) @ F.p ** np.arange(e)).astype(_DT)
-
-
-def extend_basis(F: FieldSpec, S, rows) -> np.ndarray:
-    """The rows that extend the independent rows of S, picked greedily in order.
-
-    A row is kept when it is not in the span of S and the rows kept before
-    it; these are the pivot columns of the stacked transpose.
-    """
-    S, rows = as_matrix(S), as_matrix(rows)
-    _check_ambient(S, rows)
-    _, _, pivots = rref(F, np.vstack([S, rows]).T)
-    k = S.shape[0]
-    return rows[np.array([p - k for p in pivots if p >= k], dtype=np.intp)]
 
 
 # ---------------------------------------------------------------------------

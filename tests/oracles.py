@@ -310,12 +310,12 @@ def span_words(F, rows) -> np.ndarray:
 
 def preimage_min_weight(code) -> int:
     """Minimum symplectic weight over the nonzero preimage words of the code;
-    ``code.n + 1`` for the zero code."""
+    None for the zero code."""
     words = span_words(code.base_field, code.preimage)
     n = code.n
     weights = ((words[:, :n] != 0) | (words[:, n:] != 0)).sum(axis=1)
     nonzero = words.any(axis=1)
-    return int(weights[nonzero].min()) if nonzero.any() else n + 1
+    return int(weights[nonzero].min()) if nonzero.any() else None
 
 
 def odometer_scan(Q, gens, skip_below, chunk):
@@ -443,8 +443,7 @@ def phi_puncture(code, coords):
     keep = [j for j in range(code.n) if j not in drop]
     if code.m == 0:
         return ac.AdditiveCode.zero(code.field, len(keep))
-    return ac.AdditiveCode.from_generators(code.field, code.generators[:, keep],
-                                           n=len(keep))
+    return ac.AdditiveCode.from_generators(code.field, code.generators[:, keep])
 
 
 def term_fidelity(N, d, p):
@@ -532,7 +531,7 @@ def random_subspace(F, dim: int, cols: int, rng):
 
 
 def random_additive_code(Q, n: int, m: int, rng):
-    return ac.AdditiveCode.from_preimage(Q, random_subspace(Q.base, m, 2 * n, rng))
+    return ac.AdditiveCode(Q, random_subspace(Q.base, m, 2 * n, rng))
 
 
 def count_rref(monkeypatch) -> list:

@@ -91,7 +91,7 @@ def test_criterion_3_duality_laws():
                 D = sp.symp_dual(F, S)
                 assert S.shape[0] + D.shape[0] == 2 * n
                 assert subspace_eq(F, sp.symp_dual(F, D), S)
-                code = ac.AdditiveCode(Q, n, S)
+                code = ac.AdditiveCode(Q, S)
                 assert subspace_eq(F, ac.dual(code).preimage, D)
     announce("3 duality-laws", 60, started, "subspaces=800")
 
@@ -107,7 +107,7 @@ def test_criterion_4_decomposition_laws():
                 n = int(rng.integers(1, 6))
                 m = int(rng.integers(0, 2 * n + 1))
                 gens_raw = random_matrix(Q.base, m, 2 * n, rng)
-                code = ac.AdditiveCode.from_preimage(Q, gens_raw)
+                code = ac.AdditiveCode(Q, gens_raw)
                 dec = ac.radical_decompose(code)
                 assert (code.m - dec.l) % 2 == 0
                 joined = np.vstack([dec.radical.preimage,
@@ -117,7 +117,7 @@ def test_criterion_4_decomposition_laws():
                 assert ac.is_acd(dec.complement)
                 # l, c invariant under permutation of the input generators
                 perm = rng.permutation(m)
-                code2 = ac.AdditiveCode.from_preimage(Q, gens_raw[perm])
+                code2 = ac.AdditiveCode(Q, gens_raw[perm])
                 dec2 = ac.radical_decompose(code2)
                 assert (dec2.l, dec2.c) == (dec.l, dec.c)
     announce("4 radical-decomposition", 60, started, "codes=400")
@@ -252,7 +252,7 @@ def test_criterion_9_enumeration_strategies_agree():
             code = random_additive_code(Q, n, m, rng)
             # the scan over GF(q^2) words against brute force over the
             # preimage with symplectic weights: two independent routes
-            assert (ac.min_weight_excluding_detail(code).weight
+            assert (ac.min_weight_excluding_detail(code).d
                     == preimage_min_weight(code))
             checked += 1
         assert checked == 50

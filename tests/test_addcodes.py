@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.errors import (AmbientMismatch, BudgetExceeded, FormatError,
-                            IndexOutOfRange, PreconditionFailed)
+from eaqecne.errors import (AmbientMismatch, BudgetExceeded, DimensionMismatch,
+                            FormatError, IndexOutOfRange, PreconditionFailed)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import linalg, symplectic as sp
@@ -37,7 +37,7 @@ def enumerate_codewords(code):
 def oracle_min_weight(code, excluded=None):
     skip = enumerate_codewords(excluded) if excluded else {tuple([0] * code.n)}
     weights = [sum(1 for x in w if x) for w in enumerate_codewords(code) - skip]
-    return min(weights) if weights else code.n + 1
+    return min(weights) if weights else None
 
 
 def symp_value(Q, u, v):
@@ -101,7 +101,7 @@ def trace_route_dual(code):
     Q = code.field
     lam = Q.neg(Q.inv(Q.alt_normalizer))
     return ac.AdditiveCode.from_generators(
-        Q, Q.mul_table[lam, ac.dual(code).generators], n=code.n)
+        Q, Q.mul_table[lam, ac.dual(code).generators])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -167,14 +167,37 @@ def test_decompose_examples():
 
 def test_constructor_canonicalizes_preimage():
     """Three rows, two equal: the constructor row-reduces them to the code
-    from_preimage builds, so m, equality, hashing and the split agree."""
+    of their canonical basis, so n, m, equality, hashing and the split agree."""
     Q = field(4)
     P = [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
-    code, canon = ac.AdditiveCode(Q, 2, P), ac.AdditiveCode.from_preimage(Q, P)
-    assert code.m == 2 and code == canon and hash(code) == hash(canon)
+    basis = linalg.row_basis(Q.base, P)
+    code, canon = ac.AdditiveCode(Q, P), ac.AdditiveCode(Q, basis)
+    assert (code.n, code.m) == (canon.n, canon.m) == (2, 2)
+    assert code == canon and hash(code) == hash(canon)
+    assert np.array_equal(code.preimage, basis)
     assert code.preimage.dtype == np.int16
     dec, ref = ac.radical_decompose(code), ac.radical_decompose(canon)
     assert (dec.l, dec.c) == (ref.l, ref.c) == (0, 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_preimage_states_the_length(q):
+    """n is half the preimage's column count, an odd count is refused, and a
+    (0, n) generator matrix is the zero code of length n."""
+    Q = quadratic_field(field(q))
+    for cols in (1, 3, 5):
+        for rows in (0, 1, 2):
+            with pytest.raises(DimensionMismatch):
+                ac.AdditiveCode(Q, np.zeros((rows, cols), dtype=np.int16))
+    for n in range(4):
+        zero = ac.AdditiveCode.zero(Q, n)
+        none = np.zeros((0, n), dtype=np.int16)
+        assert ac.AdditiveCode(Q, linalg.empty_matrix(2 * n)) == zero
+        assert ac.AdditiveCode.from_generators(Q, none) == zero
+        assert ac.AdditiveCode.from_linear(Q, none) == zero
+        assert (zero.n, zero.m, ac.AdditiveCode.full(Q, n).n) == (n, 0, n)
+    with pytest.raises(ValueError):
+        ac.AdditiveCode.from_generators(Q, [])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -205,14 +228,25 @@ def test_dual_containing_predicate():
 def test_min_weight_single_word():
     Q = field(4)
     C = ac.AdditiveCode.from_generators(Q, [[1, 1, 1]])
-    assert ac.min_weight_excluding_detail(C).weight == 3
+    assert ac.min_weight_excluding_detail(C).d == 3
 
 
 def test_min_weight_excluding_sentinel():
+    """d is None and nothing is weighed when no word is left: the excluded
+    code is the outer code, or the outer code is zero.  No budget is spent."""
     Q = field(4)
     C = ac.AdditiveCode.from_generators(Q, [[1, 1]])
     r = ac.min_weight_excluding_detail(C, C)
-    assert r.weight == C.n + 1 and r.distance(C.n) is None and r.examined == 0
+    assert r == ac.MinWeightResult(d=None, examined=0)
+    rng = np.random.default_rng(67)
+    for q in SUPPORTED_ORDERS:
+        Q = quadratic_field(field(q))
+        for n in (1, 2, 3):
+            outer = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+            zero = ac.AdditiveCode.zero(Q, n)
+            for A, B in ((outer, outer), (zero, None), (zero, zero)):
+                r = ac.min_weight_excluding_detail(A, B, budget=0)
+                assert r.d is None and r.examined == 0
 
 
 def test_min_weight_budget():
@@ -245,8 +279,7 @@ def test_exclusion_precondition_is_containment(q, seed, kind):
         excluded = ac.AdditiveCode.zero(Q, n)
     elif kind == "subcode":
         coeffs = random_matrix(Q.base, int(rng.integers(1, outer.m + 1)), outer.m, rng)
-        excluded = ac.AdditiveCode.from_preimage(
-            Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
+        excluded = ac.AdditiveCode(Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
     elif kind == "equal":
         excluded = outer
     else:
@@ -270,12 +303,12 @@ def test_min_weight_matches_oracle(q):
         n = int(rng.integers(1, 5))
         C = random_additive_code(Q, n, int(rng.integers(0, min(2 * n, 6) + 1)), rng)
         expect = oracle_min_weight(C)
-        assert ac.min_weight_excluding_detail(C).weight == expect
+        assert ac.min_weight_excluding_detail(C).d == expect
         assert preimage_min_weight(C) == expect
         # exclusion against a random subcode
         rows = C.preimage[: int(rng.integers(0, C.m + 1))]
-        B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(rows, cols=2 * n))
-        assert ac.min_weight_excluding_detail(C, B).weight == oracle_min_weight(C, B)
+        B = ac.AdditiveCode(Q, linalg.as_matrix(rows, cols=2 * n))
+        assert ac.min_weight_excluding_detail(C, B).d == oracle_min_weight(C, B)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -288,12 +321,10 @@ def test_min_weight_exclusion_monotone(q):
         A = random_additive_code(Q, n, int(rng.integers(2, 2 * n + 1)), rng)
         cut1 = int(rng.integers(0, A.m))
         cut2 = int(rng.integers(cut1, A.m))
-        small = ac.AdditiveCode.from_preimage(
-            Q, linalg.as_matrix(A.preimage[:cut1], cols=2 * n))
-        big = ac.AdditiveCode.from_preimage(
-            Q, linalg.as_matrix(A.preimage[:cut2], cols=2 * n))
-        assert (ac.min_weight_excluding_detail(A, big).weight
-                >= ac.min_weight_excluding_detail(A, small).weight)
+        small = ac.AdditiveCode(Q, linalg.as_matrix(A.preimage[:cut1], cols=2 * n))
+        big = ac.AdditiveCode(Q, linalg.as_matrix(A.preimage[:cut2], cols=2 * n))
+        assert (ac.min_weight_excluding_detail(A, big).d
+                >= ac.min_weight_excluding_detail(A, small).d)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -308,9 +339,9 @@ def test_min_weight_chunked_scan_boundaries(q, monkeypatch):
         n = int(rng.integers(1, 4))
         A = random_additive_code(Q, n, int(rng.integers(1, min(2 * n, cap) + 1)), rng)
         rows = A.preimage[: int(rng.integers(0, A.m + 1))]
-        B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(rows, cols=2 * n))
+        B = ac.AdditiveCode(Q, linalg.as_matrix(rows, cols=2 * n))
         expect = oracle_min_weight(A, B)
-        assert ac.min_weight_excluding_detail(A, B).weight == expect
+        assert ac.min_weight_excluding_detail(A, B).d == expect
 
 
 def chunks(q):
@@ -351,8 +382,8 @@ def scan_case(Q, n, m, k, rng):
     """An outer code of dimension m and its subcode spanned by k of its
     canonical rows; half the codes hold a weight-1 word."""
     pre = linalg.row_basis(Q.base, planted_rows(Q.base, n, m, rng.random() < 0.5, rng))
-    A = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(pre, cols=2 * n))
-    B = ac.AdditiveCode.from_preimage(Q, linalg.as_matrix(A.preimage[:k], cols=2 * n))
+    A = ac.AdditiveCode(Q, linalg.as_matrix(pre, cols=2 * n))
+    B = ac.AdditiveCode(Q, linalg.as_matrix(A.preimage[:k], cols=2 * n))
     return A, B
 
 
@@ -366,11 +397,13 @@ def assert_min_weight_matches_oracle(A, B, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "_CHUNK", chunk)
         r = ac.min_weight_excluding_detail(A, B)
-    assert (r.weight, r.examined) == expect
-    assert r.weight == odometer_scan(Q, gens, Q.base.order ** B.m, chunk)[0]
+    best = odometer_scan(Q, gens, Q.base.order ** B.m, chunk)[0]
     if A.m == B.m:
-        assert expect == (A.n + 1, 0)
-    if r.weight > 1:
+        # no word is left: the oracles' n + 1 is the scan's None
+        assert expect == (best, 0) == (A.n + 1, 0) and r.d is None and r.examined == 0
+    else:
+        assert (r.d, r.examined) == expect and r.d == best
+    if r.d is None or r.d > 1:
         # no early exit: one word of each F_q^* orbit outside B
         q = Q.base.order
         assert r.examined * (q - 1) == q ** A.m - q ** B.m
@@ -430,7 +463,7 @@ def test_min_weight_generator_bound():
     for _ in range(20):
         C = random_additive_code(Q, 4, int(rng.integers(1, 5)), rng)
         bound = min(int((row != 0).sum()) for row in C.generators)
-        assert ac.min_weight_excluding_detail(C).weight <= bound
+        assert ac.min_weight_excluding_detail(C).d <= bound
 
 
 def test_puncture():
@@ -497,14 +530,52 @@ def test_linear_hermitian_self_orthogonal():
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_contains_is_one_elimination(q, monkeypatch):
+    """Containment is one Gram product against the canonical basis: neither
+    contains nor contains_word runs an elimination."""
     Q = quadratic_field(field(q))
     rng = np.random.default_rng([61, q])
     outer, inner = (random_additive_code(Q, 3, m, rng) for m in (4, 2))
     fields = count_rref(monkeypatch)
     outer.contains(inner)
-    assert fields == [Q.base]
     outer.contains_word(inner.generators[0])
-    assert fields == [Q.base, Q.base]
+    assert fields == []
+
+
+def greedy_extension(F, S, rows):
+    """Oracle: the rows that extend the basis S, picked in order, each kept
+    when it raises the rank of S and the rows kept before it."""
+    picked, kept = S, []
+    for row in rows:
+        cand = np.vstack([picked, row.reshape(1, -1)])
+        if linalg.rank(F, cand) > picked.shape[0]:
+            picked = cand
+            kept.append(row)
+    return linalg.as_matrix(kept, cols=S.shape[1])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_exclusion_basis_matches_greedy_loop(q, monkeypatch):
+    """The exclusion basis is the outer rows the greedy extension of the
+    excluded basis keeps, then the excluded basis, for the scans' pairs
+    (dual, radical), (code, zero) and (code, code) and random subcodes; it
+    eliminates only the excluded code's coordinates over the outer code."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([23, q])
+    fields = count_rref(monkeypatch)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        code = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
+        coeffs = random_matrix(Q.base, int(rng.integers(0, code.m + 1)), code.m, rng)
+        sub = ac.AdditiveCode(Q, linalg.gram(Q.base, coeffs, code.preimage.T))
+        for outer, excluded in ((ac.dual(code), ac.radical(code)),
+                                (code, ac.AdditiveCode.zero(Q, n)), (code, code),
+                                (code, sub)):
+            del fields[:]
+            got = ac._exclusion_basis(outer, excluded)
+            assert fields == [Q.base]
+            kept = greedy_extension(Q.base, excluded.preimage, outer.preimage)
+            assert len(kept) == outer.m - excluded.m
+            assert np.array_equal(got, np.vstack([kept, excluded.preimage]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,8 +588,7 @@ def test_contains_matches_sum_oracle(q, seed, subcode):
     outer = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
     if subcode and outer.m:
         coeffs = random_matrix(Q.base, int(rng.integers(1, outer.m + 1)), outer.m, rng)
-        inner = ac.AdditiveCode.from_preimage(
-            Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
+        inner = ac.AdditiveCode(Q, linalg.gram(Q.base, coeffs, outer.preimage.T))
     else:
         inner = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
     assert outer.contains(inner) == subspace_contains(
@@ -538,11 +608,11 @@ def test_from_linear_fixes_exactly_linear_codes(q, seed, linear):
     n = int(rng.integers(1, 4))
     if linear:
         C = ac.AdditiveCode.from_linear(
-            Q, random_matrix(Q, int(rng.integers(0, n + 1)), n, rng), n=n)
+            Q, random_matrix(Q, int(rng.integers(0, n + 1)), n, rng))
     else:
         C = random_additive_code(Q, n, int(rng.integers(0, 2 * n + 1)), rng)
     closed = all(C.contains_word(Q.mul_table[Q.beta, g]) for g in C.generators)
-    assert (ac.AdditiveCode.from_linear(Q, C.generators, n=n) == C) == closed
+    assert (ac.AdditiveCode.from_linear(Q, C.generators) == C) == closed
     assert closed or not linear
 
 

@@ -1,6 +1,9 @@
-"""The BENCH writer's summary arithmetic, on made-up runs (no benchmark run)."""
+"""The BENCH writer's summary arithmetic, on made-up runs, and how it copies
+the checkout and names its file (no benchmark run)."""
 
+import datetime
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,42 @@ def test_layer_directions_and_derived_scan_numbers():
     # 250 words at 500 words/s is 0.5 s of scanning for 1000 required words
     assert m["addcodes.scan.words_avoided"] == 750.0
     assert m["addcodes.scan.words_required_per_scan_s"] == 2000.0
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_snapshot_copies_the_tree_as_it_stands(tmp_path):
+    """The change side runs from a copy of the working tree: committed files,
+    uncommitted edits and untracked files, but no ignored or deleted file."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src" / "kept.py").write_text("a = 1\n")
+    (repo / "src" / "edited.py").write_text("b = 1\n")
+    (repo / "gone.txt").write_text("deleted after the commit\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "edited.py").write_text("b = 2\nc = 3\n")
+    (repo / "src" / "new.py").write_text("d = 4\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    tree = br.snapshot(repo, tmp_path / "tmp")
+    files = sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/edited.py", "src/kept.py", "src/new.py"]
+    assert (tree / "src" / "edited.py").read_text() == "b = 2\nc = 3\n"
+    assert br.src_lines(tree) == 4
+
+
+def test_record_path_never_overwrites_a_record_of_the_day(tmp_path):
+    day = datetime.date(2026, 10, 19)
+    for name in ("BENCH_20261019.json", "BENCH_20261019_2.json", "BENCH_20261019_3.json"):
+        assert br.record_path(tmp_path, day) == tmp_path / name
+        (tmp_path / name).write_text("{}\n")
+    (tmp_path / "BENCH_20261019_5.json").write_text("{}\n")
+    assert br.record_path(tmp_path, day).name == "BENCH_20261019_4.json"
+    next_day = br.record_path(tmp_path, day + datetime.timedelta(days=1))
+    assert next_day.name == "BENCH_20261020.json"

@@ -124,7 +124,7 @@ def test_mindist(capsys, five_q_code_file):
     path, code = five_q_code_file
     rc, out, _ = run(capsys, ["mindist", str(path)])
     assert rc == 0
-    d, q = ac.min_weight_excluding_detail(code).weight, code.base_field.order
+    d, q = ac.min_weight_excluding_detail(code).d, code.base_field.order
     assert out == f"d={d} enumerated={(q ** code.m - 1) // (q - 1)}\n"
     with pytest.raises(SystemExit) as exc:
         main(["mindist", str(path), "--threads", "2"])

@@ -36,7 +36,7 @@ def isotropic_witness_code(Q, n, radical_coords, pair_coords):
         e[j] = 1
         f[n + j] = 1
         rows.extend([e, f])
-    return ac.AdditiveCode.from_preimage(Q, np.array(rows, dtype=np.int16))
+    return ac.AdditiveCode(Q, np.array(rows, dtype=np.int16))
 
 
 def test_params_validation():
@@ -74,7 +74,7 @@ def test_stabilizer_params_span_11():
     # oracle: dual has exponent 3, minimize over its words outside C
     D = ac.dual(C)
     assert D.m == 3
-    assert P.d == ac.min_weight_excluding_detail(D, C).weight
+    assert P.d == ac.min_weight_excluding_detail(D, C).d
 
 
 def test_stabilizer_params_rejects_non_self_orthogonal():
@@ -94,9 +94,8 @@ def test_eaqec_params_reduces_to_stabilizer():
         n = 4 if q <= 4 else 3
         for _ in range(10):
             pre = sp.random_isotropic_basis(F, n, int(rng.integers(0, n + 1)), rng)
-            C = ac.AdditiveCode.from_preimage(Q, pre)
-            w = ac.min_weight_excluding_detail(ac.dual(C), C).weight
-            expect = (n, n - C.m, None if w > n else w)
+            C = ac.AdditiveCode(Q, pre)
+            expect = (n, n - C.m, ac.min_weight_excluding_detail(ac.dual(C), C).d)
             ea = eaqec.eaqec_params(C)
             st = eaqec.stabilizer_params(C)
             assert ea.c == 0
@@ -205,7 +204,7 @@ def test_linear_formulation_radical_one():
         D = ac.AdditiveCode.from_linear(Q, rng.integers(0, 9, size=(2, 6)))
         if D.m // 2 == 2 and ac.radical(D).m // 2 == 1:
             break
-    bob = ac.AdditiveCode.from_linear(Q, np.zeros((0, 3), dtype=int), n=3)  # [3,0]: [[3,3]]
+    bob = ac.AdditiveCode.from_linear(Q, np.zeros((0, 3), dtype=int))  # [3,0]: [[3,3]]
     combo = eaqec.combine_neb(D, bob, compute_d=False)
     assert (combo.alice.c, combo.alice.k) == (1, 3)
     # cross-check against the parameters of Alice's code alone
@@ -303,8 +302,8 @@ def test_combine_sum_precondition_matches_dual_oracle(q, seed, planted):
         G = random_matrix(Q, int(rng.integers(0, 3)), n, rng)
         G2 = random_matrix(Q, int(rng.integers(0, 3)), n, rng)
     E = random_matrix(Q, G2.shape[0], m, rng)
-    left = ac.AdditiveCode.from_generators(Q, G, n=n)
-    summed = ac.AdditiveCode.from_generators(Q, np.vstack([G, G2]), n=n)
+    left = ac.AdditiveCode.from_generators(Q, G)
+    summed = ac.AdditiveCode.from_generators(Q, np.vstack([G, G2]))
     holds = ac.dual(left).contains(summed)
     assert holds or not planted
     try:
@@ -329,7 +328,7 @@ def test_combine_construct_radical_contains_top_block_random():
             continue
         hits += 1
         top = ac.AdditiveCode.from_generators(
-            Q, np.hstack([G, np.zeros((1, 2), dtype=int)]), n=5)
+            Q, np.hstack([G, np.zeros((1, 2), dtype=int)]))
         assert ac.radical(M).contains(top)
         assert rep.radical_is_top_block  # ACD complement forces equality
     assert hits > 0

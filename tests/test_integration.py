@@ -37,7 +37,7 @@ def test_reed_solomon_distance_is_k_plus_one():
     assert str(eaqec.stabilizer_params(code)) == "[[9,5,3]]_3"
     assert str(eaqec.puncture_to_eaqecc(code, c=1).params) == "[[8,5,3;1]]_3"
     scan = ac.min_weight_excluding_detail(ac.dual(code), code)
-    assert (scan.weight, scan.examined) == (3, (3 ** 14 - 3 ** 4) // 2)
+    assert (scan.d, scan.examined) == (3, (3 ** 14 - 3 ** 4) // 2)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3)])
@@ -48,7 +48,7 @@ def test_random_stabilizer_codes_agree_with_projector(p, n):
         m = int(rng.integers(1, n + 1))
         labels = pauli.random_stabilizer_labels(p, n, m, rng)
         rows = np.array([lab.symplectic_image() for lab in labels])
-        code = ac.AdditiveCode.from_preimage(Q, rows)
+        code = ac.AdditiveCode(Q, rows)
         assert ac.is_self_orthogonal(code)
         params = eaqec.stabilizer_params(code, compute_d=False)
         assert pauli.codespace_dim(labels) == p ** params.k
@@ -75,9 +75,9 @@ def test_hermitian_double_dual():
         for _ in range(20):
             n = int(rng.integers(1, 6))
             D = ac.AdditiveCode.from_linear(
-                Q, rng.integers(0, q2, size=(int(rng.integers(0, n + 1)), n)), n=n)
+                Q, rng.integers(0, q2, size=(int(rng.integers(0, n + 1)), n)))
             perp = ac.dual(D)
-            assert ac.AdditiveCode.from_linear(Q, perp.generators, n=n) == perp
+            assert ac.AdditiveCode.from_linear(Q, perp.generators) == perp
             assert ac.dual(perp) == D
             assert D.m // 2 + perp.m // 2 == n
 
@@ -103,7 +103,7 @@ def test_elimination_runs_over_base_fields_only(tmp_path, monkeypatch, capsys):
     for q in SUPPORTED_ORDERS:
         Q = quadratic_field(field(q))
         fields.clear()
-        alice = ac.AdditiveCode.from_linear(Q, random_matrix(Q, 2, 4, rng), n=4)
+        alice = ac.AdditiveCode.from_linear(Q, random_matrix(Q, 2, 4, rng))
         # the all-ones word is Hermitian self-orthogonal at length q^2
         bob = ac.AdditiveCode.from_linear(Q, np.ones((1, q * q), dtype=np.int16))
         ac.dual(alice)

@@ -119,7 +119,7 @@ def test_decompose_redundant_generators_match_canonical(q):
         gens = np.vstack([S, extra])[rng.permutation(S.shape[0] + extra.shape[0])]
         radical, pairs = sp.decompose(F, gens)
         canon = sp.decompose(F, linalg.row_basis(F, gens))
-        split = ac.radical_decompose(ac.AdditiveCode.from_preimage(Q, gens))
+        split = ac.radical_decompose(ac.AdditiveCode(Q, gens))
         l = linalg.rank(F, radical)
         assert (l, len(pairs)) == (len(canon[0]), len(canon[1]))
         assert (l, len(pairs)) == (split.l, 2 * split.c)

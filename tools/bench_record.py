@@ -5,19 +5,25 @@
 
 Runs ``bench/run.py`` of the parent (``--base``: a git revision of this
 repository, exported with ``git archive`` into a temporary directory) and of
-the checkout this script sits in, in ten alternating pairs for every
+the checkout this script sits in as it stands (its tracked files with their
+uncommitted edits and its untracked files that git does not ignore, copied
+into a temporary directory too, so that both sides run from alike fresh
+trees), in ten alternating pairs for every
 workload of ``BENCHMARK.json``, each run as long as its ``run_seconds``:
 pair k runs both sides on seed 21 + k, the parent first on even k and the
 change first on odd k.  Then it runs one traced (``--trace 1``) ``distance``
 run per side on seed 21.  Every run is a fresh process.  The settings are
 fixed so that every record is taken the same way as the benchmark.
 
-It writes ``BENCH_<yyyymmdd>.json`` into this checkout: for each workload and
+It writes ``BENCH_<yyyymmdd>.json`` into this checkout, or, when a record of
+the day exists, the first free ``BENCH_<yyyymmdd>_2.json``, ``_3``, ...; it
+never overwrites one.  The record holds, for each workload and
 end-to-end metric the median and quartiles of each side, the pairs the
 change won (ties count for neither) and whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
 parent's quartiles); the traced per-layer metrics of both sides with the
-direction that is better; the ``src/`` line counts; and a host note.
+direction that is better; the ``src/`` line counts of the two copies; and a
+host note.
 
 Direction of the per-layer numbers.  Call counts and words examined are
 work done, so lower is better (the benchmark's own declaration calls
@@ -37,6 +43,7 @@ import datetime
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -119,6 +126,29 @@ def src_lines(checkout: Path) -> int:
                for p in sorted((checkout / "src").rglob("*.py")))
 
 
+def snapshot(repo: Path, into: Path) -> Path:
+    """The working tree of `repo` as it stands, copied to ``into/change``:
+    tracked files with their uncommitted edits and untracked files that git
+    does not ignore.  A tracked file deleted from the tree is left out."""
+    tree = into / "change"
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                           cwd=repo, check=True, capture_output=True).stdout
+    for name in filter(None, os.fsdecode(names).split("\0")):
+        if (repo / name).is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, tree / name)
+    return tree
+
+
+def record_path(directory: Path, day: datetime.date) -> Path:
+    """The first BENCH file name of the day that `directory` does not hold."""
+    out, k = directory / f"BENCH_{day:%Y%m%d}.json", 1
+    while out.exists():
+        k += 1
+        out = directory / f"BENCH_{day:%Y%m%d}_{k}.json"
+    return out
+
+
 def export(rev: str, into: Path) -> Path:
     """The tree of a git revision of this repository, unpacked under `into`."""
     archive, tree = into / "base.tar", into / "base"
@@ -141,12 +171,12 @@ def host_note(extra: str) -> dict:
     }
 
 
-def record(parent: Path, note: str) -> dict:
+def record(parent: Path, change: Path, note: str) -> dict:
     host = host_note(note)
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for w in WORKLOADS:
         for k, seed in enumerate(SEEDS):
-            sides = [("parent", parent), ("change", ROOT)]
+            sides = [("parent", parent), ("change", change)]
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 res = run_bench(checkout, w, seed)
                 runs[w][side].append(res)
@@ -154,7 +184,7 @@ def record(parent: Path, note: str) -> dict:
                       f"wall_s={res.get('metrics', {}).get('wall_s', {}).get('value')}",
                       file=sys.stderr)
     traced = {side: run_bench(checkout, "distance", SEEDS[0], 1)
-              for side, checkout in (("parent", parent), ("change", ROOT))}
+              for side, checkout in (("parent", parent), ("change", change))}
     host["loadavg_at_end"] = os.getloadavg()
 
     end_to_end, correct = {}, {}
@@ -181,7 +211,7 @@ def record(parent: Path, note: str) -> dict:
         "host": host,
         "settings": {"pairs": len(SEEDS), "seconds": SECONDS,
                      "seeds": list(SEEDS), "traced_seed": SEEDS[0]},
-        "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "correct": correct,
         "end_to_end": end_to_end,
         "per_layer_distance_traced": per_layer,
@@ -196,11 +226,13 @@ def main(argv=None) -> int:
     parser.add_argument("--note", default="", help="free text for the host note")
     args = parser.parse_args(argv)
 
-    out = ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json"
     with tempfile.TemporaryDirectory() as tmp:
-        report = record(export(args.base, Path(tmp)), args.note)
+        report = record(export(args.base, Path(tmp)), snapshot(ROOT, Path(tmp)),
+                        args.note)
     report["command"] = f"python3 tools/bench_record.py --base {args.base}"
-    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    out = record_path(ROOT, datetime.date.today())
+    with open(out, "x", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, indent=1) + "\n")
     for w, metrics in report["end_to_end"].items():
         for name, c in metrics.items():
             print(f"{w:10s} {name:12s} parent {c['parent']['median']:.6g} "
