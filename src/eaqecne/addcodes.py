@@ -44,11 +44,12 @@ DEFAULT_BUDGET = 1 << 30
 _CHUNK = 1 << 16
 
 
-def _field_entries(Q: FieldSpec, words) -> np.ndarray:
-    """Words as an index matrix; table lookups would wrap entries below 0."""
-    W = np.asarray(words)
-    if ((W < 0) | (W >= Q.order)).any():
-        raise FormatError(f"generator entry outside GF({Q.order})")
+def _field_entries(F: FieldSpec, rows, what: str = "generator") -> np.ndarray:
+    """Rows as an index matrix, refusing entries outside [0, F.order) before
+    a table lookup or the int16 cast could wrap them."""
+    W = np.asarray(rows)
+    if ((W < 0) | (W >= F.order)).any():
+        raise FormatError(f"{what} entry outside GF({F.order})")
     return linalg.as_matrix(W)
 
 
@@ -60,7 +61,7 @@ class AdditiveCode:
 
     def __init__(self, field: FieldSpec, preimage):
         field._require_quadratic()
-        P = linalg.as_matrix(preimage)
+        P = _field_entries(field.base, preimage, "preimage")
         if P.shape[1] % 2:
             raise DimensionMismatch(f"preimage has an odd column count {P.shape[1]}")
         self.field = field

@@ -6,12 +6,13 @@ X(a)|j> = |j+a> and Z(b)|j> = w^(b*j), w = exp(2*pi*i/p).  Prime p only:
 prime-power kets would need an arbitrary choice of F_p-basis, and the
 certification work this module exists for is fully served at prime p.
 
-Composing labels follows the operator algebra:
-    (X(x)Z(z)) (X(x')Z(z')) = w^(z.x') X(x+x') Z(z+z'),
-so two labels g, h satisfy h g = w^s g h with s = x_g.z_h - z_g.x_h, the
-symplectic inner product of their images.  ``commutation_phase`` extracts s
-from dense matrices in exactly that orientation and never consults the
-symplectic shortcut, so comparing the two routes stays a real check.
+Both laws are computed from the dense matrices M_g of the labels alone.
+``commutation_phase`` finds the s with M_h M_g = w^s M_g M_h, which the
+certification suite compares with the symplectic inner product
+x_g.z_h - z_g.x_h of the label images.  ``codespace_dim`` multiplies the
+generator averages (1/p) sum_{j<p} M_g^j, each the projector onto the +1
+eigenspace of M_g, and returns the rank of the product: the dimension of
+the common +1 eigenspace, p^(n-m) for m independent generators.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class PauliLabel:
         """The (x|z) row vector; phases are forgotten."""
         return np.array(self.x + self.z, dtype=np.int16)
 
-    def is_identity_class(self) -> bool:
-        return not any(self.x) and not any(self.z)
-
     def __str__(self):
         return f"w^{self.phase} X{self.x} Z{self.z}"
 
@@ -69,16 +67,6 @@ def random_label(p: int, n: int, rng) -> PauliLabel:
     return PauliLabel(p, n, phase,
                       tuple(int(v) for v in rng.integers(0, p, size=n)),
                       tuple(int(v) for v in rng.integers(0, p, size=n)))
-
-
-def label_product(g: PauliLabel, h: PauliLabel) -> PauliLabel:
-    """Label of the operator product g h."""
-    _check_pair(g, h)
-    p = g.p
-    cross = sum(a * b for a, b in zip(g.z, h.x)) % p
-    return PauliLabel(p, g.n, g.phase + h.phase + cross,
-                      tuple(a + b for a, b in zip(g.x, h.x)),
-                      tuple(a + b for a, b in zip(g.z, h.z)))
 
 
 def _check_pair(g: PauliLabel, h: PauliLabel):
@@ -124,39 +112,17 @@ def commutation_phase(g: PauliLabel, h: PauliLabel) -> int:
     raise NonPauliResult("matrices are not related by any root-of-unity phase")
 
 
-def close_group(generators) -> list[PauliLabel]:
-    """Breadth-first closure under label products (exact F_p arithmetic)."""
-    gens = list(generators)
-    if not gens:
-        return []
-    p, n = gens[0].p, gens[0].n
-    for g in gens:
-        _check_pair(gens[0], g)
-    seen = {}
-    frontier = [PauliLabel.identity(p, n)]
-    seen[(frontier[0].phase, frontier[0].x, frontier[0].z)] = frontier[0]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                prod = label_product(cur, g)
-                key = (prod.phase, prod.x, prod.z)
-                if key not in seen:
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return list(seen.values())
-
-
 def codespace_dim(generators, *, p: int | None = None,
                   n: int | None = None) -> int:
-    """Rank of the group-average projector of a stabilizer generator set.
+    """Rank of the product of the generator averages (1/p) sum_{j<p} M_g^j.
 
-    Generators must commute pairwise (checked through matrices) and the
-    generated group must contain no w^i I with i != 0.  An empty set fixes
+    Generators must commute pairwise (checked through matrices) and each
+    M_g^p must be I; the product is then the average over the generated
+    group, which vanishes exactly when the group contains some w^i I with
+    i != 0.  Both obstructions raise PhaseObstruction.  An empty set fixes
     the full space; pass p and n explicitly for that case.
     """
-    gens = [g for g in generators]
+    gens = list(generators)
     if not gens:
         if p is None or n is None:
             raise ValueError("empty generator set needs explicit p and n")
@@ -166,21 +132,25 @@ def codespace_dim(generators, *, p: int | None = None,
     for a, b in itertools.combinations(gens, 2):
         if commutation_phase(a, b) != 0:
             raise NotAbelian(f"labels {a} and {b} do not commute")
-    group = close_group(gens)
-    for g in group:
-        if g.is_identity_class() and g.phase != 0:
-            raise PhaseObstruction(f"group contains w^{g.phase} I")
-    dim = p ** n
-    proj = np.zeros((dim, dim), dtype=complex)
-    for g in group:
-        proj += pauli_matrix(g)
-    proj /= len(group)
+    eye = np.eye(p ** n, dtype=complex)
+    proj = eye
+    for g in gens:
+        M = pauli_matrix(g)
+        total, power = np.zeros_like(eye), eye
+        for _ in range(p):
+            total += power
+            power = power @ M
+        if not np.allclose(power, eye, atol=_ATOL, rtol=0.0):
+            raise PhaseObstruction(f"label {g} has a p-th power other than I")
+        proj = proj @ total / p
     if not np.allclose(proj @ proj, proj, atol=_ATOL, rtol=0.0):
-        raise NonPauliResult("group average is not idempotent")
+        raise NonPauliResult("generator average product is not idempotent")
     trace = proj.trace()
     rank = round(trace.real)
     if abs(trace - rank) > 1e-6:
         raise NonPauliResult(f"projector trace {trace} is not close to an integer")
+    if rank == 0:
+        raise PhaseObstruction("generated group contains a phased identity")
     return int(rank)
 
 

@@ -508,6 +508,20 @@ def test_generator_entries_range_checked():
         C.contains_word([1, 3, 0])
 
 
+def test_preimage_entries_range_checked():
+    """The constructor refuses preimage entries outside [0, q), canonical
+    (RREF) or not, instead of wrapping them through table lookups."""
+    Q9 = field(9)
+    assert ac.AdditiveCode(Q9, [[2, 0, 0, 1]]).m == 1
+    for bad in ([[-1, 0, 0, 1]], [[1, 0, 0, 7]], [[1, 0, 0, 3]],
+                [[0, 1, 7, 2], [1, 1, 0, 0]], [[1, 0, 0, 40000]]):
+        with pytest.raises(FormatError, match=r"preimage entry outside GF\(3\)"):
+            ac.AdditiveCode(Q9, bad)
+    Q4 = field(4)
+    with pytest.raises(FormatError, match=r"outside GF\(2\)"):
+        ac.AdditiveCode(Q4, np.array([[1, 2]], dtype=np.int16))
+
+
 def test_linear_code_hermitian():
     Q = field(9)
     D = ac.AdditiveCode.from_linear(Q, [[1]])

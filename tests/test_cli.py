@@ -412,6 +412,18 @@ def test_fidelity_lambda_checks_in_order(capsys, lam, grid, err):
     assert sum(line.startswith("error:") for line in got.splitlines()) == 1
 
 
+def test_negative_fraction_lambda_needs_equals(capsys):
+    """argparse reads '-1/3' as an option string, not a value; written
+    --lambda=-1/3 it reaches the sign check."""
+    with pytest.raises(SystemExit) as exc:
+        main(with_option(FID, "--lambda", "-1/3"))
+    assert exc.value.code == 2
+    assert "--lambda: expected one argument" in capsys.readouterr().err
+    argv = [a for a in FID if a not in ("--lambda", "1/2")] + ["--lambda=-1/3"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (1, "", "error: degradation coefficient -1/3 is negative\n")
+
+
 def test_fidelity_csv_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "x.csv"
     rc, out, err = run(capsys, FID + ["--csv", str(target)])

@@ -50,27 +50,40 @@ def test_dimension_cap():
         pauli.pauli_matrix(pauli.PauliLabel.identity(3, 6))
 
 
+def product_label(g, h):
+    """Label of M_g M_h, from X(x)Z(z) X(x')Z(z') = w^(z.x') X(x+x') Z(z+z')."""
+    cross = sum(a * b for a, b in zip(g.z, h.x))
+    return pauli.PauliLabel(g.p, g.n, g.phase + h.phase + cross,
+                            tuple(a + b for a, b in zip(g.x, h.x)),
+                            tuple(a + b for a, b in zip(g.z, h.z)))
+
+
 def test_label_product_matches_matrix_product():
-    # exhaustive for p=2, n <= 2, including phases
-    for n in (1, 2):
-        vecs = list(itertools.product(range(2), repeat=n))
-        labels = [pauli.PauliLabel(2, n, ph, x, z)
-                  for ph in range(2) for x in vecs for z in vecs]
+    # exhaustive for p=2, n <= 2 and p=3, n=1, including phases
+    for p, n in ((2, 1), (2, 2), (3, 1)):
+        vecs = list(itertools.product(range(p), repeat=n))
+        labels = [pauli.PauliLabel(p, n, ph, x, z)
+                  for ph in range(p) for x in vecs for z in vecs]
         for g in labels:
             for h in labels:
-                lhs = pauli.pauli_matrix(pauli.label_product(g, h))
+                lhs = pauli.pauli_matrix(product_label(g, h))
                 rhs = pauli.pauli_matrix(g) @ pauli.pauli_matrix(h)
                 assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_label_product_homomorphism():
+    # up to a root-of-unity phase, M_g M_h is the matrix of the summed image
     rng = np.random.default_rng(1)
+    w = np.exp(2j * np.pi / 3)
     for _ in range(50):
         g = pauli.random_label(3, 2, rng)
         h = pauli.random_label(3, 2, rng)
-        tau = pauli.label_product(g, h).symplectic_image()
-        expect = (g.symplectic_image() + h.symplectic_image()) % 3
-        assert np.array_equal(tau, expect)
+        image = (g.symplectic_image() + h.symplectic_image()) % 3
+        summed = pauli.labels_from_rows(3, image)[0]
+        ratio = (pauli.pauli_matrix(g) @ pauli.pauli_matrix(h)
+                 @ pauli.pauli_matrix(summed).conj().T)
+        assert any(np.allclose(ratio, w ** s * np.eye(9), atol=1e-9)
+                   for s in range(3))
 
 
 def test_commutation_phase_examples():
@@ -159,7 +172,37 @@ def test_phased_generator_set_still_works():
 
 
 def test_close_group_size():
+    # Z(x)I and I(x)Z generate 9 operators fixing only |00>
     Z = pauli.PauliLabel(3, 2, 0, (0, 0), (1, 0))
     Z2 = pauli.PauliLabel(3, 2, 0, (0, 0), (0, 1))
-    group = pauli.close_group([Z, Z2])
-    assert len(group) == 9
+    assert pauli.codespace_dim([Z, Z2]) == 1
+
+
+def test_codespace_dim_dependent_generators():
+    # Z1 Z2 is the product of the other two: still rank 3^(2-2)
+    Z1 = pauli.PauliLabel(3, 2, 0, (0, 0), (1, 0))
+    Z2 = pauli.PauliLabel(3, 2, 0, (0, 0), (0, 1))
+    Z12 = pauli.PauliLabel(3, 2, 0, (0, 0), (1, 1))
+    assert pauli.codespace_dim([Z1, Z2, Z12]) == 1
+    assert pauli.codespace_dim([Z12, Z12]) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_codespace_dim_phased_identity_through_product(p):
+    # Z and w Z are both free of phased identities; Z^(p-1) (w Z) = w I
+    Z = pauli.PauliLabel(p, 1, 0, (0,), (1,))
+    wZ = pauli.PauliLabel(p, 1, 1, (0,), (1,))
+    assert pauli.codespace_dim([wZ]) == 1
+    with pytest.raises(PhaseObstruction):
+        pauli.codespace_dim([Z, wZ])
+
+
+def test_codespace_dim_odd_qubit_generator_in_commuting_set():
+    # X(1)Z(1) on the first qubit squares to -I beside commuting Z2 and Z3
+    Z2 = pauli.PauliLabel(2, 3, 0, (0, 0, 0), (0, 1, 0))
+    Z3 = pauli.PauliLabel(2, 3, 0, (0, 0, 0), (0, 0, 1))
+    odd = pauli.PauliLabel(2, 3, 0, (1, 0, 0), (1, 0, 0))
+    assert pauli.codespace_dim([Z2, Z3]) == 2
+    for gens in ([Z2, odd, Z3], [Z2, Z3, odd]):
+        with pytest.raises(PhaseObstruction):
+            pauli.codespace_dim(gens)
