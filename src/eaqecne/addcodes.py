@@ -234,7 +234,8 @@ class _Limbs:
         if p > 2:
             self.guard = every(self.w, 1 << (self.w - 1))
             self.bias = every(self.w, (1 << (self.w - 1)) - p)
-        digits = F.mul_matrix_table[::-1][:, rows].transpose(1, 0, 2, 3)  # (m, e, 2n, e)
+        planes = F.plane_table.reshape(e, -1).T.astype(int)  # [b, l] digit l of b
+        digits = planes[F.mul_table[p ** np.arange(e)[::-1]]][:, rows].swapaxes(0, 1)
         digits = digits.reshape(len(rows) * e, 1, 2, n, e).transpose(0, 1, 3, 2, 4)
         D = np.zeros((len(digits), p, L * per, 2, e), dtype=np.uint64)
         D[:, :, :n] = digits * np.arange(p)[:, None, None, None] % p

@@ -127,11 +127,13 @@ class FieldSpec:
                 raise ValueError(
                     f"modulus {modulus} is reducible over GF({base.order})")
         idx = np.arange(self.order)
-        # for linalg.gram: F_p digits, and x -> x*b on them, [i, b] the digits
-        # of p^i * b; int32 holds a sum of n*e products (each <= 36) to 5e7
+        # for linalg.gram, in float64 for BLAS: F_p digit i of each element at
+        # offset i * order; in row e*i + j the digits of x^i * x^j (x^i = p^i)
         powers = self.p ** np.arange(self.e)
-        self.digit_table = (idx[:, None] // powers % self.p).astype(np.int32)
-        self.mul_matrix_table = self.digit_table[self.mul_table[powers]]
+        planes = idx // powers[:, None] % self.p
+        self.plane_table = planes.ravel().astype(float)
+        digits = planes[:, self.mul_table[powers[:, None], powers]]  # [l, i, j]
+        self.struct_table = digits.transpose(1, 2, 0).reshape(-1, self.e).astype(float)
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)

@@ -7,9 +7,10 @@ plain array equality.  Empty matrices (zero rows) are legal values
 everywhere and denote the zero subspace.
 
 There is one elimination kernel, :func:`rref`; ranks and kernels are read
-off it, and a canonical basis states its own :func:`pivots`.  Every row
-update is one :func:`sub_multiples` call and every Gram matrix one integer
-product.
+off it, and a canonical basis states its own :func:`pivots`; a kernel is
+one elimination of the reversed columns.  Every row update is one
+:func:`sub_multiples` call, which gathers with ``take``, and every Gram
+matrix one exact float64 (BLAS) product of F_p digit planes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def sub_multiples(F: FieldSpec, M, coeffs, row) -> np.ndarray:
     """M - coeffs[:, None] * row over F, picked from the q multiples of
     ``row``: XOR of indices (their F_2 digit vectors) in characteristic 2,
     otherwise one flat ``sub_table`` lookup."""
-    P = F.mul_table[:, row][coeffs]
+    P = F.mul_table.take(row, 1).take(coeffs, 0)
     if F.p == 2:
         return M ^ P
     return F.sub_table.ravel().take(M * F.order + P)
@@ -76,7 +77,7 @@ def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
         if not hits.size:
             continue
         p = r + hits[0]
-        row = MUL[INV[M[p, c]], M[p, c:]]
+        row = MUL[INV[M[p, c]]].take(M[p, c:])
         if p != r:
             M[p] = M[r]
         M[:, c:] = sub_multiples(F, M[:, c:], M[:, c], row)
@@ -113,14 +114,16 @@ def rank(F: FieldSpec, mat) -> int:
 
 
 def kernel(F: FieldSpec, mat) -> np.ndarray:
-    """Canonical basis of the right null space {x : M x^T = 0}."""
-    R, rk, pivots = rref(F, mat)
+    """Canonical basis of {x : M x^T = 0} from one rref of M's reversed
+    columns: there the null vector of free column f ends with 1 at f, so
+    flipped back each leads with a 1 alone in its column, latest f first."""
+    R, rk, pivots = rref(F, as_matrix(mat)[:, ::-1])
     cols = R.shape[1]
-    free = np.delete(np.arange(cols), pivots)
+    free = np.delete(np.arange(cols), pivots)[::-1]
     out = np.zeros((free.size, cols), dtype=_DT)
     out[np.arange(free.size), free] = 1
     out[:, list(pivots)] = F.neg_table[R[:rk, free]].T
-    return row_basis(F, out)
+    return out[:, ::-1].copy()
 
 
 def _check_ambient(a: np.ndarray, b: np.ndarray):
@@ -129,16 +132,20 @@ def _check_ambient(a: np.ndarray, b: np.ndarray):
 
 
 def gram(F: FieldSpec, A, B) -> np.ndarray:
-    """The product A . B^T over F: entry (i, j) is the dot product of row i
-    of A with row j of B.  It is one int32 product of A's F_p digits with the
-    blocks x -> x*B[j, k] on digits, mod p: (A @ B^T) % p for a prime field."""
+    """A . B^T over F, entry (i, j) the dot product of A[i] and B[j]: one exact
+    float64 (BLAS) product of the F_p digit planes of A and B, taken from
+    ``F.plane_table``; ``F.struct_table`` folds plane pair (a, b), which stands
+    for x^a * x^b, into e digits, then mod p.  Sums are <= e^2 (p-1)^3 n < 2^53."""
     A, B = as_matrix(A), as_matrix(B)
     _check_ambient(A, B)
     (r, n), s, e = A.shape, B.shape[0], F.e
-    DA = F.digit_table[A].transpose(0, 2, 1).reshape(r, e * n)
-    D = DA @ F.mul_matrix_table[:, B.T].reshape(e * n, s * e)
-    D %= F.p
-    return (D.reshape(r, s, e) @ F.p ** np.arange(e)).astype(_DT)
+    planes = np.arange(0, e * F.order, F.order)[:, None, None]
+    digits = lambda X: F.plane_table.take(X + planes).reshape(e * len(X), n)
+    D = digits(A) @ digits(B).T
+    if e > 1:
+        D = F.struct_table.T @ D.reshape(e, r, e, s).swapaxes(1, 2).reshape(e * e, r * s)
+    D = D.astype(np.int64) % F.p
+    return (F.p ** np.arange(e) @ D.reshape(e, r * s)).reshape(r, s).astype(_DT)
 
 
 # ---------------------------------------------------------------------------

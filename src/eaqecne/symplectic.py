@@ -84,11 +84,13 @@ def decompose(F: FieldSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     while (hits := np.flatnonzero(G)).size:
         i, j = divmod(int(hits[0]), G.shape[1])
         inv = F.inv(int(G[i, j]))
-        e, f = W[i], MUL[inv, W[j]]
-        rest = np.delete(np.arange(W.shape[0]), (i, j))
-        a, b = MUL[inv, G[rest, j]], G[rest, i]
-        W = sub(F, sub(F, W[rest], a, e), NEG[b], f)
-        G = sub(F, sub(F, G[np.ix_(rest, rest)], NEG[a], b), b, a)
+        e, f = W[i], MUL[inv].take(W[j])
+        keep = np.ones(len(W), dtype=bool)
+        keep[i] = keep[j] = False
+        G = G.compress(keep, 0)
+        a, b = MUL[inv].take(G[:, j]), G[:, i]
+        W = sub(F, sub(F, W.compress(keep, 0), a, e), NEG.take(b), f)
+        G = sub(F, sub(F, G.compress(keep, 1), NEG.take(a), b), b, a)
         pairs += [e, f]
     return W, linalg.as_matrix(pairs, cols=W.shape[1])
 

@@ -19,9 +19,10 @@ math.comb or from Pascal's triangle, and the crossover bisection evaluates
 both codes of the pair at every step.  Decimal rendering divides the full
 numerator by the full denominator.
 
-The subspace and random-code helpers at the end are test fixtures built on
-the package's own elimination, and :func:`count_rref` records the fields
-that elimination runs over; nothing in the package calls them.
+The two-pass kernel, subspace and random-code helpers at the end are test
+fixtures built on the package's own elimination, and :func:`count_rref`
+records the fields that elimination runs over; nothing in the package calls
+them.
 """
 
 import decimal
@@ -128,13 +129,20 @@ class LoopField:
             tables.update(self._quadratic_tables())
         for name, rows in tables.items():
             setattr(self, name, np.array(rows, dtype=np.int16))
-        # F_p digits, and at [i, b] the digits of p^i * b; int32 like the
-        # package's, which feed an integer matmul
-        digits = [[a // self.p ** i % self.p for i in range(self.e)] for a in elems]
-        self.digit_table = np.array(digits, dtype=np.int32).reshape(self.order, self.e)
-        self.mul_matrix_table = np.array(
-            [[digits[self.mul(self.p ** i, b)] for b in elems] for i in range(self.e)],
-            dtype=np.int32).reshape(self.e, self.order, self.e)
+        # F_p digit i of element a at i * order + a, and at [e*i + j, l]
+        # digit l of p^i * p^j; float64 like the package's, which feed BLAS
+        planes = [0.0] * (self.e * self.order)
+        for i in range(self.e):
+            for a in elems:
+                planes[i * self.order + a] = float(a // self.p ** i % self.p)
+        struct = [[0.0] * self.e for _ in range(self.e ** 2)]
+        for i in range(self.e):
+            for j in range(self.e):
+                x = self.mul(self.p ** i, self.p ** j)
+                for l in range(self.e):
+                    struct[self.e * i + j][l] = planes[l * self.order + x]
+        self.plane_table = np.array(planes, dtype=np.float64)
+        self.struct_table = np.array(struct, dtype=np.float64).reshape(self.e ** 2, self.e)
 
     def _quadratic_tables(self):
         q = self.base.order
@@ -507,6 +515,19 @@ def decimal_format_15(x):
 
 def random_matrix(F, rows: int, cols: int, rng) -> np.ndarray:
     return rng.integers(0, F.order, size=(rows, cols), dtype=np.int64).astype(np.int16)
+
+
+def two_pass_kernel(F, mat):
+    """Canonical basis of {x : M x^T = 0} the long way: the null vector of
+    each free column of the RREF, 1 there and minus the column at the
+    pivots, then row-reduced again."""
+    R, rk, pivots = linalg.rref(F, mat)
+    cols = R.shape[1]
+    free = np.delete(np.arange(cols), pivots)
+    out = np.zeros((free.size, cols), dtype=np.int16)
+    out[np.arange(free.size), free] = 1
+    out[:, list(pivots)] = F.neg_table[R[:rk, free]].T
+    return linalg.row_basis(F, out)
 
 
 def subspace_sum(F, A, B):

@@ -167,7 +167,7 @@ def test_encoding_round_trip(order):
         coeffs = F.coeffs(x)
         assert len(coeffs) == F.degree
         assert sum(c * B ** i for i, c in enumerate(coeffs)) == x
-        digits = F.digit_table[x].tolist()
+        digits = [int(d) for d in F.plane_table[x::F.order]]
         assert len(digits) == F.e and max(digits) < F.p
         assert sum(d * F.p ** i for i, d in enumerate(digits)) == x
 

@@ -13,7 +13,7 @@ from eaqecne import linalg, symplectic as sp
 
 from oracles import (loop_kernel, loop_rref, random_matrix, scalar_dot,
                      subspace_contains, subspace_eq, subspace_intersect,
-                     subspace_sum)
+                     subspace_sum, two_pass_kernel)
 
 ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
@@ -97,6 +97,24 @@ def test_kernel_laws(case):
     assert np.array_equal(K, loop_kernel(F, M))
     assert linalg.rank(F, M) + K.shape[0] == M.shape[1]
     assert not linalg.gram(F, M, K).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices(), st.data())
+def test_kernel_matches_two_pass_construction(case, data):
+    """One elimination of the reversed columns gives the canonical kernel
+    basis that row-reducing the null vectors of the RREF gives, also with
+    zero columns and combinations of other columns mixed in."""
+    F, M = case
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = (data.draw(st.integers(0, M.shape[1] - 1)) for _ in range(2))
+        a, b = (data.draw(st.integers(0, F.order - 1)) for _ in range(2))
+        col = F.add_table[F.mul_table[a, M[:, i]], F.mul_table[b, M[:, j]]]
+        M = np.insert(M, data.draw(st.integers(0, M.shape[1])), col, axis=1)
+    K = linalg.kernel(F, M)
+    assert K.dtype == np.int16 and K.flags.c_contiguous
+    assert np.array_equal(K, two_pass_kernel(F, M))
+    assert linalg.is_rref(K)
 
 
 def test_kernel_identity_zero():
@@ -230,11 +248,28 @@ def test_gram_matches_scalar_dot_any_shape(case):
 
 
 @pytest.mark.parametrize("q", ALL_ORDERS)
-@pytest.mark.parametrize("r, s, n", [(0, 0, 0), (0, 3, 5), (4, 0, 5), (4, 3, 0)])
+@pytest.mark.parametrize("r, s, n", [(0, 0, 0), (0, 0, 5), (0, 3, 5), (4, 0, 5),
+                                     (4, 3, 0)])
 def test_gram_empty_shapes(q, r, s, n):
     F = field(q)
     G = linalg.gram(F, np.ones((r, n), dtype=np.int16), np.ones((s, n), dtype=np.int16))
     assert G.dtype == np.int16 and G.shape == (r, s) and not G.any()
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_gram_exact_at_largest_sums(q):
+    """Rows whose every F_p digit is p - 1 (the element q - 1) give the
+    largest digit-plane sums; at n = 4096 they still match the scalar dot."""
+    F = field(q)
+    n = 4096
+    rng = np.random.default_rng(41 + q)
+    A = np.full((2, n), q - 1, dtype=np.int16)
+    B = np.vstack([np.full((2, n), q - 1, dtype=np.int16), random_matrix(F, 1, n, rng)])
+    G = linalg.gram(F, A, B)
+    assert G.dtype == np.int16 and G.shape == (2, 3)
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            assert G[i, j] == scalar_dot(F, a, b)
 
 
 @pytest.mark.parametrize("q", ALL_ORDERS)
@@ -255,14 +290,17 @@ def test_rref_matches_row_loop_wide(q):
 def test_sub_multiples_matches_scalar_ops(q):
     F = field(q)
     rng = np.random.default_rng(31 + q)
-    for rows, cols in ((0, 4), (5, 0), (6, 9), (q + 1, 3)):
-        M = random_matrix(F, rows, cols, rng)
-        coeffs = random_matrix(F, 1, rows, rng)[0]
-        row = random_matrix(F, 1, cols, rng)[0]
+    # the last cases update M[:, c:] by its first column, a strided view, as
+    # rref does
+    for rows, cols, c in ((0, 4, 0), (5, 0, 0), (6, 9, 0), (q + 1, 3, 0),
+                          (7, 12, 1), (7, 12, 5), (7, 12, 11)):
+        M = random_matrix(F, rows, cols, rng)[:, c:]
+        coeffs = M[:, 0] if c else random_matrix(F, 1, rows, rng)[0]
+        row = random_matrix(F, 1, cols - c, rng)[0]
         got = linalg.sub_multiples(F, M, coeffs, row)
-        assert got.dtype == np.int16 and got.shape == (rows, cols)
+        assert got.dtype == np.int16 and got.shape == M.shape
         for i in range(rows):
-            for j in range(cols):
+            for j in range(cols - c):
                 assert got[i, j] == F.sub(int(M[i, j]), F.mul(int(coeffs[i]), int(row[j])))
 
 
