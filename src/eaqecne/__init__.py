@@ -7,51 +7,42 @@ subspace algebra (:mod:`eaqecne.linalg`), symplectic geometry of F_q^{2n}
 constructions (:mod:`eaqecne.eaqec`), a dense-matrix Pauli-group oracle
 (:mod:`eaqecne.pauli`), and the analytic channel-fidelity comparison
 (:mod:`eaqecne.fidelity`).  ``eaqecne.cli`` exposes all of it as one command.
+
+``import eaqecne`` loads no submodule: each public name or submodule is
+imported on first use (PEP 562), so the fidelity layer never loads numpy.
 """
 
-from .addcodes import (AdditiveCode, CodeDecomposition, dual, is_acd,
-                       is_dual_containing, is_self_orthogonal,
-                       min_weight_excluding_detail, puncture, radical,
-                       radical_decompose)
-from .eaqec import (CombinationParams, CombinationReport, EAQECCParams,
-                    combine_construct, combine_neb, eaqec_params,
-                    known_tables, puncture_to_eaqecc, stabilizer_params)
-from .fidelity import approx_fidelity, compare, crossover_degradation, sweep
-from .gf import FieldSpec, field, quadratic_field
-from .pauli import PauliLabel, codespace_dim, commutation_phase, pauli_matrix
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveCode",
-    "CodeDecomposition",
-    "CombinationParams",
-    "CombinationReport",
-    "EAQECCParams",
-    "FieldSpec",
-    "PauliLabel",
-    "approx_fidelity",
-    "codespace_dim",
-    "combine_construct",
-    "combine_neb",
-    "commutation_phase",
-    "compare",
-    "crossover_degradation",
-    "dual",
-    "eaqec_params",
-    "field",
-    "is_acd",
-    "is_dual_containing",
-    "is_self_orthogonal",
-    "min_weight_excluding_detail",
-    "pauli_matrix",
-    "known_tables",
-    "puncture",
-    "puncture_to_eaqecc",
-    "quadratic_field",
-    "radical",
-    "radical_decompose",
-    "stabilizer_params",
-    "sweep",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in (
+    ("addcodes", "AdditiveCode CodeDecomposition dual is_acd is_dual_containing "
+                 "is_self_orthogonal min_weight_excluding_detail puncture "
+                 "radical radical_decompose"),
+    ("eaqec", "CombinationParams CombinationReport EAQECCParams "
+              "combine_construct combine_neb eaqec_params known_tables "
+              "puncture_to_eaqecc stabilizer_params"),
+    ("fidelity", "approx_fidelity compare crossover_degradation sweep"),
+    ("gf", "FieldSpec field quadratic_field"),
+    ("pauli", "PauliLabel codespace_dim commutation_phase pauli_matrix"),
+) for name in names.split()}
+_SUBMODULES = {"cli", "errors", "linalg", "symplectic", *_HOME.values()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbientMismatch, BudgetExceeded, DimensionMismatch,
-                     FormatError, IndexOutOfRange, PreconditionFailed)
+from .errors import (DEFAULT_BUDGET, AmbientMismatch, BudgetExceeded,
+                     DimensionMismatch, FormatError, IndexOutOfRange,
+                     PreconditionFailed)
 from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
 from . import linalg, symplectic as sp
 
-DEFAULT_BUDGET = 1 << 30
 _CHUNK = 1 << 16
 
 

@@ -2,21 +2,19 @@
 Pauli certification, and fidelity sweeps over the shared file formats.
 
 Exit codes: 0 on success, 1 on domain errors (bad codes, violated
-preconditions, budget), 2 on usage errors (argparse).
+preconditions, budget), 2 on usage errors (argparse).  Each command imports
+only the modules it runs, so ``fidelity`` never loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
-import numpy as np
-
-from .errors import EaqecneError, FormatError, RangeError
-from .gf import SUPPORTED_ORDERS, field
-from . import addcodes as ac
-from . import eaqec, fidelity as fid, linalg, pauli, symplectic as sp
+from .errors import (DEFAULT_BUDGET, SUPPORTED_ORDERS, EaqecneError,
+                     FormatError, RangeError)
 
 
 def format_analysis(params: eaqec.EAQECCParams, m: int, compute_d: bool) -> str:
@@ -27,6 +25,7 @@ def format_analysis(params: eaqec.EAQECCParams, m: int, compute_d: bool) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import addcodes as ac, eaqec
     code = ac.load_code(args.codefile, args.symplectic)
     compute_d = not args.no_distance
     params = eaqec.eaqec_params(code, compute_d, budget=args.budget)
@@ -35,6 +34,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import addcodes as ac, linalg, symplectic as sp
     code = ac.load_code(args.codefile, args.symplectic)
     dec = ac.radical_decompose(code)
     print(f"q2={code.field.order} n={code.n} m={code.m} l={dec.l} c={dec.c}")
@@ -49,6 +49,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mindist(args) -> int:
+    from . import addcodes as ac
     code = ac.load_code(args.codefile, args.symplectic)
     res = ac.min_weight_excluding_detail(code, budget=args.budget)
     print(f"d={'undefined' if res.d is None else res.d} enumerated={res.examined}")
@@ -56,6 +57,7 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_combine(args) -> int:
+    from . import eaqec, linalg
     fa, G = linalg.load_matrix(args.G)
     fb, G2 = linalg.load_matrix(args.G2)
     fc, E = linalg.load_matrix(args.E)
@@ -85,25 +87,24 @@ def _parse_ints(text: str, count: int, what: str) -> list[int | None]:
     return out
 
 
-def _params(flag: str, **fields) -> eaqec.EAQECCParams:
-    try:
-        return eaqec.EAQECCParams(**fields)
-    except RangeError as exc:
-        raise RangeError(f"{flag}: {exc}") from None
-
-
 def cmd_match(args) -> int:
+    from .eaqec import CombinationParams, EAQECCParams
     n, k, d, c = _parse_ints(args.alice, 4, "--alice")
     m, kb, db = _parse_ints(args.bob, 3, "--bob")
     if None in (n, k, c, m, kb):
         raise FormatError("only the distances d and db may be '?' or empty")
-    alice = _params("--alice", q=args.q, n=n, k=k, c=c, d=d)
-    bob = _params("--bob", q=args.q, n=m, k=kb, c=0, d=db)
-    print(f"match={eaqec.CombinationParams(alice, bob).label}")
+    pair = []
+    for flag, *fields in (("--alice", n, k, c, d), ("--bob", m, kb, 0, db)):
+        try:
+            pair.append(EAQECCParams(args.q, *fields))
+        except RangeError as exc:
+            raise RangeError(f"{flag}: {exc}") from None
+    print(f"match={CombinationParams(*pair).label}")
     return 0
 
 
 def cmd_tables(args) -> int:
+    from . import eaqec
     try:
         ms = tuple(int(t) for t in args.family_m.split(","))
     except ValueError:
@@ -114,6 +115,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
+    from . import fidelity as fid
     N, d = _parse_ints(args.c, 2, "--c")
     n, da = _parse_ints(args.ea, 2, "--ea")
     m, db = _parse_ints(args.b, 2, "--b")
@@ -140,6 +142,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_verify_pauli(args) -> int:
+    import numpy as np
+    from . import pauli, symplectic as sp
+    from .gf import field
     p, n = args.p, args.n
     pauli.PauliLabel.identity(p, n)  # rejects p that is not a supported prime
     pauli.check_cap(p, n)  # both laws build p^n x p^n matrices
@@ -172,6 +177,7 @@ _ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
 
 def cmd_print_field(args) -> int:
+    from .gf import field
     orders = [args.order] if args.order else _ALL_ORDERS
     for order in orders:
         F = field(order)
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget", type=_int_at_least(0),
-                       default=ac.DEFAULT_BUDGET,
+                       default=DEFAULT_BUDGET,
                        help="enumeration word cap (default 2^30)")
 
     def add_symplectic(p):
@@ -281,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the user set a count: every product is small,
+    # and starting a thread pool costs more CPU than it saves
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, FieldMismatch, InsufficientProtection,
-                     NotSelfOrthogonal, PreconditionFailed, RangeError)
+from .errors import (DEFAULT_BUDGET, DimensionMismatch, FieldMismatch,
+                     InsufficientProtection, NotSelfOrthogonal,
+                     PreconditionFailed, RangeError)
 from .gf import FieldSpec
 from . import addcodes as ac
 from . import linalg, symplectic as sp
-
-DEFAULT_BUDGET = ac.DEFAULT_BUDGET
 
 
 def _fmt_d(d) -> str:

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and limits shared by all modules, without numpy.
 
 Everything raised on bad domain input derives from ``EaqecneError`` so the
 CLI can map it to exit code 1; usage errors are argparse's business (exit 2).
 """
+
+SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)  # base orders with fixed moduli
+DEFAULT_BUDGET = 1 << 30  # enumeration word cap
 
 
 class EaqecneError(Exception):

@@ -33,10 +33,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DivisionByZero, NotQuadraticExtension
-
-#: Base-field orders with fixed moduli shipped by the package.
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+from .errors import SUPPORTED_ORDERS, DivisionByZero, NotQuadraticExtension
 
 # Constant term c of the quadratic modulus x^2 + x + c over GF(q), as a
 # base-field element index.  Each is verified irreducible at construction.

@@ -54,6 +54,34 @@ def test_layer_directions_and_derived_scan_numbers():
     assert m["addcodes.scan.words_required_per_scan_s"] == 2000.0
 
 
+def test_cold_summary_in_milliseconds():
+    parent = [0.200, 0.190, 0.210, 0.205, 0.195]
+    times = {"import": {"parent": parent, "change": [t - 0.150 for t in parent]},
+             "analyze": {"parent": parent, "change": [0.210, 0.180, 0.220, 0.190, 0.200]}}
+    s = br.cold_summary(times)
+    assert set(s) == {"import", "analyze"}
+    c = s["import"]
+    assert c["parent"]["median"] == pytest.approx(200.0)
+    assert c["change"]["median"] == pytest.approx(50.0)
+    assert c["saved_ms"] == pytest.approx(150.0)
+    assert (c["parent"]["q1"], c["parent"]["q3"]) == pytest.approx((192.5, 207.5))
+    assert (c["change_won"], c["pairs"], c["gain"]) == (5, 5, True)
+    # 2 of 5 pairs won and both medians 200: no saving, no gain
+    c = s["analyze"]
+    assert (c["change_won"], c["saved_ms"], c["gain"]) == (2, pytest.approx(0.0), False)
+
+
+def test_cold_time_runs_the_package_of_the_checkout(tmp_path):
+    """A cold run imports the checkout's own src/, ahead of any PYTHONPATH,
+    from inside the checkout."""
+    pkg = tmp_path / "src" / "eaqecne"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "import pathlib\npathlib.Path('seen').write_text(__file__)\n")
+    assert br.cold_time(tmp_path, ["-c", "import eaqecne"]) > 0
+    assert (tmp_path / "seen").read_text() == str(pkg / "__init__.py")
+
+
 def git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
                     *args], cwd=repo, check=True, capture_output=True)

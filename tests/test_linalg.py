@@ -20,7 +20,7 @@ ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
 @st.composite
 def field_matrices(draw):
-    """A matrix over one of the 14 fields, wide or tall, with zero rows and
+    """A matrix over one of the 12 fields, wide or tall, with zero rows and
     combinations of its other rows mixed in."""
     F = field(draw(st.sampled_from(ALL_ORDERS)))
     rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
@@ -227,7 +227,7 @@ def test_gram_matches_scalar_dot(q):
 
 @st.composite
 def gram_operands(draw):
-    """Two matrices over one of the 14 fields with a shared column count,
+    """Two matrices over one of the 12 fields with a shared column count,
     any of the three sizes possibly zero."""
     F = field(draw(st.sampled_from(ALL_ORDERS)))
     r, s, n = (draw(st.integers(0, top)) for top in (40, 40, 70))

@@ -15,15 +15,23 @@ change first on odd k.  Then it runs one traced (``--trace 1``) ``distance``
 run per side on seed 21.  Every run is a fresh process.  The settings are
 fixed so that every record is taken the same way as the benchmark.
 
+A cold-start section times what a user waits for on each CLI call: fresh
+processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne print-field
+--order 9`` and ``eaqecne analyze`` on one small fixed code, each run
+``COLD_RUNS`` times per side, the sides alternating as in the pairs.  They
+run in the environment the script was started in and set no thread count,
+whereas ``bench/run.py`` pins one BLAS thread and imports numpy before it
+times anything.
+
 It writes ``BENCH_<yyyymmdd>.json`` into this checkout, or, when a record of
 the day exists, the first free ``BENCH_<yyyymmdd>_2.json``, ``_3``, ...; it
 never overwrites one.  The record holds, for each workload and
 end-to-end metric the median and quartiles of each side, the pairs the
 change won (ties count for neither) and whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
-parent's quartiles); the traced per-layer metrics of both sides with the
-direction that is better; the ``src/`` line counts of the two copies; and a
-host note.
+parent's quartiles); the same summary, in milliseconds, of each cold-start
+command; the traced per-layer metrics of both sides with the direction that
+is better; the ``src/`` line counts of the two copies; and a host note.
 
 Direction of the per-layer numbers.  Call counts and words examined are
 work done, so lower is better (the benchmark's own declaration calls
@@ -48,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +67,22 @@ SECONDS = BENCHMARK["run_seconds"]
 SEEDS = tuple(range(21, 31))        # one per pair; the traced runs use the first
 UNDIRECTED = ("addcodes.scan.words_per_s", "addcodes.scan.examined_ratio",
               "addcodes.scan.early_exits")
+COLD_RUNS = 21
+# RS_2 over the 9 points of GF(9): [[9,5,3]]_3, 40 words weighed
+COLD_CODE = """#code q2=9 n=9 m=4
+9 4 9
+3 0 6 8 5 2 1 7 4
+0 7 5 8 3 1 4 2 6
+0 8 4 2 7 3 1 6 5
+8 8 8 8 8 8 8 8 8
+"""
+COLD_COMMANDS = {
+    "import": ["-c", "import eaqecne"],
+    "fidelity": ["-m", "eaqecne.cli", "fidelity", "--c", "17,7", "--ea", "11,7",
+                 "--b", "6,3", "--lambda", "0.01", "--grid", "0.01:0.01:1"],
+    "print-field": ["-m", "eaqecne.cli", "print-field", "--order", "9"],
+    "analyze": ["-m", "eaqecne.cli", "analyze", "cold.code"],
+}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -95,6 +120,41 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "change_won": wins,
         "gain": wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1,
     }
+
+
+def cold_time(checkout: Path, argv: list[str]) -> float:
+    """Wall seconds of one fresh interpreter running `argv` in `checkout`
+    on its sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, *argv], cwd=checkout, env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
+    """Per command, the pair summary of `compare` over its runs in
+    milliseconds, and the milliseconds the change saves at the median."""
+    out = {}
+    for name, sides in times.items():
+        c = compare([t * 1e3 for t in sides["parent"]],
+                    [t * 1e3 for t in sides["change"]], "lower")
+        c["saved_ms"] = c["parent"]["median"] - c["change"]["median"]
+        out[name] = c
+    return out
+
+
+def cold_start(parent: Path, change: Path) -> dict:
+    for checkout in (parent, change):
+        (checkout / "cold.code").write_text(COLD_CODE, encoding="utf-8")
+    times = {name: {"parent": [], "change": []} for name in COLD_COMMANDS}
+    for k in range(COLD_RUNS):
+        sides = [("parent", parent), ("change", change)]
+        for side, checkout in sides if k % 2 == 0 else sides[::-1]:
+            for name, argv in COLD_COMMANDS.items():
+                times[name][side].append(cold_time(checkout, argv))
+    return cold_summary(times)
 
 
 def direction(name: str) -> str | None:
@@ -167,6 +227,8 @@ def host_note(extra: str) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "loadavg_at_start": os.getloadavg(),
+        "thread_env": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "note": extra,
     }
 
@@ -185,6 +247,7 @@ def record(parent: Path, change: Path, note: str) -> dict:
                       file=sys.stderr)
     traced = {side: run_bench(checkout, "distance", SEEDS[0], 1)
               for side, checkout in (("parent", parent), ("change", change))}
+    cold = cold_start(parent, change)
     host["loadavg_at_end"] = os.getloadavg()
 
     end_to_end, correct = {}, {}
@@ -210,10 +273,12 @@ def record(parent: Path, change: Path, note: str) -> dict:
         "date": datetime.date.today().isoformat(),
         "host": host,
         "settings": {"pairs": len(SEEDS), "seconds": SECONDS,
-                     "seeds": list(SEEDS), "traced_seed": SEEDS[0]},
+                     "seeds": list(SEEDS), "traced_seed": SEEDS[0],
+                     "cold_runs": COLD_RUNS},
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "correct": correct,
         "end_to_end": end_to_end,
+        "cold_start_ms": cold,
         "per_layer_distance_traced": per_layer,
         "traced_correct": {side: res.get("correct") for side, res in traced.items()},
     }
@@ -238,6 +303,10 @@ def main(argv=None) -> int:
             print(f"{w:10s} {name:12s} parent {c['parent']['median']:.6g} "
                   f"change {c['change']['median']:.6g} "
                   f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
+    for name, c in report["cold_start_ms"].items():
+        print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
+              f"change {c['change']['median']:.1f} ms "
+              f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
     print(f"wrote {out}")
     return 0
 
