@@ -4,7 +4,8 @@ Layers, bottom up: finite-field tables (:mod:`eaqecne.gf`), row-reduction
 subspace algebra (:mod:`eaqecne.linalg`), symplectic geometry of F_q^{2n}
 (:mod:`eaqecne.symplectic`), additive codes over GF(q^2)
 (:mod:`eaqecne.addcodes`), code-parameter derivation and combination
-constructions (:mod:`eaqecne.eaqec`), a dense-matrix Pauli-group oracle
+constructions (:mod:`eaqecne.eaqec`, its numpy-free parameter records in
+:mod:`eaqecne.records`), a dense-matrix Pauli-group oracle
 (:mod:`eaqecne.pauli`), and the analytic channel-fidelity comparison
 (:mod:`eaqecne.fidelity`).  ``eaqecne.cli`` exposes all of it as one command.
 
@@ -21,12 +22,12 @@ _HOME = {name: module for module, names in (
     ("addcodes", "AdditiveCode CodeDecomposition dual is_acd is_dual_containing "
                  "is_self_orthogonal min_weight_excluding_detail puncture "
                  "radical radical_decompose"),
-    ("eaqec", "CombinationParams CombinationReport EAQECCParams "
-              "combine_construct combine_neb eaqec_params known_tables "
+    ("eaqec", "CombinationReport combine_construct combine_neb eaqec_params "
               "puncture_to_eaqecc stabilizer_params"),
     ("fidelity", "approx_fidelity compare crossover_degradation sweep"),
     ("gf", "FieldSpec field quadratic_field"),
     ("pauli", "PauliLabel codespace_dim commutation_phase pauli_matrix"),
+    ("records", "CombinationParams EAQECCParams known_tables"),
 ) for name in names.split()}
 _SUBMODULES = {"cli", "errors", "linalg", "symplectic", *_HOME.values()}
 

@@ -2,8 +2,9 @@
 Pauli certification, and fidelity sweeps over the shared file formats.
 
 Exit codes: 0 on success, 1 on domain errors (bad codes, violated
-preconditions, budget), 2 on usage errors (argparse).  Each command imports
-only the modules it runs, so ``fidelity`` never loads numpy.
+preconditions, budget), 2 on usage errors (argparse).  Each call builds the
+parser of the command it runs alone and imports only the modules that
+command runs, so ``fidelity``, ``match`` and ``tables`` never load numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (DEFAULT_BUDGET, SUPPORTED_ORDERS, EaqecneError,
                      FormatError, RangeError)
 
 
-def format_analysis(params: eaqec.EAQECCParams, m: int, compute_d: bool) -> str:
+def format_analysis(params: records.EAQECCParams, m: int, compute_d: bool) -> str:
     line = f"{params}{'' if params.c else ' c=0'} l={params.l} m={m}"
     if compute_d and params.d is None:
         line += " d=undefined"
@@ -88,7 +89,7 @@ def _parse_ints(text: str, count: int, what: str) -> list[int | None]:
 
 
 def cmd_match(args) -> int:
-    from .eaqec import CombinationParams, EAQECCParams
+    from .records import CombinationParams, EAQECCParams
     n, k, d, c = _parse_ints(args.alice, 4, "--alice")
     m, kb, db = _parse_ints(args.bob, 3, "--bob")
     if None in (n, k, c, m, kb):
@@ -104,13 +105,13 @@ def cmd_match(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from . import eaqec
+    from .records import tables_csv
     try:
         ms = tuple(int(t) for t in args.family_m.split(","))
     except ValueError:
         raise FormatError(f"--family-m needs comma-separated integers, "
                           f"got {args.family_m!r}") from None
-    print(eaqec.tables_csv(ms), end="")
+    print(tables_csv(ms), end="")
     return 0
 
 
@@ -206,83 +207,71 @@ def _int_at_least(low: int):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CODEFILE = ("codefile", {})
+_NO_DISTANCE = ("--no-distance", dict(action="store_true"))
+_SYMPLECTIC = ("--symplectic", dict(
+    action="store_true",
+    help="input file is a base-field preimage matrix with 2n columns"))
+_BUDGET = ("--budget", dict(type=_int_at_least(0), default=DEFAULT_BUDGET,
+                            help="enumeration word cap (default 2^30)"))
+
+# command -> (help, handler, its arguments as (name, add_argument keywords))
+_COMMANDS = {
+    "analyze": ("EA parameters of a code file", cmd_analyze,
+                (_CODEFILE, _NO_DISTANCE, _SYMPLECTIC, _BUDGET)),
+    "decompose": ("radical/complement split of a code", cmd_decompose,
+                  (_CODEFILE, _SYMPLECTIC)),
+    "mindist": ("minimum weight by exhaustive enumeration", cmd_mindist,
+                (_CODEFILE, _SYMPLECTIC, _BUDGET)),
+    "combine": ("stack (G|0),(G2|E) and report", cmd_combine,
+                (("G", {}), ("G2", {}), ("E", {}), _NO_DISTANCE, _BUDGET)),
+    "match": ("classify an Alice/Bob parameter pair", cmd_match, (
+        ("--q", dict(type=int, required=True, choices=SUPPORTED_ORDERS)),
+        ("--alice", dict(required=True, metavar="n,k,d,c")),
+        ("--bob", dict(required=True, metavar="m,kb,db")))),
+    "tables": ("published parameter families as CSV", cmd_tables, (
+        ("--family-m", dict(
+            default="2,3,4",
+            help="instantiations of the binary family parameter")),)),
+    "fidelity": ("channel-fidelity sweep as CSV", cmd_fidelity, (
+        ("--c", dict(required=True, metavar="N,d")),
+        ("--ea", dict(required=True, metavar="n,d")),
+        ("--b", dict(required=True, metavar="m,db")),
+        ("--lambda", dict(dest="lam", required=True,
+                          help="ebit degradation coefficient p_b/p_a")),
+        ("--grid", dict(required=True, metavar="start:stop:steps")),
+        ("--csv", dict(help="write the CSV here instead of stdout")))),
+    "verify-pauli": ("certify commutation and projector-rank laws",
+                     cmd_verify_pauli, (
+        ("--p", dict(type=int, required=True)),
+        ("--n", dict(type=_int_at_least(1), required=True)),
+        ("--samples", dict(type=_int_at_least(1), default=500)),
+        ("--sets", dict(type=_int_at_least(1), default=50)),
+        ("--seed", dict(type=_int_at_least(0), default=0)))),
+    "print-field": ("modulus table and element encodings", cmd_print_field,
+                    (("--order", dict(type=int, choices=_ALL_ORDERS)),)),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command or, when ``argv[0]`` names one, of that
+    command alone; help and usage errors read the same either way."""
     parser = argparse.ArgumentParser(
         prog="eaqecne",
         description="q-ary entanglement-assisted quantum codes with noisy "
                     "ebits: analysis, construction, certification, fidelity.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_budget(p):
-        p.add_argument("--budget", type=_int_at_least(0),
-                       default=DEFAULT_BUDGET,
-                       help="enumeration word cap (default 2^30)")
-
-    def add_symplectic(p):
-        p.add_argument("--symplectic", action="store_true",
-                       help="input file is a base-field preimage matrix "
-                            "with 2n columns")
-
-    p = sub.add_parser("analyze", help="EA parameters of a code file")
-    p.add_argument("codefile")
-    p.add_argument("--no-distance", action="store_true")
-    add_symplectic(p)
-    add_budget(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("decompose", help="radical/complement split of a code")
-    p.add_argument("codefile")
-    add_symplectic(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("mindist", help="minimum weight by exhaustive enumeration")
-    p.add_argument("codefile")
-    add_symplectic(p)
-    add_budget(p)
-    p.set_defaults(func=cmd_mindist)
-
-    p = sub.add_parser("combine", help="stack (G|0),(G2|E) and report")
-    p.add_argument("G")
-    p.add_argument("G2")
-    p.add_argument("E")
-    p.add_argument("--no-distance", action="store_true")
-    add_budget(p)
-    p.set_defaults(func=cmd_combine)
-
-    p = sub.add_parser("match", help="classify an Alice/Bob parameter pair")
-    p.add_argument("--q", type=int, required=True, choices=SUPPORTED_ORDERS)
-    p.add_argument("--alice", required=True, metavar="n,k,d,c")
-    p.add_argument("--bob", required=True, metavar="m,kb,db")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("tables", help="published parameter families as CSV")
-    p.add_argument("--family-m", default="2,3,4",
-                   help="instantiations of the binary family parameter")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("fidelity", help="channel-fidelity sweep as CSV")
-    p.add_argument("--c", required=True, metavar="N,d")
-    p.add_argument("--ea", required=True, metavar="n,d")
-    p.add_argument("--b", required=True, metavar="m,db")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="ebit degradation coefficient p_b/p_a")
-    p.add_argument("--grid", required=True, metavar="start:stop:steps")
-    p.add_argument("--csv", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_fidelity)
-
-    p = sub.add_parser("verify-pauli", help="certify commutation and "
-                                            "projector-rank laws")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=500)
-    p.add_argument("--sets", type=_int_at_least(1), default=50)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(func=cmd_verify_pauli)
-
-    p = sub.add_parser("print-field", help="modulus table and element encodings")
-    p.add_argument("--order", type=int, choices=_ALL_ORDERS)
-    p.set_defaults(func=cmd_print_field)
-
+    one = argv[0] if argv and argv[0] in _COMMANDS else None
+    # a lone command keeps every name in the usage line that reports a
+    # trailing argument; the full build must not set it, since the metavar
+    # would also replace "command" in its missing- and invalid-choice errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=one and "{%s}" % ",".join(_COMMANDS))
+    for name in [one] if one else _COMMANDS:
+        help_, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -291,7 +280,8 @@ def main(argv=None) -> int:
     # and starting a thread pool costs more CPU than it saves
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except EaqecneError as exc:

@@ -71,6 +71,35 @@ def test_cold_summary_in_milliseconds():
     assert (c["change_won"], c["saved_ms"], c["gain"]) == (2, pytest.approx(0.0), False)
 
 
+def test_invocation_summary_in_milliseconds():
+    parent = [0.0012, 0.0010, 0.0014, 0.0011, 0.0013]
+    change = [0.0003, 0.0002, 0.0002, 0.0004, 0.0003]
+    s = br.invocation_summary(parent, change)
+    assert s["calls"] == 5
+    assert s["parent"] == pytest.approx({"median": 1.2, "q1": 1.05, "q3": 1.35})
+    assert s["change"] == pytest.approx({"median": 0.3, "q1": 0.2, "q3": 0.35})
+    assert s["saved_ms"] == pytest.approx(0.9)
+    # a slower change saves a negative amount
+    assert br.invocation_summary(change, parent)["saved_ms"] == pytest.approx(-0.9)
+
+
+def test_invocation_times_calls_main_of_the_checkout(tmp_path):
+    """One warm call, then each timed call, all in one fresh process on the
+    checkout's own src/."""
+    pkg = tmp_path / "src" / "eaqecne"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import pathlib\n"
+        "def main(argv):\n"
+        "    with open(pathlib.Path('calls'), 'a') as fh:\n"
+        "        fh.write(' '.join(argv) + '\\n')\n"
+        "    print('noise')\n")
+    times = br.invocation_times(tmp_path, ["match", "--q", "2"], calls=3)
+    assert len(times) == 3 and all(t >= 0 for t in times)
+    assert (tmp_path / "calls").read_text() == "match --q 2\n" * 4
+
+
 def test_cold_time_runs_the_package_of_the_checkout(tmp_path):
     """A cold run imports the checkout's own src/, ahead of any PYTHONPATH,
     from inside the checkout."""

@@ -1,11 +1,13 @@
 """End-to-end checks of every CLI subcommand."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eaqecne.cli import format_analysis, main
+from eaqecne.cli import build_parser, format_analysis, main
+from eaqecne.errors import EaqecneError
 from eaqecne.gf import field
 from eaqecne import addcodes as ac, eaqec, linalg
 
@@ -448,3 +450,78 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.splitlines()[-1].startswith("eaqecne ")
+
+
+# each command with its required arguments, so that anything after them is
+# left over for the top-level parser to report
+REQUIRED = {
+    "analyze": ["f.code"], "decompose": ["f.code"], "mindist": ["f.code"],
+    "combine": ["G.mat", "G2.mat", "E.mat"],
+    "match": ["--q", "2", "--alice", "8,1,5,1", "--bob", "5,1,3"],
+    "tables": [], "fidelity": FID[1:],
+    "verify-pauli": ["--p", "2", "--n", "1"], "print-field": [],
+}
+
+PARITY = [
+    ["-h"], ["--help"], ["-h", "analyze"], ["--", "analyze"], [],
+    ["analyse", "f.code"],
+    *([name, "-h"] for name in REQUIRED),
+    *([name, *args, "extra"] for name, args in REQUIRED.items()),
+    # one bad typed value for each command that has one
+    ["analyze", "f.code", "--budget", "-1"], ["mindist", "f.code", "--budget", "x"],
+    ["combine", "G.mat", "G2.mat", "E.mat", "--budget", "x"],
+    ["match", "--q", "6", "--alice", "8,1,5,1", "--bob", "5,1,3"],
+    ["verify-pauli", "--p", "2", "--n", "0"], ["print-field", "--order", "6"],
+]
+
+
+def full_build(argv):
+    """The oracle: every command's parser, then the handler, as ``main``
+    runs them."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except EaqecneError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def outcome(capsys, call, argv):
+    try:
+        rc = call(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+@pytest.mark.parametrize("argv", PARITY, ids=lambda a: " ".join(a) or "none")
+def test_main_reads_as_the_full_parser(capsys, monkeypatch, argv, columns):
+    """``main`` builds only the parser of the command it runs; exit code,
+    stdout and stderr are those of the parser of every command, help and
+    usage errors included, at any terminal width."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    expected = outcome(capsys, full_build, argv)
+    assert outcome(capsys, main, argv) == expected
+    assert expected[0] in (0, 2)
+
+
+def test_a_named_command_builds_that_parser_alone(capsys):
+    argv = ["match", *REQUIRED["match"]]
+    assert build_parser(argv).parse_args(argv).q == 2
+    for argv in (["analyze", "f.code"], ["fidelity", "-h"]):
+        with pytest.raises(SystemExit):
+            build_parser(argv).parse_args(["tables"])
+    for argv in ([], ["-h"], ["--"], ["analyse"]):
+        assert build_parser(argv).parse_args(["tables"]).command == "tables"
+
+
+def test_full_build_names_the_command_argument(capsys):
+    """The oracle itself: its missing- and invalid-choice errors call the
+    argument "command" and list every command name."""
+    assert outcome(capsys, main, [])[2].endswith(
+        "error: the following arguments are required: command\n")
+    err = outcome(capsys, main, ["analyse"])[2]
+    assert "error: argument command: invalid choice: 'analyse'" in err
+    assert all(f"'{name}'" in err for name in REQUIRED)

@@ -409,6 +409,12 @@ def test_known_tables():
     assert len(entries) == 12 + 7 + 5
 
 
+def test_eaqec_names_the_numpy_free_records():
+    from eaqecne import records
+    for name in ("EAQECCParams", "CombinationParams", "known_tables", "tables_csv"):
+        assert getattr(eaqec, name) is getattr(records, name)
+
+
 def test_tables_csv_shape():
     csv = eaqec.tables_csv()
     lines = csv.strip().splitlines()

@@ -1,5 +1,5 @@
 """The package namespace: names load their home module on first use, and the
-fidelity command never loads numpy or the code layers."""
+fidelity, match and tables commands never load numpy or the code layers."""
 
 import json
 import os
@@ -14,6 +14,7 @@ from eaqecne.cli import main
 
 FIDELITY = ["fidelity", "--c", "17,7", "--ea", "11,7", "--b", "6,3",
             "--lambda", "0.01", "--grid", "0.01:0.01:1"]
+MATCH = ["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "5,1,3"]
 
 
 def fresh_python(code: str) -> str:
@@ -37,6 +38,22 @@ def test_import_and_fidelity_load_no_numpy():
     *csv, last = out.splitlines()
     assert csv[0] == "p_a,P_C,P_D,diff"
     assert json.loads(last) == [[False, False], [False, False], 0]
+
+
+@pytest.mark.parametrize("argv, first", [
+    (MATCH, "match=properly-matching+faithful"),
+    (["tables"], "q,n,k,d,c,m,kb,db,match"),
+], ids=["match", "tables"])
+def test_match_and_tables_load_no_numpy(argv, first):
+    """Both only build parameter records, which live outside the code layers."""
+    out = fresh_python(
+        "import json, sys\n"
+        "from eaqecne import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(json.dumps([rc, [m in sys.modules for m in ('numpy', 'eaqecne.addcodes')]]))\n")
+    lines = out.splitlines()
+    assert lines[0] == first
+    assert json.loads(lines[-1]) == [0, [False, False]]
 
 
 def test_every_public_name_resolves_and_is_listed():

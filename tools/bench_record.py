@@ -16,12 +16,16 @@ run per side on seed 21.  Every run is a fresh process.  The settings are
 fixed so that every record is taken the same way as the benchmark.
 
 A cold-start section times what a user waits for on each CLI call: fresh
-processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne print-field
---order 9`` and ``eaqecne analyze`` on one small fixed code, each run
-``COLD_RUNS`` times per side, the sides alternating as in the pairs.  They
-run in the environment the script was started in and set no thread count,
-whereas ``bench/run.py`` pins one BLAS thread and imports numpy before it
-times anything.
+processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne match``,
+``eaqecne print-field --order 9`` and ``eaqecne analyze`` on one small fixed
+code, each run ``COLD_RUNS`` times per side, the sides alternating as in the
+pairs.  They run in the environment the script was started in and set no
+thread count, whereas ``bench/run.py`` pins one BLAS thread and imports
+numpy before it times anything.  A per-invocation figure times, in one fresh
+process per side, ``INVOCATION_CALLS`` in-process calls of
+``cli.main(["match", ...])`` one by one after one warm call; ``match``
+computes next to nothing, so its median call is almost all the CLI's own
+work per process (building the parser), without interpreter start-up.
 
 It writes ``BENCH_<yyyymmdd>.json`` into this checkout, or, when a record of
 the day exists, the first free ``BENCH_<yyyymmdd>_2.json``, ``_3``, ...; it
@@ -30,8 +34,10 @@ end-to-end metric the median and quartiles of each side, the pairs the
 change won (ties count for neither) and whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
 parent's quartiles); the same summary, in milliseconds, of each cold-start
-command; the traced per-layer metrics of both sides with the direction that
-is better; the ``src/`` line counts of the two copies; and a host note.
+command; the median ``match`` call of each side and the milliseconds the
+change saves on it; the traced per-layer metrics of both sides with the
+direction that is better; the ``src/`` line counts of the two copies; and a
+host note.
 
 Direction of the per-layer numbers.  Call counts and words examined are
 work done, so lower is better (the benchmark's own declaration calls
@@ -76,13 +82,31 @@ COLD_CODE = """#code q2=9 n=9 m=4
 0 8 4 2 7 3 1 6 5
 8 8 8 8 8 8 8 8 8
 """
+MATCH = ["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "5,1,3"]
 COLD_COMMANDS = {
     "import": ["-c", "import eaqecne"],
     "fidelity": ["-m", "eaqecne.cli", "fidelity", "--c", "17,7", "--ea", "11,7",
                  "--b", "6,3", "--lambda", "0.01", "--grid", "0.01:0.01:1"],
+    "match": ["-m", "eaqecne.cli", *MATCH],
     "print-field": ["-m", "eaqecne.cli", "print-field", "--order", "9"],
     "analyze": ["-m", "eaqecne.cli", "analyze", "cold.code"],
 }
+
+
+INVOCATION_CALLS = 200
+# argv[1]: the CLI arguments as JSON, argv[2]: the number of timed calls
+INVOCATION_CODE = """
+import contextlib, io, json, sys, time
+from eaqecne import cli
+argv, times = json.loads(sys.argv[1]), []
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+    for _ in range(int(sys.argv[2])):
+        t0 = time.perf_counter()
+        cli.main(argv)
+        times.append(time.perf_counter() - t0)
+print(json.dumps(times))
+"""
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -122,15 +146,41 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def source_env(checkout: Path) -> dict:
+    """The environment with `checkout`'s sources ahead of any PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def cold_time(checkout: Path, argv: list[str]) -> float:
     """Wall seconds of one fresh interpreter running `argv` in `checkout`
     on its sources."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, *argv], cwd=checkout, env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, *argv], cwd=checkout, env=source_env(checkout),
+                   check=True, stdout=subprocess.DEVNULL)
     return time.perf_counter() - t0
+
+
+def invocation_times(checkout: Path, argv: list[str],
+                     calls: int = INVOCATION_CALLS) -> list[float]:
+    """Seconds of each of `calls` in-process ``cli.main(argv)`` calls after
+    a warm one, in one fresh interpreter on `checkout`'s sources."""
+    proc = subprocess.run(
+        [sys.executable, "-c", INVOCATION_CODE, json.dumps(argv), str(calls)],
+        cwd=checkout, env=source_env(checkout), check=True, capture_output=True,
+        text=True)
+    return json.loads(proc.stdout)
+
+
+def invocation_summary(parent: list[float], change: list[float]) -> dict:
+    """Median and quartiles of one call of each side in milliseconds, and
+    the milliseconds the change saves per invocation at the median."""
+    out = {"calls": len(parent)}
+    for side, times in (("parent", parent), ("change", change)):
+        q1, median, q3 = quartiles([t * 1e3 for t in times])
+        out[side] = {"median": median, "q1": q1, "q3": q3}
+    out["saved_ms"] = out["parent"]["median"] - out["change"]["median"]
+    return out
 
 
 def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
@@ -248,6 +298,8 @@ def record(parent: Path, change: Path, note: str) -> dict:
     traced = {side: run_bench(checkout, "distance", SEEDS[0], 1)
               for side, checkout in (("parent", parent), ("change", change))}
     cold = cold_start(parent, change)
+    invocation = invocation_summary(invocation_times(parent, MATCH),
+                                    invocation_times(change, MATCH))
     host["loadavg_at_end"] = os.getloadavg()
 
     end_to_end, correct = {}, {}
@@ -274,11 +326,12 @@ def record(parent: Path, change: Path, note: str) -> dict:
         "host": host,
         "settings": {"pairs": len(SEEDS), "seconds": SECONDS,
                      "seeds": list(SEEDS), "traced_seed": SEEDS[0],
-                     "cold_runs": COLD_RUNS},
+                     "cold_runs": COLD_RUNS, "invocation_calls": INVOCATION_CALLS},
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "correct": correct,
         "end_to_end": end_to_end,
         "cold_start_ms": cold,
+        "match_invocation_ms": invocation,
         "per_layer_distance_traced": per_layer,
         "traced_correct": {side: res.get("correct") for side, res in traced.items()},
     }
@@ -307,6 +360,9 @@ def main(argv=None) -> int:
         print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
               f"change {c['change']['median']:.1f} ms "
               f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
+    c = report["match_invocation_ms"]
+    print(f"match call   parent {c['parent']['median']:.3f} ms "
+          f"change {c['change']['median']:.3f} ms saved {c['saved_ms']:.3f} ms")
     print(f"wrote {out}")
     return 0
 
