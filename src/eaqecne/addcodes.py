@@ -213,35 +213,31 @@ class _Limbs:
     preimage rows g: g * x^(e-1), ..., g * x^0 for each g in turn (x^i has
     index p^i), packed into uint64 limbs as ``rows`` (limbs, e * m, p).
 
-    Coordinate j holds the 2e base-p digits of (a_j | b_j), a_j first, in
-    adjacent w-bit fields and never straddles two limbs.  For p = 2 a field
-    is one bit, addition is XOR and a coordinate has a spare top bit.  For
-    odd p a field has a guard bit above its value: a field sum s >= p
-    carries s + 2^(w-1) - p into it, which then subtracts p.  The top bit
-    of a coordinate is zero in reduced words, so adding all ones below it
-    carries into it exactly when the coordinate is nonzero.
+    Coordinate j holds the element codes of a_j and b_j (``linalg._codes``:
+    w-bit digit fields, a guard bit above each for odd p), a_j first, never
+    straddles two limbs and, for p = 2, has a spare top bit; words add as
+    codes do, by ``linalg._add_codes``.  The top bit of a coordinate is zero
+    in reduced words, so adding all ones below it carries into it exactly
+    when the coordinate is nonzero.
     """
 
     def __init__(self, F: FieldSpec, rows: np.ndarray):
         p, e, n = F.p, F.e, rows.shape[1] // 2
-        self.p, self.w = p, 1 if p == 2 else p.bit_length() + 1
-        bits = 2 * e * self.w + (p == 2)
+        w = 1 if p == 2 else p.bit_length() + 1
+        self.p, self.shift, bits = p, w - 1, 2 * e * w + (p == 2)
         per = 64 // bits
         self.limbs = L = -(-n // per)
         every = lambda step, v: np.uint64(v * ((1 << per * bits) - 1) // ((1 << step) - 1))
         self.top = every(bits, 1 << (bits - 1))
         self.low = every(bits, (1 << (bits - 1)) - 1)
         if p > 2:
-            self.guard = every(self.w, 1 << (self.w - 1))
-            self.bias = every(self.w, (1 << (self.w - 1)) - p)
-        planes = F.plane_table.reshape(e, -1).T.astype(int)  # [b, l] digit l of b
-        digits = planes[F.mul_table[p ** np.arange(e)[::-1]]][:, rows].swapaxes(0, 1)
-        digits = digits.reshape(len(rows) * e, 1, 2, n, e).transpose(0, 1, 3, 2, 4)
-        D = np.zeros((len(digits), p, L * per, 2, e), dtype=np.uint64)
-        D[:, :, :n] = digits * np.arange(p)[:, None, None, None] % p
-        shifts = np.arange(per * bits, dtype=np.uint64).reshape(per, bits)
-        powers = np.uint64(1) << shifts[:, :2 * e * self.w:self.w].ravel()
-        self.rows = (D.reshape(len(D), p, L, per * 2 * e) @ powers).transpose(2, 0, 1)
+            self.guard = every(w, 1 << (w - 1))
+            self.bias = every(w, (1 << (w - 1)) - p)
+        C = linalg._codes(F).limbs[:, :, rows].astype(np.uint64)  # [i, c, g, j]
+        D = np.zeros((len(rows), e, p, L * per), dtype=np.uint64)
+        D[..., :n] = (C[..., :n] | C[..., n:] << np.uint64(e * w)).transpose(2, 0, 1, 3)
+        powers = np.uint64(1) << np.arange(0, per * bits, bits, dtype=np.uint64)
+        self.rows = (D.reshape(len(D) * e, p, L, per) @ powers).transpose(2, 0, 1)
 
     def span(self, rows: np.ndarray, lead: int | None = None) -> np.ndarray:
         """Every F_p-combination of packed rows in odometer order, last row
@@ -255,16 +251,8 @@ class _Limbs:
         for r in range(rows.shape[1] - 1, -1, -1):
             c = lead if r == 0 and lead else p
             V = T[:, :c * k].reshape(L, c, k)
-            x, y, out = V[:, :1], rows[:, r, 1:c, None], V[:, 1:]
-            if p == 2:
-                np.bitwise_xor(x, y, out=out)
-            else:
-                t = np.add(np.add(x, y, out=out), self.bias,
-                           out=carry[:, :(c - 1) * k].reshape(L, c - 1, k))
-                t &= self.guard
-                t >>= np.uint64(self.w - 1)
-                t *= np.uint64(p)
-                out -= t
+            linalg._add_codes(self, V[:, :1], rows[:, r, 1:c, None], V[:, 1:],
+                              carry[:, :(c - 1) * k].reshape(L, c - 1, k))
             k *= c
         return T[:, :k]
 

@@ -449,6 +449,29 @@ def test_scan_multi_limb_words(q):
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_limbs_pack_the_digits_of_every_multiple(q):
+    """Packed row e*g + i, part c, holds at coordinate j the base-p digits of
+    c * x^(e-1-i) times a_j and b_j, from the loop field, in w-bit fields,
+    a_j first, coordinates bits apart from bit 0 of each limb."""
+    F, L, n = field(q), loop_field(q), 13
+    p, e = F.p, F.e
+    rows = random_matrix(F, 3, 2 * n, np.random.default_rng(70 + q))
+    W = ac._Limbs(F, rows)
+    w = 1 if p == 2 else p.bit_length() + 1
+    bits = 2 * e * w + (p == 2)
+    assert W.shift == w - 1 and W.rows.shape == (W.limbs, 3 * e, p)
+    for g, i, c in itertools.product(range(3), range(e), range(p)):
+        limbs = [0] * W.limbs
+        for j in range(n):
+            for half, v in enumerate((rows[g, j], rows[g, n + j])):
+                x = L.mul(c * p ** (e - 1 - i), int(v))
+                for l in range(e):
+                    shift = bits * (j % (64 // bits)) + w * (half * e + l)
+                    limbs[j // (64 // bits)] |= (x // p ** l % p) << shift
+        assert W.rows[:, e * g + i, c].tolist() == limbs
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_scan_zero_outer_code(q):
     Q = quadratic_field(field(q))
     zero = ac.AdditiveCode.zero(Q, 3)

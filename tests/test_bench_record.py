@@ -148,3 +148,43 @@ def test_record_path_never_overwrites_a_record_of_the_day(tmp_path):
     assert br.record_path(tmp_path, day).name == "BENCH_20261019_4.json"
     next_day = br.record_path(tmp_path, day + datetime.timedelta(days=1))
     assert next_day.name == "BENCH_20261020.json"
+
+
+def test_record_traces_distance_and_structure(tmp_path, monkeypatch):
+    """The record holds the end-to-end pairs of every workload and, for
+    distance and structure, one traced run per side whose per-layer
+    metrics (rref and parse_matrix self time among them) sit beside them."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        layer = 0.02 if checkout.name == "parent" else 0.01
+        metrics = {name: {"value": 0.1} for name in br.END_TO_END}
+        if trace:
+            metrics = {"linalg.rref.self_s": {"value": layer},
+                       "linalg.parse_matrix.self_s": {"value": layer / 2},
+                       "linalg.rref.calls": {"value": 84.0}}
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(br, "run_bench", fake_run)
+    monkeypatch.setattr(br, "cold_start", lambda parent, change: {})
+    monkeypatch.setattr(br, "invocation_times", lambda checkout, argv: [0.001])
+    sides = {}
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+        sides[side] = tmp_path / side
+    report = br.record(sides["parent"], sides["change"], "note")
+    traced = [c for c in calls if c[3]]
+    assert sorted(traced) == sorted((side, w, br.SEEDS[0], 1) for side in sides
+                                    for w in ("distance", "structure"))
+    assert len(calls) - len(traced) == 2 * len(br.SEEDS) * len(br.WORKLOADS)
+    assert set(report["end_to_end"]) == set(br.WORKLOADS)
+    assert report["traced_correct"] == {w: {"parent": True, "change": True}
+                                        for w in ("distance", "structure")}
+    for w in ("distance", "structure"):
+        layers = report[f"per_layer_{w}_traced"]
+        assert layers["linalg.rref.self_s"] == {
+            "better": "lower", "parent": 0.02, "change": 0.01}
+        assert layers["linalg.parse_matrix.self_s"] == {
+            "better": "lower", "parent": 0.01, "change": 0.005}
+        assert layers["linalg.rref.calls"]["better"] == "lower"

@@ -1,6 +1,7 @@
 """Row reduction, kernels, subspace lattice ops, and the matrix file format."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from eaqecne.errors import AmbientMismatch, FormatError
 from eaqecne.gf import SUPPORTED_ORDERS, field
 from eaqecne import linalg, symplectic as sp
 
-from oracles import (loop_kernel, loop_rref, random_matrix, scalar_dot,
+from oracles import (loop_field, loop_kernel, loop_rref, random_matrix, scalar_dot,
                      subspace_contains, subspace_eq, subspace_intersect,
                      subspace_sum, two_pass_kernel)
 
@@ -355,7 +356,7 @@ def test_matrix_format_ignores_noise():
     assert F.order == 2 and M.shape == (2, 3)
 
 
-@pytest.mark.parametrize("bad", [
+BAD_TEXTS = [
     "",
     "2 2\n1 0\n0 1\n",
     "6 1 1\n0\n",
@@ -364,13 +365,16 @@ def test_matrix_format_ignores_noise():
     "2 1 2\nx y\n",
     "4 0 -2\n",
     "4 -1 2\n",
-])
+]
+
+
+@pytest.mark.parametrize("bad", BAD_TEXTS)
 def test_matrix_format_errors(bad):
     with pytest.raises(FormatError):
         linalg.parse_matrix(bad)
 
 
-@pytest.mark.parametrize("bad, message", [
+BAD_ENTRIES = [
     ("3 3 2\n1 2\n0 1\n2 3\n", "row 2: entry 3 outside [0, 3)"),
     ("3 3 2\n1 2\n0 1\n2 -1\n", "row 2: entry -1 outside [0, 3)"),
     ("3 3 2\n1 2\n0 x\n2 9\n", "row 1: bad entry 'x'"),
@@ -381,7 +385,10 @@ def test_matrix_format_errors(bad):
     ("3 2 2\n1 2\n0 99999999999999999999999\n",
      "row 1: entry 99999999999999999999999 outside [0, 3)"),
     ("3 2 2\n1 2\n0 1.0\n", "row 1: bad entry '1.0'"),
-])
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_ENTRIES)
 def test_matrix_format_first_bad_entry(bad, message):
     # the first offending row and token in reading order, after good rows
     with pytest.raises(FormatError) as info:
@@ -389,8 +396,110 @@ def test_matrix_format_first_bad_entry(bad, message):
     assert str(info.value) == message
 
 
+INT_SPELLINGS = "16 2 3\n+3 1_0 08\n0 -0 15\n"
+
+
 def test_matrix_format_accepts_int_spellings():
     # whatever int() reads is an entry: signs, underscores, leading zeros
-    F, M = linalg.parse_matrix("16 2 3\n+3 1_0 08\n0 -0 15\n")
+    F, M = linalg.parse_matrix(INT_SPELLINGS)
     assert F.order == 16 and M.dtype == np.int16
     assert M.tolist() == [[3, 10, 8], [0, 0, 15]]
+
+
+def parse_outcome(text):
+    """What parse_matrix makes of `text`: the field order and the matrix's
+    dtype, shape and entries, or the FormatError message."""
+    try:
+        F, M = linalg.parse_matrix(text)
+    except FormatError as exc:
+        return str(exc)
+    return F.order, M.dtype, M.shape, M.tolist()
+
+
+# text the fast path must refuse or range-check: np.fromstring reads "1 -"
+# as [1, 0] and clamps an entry past int64 to INT64_MAX
+ODD_TEXTS = [
+    "3 1 2\n1 -\n", "3 1 2\n1 2 -\n", "3 1 2\n- 1\n", "3 1 2\n1\t2\n",
+    "3 1 2\n1 \t  2\n", "3 2 2\n1 2\n0 18446744073709551619\n",
+    "3 1 2\n0 9223372036854775807\n", "3 1 2\n1 2 junk\n", "3 1 2\n1 2x\n",
+    "3 1 2\n1 0x2\n", "3 1 2\n1 2e0\n", "3 1 2\n1 ２\n", "3 1 2\n1 inf\n",
+    "3 2 1\n1\n1 2\n", "3 1 0\n1\n", "3 2 0\n\n", "9 0 3\n", "9 1 2\n00 08\n",
+]
+
+
+@pytest.mark.parametrize("text", [INT_SPELLINGS, *BAD_TEXTS, *ODD_TEXTS,
+                                  *(bad for bad, _ in BAD_ENTRIES)])
+def test_matrix_fast_path_reads_as_the_row_loop(text, monkeypatch):
+    """Every bad and odd spelling reads the same with the fast path forced
+    off (a pattern that matches nothing)."""
+    fast = parse_outcome(text)
+    monkeypatch.setattr(linalg, "_PLAIN", re.compile("(?!)"))
+    assert parse_outcome(text) == fast
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_matrix_fast_path_matches_the_row_loop_on_random_matrices(q, monkeypatch):
+    F, rng = field(q), np.random.default_rng(50 + q)
+    reads, fromstring = [], np.fromstring
+
+    def counted(*args, **kwargs):
+        reads.append(1)
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", counted)
+    texts = []
+    for rows, cols in ((1, 1), (3, 7), (20, 40), (9, 1)):
+        text = linalg.dump_matrix(F, random_matrix(F, rows, cols, rng))
+        texts += [text, text.replace(" ", "\t"), text.replace(" ", "  \t ")]
+    fast = [parse_outcome(t) for t in texts]
+    assert len(reads) == len(texts)
+    monkeypatch.setattr(linalg, "_PLAIN", re.compile("(?!)"))
+    assert [parse_outcome(t) for t in texts] == fast
+    assert len(reads) == len(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_ORDERS), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_matrix_format_round_trips_every_shape(q, rows, cols, data):
+    """dump then parse gives the matrix back, r x 0, 0 x c and 0 x 0 too."""
+    F = field(q)
+    M = data.draw(hnp.arrays(np.int16, (rows, cols), elements=st.integers(0, q - 1)))
+    F2, M2 = linalg.parse_matrix(linalg.dump_matrix(F, M))
+    assert F2 is F and M2.dtype == np.int16 and M2.shape == M.shape
+    assert np.array_equal(M2, M)
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_code_tables_against_the_loop_field(q):
+    """Exhaustively: the reduced code(a) + nme[code(b), c] decodes to a - c*b,
+    div[a, code(b)] to b / a and limbs[i, c, b] to c * x^(e-1-i) * b; a code
+    holds the base-p digits in w-bit fields."""
+    F, L = field(q), loop_field(q)
+    T, p, e = linalg._codes(F), F.p, F.e
+    w = 1 if p == 2 else p.bit_length() + 1
+    dec = (lambda X: X) if T.dec is None else T.dec.__getitem__
+    x = np.arange(q)
+    assert T.enc.tolist() == [sum(a // p ** i % p << w * i for i in range(e)) for a in x]
+    assert np.array_equal(dec(T.enc), x)
+    a, b, c = np.meshgrid(x, x, x, indexing="ij")
+    M = T.enc[a]
+    linalg._add_codes(T, M, T.nme[T.enc[b], c], M, np.empty_like(M))
+    assert np.array_equal(dec(M), L.sub_table[a, L.mul_table[c, b]])
+    assert np.array_equal(dec(T.div[1:][:, T.enc]), L.mul_table[L.inv_table[1:]])
+    scale = np.arange(p) * p ** np.arange(e)[::-1, None]
+    assert np.array_equal(dec(T.limbs), L.mul_table[scale])
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_rref_reads_views_and_any_int_dtype_without_mutating(case):
+    """The kernel's reversed columns, a transposed view and int64 or uint8
+    entries row-reduce as the row loop does, and the argument is untouched."""
+    F, M = case
+    for X in (M[:, ::-1], M.T, M.astype(np.int64), M.astype(np.uint8), M[::2, 1:]):
+        before = X.copy()
+        R, rk, piv = linalg.rref(F, X)
+        R0, rk0, piv0 = loop_rref(F, X)
+        assert R.dtype == R0.dtype and np.array_equal(R, R0)
+        assert (rk, piv) == (rk0, piv0)
+        assert X.dtype == before.dtype and np.array_equal(X, before)

@@ -11,9 +11,12 @@ into a temporary directory too, so that both sides run from alike fresh
 trees), in ten alternating pairs for every
 workload of ``BENCHMARK.json``, each run as long as its ``run_seconds``:
 pair k runs both sides on seed 21 + k, the parent first on even k and the
-change first on odd k.  Then it runs one traced (``--trace 1``) ``distance``
-run per side on seed 21.  Every run is a fresh process.  The settings are
-fixed so that every record is taken the same way as the benchmark.
+change first on odd k.  Then it runs one traced (``--trace 1``) run per
+side of each workload in ``TRACED`` on seed 21: ``distance`` for the scan,
+``structure`` for the layers under it (``linalg.rref``,
+``linalg.parse_matrix``, ``symplectic.decompose``).  Every run is a fresh
+process.  The settings are fixed so that every record is taken the same way
+as the benchmark.
 
 A cold-start section times what a user waits for on each CLI call: fresh
 processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne match``,
@@ -35,9 +38,10 @@ change won (ties count for neither) and whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
 parent's quartiles); the same summary, in milliseconds, of each cold-start
 command; the median ``match`` call of each side and the milliseconds the
-change saves on it; the traced per-layer metrics of both sides with the
-direction that is better; the ``src/`` line counts of the two copies; and a
-host note.
+change saves on it; for each traced workload, as
+``per_layer_<workload>_traced``, the per-layer metrics of both sides with
+the direction that is better, to read beside the untraced ``wall_s``; the
+``src/`` line counts of the two copies; and a host note.
 
 Direction of the per-layer numbers.  Call counts and words examined are
 work done, so lower is better (the benchmark's own declaration calls
@@ -71,6 +75,7 @@ WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 END_TO_END = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 SECONDS = BENCHMARK["run_seconds"]
 SEEDS = tuple(range(21, 31))        # one per pair; the traced runs use the first
+TRACED = ("distance", "structure")   # workloads with a traced run per side
 UNDIRECTED = ("addcodes.scan.words_per_s", "addcodes.scan.examined_ratio",
               "addcodes.scan.early_exits")
 COLD_RUNS = 21
@@ -295,8 +300,9 @@ def record(parent: Path, change: Path, note: str) -> dict:
                 print(f"{w} pair {k} {side}: correct={res.get('correct')} "
                       f"wall_s={res.get('metrics', {}).get('wall_s', {}).get('value')}",
                       file=sys.stderr)
-    traced = {side: run_bench(checkout, "distance", SEEDS[0], 1)
-              for side, checkout in (("parent", parent), ("change", change))}
+    traced = {w: {side: run_bench(checkout, w, SEEDS[0], 1)
+                  for side, checkout in (("parent", parent), ("change", change))}
+              for w in TRACED}
     cold = cold_start(parent, change)
     invocation = invocation_summary(invocation_times(parent, MATCH),
                                     invocation_times(change, MATCH))
@@ -316,11 +322,13 @@ def record(parent: Path, change: Path, note: str) -> dict:
                           "lower")
             for name in END_TO_END}
 
-    layers = {side: layer_metrics(res) for side, res in traced.items()}
-    per_layer = {name: {"better": direction(name),
-                        "parent": layers["parent"].get(name),
-                        "change": layers["change"].get(name)}
-                 for name in sorted(set(layers["parent"]) | set(layers["change"]))}
+    per_layer = {}
+    for w, sides in traced.items():
+        layers = {side: layer_metrics(res) for side, res in sides.items()}
+        per_layer[f"per_layer_{w}_traced"] = {
+            name: {"better": direction(name), "parent": layers["parent"].get(name),
+                   "change": layers["change"].get(name)}
+            for name in sorted(set(layers["parent"]) | set(layers["change"]))}
     return {
         "date": datetime.date.today().isoformat(),
         "host": host,
@@ -332,8 +340,9 @@ def record(parent: Path, change: Path, note: str) -> dict:
         "end_to_end": end_to_end,
         "cold_start_ms": cold,
         "match_invocation_ms": invocation,
-        "per_layer_distance_traced": per_layer,
-        "traced_correct": {side: res.get("correct") for side, res in traced.items()},
+        **per_layer,
+        "traced_correct": {w: {side: res.get("correct") for side, res in sides.items()}
+                           for w, sides in traced.items()},
     }
 
 
@@ -360,6 +369,12 @@ def main(argv=None) -> int:
         print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
               f"change {c['change']['median']:.1f} ms "
               f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
+    for w in TRACED:
+        for name in ("linalg.rref.self_s", "linalg.parse_matrix.self_s",
+                     "symplectic.decompose.self_s", "addcodes.scan.self_s"):
+            c = report[f"per_layer_{w}_traced"].get(name, {})
+            print(f"traced {w:9s} {name:28s} parent {c.get('parent')} "
+                  f"change {c.get('change')}")
     c = report["match_invocation_ms"]
     print(f"match call   parent {c['parent']['median']:.3f} ms "
           f"change {c['change']['median']:.3f} ms saved {c['saved_ms']:.3f} ms")
