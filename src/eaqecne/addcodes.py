@@ -222,8 +222,8 @@ class _Limbs:
     """
 
     def __init__(self, F: FieldSpec, rows: np.ndarray):
-        p, e, n = F.p, F.e, rows.shape[1] // 2
-        w = 1 if p == 2 else p.bit_length() + 1
+        p, e, n, T = F.p, F.e, rows.shape[1] // 2, linalg._codes(F)
+        w = int(T.shift) + 1
         self.p, self.shift, bits = p, w - 1, 2 * e * w + (p == 2)
         per = 64 // bits
         self.limbs = L = -(-n // per)
@@ -233,7 +233,7 @@ class _Limbs:
         if p > 2:
             self.guard = every(w, 1 << (w - 1))
             self.bias = every(w, (1 << (w - 1)) - p)
-        C = linalg._codes(F).limbs[:, :, rows].astype(np.uint64)  # [i, c, g, j]
+        C = T.limbs[:, :, rows].astype(np.uint64)  # [i, c, g, j]
         D = np.zeros((len(rows), e, p, L * per), dtype=np.uint64)
         D[..., :n] = (C[..., :n] | C[..., n:] << np.uint64(e * w)).transpose(2, 0, 1, 3)
         powers = np.uint64(1) << np.arange(0, per * bits, bits, dtype=np.uint64)

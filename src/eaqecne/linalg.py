@@ -11,8 +11,9 @@ off it, and a canonical basis states its own :func:`pivots`; a kernel is
 one elimination of the reversed columns.  It runs on element codes: a row
 update is one gather and an in-place XOR (p = 2) or guard-bit add (odd p),
 from tables built on a field's first elimination (25-75 us; GF(81) 0.9-1 ms).
-:func:`sub_multiples` updates index rows for ``symplectic.decompose``;
-every Gram matrix is one exact float64 (BLAS) product of F_p digit planes.
+The same in-place update, :func:`_sub_multiples`, is every row step of
+``symplectic.decompose`` too, on [W | G^T]; every Gram matrix is one exact
+float64 (BLAS) product of F_p digit planes.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=_DT)
 
 
-def sub_multiples(F: FieldSpec, M, coeffs, row) -> np.ndarray:
-    """M - coeffs[:, None] * row over F, picked from the q multiples of
-    ``row``: XOR of indices (their F_2 digit vectors) in characteristic 2,
-    otherwise one flat ``sub_table`` lookup."""
-    P = F.mul_table.take(row, 1).take(coeffs, 0)
-    if F.p == 2:
-        return M ^ P
-    return F.sub_table.ravel().take(M * F.order + P)
-
-
 @lru_cache(maxsize=None)
 def _codes(F: FieldSpec) -> SimpleNamespace:
     """F's int16 element codes: e base-p digits in w-bit fields, digit i at bit
@@ -99,6 +90,12 @@ def _add_codes(T, x, y, out, t) -> np.ndarray:
     return np.subtract(out, t, out=out)
 
 
+def _sub_multiples(T, M, coeffs, row, t) -> np.ndarray:
+    """M -= coeffs[:, None] * row in place, M and ``row`` codes, ``coeffs``
+    indices, t scratch of M's shape: one ``nme`` gather, one add."""
+    return _add_codes(T, M, T.nme.take(row, 0).T.take(coeffs, 0), M, t)
+
+
 def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (matrix, rank, pivot columns).
 
@@ -118,7 +115,7 @@ def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
         if not (x := int(a[p])):
             continue
         row = T.div[x].take(M[p])
-        _add_codes(T, M, T.nme.take(row, 0).T.take(a, 0), M, t)
+        _sub_multiples(T, M, a, row, t)
         if p != r:
             M[p] = M[r]
         M[r] = row

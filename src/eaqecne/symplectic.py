@@ -14,7 +14,8 @@ form, and for a GF(q^2)-linear code the Hermitian dual is the symplectic
 dual of its preimage.
 
 :func:`decompose`, the one symplectic Gram-Schmidt, splits a span into its
-radical (dimension l) and c hyperbolic pairs; 2c is its Gram matrix's rank.
+radical (dimension l) and c hyperbolic pairs, 2c its Gram matrix's rank: row
+updates of [W | G^T] in codes, as in ``rref``, keep G^T the rows' Gram matrix.
 """
 
 from __future__ import annotations
@@ -70,29 +71,29 @@ def decompose(F: FieldSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     e1, f1, e2, f2, ...), <e_i, f_i> = 1 the only nonzero values among them.
 
     The first nonzero entry G[i, j] of the rows' Gram matrix, row-major,
-    pairs e = W[i] with f = W[j] / G[i, j]; every other row v becomes
-    v - <v,f> e + <v,e> f and G takes the rank-2 update G + a b^T - b a^T,
-    a = <v,f>, b = <v,e>: two ``linalg.sub_multiples`` calls each.  The rows
-    left once G vanishes span the radical, being orthogonal to the span and
-    spanning it with the pairs: no row reduction comes first, and they are
-    a basis exactly when the input rows are independent.
+    pairs e = W[i] with f = W[j] / G[i, j]; every row v becomes
+    v - <v,f> e + <v,e> f (e and f become 0).  On M = [W | G^T] in codes,
+    row v beside <., v>, that is M -= a e - b f, two ``linalg._sub_multiples``
+    with a = <., f> and b = <., e> the G^T parts of f and e: G^T stays the new
+    rows' Gram matrix, transposed, rows and columns i, j go to 0, and the next
+    pivot is the first nonzero of G^T, -G[i, j] there.  The rows left once G
+    vanishes span the radical, being orthogonal to the span and spanning it
+    with the pairs: no row reduction comes first, and they are a basis
+    exactly when the input rows are independent.
     """
     W = linalg.as_matrix(rows)
-    G = symp_gram(F, W)
-    MUL, NEG, sub = F.mul_table, F.neg_table, linalg.sub_multiples
-    pairs = []
-    while (hits := np.flatnonzero(G)).size:
-        i, j = divmod(int(hits[0]), G.shape[1])
-        inv = F.inv(int(G[i, j]))
-        e, f = W[i], MUL[inv].take(W[j])
-        keep = np.ones(len(W), dtype=bool)
+    T, n2 = linalg._codes(F), W.shape[1]
+    M = T.enc.take(np.hstack([W, symp_gram(F, W).T]))
+    Gt, t, keep, pairs = M[:, n2:], np.empty_like(M), np.ones(len(M), bool), []
+    dec = np.arange(F.order, dtype=W.dtype) if T.dec is None else T.dec
+    while Gt.size and Gt.flat[k := int((Gt != 0).argmax())]:
+        i, j = divmod(k, len(Gt))
+        e, f = M[i].copy(), T.div[F.neg_table[dec[Gt[i, j]]]].take(M[j])
+        linalg._sub_multiples(T, M, dec.take(f[n2:]), e, t)
+        linalg._sub_multiples(T, M, F.neg_table.take(dec.take(e[n2:])), f, t)
         keep[i] = keep[j] = False
-        G = G.compress(keep, 0)
-        a, b = MUL[inv].take(G[:, j]), G[:, i]
-        W = sub(F, sub(F, W.compress(keep, 0), a, e), NEG.take(b), f)
-        G = sub(F, sub(F, G.compress(keep, 1), NEG.take(a), b), b, a)
-        pairs += [e, f]
-    return W, linalg.as_matrix(pairs, cols=W.shape[1])
+        pairs += [e[:n2], f[:n2]]
+    return dec.take(M[keep, :n2]), dec.take(linalg.as_matrix(pairs, cols=n2))
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,28 @@ def kernel_radical(F, rows) -> np.ndarray:
     return R[:rank]
 
 
+def loop_decompose(F, rows):
+    """Symplectic Gram-Schmidt one scalar at a time in the loop field of F:
+    while some <W[i], W[j]> != 0, the first such (i, j) row-major pairs
+    e = W[i] with f = W[j] / <W[i], W[j]>, rows i and j leave and every
+    other row v becomes v - <v,f> e + <v,e> f, the form summed afresh each
+    step.  Returns (leftover rows, pair rows e1, f1, e2, f2, ...), int16."""
+    L, cols = loop_field(F.order), np.shape(rows)[-1]
+    W = [[int(x) for x in row] for row in linalg.as_matrix(rows, cols=cols)]
+    pairs = []
+    while hit := next(((i, j) for i, u in enumerate(W) for j, v in enumerate(W)
+                       if symp_scalar(L, u, v)), None):
+        i, j = hit
+        e, g = W[i], symp_scalar(L, W[i], W[j])
+        f = [L.div(x, g) for x in W[j]]
+        W = [[L.add(L.sub(x, L.mul(a, y)), L.mul(b, z)) for x, y, z in zip(v, e, f)]
+             for k, v in enumerate(W) if k not in hit
+             for a, b in [(symp_scalar(L, v, f), symp_scalar(L, v, e))]]
+        pairs += [e, f]
+    return (np.array(W, dtype=np.int16).reshape(len(W), cols),
+            np.array(pairs, dtype=np.int16).reshape(len(pairs), cols))
+
+
 def trace_dual(code) -> np.ndarray:
     """Preimage basis of the dual of an additive code under the trace form
     rel_trace(h(u, v)): the kernel of the scalar trace values of each

@@ -35,6 +35,26 @@ def test_compare_needs_the_medians_apart_by_more_than_the_quartiles():
     assert c["change_won"] == 10 and not c["gain"]
 
 
+def test_verdict_against_the_bound():
+    """worse: the median worse by more than the bound of the parent's;
+    unresolved: the parent spread wider than the bound and not every change
+    run better than every parent run; within otherwise."""
+    parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.0, 1.01, 0.99]
+    c = br.compare(parent, [p * 1.3 for p in parent], "lower", 0.25)
+    assert (c["bound"], c["verdict"]) == (0.25, "worse")
+    assert br.compare(parent, [p * 1.2 for p in parent], "lower", 0.25)["verdict"] == "within"
+    assert br.compare(parent, [p * 1.3 for p in parent], "higher", 0.25)["verdict"] == "within"
+    assert br.compare(parent, [p * 0.7 for p in parent], "higher", 0.25)["verdict"] == "worse"
+    # quartiles 0.5 and 1.5 around a median of 1: spread 1.0 > 0.25
+    wide = [0.5, 1.5, 0.5, 1.5, 1.0, 1.0, 0.5, 1.5, 1.0, 1.0]
+    assert br.compare(wide, wide, "lower", 0.25)["verdict"] == "unresolved"
+    assert br.compare(wide, [0.4] * 10, "lower", 0.25)["verdict"] == "within"
+    assert br.compare(wide, [1.6] * 10, "higher", 0.25)["verdict"] == "within"
+    assert br.compare(wide, [0.6] + [0.4] * 9, "lower", 0.25)["verdict"] == "unresolved"
+    assert br.compare(wide, [1.6] * 10, "lower", 0.25)["verdict"] == "worse"
+    assert br.compare(parent, parent, "lower")["verdict"] is None
+
+
 def test_layer_directions_and_derived_scan_numbers():
     assert br.direction("linalg.rref.calls") == "lower"
     assert br.direction("addcodes.scan.words_examined") == "lower"
@@ -179,6 +199,9 @@ def test_record_traces_distance_and_structure(tmp_path, monkeypatch):
                                     for w in ("distance", "structure"))
     assert len(calls) - len(traced) == 2 * len(br.SEEDS) * len(br.WORKLOADS)
     assert set(report["end_to_end"]) == set(br.WORKLOADS)
+    for metrics in report["end_to_end"].values():
+        assert {name: (c["bound"], c["verdict"]) for name, c in metrics.items()} == {
+            m["name"]: (m["bound"], "within") for m in br.BENCHMARK["end_to_end"]}
     assert report["traced_correct"] == {w: {"parent": True, "change": True}
                                         for w in ("distance", "structure")}
     for w in ("distance", "structure"):

@@ -289,20 +289,30 @@ def test_rref_matches_row_loop_wide(q):
 
 @pytest.mark.parametrize("q", ALL_ORDERS)
 def test_sub_multiples_matches_scalar_ops(q):
+    """The in-place code update of rref and decompose: M and the row
+    encoded, updated, decoded equal M - coeffs * row entrywise, whatever
+    the scratch buffer held."""
     F = field(q)
+    T = linalg._codes(F)
+    dec = np.arange(q, dtype=np.int16) if T.dec is None else T.dec
     rng = np.random.default_rng(31 + q)
     # the last cases update M[:, c:] by its first column, a strided view, as
     # rref does
     for rows, cols, c in ((0, 4, 0), (5, 0, 0), (6, 9, 0), (q + 1, 3, 0),
                           (7, 12, 1), (7, 12, 5), (7, 12, 11)):
-        M = random_matrix(F, rows, cols, rng)[:, c:]
-        coeffs = M[:, 0] if c else random_matrix(F, 1, rows, rng)[0]
+        A = random_matrix(F, rows, cols, rng)
+        coeffs = A[:, c] if c else random_matrix(F, 1, rows, rng)[0]
         row = random_matrix(F, 1, cols - c, rng)[0]
-        got = linalg.sub_multiples(F, M, coeffs, row)
-        assert got.dtype == np.int16 and got.shape == M.shape
+        codes = T.enc.take(A)
+        M = codes[:, c:]
+        t = rng.integers(-2 ** 15, 2 ** 15, size=M.shape).astype(np.int16)
+        assert linalg._sub_multiples(T, M, coeffs, T.enc.take(row), t) is M
+        got = dec.take(codes)
+        assert got.dtype == np.int16 and np.array_equal(got[:, :c], A[:, :c])
         for i in range(rows):
             for j in range(cols - c):
-                assert got[i, j] == F.sub(int(M[i, j]), F.mul(int(coeffs[i]), int(row[j])))
+                assert got[i, c + j] == F.sub(int(A[i, c + j]),
+                                              F.mul(int(coeffs[i]), int(row[j])))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,12 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac, linalg, symplectic as sp
 
-from oracles import loop_field, random_matrix, subspace_eq, subspace_intersect
+from oracles import (loop_decompose, loop_field, random_matrix, subspace_eq,
+                     subspace_intersect)
+
+ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
 
 
 def all_vectors(q, length):
@@ -125,6 +129,34 @@ def test_decompose_redundant_generators_match_canonical(q):
         assert (l, len(pairs)) == (split.l, 2 * split.c)
         assert subspace_eq(F, radical, canon[0])
         assert subspace_eq(F, radical, split.radical.preimage)
+
+
+@st.composite
+def decompose_inputs(draw):
+    """Shuffled rows over one of the 12 fields, 2n = 0 to 8 columns: an
+    isotropic block, random rows, combinations of those and zero rows, each
+    part possibly empty, so r = 0, 2n = 0, radicals and dependent rows all
+    occur."""
+    F = field(draw(st.sampled_from(ALL_ORDERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 4))
+    S = np.vstack([sp.random_isotropic_basis(F, n, draw(st.integers(0, n)), rng),
+                   random_matrix(F, draw(st.integers(0, 4)), 2 * n, rng)])
+    combos = random_matrix(F, draw(st.integers(0, 3)), len(S), rng)
+    zeros = np.zeros((draw(st.integers(0, 1)), 2 * n), dtype=np.int16)
+    rows = np.vstack([S, linalg.gram(F, combos, S.T), zeros])
+    return F, rows[rng.permutation(len(rows))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(decompose_inputs())
+def test_decompose_is_the_scalar_gram_schmidt(case):
+    """decompose returns exactly the arrays of the scalar Gram-Schmidt with
+    the same pivot rule: rows, order, shapes and int16."""
+    F, rows = case
+    for got, want in zip(sp.decompose(F, rows), loop_decompose(F, rows), strict=True):
+        assert got.dtype == want.dtype == np.int16
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def check_gram(F, radical, pairs):

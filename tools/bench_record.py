@@ -34,11 +34,12 @@ It writes ``BENCH_<yyyymmdd>.json`` into this checkout, or, when a record of
 the day exists, the first free ``BENCH_<yyyymmdd>_2.json``, ``_3``, ...; it
 never overwrites one.  The record holds, for each workload and
 end-to-end metric the median and quartiles of each side, the pairs the
-change won (ties count for neither) and whether a gain may be claimed (at
+change won (ties count for neither), whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
-parent's quartiles); the same summary, in milliseconds, of each cold-start
-command; the median ``match`` call of each side and the milliseconds the
-change saves on it; for each traced workload, as
+parent's quartiles) and a no-regression ``verdict`` against the metric's
+``bound`` in ``BENCHMARK.json``; the same summary, in milliseconds, of each
+cold-start command; the median ``match`` call of each side and the
+milliseconds the change saves on it; for each traced workload, as
 ``per_layer_<workload>_traced``, the per-layer metrics of both sides with
 the direction that is better, to read beside the untraced ``wall_s``; the
 ``src/`` line counts of the two copies; and a host note.
@@ -72,7 +73,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
-END_TO_END = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 SEEDS = tuple(range(21, 31))        # one per pair; the traced runs use the first
 TRACED = ("distance", "structure")   # workloads with a traced run per side
@@ -133,9 +134,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def verdict(parent: list[float], change: list[float], sign: int,
+            bound: float) -> str:
+    """``worse`` if the change's median is worse than the parent's by more
+    than `bound` of the parent's median; else ``unresolved`` if the parent's
+    quartile spread exceeds `bound` of its median and not every change run
+    beats every parent run; else ``within``."""
+    p1, pm, p3 = quartiles(parent)
+    if sign * (quartiles(change)[1] - pm) > bound * abs(pm):
+        return "worse"
+    all_beat = max(sign * c for c in change) < min(sign * p for p in parent)
+    if p3 - p1 > bound * abs(pm) and not all_beat:
+        return "unresolved"
+    return "within"
+
+
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float | None = None) -> dict:
     """Medians, quartiles and pair wins of one lower- or higher-is-better
-    metric measured in pairs (parent[k], change[k])."""
+    metric measured in pairs (parent[k], change[k]), and, given the
+    metric's no-regression `bound`, its ``verdict``."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
@@ -148,6 +166,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "pairs": len(parent),
         "change_won": wins,
         "gain": wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1,
+        "bound": bound,
+        "verdict": None if bound is None else verdict(parent, change, sign, bound),
     }
 
 
@@ -319,8 +339,8 @@ def record(parent: Path, change: Path, note: str) -> dict:
         end_to_end[w] = {
             name: compare([r["metrics"][name]["value"] for r in sides["parent"]],
                           [r["metrics"][name]["value"] for r in sides["change"]],
-                          "lower")
-            for name in END_TO_END}
+                          m["better"], m["bound"])
+            for name, m in END_TO_END.items()}
 
     per_layer = {}
     for w, sides in traced.items():
@@ -364,7 +384,8 @@ def main(argv=None) -> int:
         for name, c in metrics.items():
             print(f"{w:10s} {name:12s} parent {c['parent']['median']:.6g} "
                   f"change {c['change']['median']:.6g} "
-                  f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
+                  f"won {c['change_won']}/{c['pairs']} gain={c['gain']} "
+                  f"{c['verdict']} (bound {c['bound']})")
     for name, c in report["cold_start_ms"].items():
         print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
               f"change {c['change']['median']:.1f} ms "
