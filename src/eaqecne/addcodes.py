@@ -23,13 +23,14 @@ self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
 
 Minimum weights weigh one word of each F_q^* orbit outside the excluded
 subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
-packed F_p digits of the preimage, since phi is F_q-linear and preserves
-weight; the result's ``d`` is None when no word is left.  A ``budget`` caps
-q^m - q^m', the count of all words outside it.
+packed F_p digits of the preimage (phi is F_q-linear and keeps weight), a
+block one XOR of two small tables (one of up to 2^15 words for small scans);
+``d`` is None when no word is left.  A ``budget`` caps all q^m - q^m' words.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -41,7 +42,8 @@ from .errors import (DEFAULT_BUDGET, AmbientMismatch, BudgetExceeded,
 from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
 from . import linalg, symplectic as sp
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16   # words in a block
+_SUFFIX = 1 << 12  # cap on its suffix table
 
 
 def _field_entries(F: FieldSpec, rows, what: str = "generator") -> np.ndarray:
@@ -224,7 +226,7 @@ class _Limbs:
     def __init__(self, F: FieldSpec, rows: np.ndarray):
         p, e, n, T = F.p, F.e, rows.shape[1] // 2, linalg._codes(F)
         w = int(T.shift) + 1
-        self.p, self.shift, bits = p, w - 1, 2 * e * w + (p == 2)
+        self.p, self.shift, self.bits = p, w - 1, (bits := 2 * e * w + (p == 2))
         per = 64 // bits
         self.limbs = L = -(-n // per)
         every = lambda step, v: np.uint64(v * ((1 << per * bits) - 1) // ((1 << step) - 1))
@@ -263,44 +265,59 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
     (best, examined).
 
     Block i is the q^s words of the last s rows (the largest q^s <= _CHUNK)
-    plus word i of the others, both tables in odometer order, last row
-    fastest.  Block 0 is the suffix table less the sum u of its rows: its
-    first (q^s - q^excluded)/(q - 1) words are those whose first nonzero
-    coefficient is -1 and lies before the excluded rows.  The other blocks
+    plus word i of the others, in odometer order, last row fastest.  Block 0
+    weighs the words of the last s rows whose first nonzero coefficient lies
+    before the excluded rows: led within the suffix table ``suf``, the first
+    (q^s1 - q^excluded)/(q - 1) of its words less the sum u of its s1 rows
+    (they lead with -1), else those that lead with 1.  The other blocks
     weighed are i in [q^(j-s), 2q^(j-s)) for max(s, excluded) <= j < m,
     whose prefix words lead with 1.  Every other word is a multiple of one
-    weighed no later, so the weights agree with a scan of every word, and
-    no table needs the first row's x^(e-1), ..., x^1 parts or more than 0
-    and 1 times its x^0 part.  The scan stops after the first block with a
-    word of weight <= 1.  Coordinate j of x - c vanishes exactly when x_j = c_j, so
-    a block's weights are those of suffix XOR c, for c = u or minus prefix
-    word i.
+    weighed no later, so the weights agree with a scan of every word, and no
+    table needs the first row's x^(e-1), ..., x^1 parts or more than 0 and 1
+    times its x^0 part.  The scan stops after a block with a weight <= 1.
+
+    Word (a, b) of block i is suf[b] - c, c = neg[A i + a], a < A = q^s / |suf|:
+    ``suf`` spans the last F_p rows, capped at _SUFFIX words where one table
+    would pass half a block, ``neg`` the negated rows above.  x - c is zero
+    at j iff x_j = c_j, so words weigh like suf XOR c.  Limb l's top bits,
+    shifted l mod ``bits`` down, miss its group's: one popcount counts them.
     """
-    q, e, m = F.order, F.e, rows.shape[0]
+    q, p, e, m = F.order, F.p, F.e, rows.shape[0]
     s = 0
     while s < m and q ** (s + 1) <= _CHUNK:
         s += 1
-    W = _Limbs(F, rows)
     cut = e * (m - s)
-    suffix = W.span(W.rows[:, cut or e - 1:], None if cut else 2)
-    negated = W.span(W.rows[:, min(cut, e - 1):cut, -np.arange(W.p) % W.p], 2)
-    runs = itertools.chain(
-        [(suffix[:, (q ** s - 1) // (q - 1), None],
-          (q ** s - q ** excluded) // (q - 1))] * (excluded < s),
-        ((negated[:, i, None], q ** s) for j in range(max(excluded, s), m)
-         for i in range(q ** (j - s), 2 * q ** (j - s))))
-    words, counts = np.empty_like(suffix), np.empty(suffix.shape, dtype=np.uint8)
+    while min(q ** s, 2 * q ** (m - 1)) > _CHUNK // 2 and p ** (e * m - cut) > _SUFFIX:
+        cut += 1
+    W = _Limbs(F, rows)
+    L, bits, cut = W.limbs, W.bits, max(cut, e - 1)
+    suf = W.span(W.rows[:, cut:], 2 if cut < e else None)[:, None]
+    neg = W.span(W.rows[:, e - 1:cut, -np.arange(p) % p], 2)[:, :, None]
+    S, s1 = suf.shape[2], m - cut // e  # s1 rows have their x^0 part in suf
+    A, u = q ** s // S if cut >= e else 1, suf[:, :, (q ** s1 - 1) // (q - 1), None]
+    first = [(u, (q ** s1 - q ** excluded) // (q - 1))] * (excluded < s1) + [
+        (neg[:, q ** j // S:2 * q ** j // S], S) for j in range(max(excluded, s1), s)]
+    blocks = itertools.chain([first], (
+        [(neg[:, A * i:A * (i + 1)], S)] for j in range(max(excluded, s), m)
+        for i in range(q ** (j - s), 2 * q ** (j - s))))
+    words = np.empty((L, A, S), dtype=np.uint64)
     best, examined = rows.shape[1] // 2 + 1, 0
-    for v, b in runs:
-        z = np.bitwise_xor(suffix[:, :b], v, out=words[:, :b])
-        z += W.low
-        z &= W.top
-        c = np.bitwise_count(z, out=counts[:, :b])
-        weights = c[0] if W.limbs == 1 else c.sum(axis=0, dtype=np.uint32)
-        examined += weights.size
-        best = min(best, int(weights.min()))
-        if best <= 1:
-            break
+    with np.errstate() if A > 1 else contextlib.nullcontext():
+        if A > 1:  # else ufuncs copy rows shorter than a third of a buffer
+            np.setbufsize(1 << 12)
+        for block in blocks:
+            for c, k in block:
+                z = np.bitwise_xor(suf[:, :, :k], c, out=words[:, :c.shape[1], :k])
+                z += W.low
+                z &= W.top
+                for l in range(1, L):
+                    z[l - l % bits] |= np.right_shift(z[l], l % bits, out=z[l])
+                pop = np.bitwise_count(z[::bits])
+                weights = pop[0] if L <= bits else pop.sum(axis=0, dtype=np.uint32)
+                examined += weights.size
+                best = min(best, int(weights.min()))
+            if best <= 1:
+                break
     return best, examined
 
 

@@ -79,7 +79,8 @@ def decompose(F: FieldSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     pivot is the first nonzero of G^T, -G[i, j] there.  The rows left once G
     vanishes span the radical, being orthogonal to the span and spanning it
     with the pairs: no row reduction comes first, and they are a basis
-    exactly when the input rows are independent.
+    exactly when the input rows are independent.  A G left nonzero past
+    len(rows) // 2 pairs is a RuntimeError.
     """
     W = linalg.as_matrix(rows)
     T, n2 = linalg._codes(F), W.shape[1]
@@ -87,6 +88,8 @@ def decompose(F: FieldSpec, rows) -> tuple[np.ndarray, np.ndarray]:
     Gt, t, keep, pairs = M[:, n2:], np.empty_like(M), np.ones(len(M), bool), []
     dec = np.arange(F.order, dtype=W.dtype) if T.dec is None else T.dec
     while Gt.size and Gt.flat[k := int((Gt != 0).argmax())]:
+        if len(pairs) == len(W) // 2 * 2:  # a defect, never an input's fault
+            raise RuntimeError("symplectic Gram-Schmidt exceeded len(rows) // 2 pairs")
         i, j = divmod(k, len(Gt))
         e, f = M[i].copy(), T.div[F.neg_table[dec[Gt[i, j]]]].take(M[j])
         linalg._sub_multiples(T, M, dec.take(f[n2:]), e, t)

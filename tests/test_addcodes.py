@@ -348,6 +348,13 @@ def chunks(q):
     return [1, 2, q - 1, q, q + 1, q * q, 100, ac._CHUNK]
 
 
+def suffixes(q):
+    """Caps on the suffix table: 1 puts every F_p row above it and p all but
+    the last, which splits a generator's rows when q = p^e, e > 1."""
+    p = field(q).p
+    return [1, p, q, p * q, ac._SUFFIX]
+
+
 def planted_rows(F, n, m, weight1, rng):
     """m random preimage rows over F.  With `weight1`, one row is solved for
     so that a random coefficient vector gives a weight-1 word: the word
@@ -366,16 +373,19 @@ def planted_rows(F, n, m, weight1, rng):
     return rows
 
 
-def assert_kernel_matches_oracle(Q, rows, excluded, chunk):
-    """(weight, examined) of the packed kernel equal the orbit scan over the
-    same GF(q^2) rows, and the weight equals the odometer scan of all words
-    outside the span of the last `excluded` rows."""
+def assert_kernel_matches_oracle(Q, rows, excluded, chunk, suffix=ac._SUFFIX):
+    """(weight, examined) of the packed kernel, with blocks of `chunk` words
+    and suffix tables of `suffix`, equal the orbit scan over the same GF(q^2)
+    rows, and the weight equals the odometer scan of all words outside the
+    span of the last `excluded` rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "_CHUNK", chunk)
+        mp.setattr(ac, "_SUFFIX", suffix)
         got = ac._scan_preimage(Q.base, rows, excluded)
     gens = sp.phi(Q, rows)
     assert got == orbit_scan(Q, gens, excluded, chunk)
     assert got[0] == odometer_scan(Q, gens, Q.base.order ** excluded, chunk)[0]
+    return got
 
 
 def scan_case(Q, n, m, k, rng):
@@ -387,15 +397,17 @@ def scan_case(Q, n, m, k, rng):
     return A, B
 
 
-def assert_min_weight_matches_oracle(A, B, chunk):
-    """min_weight_excluding_detail equals the orbit scan over the exclusion
-    basis, whose last dim(B) rows span B, and its weight equals the odometer
-    scan that skips the q^dim(B) words of B."""
+def assert_min_weight_matches_oracle(A, B, chunk, suffix=ac._SUFFIX):
+    """min_weight_excluding_detail, with blocks of `chunk` words and suffix
+    tables of `suffix`, equals the orbit scan over the exclusion basis, whose
+    last dim(B) rows span B, and its weight equals the odometer scan that
+    skips the q^dim(B) words of B."""
     Q = A.field
     gens = sp.phi(Q, ac._exclusion_basis(A, B))
     expect = orbit_scan(Q, gens, B.m, chunk)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ac, "_CHUNK", chunk)
+        mp.setattr(ac, "_SUFFIX", suffix)
         r = ac.min_weight_excluding_detail(A, B)
     best = odometer_scan(Q, gens, Q.base.order ** B.m, chunk)[0]
     if A.m == B.m:
@@ -416,10 +428,11 @@ def test_scan_matches_odometer_oracle(q, n, data):
     Q = quadratic_field(field(q))
     m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
     excluded = data.draw(st.integers(0, m))
-    chunk = data.draw(st.sampled_from(chunks(q)))
+    chunk = data.draw(st.sampled_from(chunks(q) + [q ** m]))
+    suffix = data.draw(st.sampled_from(suffixes(q)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     rows = planted_rows(Q.base, n, m, data.draw(st.booleans()), rng)
-    assert_kernel_matches_oracle(Q, rows, excluded, chunk)
+    assert_kernel_matches_oracle(Q, rows, excluded, chunk, suffix)
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,9 +441,10 @@ def test_min_weight_detail_matches_odometer_oracle(q, n, data):
     Q = quadratic_field(field(q))
     m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
     k = data.draw(st.integers(0, m))
-    chunk = data.draw(st.sampled_from(chunks(q)))
+    chunk = data.draw(st.sampled_from(chunks(q) + [q ** m]))
+    suffix = data.draw(st.sampled_from(suffixes(q)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    assert_min_weight_matches_oracle(*scan_case(Q, n, m, k, rng), chunk)
+    assert_min_weight_matches_oracle(*scan_case(Q, n, m, k, rng), chunk, suffix)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -446,6 +460,62 @@ def test_scan_multi_limb_words(q):
         assert_min_weight_matches_oracle(*scan_case(Q, 22, m, k, rng), chunk)
         rows = planted_rows(Q.base, 22, m, True, rng)
         assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, m + 1)), chunk)
+
+
+@pytest.mark.parametrize("n", [61, 66, 130])
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_scan_more_limbs_than_bits(q, n):
+    """Words of more limbs than a coordinate has bits, whose limbs are merged
+    in groups of `bits` before one popcount each: n = 61 is past one group
+    for q in {3, 4, 9} and exactly one group for the other q, 66 and 130 are
+    past it for every q."""
+    Q = quadratic_field(field(q))
+    W = ac._Limbs(Q.base, linalg.empty_matrix(2 * n))
+    assert (W.limbs > W.bits) == (n > 61 or q in (3, 4, 9))
+    rng = np.random.default_rng([q, n])
+    m = int(math.log(300) / math.log(q))
+    for weight1 in (False, True, False, True):
+        rows = planted_rows(Q.base, n, m, weight1, rng)
+        chunk, suffix = int(rng.choice(chunks(q))), int(rng.choice(suffixes(q)))
+        assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, m)), chunk, suffix)
+
+
+@pytest.mark.parametrize("q, m, excluded, chunk, suffix, light", [
+    # a generator's F_p rows split between the tables
+    (4, 4, 0, 16, 2, None), (8, 3, 1, 64, 4, None),
+    # s = m with the lead row in the negated table
+    (3, 4, 0, 81, 9, None), (2, 5, 0, 32, 4, None),
+    # excluded >= s: no block 0
+    (2, 6, 3, 4, 2, None), (5, 4, 2, 5, 1, None),
+    # a weight-1 exit in block 0 (the last row) and in a later block (the first)
+    (3, 5, 0, 9, 3, -1), (8, 3, 0, 64, 4, -1), (3, 5, 0, 9, 3, 0), (4, 4, 1, 16, 2, 0),
+])
+def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, monkeypatch):
+    """Scans whose suffix table is capped below a block: the first table
+    built, the suffix table, holds at most `suffix` words, the kernel equals
+    the oracles, and a weight-1 row ends the scan in the block that holds
+    it."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng([q, m, excluded])
+    rows = random_matrix(Q.base, m, 24, rng)
+    if light is not None:
+        rows[light] = 0
+        rows[light, 5] = 1
+    sizes, span = [], ac._Limbs.span
+    monkeypatch.setattr(ac._Limbs, "span", lambda W, *a: sizes.append(
+        (out := span(W, *a)).shape[1]) or out)
+    best, examined = assert_kernel_matches_oracle(Q, rows, excluded, chunk, suffix)
+    assert sizes[0] <= suffix < min(q ** m, chunk)
+    s = max(j for j in range(m + 1) if q ** j <= chunk)
+    first = max(q ** s - q ** excluded, 0) // (q - 1)
+    every = (q ** m - q ** excluded) // (q - 1)
+    assert s < m or light is None
+    if light == -1:
+        assert (best, examined) == (1, first)
+    elif light == 0:
+        assert best == 1 and first < examined < every
+    else:
+        assert best > 1 and examined == every
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -91,6 +91,18 @@ def test_cold_summary_in_milliseconds():
     assert (c["change_won"], c["saved_ms"], c["gain"]) == (2, pytest.approx(0.0), False)
 
 
+def test_cold_summary_marks_deltas_inside_the_parent_spread():
+    """A median moved, either way, by less than the parent's quartile spread
+    (15 ms here) is unresolved; by more it is not."""
+    parent = [0.200, 0.190, 0.210, 0.205, 0.195]
+    shift = {"faster": -0.150, "slower": 0.016, "inside": -0.014, "noise": 0.0}
+    s = br.cold_summary({name: {"parent": parent, "change": [t + d for t in parent]}
+                         for name, d in shift.items()})
+    assert s["faster"]["parent"]["q3"] - s["faster"]["parent"]["q1"] == pytest.approx(15.0)
+    assert {name: c["unresolved"] for name, c in s.items()} == {
+        "faster": False, "slower": False, "inside": True, "noise": True}
+
+
 def test_invocation_summary_in_milliseconds():
     parent = [0.0012, 0.0010, 0.0014, 0.0011, 0.0013]
     change = [0.0003, 0.0002, 0.0002, 0.0004, 0.0003]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.errors import DimensionMismatch, NotQuadraticExtension
+from eaqecne.errors import DimensionMismatch, EaqecneError, NotQuadraticExtension
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac, linalg, symplectic as sp
 
@@ -106,6 +106,29 @@ def test_decompose_single_pair():
     radical, (e, f) = sp.decompose(F, [[1, 0], [0, 1]])
     assert radical.shape == (0, 2)
     assert sp.symp_inner(F, e, f) == 1
+
+
+@pytest.mark.parametrize("q", [2, 9, 16])
+def test_decompose_raises_when_a_row_update_fails(q, monkeypatch):
+    """With the row update a no-op the Gram matrix never vanishes: decompose
+    raises a RuntimeError, no domain error, after len(rows) // 2 pairs
+    instead of pairing forever."""
+    F = field(q)
+    rows = random_matrix(F, 7, 8, np.random.default_rng(q))
+    assert sp.symp_gram(F, rows).any()
+    calls = []
+
+    def noop(T, M, coeffs, row, t):
+        calls.append(1)
+        if len(calls) > 100:
+            pytest.fail("decompose kept pairing")
+        return M
+
+    monkeypatch.setattr(linalg, "_sub_multiples", noop)
+    with pytest.raises(RuntimeError) as info:
+        sp.decompose(F, rows)
+    assert not isinstance(info.value, EaqecneError)
+    assert len(calls) == 2 * (7 // 2)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -210,12 +210,15 @@ def invocation_summary(parent: list[float], change: list[float]) -> dict:
 
 def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     """Per command, the pair summary of `compare` over its runs in
-    milliseconds, and the milliseconds the change saves at the median."""
+    milliseconds, the milliseconds the change saves at the median, and
+    whether that saving, either way, is ``unresolved``: smaller than the
+    parent's quartile spread, so the record cannot tell it from noise."""
     out = {}
     for name, sides in times.items():
         c = compare([t * 1e3 for t in sides["parent"]],
                     [t * 1e3 for t in sides["change"]], "lower")
         c["saved_ms"] = c["parent"]["median"] - c["change"]["median"]
+        c["unresolved"] = abs(c["saved_ms"]) < c["parent"]["q3"] - c["parent"]["q1"]
         out[name] = c
     return out
 
@@ -389,7 +392,8 @@ def main(argv=None) -> int:
     for name, c in report["cold_start_ms"].items():
         print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
               f"change {c['change']['median']:.1f} ms "
-              f"won {c['change_won']}/{c['pairs']} gain={c['gain']}")
+              f"won {c['change_won']}/{c['pairs']} gain={c['gain']}"
+              + " unresolved" * c["unresolved"])
     for w in TRACED:
         for name in ("linalg.rref.self_s", "linalg.parse_matrix.self_s",
                      "symplectic.decompose.self_s", "addcodes.scan.self_s"):
