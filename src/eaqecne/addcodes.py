@@ -23,8 +23,9 @@ self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
 
 Minimum weights weigh one word of each F_q^* orbit outside the excluded
 subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
-packed F_p digits of the preimage (phi is F_q-linear and keeps weight), a
-block one XOR of two small tables (one of up to 2^15 words for small scans);
+packed F_p digits of the preimage (phi is F_q-linear and keeps weight) in
+the layout of ``linalg._codes``, a block one XOR of two small tables (one of
+up to 2^15 words for small scans);
 ``d`` is None when no word is left.  A ``budget`` caps all q^m - q^m' words.
 """
 
@@ -210,53 +211,34 @@ class MinWeightResult:
     examined: int      # words weighed, one per F_q^* orbit
 
 
-class _Limbs:
-    """Multiples c * v, c < p, of the F_p-rows v that span the F_q-span of
-    preimage rows g: g * x^(e-1), ..., g * x^0 for each g in turn (x^i has
-    index p^i), packed into uint64 limbs as ``rows`` (limbs, e * m, p).
+def _pack(T, rows: np.ndarray) -> np.ndarray:
+    """The F_p-rows g * x^(e-1), ..., g * x^0 of each preimage row g in turn
+    (x^i has index p^i), which span the rows' F_q-span, and their multiples
+    c < p, as packed words of ``T = linalg._codes(F)``: (limbs, e * m, p)."""
+    (e, p), n, per = T.limbs.shape[:2], rows.shape[1] // 2, len(T.place)
+    L, C = -(-n // per), T.limbs[:, :, rows].astype(np.uint64)  # C[i, c, g, j]
+    D = np.zeros((len(rows), e, p, L * per), dtype=np.uint64)
+    D[..., :n] = (C[..., :n] | C[..., n:] << np.uint64(T.bits // 2)).transpose(2, 0, 1, 3)
+    return (D.reshape(len(D) * e, p, L, per) @ T.place).transpose(2, 0, 1)
 
-    Coordinate j holds the element codes of a_j and b_j (``linalg._codes``:
-    w-bit digit fields, a guard bit above each for odd p), a_j first, never
-    straddles two limbs and, for p = 2, has a spare top bit; words add as
-    codes do, by ``linalg._add_codes``.  The top bit of a coordinate is zero
-    in reduced words, so adding all ones below it carries into it exactly
-    when the coordinate is nonzero.
-    """
 
-    def __init__(self, F: FieldSpec, rows: np.ndarray):
-        p, e, n, T = F.p, F.e, rows.shape[1] // 2, linalg._codes(F)
-        w = int(T.shift) + 1
-        self.p, self.shift, self.bits = p, w - 1, (bits := 2 * e * w + (p == 2))
-        per = 64 // bits
-        self.limbs = L = -(-n // per)
-        every = lambda step, v: np.uint64(v * ((1 << per * bits) - 1) // ((1 << step) - 1))
-        self.top = every(bits, 1 << (bits - 1))
-        self.low = every(bits, (1 << (bits - 1)) - 1)
-        if p > 2:
-            self.guard = every(w, 1 << (w - 1))
-            self.bias = every(w, (1 << (w - 1)) - p)
-        C = T.limbs[:, :, rows].astype(np.uint64)  # [i, c, g, j]
-        D = np.zeros((len(rows), e, p, L * per), dtype=np.uint64)
-        D[..., :n] = (C[..., :n] | C[..., n:] << np.uint64(e * w)).transpose(2, 0, 1, 3)
-        powers = np.uint64(1) << np.arange(0, per * bits, bits, dtype=np.uint64)
-        self.rows = (D.reshape(len(D) * e, p, L, per) @ powers).transpose(2, 0, 1)
-
-    def span(self, rows: np.ndarray, lead: int | None = None) -> np.ndarray:
-        """Every F_p-combination of packed rows in odometer order, last row
-        fastest, with first-row coefficients below `lead` (default p): part c
-        of the table of rows r, r+1, ... is the table of rows r+1, ... plus c
-        times row r."""
-        p, L = self.p, self.limbs
-        T = np.zeros((L, p ** rows.shape[1]), dtype=np.uint64)
-        carry = np.empty_like(T)
-        k = 1
-        for r in range(rows.shape[1] - 1, -1, -1):
-            c = lead if r == 0 and lead else p
-            V = T[:, :c * k].reshape(L, c, k)
-            linalg._add_codes(self, V[:, :1], rows[:, r, 1:c, None], V[:, 1:],
-                              carry[:, :(c - 1) * k].reshape(L, c - 1, k))
-            k *= c
-        return T[:, :k]
+def _span(carry, rows: np.ndarray, lead: int | None = None) -> np.ndarray:
+    """Every F_p-combination of packed rows in odometer order, last row
+    fastest, with first-row coefficients below `lead` (default p), in a
+    table of exactly that many words per limb: part c of the table of rows
+    r, r+1, ... is the table of rows r+1, ... plus c times row r, added by
+    ``linalg._add_codes`` with ``carry`` (``linalg._codes(F).wide_carry``)."""
+    L, R, p = rows.shape
+    out = np.zeros((L, (lead or p) * p ** R // p if R else 1), dtype=np.uint64)
+    t = out if carry is None else np.empty_like(out)  # XOR takes no scratch
+    k = 1
+    for r in range(R - 1, -1, -1):
+        c = lead if r == 0 and lead else p
+        V = out[:, :c * k].reshape(L, c, k)
+        linalg._add_codes(carry, V[:, :1], rows[:, r, 1:c, None], V[:, 1:],
+                          t[:, :(c - 1) * k].reshape(L, c - 1, k))
+        k *= c
+    return out
 
 
 def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
@@ -289,10 +271,11 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
     cut = e * (m - s)
     while min(q ** s, 2 * q ** (m - 1)) > _CHUNK // 2 and p ** (e * m - cut) > _SUFFIX:
         cut += 1
-    W = _Limbs(F, rows)
-    L, bits, cut = W.limbs, W.bits, max(cut, e - 1)
-    suf = W.span(W.rows[:, cut:], 2 if cut < e else None)[:, None]
-    neg = W.span(W.rows[:, e - 1:cut, -np.arange(p) % p], 2)[:, :, None]
+    T, cut = linalg._codes(F), max(cut, e - 1)
+    W = _pack(T, rows)
+    L, bits = len(W), T.bits
+    suf = _span(T.wide_carry, W[:, cut:], 2 if cut < e else None)[:, None]
+    neg = _span(T.wide_carry, W[:, e - 1:cut, -np.arange(p) % p], 2)[:, :, None]
     S, s1 = suf.shape[2], m - cut // e  # s1 rows have their x^0 part in suf
     A, u = q ** s // S if cut >= e else 1, suf[:, :, (q ** s1 - 1) // (q - 1), None]
     first = [(u, (q ** s1 - q ** excluded) // (q - 1))] * (excluded < s1) + [
@@ -308,8 +291,8 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
         for block in blocks:
             for c, k in block:
                 z = np.bitwise_xor(suf[:, :, :k], c, out=words[:, :c.shape[1], :k])
-                z += W.low
-                z &= W.top
+                z += T.low
+                z &= T.top
                 for l in range(1, L):
                     z[l - l % bits] |= np.right_shift(z[l], l % bits, out=z[l])
                 pop = np.bitwise_count(z[::bits])

@@ -14,9 +14,10 @@ generator of GF(q^2) over GF(q).  A modulus of the shape ``x^2 + const``
 would make that residue class and its conjugate linearly dependent, so the
 linear term is mandatory.
 
-A field is its lookup tables.  The package asks every Hermitian and trace
-question on the symplectic preimage, so traces, conjugation and Frobenius
-are not computed here; they live only in the test oracle.
+A field is its arithmetic tables; the kernels' encodings of it live in
+``linalg._codes``.  The package asks every Hermitian and trace question on
+the symplectic preimage, so traces, conjugation and Frobenius are not
+computed here; they live only in the test oracle.
 
 All orders are at most 81, so every table is a full array, built for all
 elements at once by a few numpy expressions when :func:`field` first asks for
@@ -123,26 +124,18 @@ class FieldSpec:
             if not self.mul_table[1:, 1:].all():
                 raise ValueError(
                     f"modulus {modulus} is reducible over GF({base.order})")
-        idx = np.arange(self.order)
-        # for linalg.gram, in float64 for BLAS: F_p digit i of each element at
-        # offset i * order; in row e*i + j the digits of x^i * x^j (x^i = p^i)
-        powers = self.p ** np.arange(self.e)
-        planes = idx // powers[:, None] % self.p
-        self.plane_table = planes.ravel().astype(float)
-        digits = planes[:, self.mul_table[powers[:, None], powers]]  # [l, i, j]
-        self.struct_table = digits.transpose(1, 2, 0).reshape(-1, self.e).astype(float)
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)
         if self.is_quadratic:
-            self._finalize_quadratic(idx)
+            self._finalize_quadratic()
         else:
             self.beta = None
 
     # -- construction internals -------------------------------------------
 
-    def _finalize_quadratic(self, idx):
-        q = self.base.order
+    def _finalize_quadratic(self):
+        q, idx = self.base.order, np.arange(self.order)
         self.beta = q  # residue class of x: coefficients (0, 1)
         beta_q = self.beta
         for _ in range(q - 1):

@@ -9,11 +9,12 @@ everywhere and denote the zero subspace.
 There is one elimination kernel, :func:`rref`; ranks and kernels are read
 off it, and a canonical basis states its own :func:`pivots`; a kernel is
 one elimination of the reversed columns.  It runs on element codes: a row
-update is one gather and an in-place XOR (p = 2) or guard-bit add (odd p),
-from tables built on a field's first elimination (25-75 us; GF(81) 0.9-1 ms).
+update is one gather and an in-place XOR (p = 2) or guard-bit add (odd p).
 The same in-place update, :func:`_sub_multiples`, is every row step of
 ``symplectic.decompose`` too, on [W | G^T]; every Gram matrix is one exact
-float64 (BLAS) product of F_p digit planes.
+float64 (BLAS) product of F_p digit planes.  Codes, planes and the scan's
+packed words are one per-field record, :func:`_codes`, built on a field's
+first kernel call (45-120 us; GF(81) 1.1-1.3 ms).
 """
 
 from __future__ import annotations
@@ -58,42 +59,62 @@ def identity_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _codes(F: FieldSpec) -> SimpleNamespace:
-    """F's int16 element codes: e base-p digits in w-bit fields, digit i at bit
-    w*i, w = 1 for p = 2 (the index) and bit_length(p) + 1, a guard bit above
-    each digit, for odd p.  ``enc[a]`` is a's code, ``dec`` inverts it (None if
-    codes are indices: p = 2 or e = 1); ``div[a, code b]``, ``nme[code b, a]``
-    and ``limbs[i, c, b]`` code b / a, -a*b and c * x^(e-1-i) * b, c < p."""
+    """Every kernel encoding of F, built on its first kernel call.  A code
+    holds e base-p digits in w-bit fields, digit i at bit w*i: w = 1 for
+    p = 2 (the index), else bit_length(p) + 1, a guard bit above each digit.
+    ``enc[a]`` is a's code, ``dec`` inverts it (None if codes are indices:
+    p = 2 or e = 1); ``div[a, code b]``, ``nme[code b, a]`` and
+    ``limbs[i, c, b]`` code b / a, -a*b and c * x^(e-1-i) * b, c < p.
+    ``planes[i, a]`` is digit i of a and ``struct[:, e*i + j]`` those of
+    x^i * x^j (x^i = p^i), floats for BLAS.  A uint64 word packs coordinates
+    (a_j's code, b_j's, a spare top bit for p = 2) ``bits`` apart at
+    ``place``; adding ``low``, the bits below each top bit, to a reduced word
+    carries into ``top`` exactly where a coordinate is nonzero.  ``carry``
+    and ``wide_carry`` are :func:`_add_codes`'s for codes and for words."""
     p, e, idx, MUL = F.p, F.e, np.arange(F.order), F.mul_table
-    w = 1 if p == 2 else p.bit_length() + 1
-    code = (idx // p ** np.arange(e)[:, None] % p << w * np.arange(e)[:, None]).sum(0)
+    w, powers = 1 if p == 2 else p.bit_length() + 1, p ** np.arange(e)
+    digits = idx // powers[:, None] % p
+    code = (digits << w * np.arange(e)[:, None]).sum(0)
     enc, dec = code.astype(_DT), np.zeros(code[-1] + 1, _DT)
     dec[code] = idx
-    every = sum(1 << w * i for i in range(e))
+    bits = 2 * e * w + (p == 2)
+    size = 64 // bits * bits  # the bits of a packed word in use
+    # v in every step-bit field of the low n bits, as a t
+    every = lambda n, step, v, t=np.uint64: t(v * ((1 << n) - 1) // ((1 << step) - 1))
+    # _add_codes's (p, w - 1, guard, bias) for n-bit words of type t
+    carry = lambda n, t: None if p == 2 else (
+        t(p), t(w - 1), every(n, w, 1 << w - 1, t), every(n, w, (1 << w - 1) - p, t))
     return SimpleNamespace(
-        enc=enc, dec=None if e == 1 or p == 2 else dec, p=_DT(p), shift=_DT(w - 1),
-        guard=_DT(every << w - 1), bias=_DT(every * ((1 << w - 1) - p) if p > 2 else 0),
+        enc=enc, dec=None if e == 1 or p == 2 else dec, carry=carry(e * w, _DT),
         div=np.ascontiguousarray(enc[MUL[F.inv_table][:, dec]]),
         nme=np.ascontiguousarray(enc[MUL[F.neg_table][:, dec].T]),
-        limbs=enc[MUL[np.arange(p) * p ** np.arange(e)[::-1, None]]])
+        limbs=enc[MUL[np.arange(p) * powers[::-1, None]]],
+        planes=digits.astype(float),
+        struct=digits[:, MUL[powers[:, None], powers]].reshape(e, -1).astype(float),
+        bits=bits, place=np.uint64(1) << np.arange(0, size, bits, dtype=np.uint64),
+        top=every(size, bits, 1 << bits - 1), low=every(size, bits, (1 << bits - 1) - 1),
+        wide_carry=carry(size, np.uint64))
 
 
-def _add_codes(T, x, y, out, t) -> np.ndarray:
+def _add_codes(carry, x, y, out, t) -> np.ndarray:
     """out = x + y on codes, or on words of them, with scratch t: XOR for
-    p = 2; for odd p, p comes off each field whose sum reaches p, the fields
-    that adding ``T.bias`` (2^(w-1) - p per field) carries into ``T.guard``."""
-    if T.p == 2:
+    p = 2 (no ``carry``); for odd p, with carry = (p, w - 1, guard, bias), p
+    comes off each field whose sum reaches p, the fields that adding bias
+    (2^(w-1) - p per field) carries into the guard bits."""
+    if carry is None:
         return np.bitwise_xor(x, y, out=out)
-    t = np.add(np.add(x, y, out=out), T.bias, out=t)
-    t &= T.guard
-    t >>= T.shift
-    t *= T.p
+    p, shift, guard, bias = carry
+    t = np.add(np.add(x, y, out=out), bias, out=t)
+    t &= guard
+    t >>= shift
+    t *= p
     return np.subtract(out, t, out=out)
 
 
 def _sub_multiples(T, M, coeffs, row, t) -> np.ndarray:
     """M -= coeffs[:, None] * row in place, M and ``row`` codes, ``coeffs``
     indices, t scratch of M's shape: one ``nme`` gather, one add."""
-    return _add_codes(T, M, T.nme.take(row, 0).T.take(coeffs, 0), M, t)
+    return _add_codes(T.carry, M, T.nme.take(row, 0).T.take(coeffs, 0), M, t)
 
 
 def rref(F: FieldSpec, mat) -> tuple[np.ndarray, int, tuple[int, ...]]:
@@ -171,16 +192,15 @@ def _check_ambient(a: np.ndarray, b: np.ndarray):
 def gram(F: FieldSpec, A, B) -> np.ndarray:
     """A . B^T over F, entry (i, j) the dot product of A[i] and B[j]: one exact
     float64 (BLAS) product of the F_p digit planes of A and B, taken from
-    ``F.plane_table``; ``F.struct_table`` folds plane pair (a, b), which stands
+    ``_codes(F).planes``; its ``struct`` folds plane pair (a, b), which stands
     for x^a * x^b, into e digits, then mod p.  Sums are <= e^2 (p-1)^3 n < 2^53."""
     A, B = as_matrix(A), as_matrix(B)
     _check_ambient(A, B)
-    (r, n), s, e = A.shape, B.shape[0], F.e
-    planes = np.arange(0, e * F.order, F.order)[:, None, None]
-    digits = lambda X: F.plane_table.take(X + planes).reshape(e * len(X), n)
+    (r, n), s, e, T = A.shape, B.shape[0], F.e, _codes(F)
+    digits = lambda X: T.planes.take(X, 1).reshape(e * len(X), n)
     D = digits(A) @ digits(B).T
     if e > 1:
-        D = F.struct_table.T @ D.reshape(e, r, e, s).swapaxes(1, 2).reshape(e * e, r * s)
+        D = T.struct @ D.reshape(e, r, e, s).swapaxes(1, 2).reshape(e * e, r * s)
     D = D.astype(np.int64) % F.p
     return (F.p ** np.arange(e) @ D.reshape(e, r * s)).reshape(r, s).astype(_DT)
 

@@ -2,7 +2,8 @@
 
 None of these share code with the package's field tables, symplectic form,
 elimination or minimum-weight scan: field tables are filled one element pair
-at a time from plain Python ints with trial division for irreducibility,
+at a time from plain Python ints with trial division for irreducibility, the
+kernel record's digit planes and word constants one digit or field at a time,
 forms are summed one coordinate at a time with scalar field calls (the
 Hermitian and trace forms take conjugation, traces and division from
 ``LoopField``, their only home), row reduction clears one row at a time,
@@ -129,20 +130,6 @@ class LoopField:
             tables.update(self._quadratic_tables())
         for name, rows in tables.items():
             setattr(self, name, np.array(rows, dtype=np.int16))
-        # F_p digit i of element a at i * order + a, and at [e*i + j, l]
-        # digit l of p^i * p^j; float64 like the package's, which feed BLAS
-        planes = [0.0] * (self.e * self.order)
-        for i in range(self.e):
-            for a in elems:
-                planes[i * self.order + a] = float(a // self.p ** i % self.p)
-        struct = [[0.0] * self.e for _ in range(self.e ** 2)]
-        for i in range(self.e):
-            for j in range(self.e):
-                x = self.mul(self.p ** i, self.p ** j)
-                for l in range(self.e):
-                    struct[self.e * i + j][l] = planes[l * self.order + x]
-        self.plane_table = np.array(planes, dtype=np.float64)
-        self.struct_table = np.array(struct, dtype=np.float64).reshape(self.e ** 2, self.e)
 
     def _quadratic_tables(self):
         q = self.base.order
@@ -225,6 +212,43 @@ def loop_field(order):
         return LoopField(base=loop_field(2), modulus=gf._GF8_MODULUS)
     root = isqrt(order)
     return LoopField(base=loop_field(root), modulus=(gf._QUAD_CONST[root], 1, 1))
+
+
+def loop_kernel_tables(F):
+    """The Gram planes and word constants of ``linalg._codes`` for a field F
+    (a ``LoopField``), one element, digit or field at a time: ``planes``
+    holds F_p digit i of element a at [i, a] and ``struct`` at [l, e*i + j]
+    digit l of p^i * p^j, in float64; a code has e w-bit digit fields (w = 1
+    for p = 2, else bit_length(p) + 1) and a packed word as many coordinates
+    of 2e fields (and a spare top bit for p = 2) as fit in 64 bits; the
+    carry constants (p, w - 1, guard bits, bias 2^(w-1) - p per field) are
+    int16 for codes and uint64 for words, None for p = 2."""
+    p, e, order = F.p, F.e, F.order
+    planes = [[0.0] * order for _ in range(e)]
+    for i in range(e):
+        for a in range(order):
+            planes[i][a] = float(a // p ** i % p)
+    struct = [[0.0] * (e * e) for _ in range(e)]
+    for i in range(e):
+        for j in range(e):
+            x = F.mul(p ** i, p ** j)
+            for l in range(e):
+                struct[l][e * i + j] = planes[l][x]
+    w = 1 if p == 2 else p.bit_length() + 1
+    bits = 2 * e * w + (p == 2)
+    per = 64 // bits
+    size, carry = per * bits, {}
+    for name, n, t in (("carry", e * w, np.int16), ("wide_carry", size, np.uint64)):
+        fields = range(n // w)
+        carry[name] = None if p == 2 else (
+            t(p), t(w - 1), t(sum(1 << w * f + w - 1 for f in fields)),
+            t(sum((1 << w - 1) - p << w * f for f in fields)))
+    return dict(planes=np.array(planes, dtype=np.float64),
+                struct=np.array(struct, dtype=np.float64),
+                bits=bits, place=np.array([1 << bits * k for k in range(per)], np.uint64),
+                top=np.uint64(sum(1 << bits * k + bits - 1 for k in range(per))),
+                low=np.uint64(sum((1 << bits - 1) - 1 << bits * k for k in range(per))),
+                **carry)
 
 
 def scalar_dot(F, u, v) -> int:

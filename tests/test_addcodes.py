@@ -455,7 +455,7 @@ def test_scan_multi_limb_words(q):
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(90 + q)
     m = int(math.log(2000) / math.log(q))
-    assert ac._Limbs(Q.base, linalg.empty_matrix(44)).limbs >= 2
+    assert len(ac._pack(linalg._codes(Q.base), linalg.empty_matrix(44))) >= 2
     for k, chunk in itertools.product(range(m), (q, q * q)):
         assert_min_weight_matches_oracle(*scan_case(Q, 22, m, k, rng), chunk)
         rows = planted_rows(Q.base, 22, m, True, rng)
@@ -470,8 +470,9 @@ def test_scan_more_limbs_than_bits(q, n):
     for q in {3, 4, 9} and exactly one group for the other q, 66 and 130 are
     past it for every q."""
     Q = quadratic_field(field(q))
-    W = ac._Limbs(Q.base, linalg.empty_matrix(2 * n))
-    assert (W.limbs > W.bits) == (n > 61 or q in (3, 4, 9))
+    T = linalg._codes(Q.base)
+    limbs = len(ac._pack(T, linalg.empty_matrix(2 * n)))
+    assert (limbs > T.bits) == (n > 61 or q in (3, 4, 9))
     rng = np.random.default_rng([q, n])
     m = int(math.log(300) / math.log(q))
     for weight1 in (False, True, False, True):
@@ -501,9 +502,9 @@ def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, monkeypatch)
     if light is not None:
         rows[light] = 0
         rows[light, 5] = 1
-    sizes, span = [], ac._Limbs.span
-    monkeypatch.setattr(ac._Limbs, "span", lambda W, *a: sizes.append(
-        (out := span(W, *a)).shape[1]) or out)
+    sizes, span = [], ac._span
+    monkeypatch.setattr(ac, "_span", lambda *a: sizes.append(
+        (out := span(*a)).shape[1]) or out)
     best, examined = assert_kernel_matches_oracle(Q, rows, excluded, chunk, suffix)
     assert sizes[0] <= suffix < min(q ** m, chunk)
     s = max(j for j in range(m + 1) if q ** j <= chunk)
@@ -526,19 +527,47 @@ def test_limbs_pack_the_digits_of_every_multiple(q):
     F, L, n = field(q), loop_field(q), 13
     p, e = F.p, F.e
     rows = random_matrix(F, 3, 2 * n, np.random.default_rng(70 + q))
-    W = ac._Limbs(F, rows)
+    T = linalg._codes(F)
+    W = ac._pack(T, rows)
     w = 1 if p == 2 else p.bit_length() + 1
     bits = 2 * e * w + (p == 2)
-    assert W.shift == w - 1 and W.rows.shape == (W.limbs, 3 * e, p)
+    assert T.bits == bits and W.shape == (-(-n // (64 // bits)), 3 * e, p)
     for g, i, c in itertools.product(range(3), range(e), range(p)):
-        limbs = [0] * W.limbs
+        limbs = [0] * len(W)
         for j in range(n):
             for half, v in enumerate((rows[g, j], rows[g, n + j])):
                 x = L.mul(c * p ** (e - 1 - i), int(v))
                 for l in range(e):
                     shift = bits * (j % (64 // bits)) + w * (half * e + l)
                     limbs[j // (64 // bits)] |= (x // p ** l % p) << shift
-        assert W.rows[:, e * g + i, c].tolist() == limbs
+        assert W[:, e * g + i, c].tolist() == limbs
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_span_tables_hold_exactly_their_words(q):
+    """A table of R packed F_p rows, first coefficient below `lead`, is an
+    array of exactly lead * p^(R-1) words per limb (p^R without a lead), not
+    a view of a larger one; word i is combination i in odometer order, last
+    row fastest, summed in the loop field and packed."""
+    F, L, n = field(q), loop_field(q), 40  # 40 coordinates: two limbs or more
+    T, p, e = linalg._codes(F), F.p, F.e
+    rng = np.random.default_rng(80 + q)
+    rows = random_matrix(F, -(-4 // e), 2 * n, rng)
+    W = ac._pack(T, rows)
+    # F_p row e*g + i is x^(e-1-i) * g, x^i of index p^i
+    vectors = [[L.mul(p ** (e - 1 - i), int(v)) for v in g]
+               for g in rows for i in range(e)]
+    for R, lead in itertools.product(range(5), (None, 2)):
+        table = ac._span(T.wide_carry, W[:, :R], lead)
+        combos = [cs for cs in itertools.product(range(p), repeat=R)
+                  if not cs or cs[0] < (lead or p)]
+        assert table.base is None and table.shape == (len(W), len(combos))
+        for i, cs in enumerate(combos):
+            word = [0] * (2 * n)
+            for c, v in zip(cs, vectors):
+                word = [L.add(x, L.mul(c, y)) for x, y in zip(word, v)]
+            packed = ac._pack(T, np.array([word], dtype=np.int16))[:, e - 1, 1]
+            assert table[:, i].tolist() == packed.tolist(), (R, lead, cs)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

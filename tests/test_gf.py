@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import eaqecne
-from eaqecne import addcodes as ac, eaqec, symplectic as sp
+from eaqecne import addcodes as ac, eaqec, linalg, symplectic as sp
 from eaqecne.errors import DivisionByZero, FieldMismatch, NotQuadraticExtension
 from eaqecne.gf import FieldSpec, field, quadratic_field
 
-from oracles import LoopField, loop_field
+from oracles import LoopField, loop_field, loop_kernel_tables
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 49, 64, 81]
 QUAD_ORDERS = [4, 9, 16, 25, 49, 64, 81]
@@ -167,7 +167,7 @@ def test_encoding_round_trip(order):
         coeffs = F.coeffs(x)
         assert len(coeffs) == F.degree
         assert sum(c * B ** i for i, c in enumerate(coeffs)) == x
-        digits = [int(d) for d in F.plane_table[x::F.order]]
+        digits = [int(d) for d in linalg._codes(F).planes[:, x]]
         assert len(digits) == F.e and max(digits) < F.p
         assert sum(d * F.p ** i for i, d in enumerate(digits)) == x
 
@@ -204,9 +204,10 @@ def _array_attrs(F):
     return {k: v for k, v in vars(F).items() if isinstance(v, np.ndarray)}
 
 
-def assert_same_tables(F, oracle):
+def assert_same_tables(F, oracle, codes=linalg._codes):
     """Every array attribute equal in value, dtype and shape, and the same
-    scalar attributes of the same types."""
+    scalar attributes of the same types; the Gram planes and packed-word
+    constants of F's kernel record (``codes(F)``) likewise."""
     arrays, expected = _array_attrs(F), _array_attrs(oracle)
     assert arrays.keys() == expected.keys()
     for name, table in arrays.items():
@@ -217,6 +218,12 @@ def assert_same_tables(F, oracle):
                  "alt_normalizer"):
         got, want = getattr(F, name, None), getattr(oracle, name, None)
         assert (type(got), got) == (type(want), want), name
+    T = codes(F)
+    for name, want in loop_kernel_tables(oracle).items():
+        got = getattr(T, name)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+        assert np.asarray(got).dtype == np.asarray(want).dtype, name
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -237,7 +244,8 @@ def test_modulus_rejected_exactly_when_oracle_rejects(q, degree):
                 FieldSpec(base=field(q), modulus=modulus)
         else:
             accepted += 1
-            assert_same_tables(FieldSpec(base=field(q), modulus=modulus), oracle)
+            assert_same_tables(FieldSpec(base=field(q), modulus=modulus), oracle,
+                               linalg._codes.__wrapped__)
     assert accepted and rejected
 
 

@@ -493,7 +493,7 @@ def test_code_tables_against_the_loop_field(q):
     assert np.array_equal(dec(T.enc), x)
     a, b, c = np.meshgrid(x, x, x, indexing="ij")
     M = T.enc[a]
-    linalg._add_codes(T, M, T.nme[T.enc[b], c], M, np.empty_like(M))
+    linalg._add_codes(T.carry, M, T.nme[T.enc[b], c], M, np.empty_like(M))
     assert np.array_equal(dec(M), L.sub_table[a, L.mul_table[c, b]])
     assert np.array_equal(dec(T.div[1:][:, T.enc]), L.mul_table[L.inv_table[1:]])
     scale = np.arange(p) * p ** np.arange(e)[::-1, None]
