@@ -2,9 +2,10 @@
 Pauli certification, and fidelity sweeps over the shared file formats.
 
 Exit codes: 0 on success, 1 on domain errors (bad codes, violated
-preconditions, budget), 2 on usage errors (argparse).  Each call builds the
-parser of the command it runs alone and imports only the modules that
-command runs, so ``fidelity``, ``match`` and ``tables`` never load numpy.
+preconditions, budget) and, silently, on a closed stdout, 2 on usage errors
+(argparse), 130 on Ctrl-C.  Each call builds the parser of the command it
+runs alone and imports only the modules that command runs, so
+``fidelity``, ``match`` and ``tables`` never load numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import itertools
 import os
 import sys
 
-from .errors import (DEFAULT_BUDGET, SUPPORTED_ORDERS, EaqecneError,
+import eaqecne  # the lazy namespace: annotations name records without loading it
+from .errors import (DEFAULT_BUDGET, FIELDS, SUPPORTED_ORDERS, EaqecneError,
                      FormatError, RangeError)
 
 
-def format_analysis(params: records.EAQECCParams, m: int, compute_d: bool) -> str:
+def format_analysis(params: eaqecne.EAQECCParams, m: int, compute_d: bool) -> str:
     line = f"{params}{'' if params.c else ' c=0'} l={params.l} m={m}"
     if compute_d and params.d is None:
         line += " d=undefined"
@@ -174,12 +176,9 @@ def cmd_verify_pauli(args) -> int:
     return 0 if laws and ranks else 1
 
 
-_ALL_ORDERS = sorted(set(SUPPORTED_ORDERS) | {q * q for q in SUPPORTED_ORDERS})
-
-
 def cmd_print_field(args) -> int:
     from .gf import field
-    orders = [args.order] if args.order else _ALL_ORDERS
+    orders = [args.order] if args.order else FIELDS
     for order in orders:
         F = field(order)
         if F.base is None:
@@ -249,7 +248,7 @@ _COMMANDS = {
         ("--sets", dict(type=_int_at_least(1), default=50)),
         ("--seed", dict(type=_int_at_least(0), default=0)))),
     "print-field": ("modulus table and element encodings", cmd_print_field,
-                    (("--order", dict(type=int, choices=_ALL_ORDERS)),)),
+                    (("--order", dict(type=int, choices=tuple(FIELDS))),)),
 }
 
 
@@ -283,10 +282,20 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return rc
     except EaqecneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and give the interpreter's last
+        # flush of the unwritten output somewhere to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

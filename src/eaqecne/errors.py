@@ -1,10 +1,18 @@
-"""Exception hierarchy and limits shared by all modules, without numpy.
+"""Exceptions, the field table and limits shared by all modules, without numpy.
 
 Everything raised on bad domain input derives from ``EaqecneError`` so the
 CLI can map it to exit code 1; usage errors are argparse's business (exit 2).
 """
 
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)  # base orders with fixed moduli
+# Every supported field GF(order), ascending: None for a prime, else its base
+# order and the monic modulus over that base, coefficient indices low degree
+# first.  Each quadratic modulus x^2 + a*x + b has a != 0.
+FIELDS = {2: None, 3: None, 4: (2, (1, 1, 1)), 5: None, 7: None,
+          8: (2, (1, 1, 0, 1)), 9: (3, (2, 1, 1)), 16: (4, (2, 1, 1)),
+          25: (5, (2, 1, 1)), 49: (7, (3, 1, 1)), 64: (8, (1, 1, 1)),
+          81: (9, (4, 1, 1))}
+PRIMES = tuple(q for q, entry in FIELDS.items() if entry is None)
+SUPPORTED_ORDERS = tuple(q for q in FIELDS if q * q in FIELDS)  # base orders
 DEFAULT_BUDGET = 1 << 30  # enumeration word cap
 
 

@@ -7,12 +7,12 @@ the element itself.  An extension element with coefficient vector
 order; unwinding the chain down to the prime field this is exactly base-p
 positional encoding of the F_p coefficient vector.
 
-Supported base orders are 2, 3, 4, 5, 7, 8, 9 with a fixed modulus table, and
-each base field has a quadratic extension GF(q^2) whose modulus is always
-monic ``x^2 + x + c``; the residue class of ``x`` is the designated basis
-generator of GF(q^2) over GF(q).  A modulus of the shape ``x^2 + const``
-would make that residue class and its conjugate linearly dependent, so the
-linear term is mandatory.
+The twelve supported fields and their moduli are the one table
+``errors.FIELDS``: the base orders 2, 3, 4, 5, 7, 8, 9, each with a quadratic
+extension GF(q^2) = GF(q)[x]/(x^2 + a*x + b).  The residue class beta of
+``x`` is the designated basis generator of GF(q^2) over GF(q), and its
+conjugate beta^q is the other root of the modulus, -a - beta (Vieta).  With
+a = 0 the two would be linearly dependent, so the linear term is mandatory.
 
 A field is its arithmetic tables; the kernels' encodings of it live in
 ``linalg._codes``.  The package asks every Hermitian and trace question on
@@ -30,38 +30,22 @@ checked on the product table rather than by trial division (see
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
-from .errors import SUPPORTED_ORDERS, DivisionByZero, NotQuadraticExtension
-
-# Constant term c of the quadratic modulus x^2 + x + c over GF(q), as a
-# base-field element index.  Each is verified irreducible at construction.
-_QUAD_CONST = {2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 1, 9: 4}
-
-# GF(8) is the only supported base field that is not prime and not a
-# quadratic extension: x^3 + x + 1 over GF(2), coefficients low-first.
-_GF8_MODULUS = (1, 1, 0, 1)
+from .errors import (FIELDS, PRIMES, SUPPORTED_ORDERS, DivisionByZero,
+                     NotQuadraticExtension)
 
 _TABLE_DTYPE = np.int16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for k in range(2, isqrt(n) + 1):
-        if n % k == 0:
-            return False
-    return True
 
 
 class FieldSpec:
     """Immutable lookup tables for one finite field, read by add/sub/neg/mul/inv.
 
-    Build through :func:`field`; direct construction is for the fixed table
-    entries only.  Safe to share across threads: nothing mutates after
-    ``__init__``.
+    Build through :func:`field`; direct construction is for the entries of
+    ``errors.FIELDS``, so ``p`` must be one of its primes.  An extension
+    still checks whatever monic ``modulus`` it is given (see below).  Safe
+    to share across threads: nothing mutates after ``__init__``.
 
     Every table is one array expression over all elements at once.  For an
     extension the coefficient arrays ``idx // B**i % B`` are added and
@@ -78,8 +62,8 @@ class FieldSpec:
                  modulus: tuple[int, ...] | None = None):
         if base is None:
             assert p is not None and modulus is None
-            if not _is_prime(p):
-                raise ValueError(f"characteristic {p} is not prime")
+            if p not in PRIMES:
+                raise ValueError(f"{p} is not a supported prime {PRIMES}")
             self.p = p
             self.base = None
             self.modulus = (0, 1)  # the residue ring F_p[x]/(x) ~ F_p
@@ -135,19 +119,16 @@ class FieldSpec:
     # -- construction internals -------------------------------------------
 
     def _finalize_quadratic(self):
-        q, idx = self.base.order, np.arange(self.order)
+        q, idx, a = self.base.order, np.arange(self.order), self.modulus[1]
         self.beta = q  # residue class of x: coefficients (0, 1)
-        beta_q = self.beta
-        for _ in range(q - 1):
-            beta_q = self.mul_table[beta_q, self.beta]
-        self.beta_conj = int(beta_q)
-        # {beta, beta^q} must be a GF(q)-basis of GF(q^2)
-        if (self.mul_table[self.beta, :q] == self.beta_conj).any():
+        # {beta, beta^q = -a - beta} is a GF(q)-basis of GF(q^2) iff a != 0
+        if a == 0:
             raise ValueError("beta and beta^q are linearly dependent")
+        self.beta_conj = self.sub(self.neg(a), self.beta)
+        # (beta - beta^q)(beta + beta^q) = -a(2 beta + a), which is a^2 in
+        # characteristic 2, so it never vanishes
         self.alt_normalizer = self.sub(self.mul(self.beta, self.beta),
                                        self.mul(self.beta_conj, self.beta_conj))
-        if self.alt_normalizer == 0:
-            raise ValueError("beta^2 - beta^(2q) vanishes")
         # phi on a single coordinate pair: (a|b) -> beta*a + beta^q*b,
         # indexed by a + q*b; a bijection GF(q)^2 -> GF(q^2).
         phi = self.add_table[self.mul_table[self.beta, idx % q],
@@ -239,18 +220,13 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field(order: int) -> FieldSpec:
-    """Return the canonical spec for GF(order) from the fixed modulus table."""
-    if order in (2, 3, 5, 7):
-        return FieldSpec(p=order)
-    if order == 8:
-        return FieldSpec(base=field(2), modulus=_GF8_MODULUS)
-    root = isqrt(order)
-    if root * root == order and root in SUPPORTED_ORDERS:
-        base = field(root)
-        return FieldSpec(base=base, modulus=(_QUAD_CONST[root], 1, 1))
-    raise ValueError(
-        f"unsupported field order {order}; base orders are {SUPPORTED_ORDERS} "
-        "plus their squares")
+    """Return the canonical spec for GF(order): its entry in ``errors.FIELDS``."""
+    if order not in FIELDS:
+        raise ValueError(
+            f"unsupported field order {order}; orders are {tuple(FIELDS)}")
+    entry = FIELDS[order]
+    return (FieldSpec(p=order) if entry is None
+            else FieldSpec(base=field(entry[0]), modulus=entry[1]))
 
 
 def quadratic_field(base: FieldSpec) -> FieldSpec:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionCap, DimensionMismatch, NonPauliResult,
+from .errors import (PRIMES, DimensionCap, DimensionMismatch, NonPauliResult,
                      NotAbelian, PhaseObstruction, RangeError)
-from .gf import SUPPORTED_ORDERS, field
+from .gf import field
 from . import symplectic as sp
 
 DEFAULT_DIM_CAP = 3 ** 5
@@ -42,7 +42,7 @@ class PauliLabel:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p not in SUPPORTED_ORDERS or field(self.p).base is not None:
+        if self.p not in PRIMES:
             raise RangeError(f"Pauli labels need a supported prime p, got {self.p}")
         if len(self.x) != self.n or len(self.z) != self.n:
             raise DimensionMismatch("x and z must have length n")

@@ -30,11 +30,12 @@ import decimal
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-from eaqecne import addcodes as ac, gf, linalg, symplectic as sp
+from eaqecne import addcodes as ac, linalg, symplectic as sp
+from eaqecne.errors import FIELDS
 
 
 def _poly_trim(f):
@@ -204,14 +205,12 @@ class LoopField:
 
 @lru_cache(maxsize=None)
 def loop_field(order):
-    """The oracle for ``gf.field(order)``, from the package's modulus constants
-    ``gf._QUAD_CONST`` and ``gf._GF8_MODULUS`` only."""
-    if order in (2, 3, 5, 7):
+    """The oracle for ``gf.field(order)``, from the package's field table
+    ``errors.FIELDS`` only."""
+    entry = FIELDS[order]
+    if entry is None:
         return LoopField(p=order)
-    if order == 8:
-        return LoopField(base=loop_field(2), modulus=gf._GF8_MODULUS)
-    root = isqrt(order)
-    return LoopField(base=loop_field(root), modulus=(gf._QUAD_CONST[root], 1, 1))
+    return LoopField(base=loop_field(entry[0]), modulus=entry[1])
 
 
 def loop_kernel_tables(F):

@@ -1,11 +1,16 @@
 """End-to-end checks of every CLI subcommand."""
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eaqecne
+from eaqecne import cli
 from eaqecne.cli import build_parser, format_analysis, main
 from eaqecne.errors import EaqecneError
 from eaqecne.gf import field
@@ -293,6 +298,59 @@ def test_print_field_beta_lines(capsys):
     rc, out, _ = run(capsys, ["print-field", "--order", "9"])
     assert rc == 0
     assert "beta=x (index 3)" in out
+
+
+# every modulus and beta line, written down apart from the field table
+ALL_FIELDS = """\
+GF(2): prime field, elements 0..1
+GF(3): prime field, elements 0..2
+GF(4) = GF(2)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 2^i)
+  beta=x (index 2), beta^q index 3, beta^2-beta^(2q) index 1
+GF(5): prime field, elements 0..4
+GF(7): prime field, elements 0..6
+GF(8) = GF(2)[x]/(x^3 + x + 1), encoding index = sum(coeff_i * 2^i)
+GF(9) = GF(3)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 3^i)
+  beta=x (index 3), beta^q index 8, beta^2-beta^(2q) index 5
+GF(16) = GF(4)[x]/(x^2 + x + y), encoding index = sum(coeff_i * 4^i)
+  beta=x (index 4), beta^q index 5, beta^2-beta^(2q) index 1
+GF(25) = GF(5)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 5^i)
+  beta=x (index 5), beta^q index 24, beta^2-beta^(2q) index 19
+GF(49) = GF(7)[x]/(x^2 + x + 3), encoding index = sum(coeff_i * 7^i)
+  beta=x (index 7), beta^q index 48, beta^2-beta^(2q) index 41
+GF(64) = GF(8)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 8^i)
+  beta=x (index 8), beta^q index 9, beta^2-beta^(2q) index 1
+GF(81) = GF(9)[x]/(x^2 + x + (1 + y)), encoding index = sum(coeff_i * 9^i)
+  beta=x (index 9), beta^q index 20, beta^2-beta^(2q) index 11
+"""
+
+
+def test_print_field_every_modulus(capsys):
+    assert run(capsys, ["print-field"]) == (0, ALL_FIELDS, "")
+
+
+def test_closed_stdout_is_silent():
+    """A reader that is gone before the first write: exit 1, and no
+    BrokenPipeError traceback on stderr."""
+    src = str(Path(eaqecne.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eaqecne.cli", "print-field", "--order", "81"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_interrupt_is_one_error_line(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    help_, _, arguments = cli._COMMANDS["tables"]
+    monkeypatch.setitem(cli._COMMANDS, "tables", (help_, interrupted, arguments))
+    assert run(capsys, ["tables"]) == (130, "", "error: interrupted\n")
 
 
 def test_match_rejects_distance_beyond_length(capsys):

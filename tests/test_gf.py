@@ -179,6 +179,12 @@ def test_reducible_modulus_rejected():
         FieldSpec(base=field(3), modulus=(2, 0, 1))  # x^2+2 = (x-1)(x+1)
 
 
+@pytest.mark.parametrize("q", [4, 6, 9, 11])
+def test_prime_spec_only_for_table_primes(q):
+    with pytest.raises(ValueError, match="not a supported prime"):
+        FieldSpec(p=q)
+
+
 def test_modulus_coefficients_range_checked():
     for modulus in ((-1, 1, 1), (5, 1, 1), (1, 2, 1)):
         with pytest.raises(ValueError, match="outside GF"):

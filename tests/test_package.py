@@ -1,10 +1,14 @@
 """The package namespace: names load their home module on first use, and the
 fidelity, match and tables commands never load numpy or the code layers."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,32 @@ def test_import_leaves_the_environment_alone():
     out = fresh_python("import os; before = dict(os.environ); import eaqecne; "
                        "eaqecne.field(4); print(dict(os.environ) == before)")
     assert out.strip() == "True"
+
+
+def _functions(module):
+    """Every function, class and method defined in ``module``, with the
+    accessors of its properties."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        yield obj
+        for attr in vars(obj).values() if inspect.isclass(obj) else ():
+            attr = getattr(attr, "__func__", attr)  # class and static methods
+            if isinstance(attr, property):
+                yield from filter(None, (attr.fget, attr.fset))
+            elif inspect.isroutine(attr):
+                yield attr
+
+
+def test_every_annotation_resolves():
+    modules = [eaqecne] + [importlib.import_module(f"eaqecne.{info.name}")
+                           for info in pkgutil.iter_modules(eaqecne.__path__)]
+    checked, bad = 0, []
+    for module in modules:
+        for obj in _functions(module):
+            checked += 1
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                bad.append(f"{module.__name__}.{obj.__qualname__}: {exc}")
+    assert bad == [] and checked > 100
