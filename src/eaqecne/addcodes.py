@@ -24,16 +24,16 @@ self-orthogonal or LCD exactly when :func:`is_self_orthogonal` or
 Minimum weights weigh one word of each F_q^* orbit outside the excluded
 subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
 packed F_p digits of the preimage (phi is F_q-linear and keeps weight) in
-the layout of ``linalg._codes``, a block one XOR of two small tables (one of
-up to 2^15 words for small scans);
-``d`` is None when no word is left.  A ``budget`` caps all q^m - q^m' words.
+the layout of ``linalg._codes``, a block one XOR of two small tables, the
+first of at most 2^12 words; ``d`` is None when no word is left.  A
+``budget`` caps all q^m - q^m' words.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -48,9 +48,11 @@ _SUFFIX = 1 << 12  # cap on its suffix table
 
 
 def _field_entries(F: FieldSpec, rows, what: str = "generator") -> np.ndarray:
-    """Rows as an index matrix, refusing entries outside [0, F.order) before
-    a table lookup or the int16 cast could wrap them."""
+    """Rows as an index matrix, refusing entries that are not integers or lie
+    outside [0, F.order) before the int16 cast could truncate or wrap them."""
     W = np.asarray(rows)
+    if W.size and W.dtype.kind not in "biu":
+        raise FormatError(f"{what} entries must be integers, got dtype {W.dtype}")
     if ((W < 0) | (W >= F.order)).any():
         raise FormatError(f"{what} entry outside GF({F.order})")
     return linalg.as_matrix(W)
@@ -259,17 +261,18 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
     times its x^0 part.  The scan stops after a block with a weight <= 1.
 
     Word (a, b) of block i is suf[b] - c, c = neg[A i + a], a < A = q^s / |suf|:
-    ``suf`` spans the last F_p rows, capped at _SUFFIX words where one table
-    would pass half a block, ``neg`` the negated rows above.  x - c is zero
-    at j iff x_j = c_j, so words weigh like suf XOR c.  Limb l's top bits,
-    shifted l mod ``bits`` down, miss its group's: one popcount counts them.
+    ``suf`` spans the last F_p rows, at most _SUFFIX words, and ``neg`` the
+    negated rows above.  x - c is zero at j iff x_j = c_j, so words weigh
+    like suf XOR c.  Limb l's top bits, shifted l mod ``bits`` down, miss
+    its group's: one popcount counts them.  Every block runs with numpy's
+    buffer at 2^12 elements, restored on return.
     """
     q, p, e, m = F.order, F.p, F.e, rows.shape[0]
     s = 0
     while s < m and q ** (s + 1) <= _CHUNK:
         s += 1
     cut = e * (m - s)
-    while min(q ** s, 2 * q ** (m - 1)) > _CHUNK // 2 and p ** (e * m - cut) > _SUFFIX:
+    while p ** (e * m - cut) > _SUFFIX:
         cut += 1
     T, cut = linalg._codes(F), max(cut, e - 1)
     W = _pack(T, rows)
@@ -285,9 +288,8 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
         for i in range(q ** (j - s), 2 * q ** (j - s))))
     words = np.empty((L, A, S), dtype=np.uint64)
     best, examined = rows.shape[1] // 2 + 1, 0
-    with np.errstate() if A > 1 else contextlib.nullcontext():
-        if A > 1:  # else ufuncs copy rows shorter than a third of a buffer
-            np.setbufsize(1 << 12)
+    with np.errstate():
+        np.setbufsize(1 << 12)  # else ufuncs copy rows shorter than a third of a buffer
         for block in blocks:
             for c, k in block:
                 z = np.bitwise_xor(suf[:, :, :k], c, out=words[:, :c.shape[1], :k])
@@ -346,7 +348,10 @@ def puncture(code: AdditiveCode, coords) -> AdditiveCode:
     """Delete the 0-based coordinates and re-canonicalize: phi acts on each
     coordinate alone, so this keeps preimage columns j and n + j for each
     kept j."""
-    drop = set(int(c) for c in coords)
+    try:
+        drop = {index(c) for c in coords}
+    except TypeError as exc:
+        raise IndexOutOfRange(f"coordinates must be integers: {exc}") from exc
     for c in sorted(drop):
         if not 0 <= c < code.n:
             raise IndexOutOfRange(f"coordinate {c} outside [0, {code.n})")

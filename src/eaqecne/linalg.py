@@ -14,7 +14,7 @@ The same in-place update, :func:`_sub_multiples`, is every row step of
 ``symplectic.decompose`` too, on [W | G^T]; every Gram matrix is one exact
 float64 (BLAS) product of F_p digit planes.  Codes, planes and the scan's
 packed words are one per-field record, :func:`_codes`, built on a field's
-first kernel call (45-120 us; GF(81) 1.1-1.3 ms).
+first kernel call.
 """
 
 from __future__ import annotations

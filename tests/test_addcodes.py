@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eaqecne.errors import (AmbientMismatch, BudgetExceeded, DimensionMismatch,
                             FormatError, IndexOutOfRange, PreconditionFailed)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
-from eaqecne import addcodes as ac
+from eaqecne import addcodes as ac, cli
 from eaqecne import linalg, symplectic as sp
 
 from oracles import (count_rref, loop_field, odometer_scan, orbit_scan,
@@ -481,6 +481,15 @@ def test_scan_more_limbs_than_bits(q, n):
         assert_kernel_matches_oracle(Q, rows, int(rng.integers(0, m)), chunk, suffix)
 
 
+@pytest.fixture
+def span_sizes(monkeypatch):
+    """Words per limb of each table ``_span`` builds, in call order: a
+    scan's first table is its suffix table."""
+    sizes, span = [], ac._span
+    monkeypatch.setattr(ac, "_span", lambda *a: sizes.append((out := span(*a)).shape[1]) or out)
+    return sizes
+
+
 @pytest.mark.parametrize("q, m, excluded, chunk, suffix, light", [
     # a generator's F_p rows split between the tables
     (4, 4, 0, 16, 2, None), (8, 3, 1, 64, 4, None),
@@ -491,7 +500,7 @@ def test_scan_more_limbs_than_bits(q, n):
     # a weight-1 exit in block 0 (the last row) and in a later block (the first)
     (3, 5, 0, 9, 3, -1), (8, 3, 0, 64, 4, -1), (3, 5, 0, 9, 3, 0), (4, 4, 1, 16, 2, 0),
 ])
-def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, monkeypatch):
+def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, span_sizes):
     """Scans whose suffix table is capped below a block: the first table
     built, the suffix table, holds at most `suffix` words, the kernel equals
     the oracles, and a weight-1 row ends the scan in the block that holds
@@ -502,11 +511,8 @@ def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, monkeypatch)
     if light is not None:
         rows[light] = 0
         rows[light, 5] = 1
-    sizes, span = [], ac._span
-    monkeypatch.setattr(ac, "_span", lambda *a: sizes.append(
-        (out := span(*a)).shape[1]) or out)
     best, examined = assert_kernel_matches_oracle(Q, rows, excluded, chunk, suffix)
-    assert sizes[0] <= suffix < min(q ** m, chunk)
+    assert span_sizes[0] <= suffix < min(q ** m, chunk)
     s = max(j for j in range(m + 1) if q ** j <= chunk)
     first = max(q ** s - q ** excluded, 0) // (q - 1)
     every = (q ** m - q ** excluded) // (q - 1)
@@ -517,6 +523,68 @@ def test_two_table_scan_cases(q, m, excluded, chunk, suffix, light, monkeypatch)
         assert best == 1 and first < examined < every
     else:
         assert best > 1 and examined == every
+
+
+def test_every_scan_caps_its_first_table(tmp_path, capsys, monkeypatch, span_sizes):
+    """Scans with blocks of 3^9 and 4^7 words, which one table of 13,122 and
+    8,192 words would hold: the first table built holds at most _SUFFIX
+    words, the kernel equals the oracles, and the CLI prints the same lines
+    as with one table."""
+    rng = np.random.default_rng(28)
+    cases = [(9, rng.integers(0, 9, (9, 12)), "mindist", "d=5 enumerated=9841"),
+             (16, rng.integers(0, 16, (9, 8)), "analyze", "[[8,3,4;4]]_4 l=1 m=9")]
+    scans, scan = [], ac._scan_preimage
+    with monkeypatch.context() as mp:
+        mp.setattr(ac, "_scan_preimage", lambda *a: scans.append(a) or scan(*a))
+        for i, (q2, gens, command, line) in enumerate(cases):
+            path = tmp_path / f"{i}.code"
+            path.write_text(linalg.dump_matrix(field(q2), gens))
+            span_sizes.clear()
+            assert cli.main([command, str(path)]) == 0
+            assert capsys.readouterr().out == line + "\n"
+            assert span_sizes[0] <= ac._SUFFIX
+    assert [(F.order, len(rows)) for F, rows, _ in scans] == [(3, 9), (4, 7)]
+    for F, rows, excluded in scans:
+        assert_kernel_matches_oracle(quadratic_field(F), rows, excluded, ac._CHUNK)
+
+
+def test_scan_leaves_numpy_state_alone(span_sizes):
+    """A scan sets numpy's buffer size for its blocks only: the buffer size
+    and error handling read the same after a scan that fits one table, a
+    two-table scan and one that stops at weight <= 1."""
+    F, rng = field(2), np.random.default_rng(29)
+    light = random_matrix(F, 14, 24, rng)
+    light[0] = 0
+    light[0, 3] = 1
+    state = np.getbufsize(), np.geterr()
+    for rows in (random_matrix(F, 10, 24, rng), random_matrix(F, 14, 24, rng), light):
+        best, _ = ac._scan_preimage(F, rows, 0)
+        assert (np.getbufsize(), np.geterr()) == state
+    # first tables: the whole 2^10-word block, then 2^12 of 2^14 words
+    assert span_sizes[::2] == [2 ** 10, 2 ** 12, 2 ** 12] and best == 1
+
+
+def test_non_integer_entries_refused():
+    """Entries are integers or bools: floats, strings and objects are refused
+    rather than truncated by the int16 cast or failing inside numpy."""
+    Q = field(4)
+    C = ac.AdditiveCode.from_generators(Q, [[1, 2]])
+    for bad in ([[1.5, 2.9]], [[1.0, 2.0]], np.array([["1", "2"]]), [[1, None]]):
+        for build in (ac.AdditiveCode.from_generators, ac.AdditiveCode.from_linear):
+            with pytest.raises(FormatError, match="generator entries must be integers"):
+                build(Q, bad)
+        with pytest.raises(FormatError, match="must be integers"):
+            C.contains_word(np.asarray(bad)[0])
+    with pytest.raises(FormatError, match="preimage entries must be integers"):
+        ac.AdditiveCode(Q, [[1.0, 0.0]])
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        assert ac.AdditiveCode.from_generators(Q, np.array([[1, 2]], dtype=dtype)) == C
+        assert C.contains_word(np.array([1, 2], dtype=dtype))
+    assert (ac.AdditiveCode.from_generators(Q, np.array([[True, False]]))
+            == ac.AdditiveCode.from_generators(Q, [[1, 0]]))
+    assert ac.AdditiveCode.from_generators(Q, np.empty((0, 2))) == ac.AdditiveCode.zero(Q, 2)
+    assert ac.AdditiveCode(Q, np.empty((0, 4))) == ac.AdditiveCode.zero(Q, 2)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -598,6 +666,11 @@ def test_puncture():
     assert ac.puncture(drop, [1]).m == 1
     with pytest.raises(IndexOutOfRange):
         ac.puncture(C, [5])
+    for bad in ([0.9], [1.0], ["0"], [None]):
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            ac.puncture(C, bad)
+    for coords in ([np.int64(1)], np.array([1], dtype=np.uint8), range(1, 2)):
+        assert ac.puncture(C, coords) == P
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
