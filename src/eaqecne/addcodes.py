@@ -48,9 +48,16 @@ _SUFFIX = 1 << 12  # cap on its suffix table
 
 
 def _field_entries(F: FieldSpec, rows, what: str = "generator") -> np.ndarray:
-    """Rows as an index matrix, refusing entries that are not integers or lie
-    outside [0, F.order) before the int16 cast could truncate or wrap them."""
-    W = np.asarray(rows)
+    """Rows as an index matrix, refusing input that is no matrix (ragged,
+    3-D, or an empty list, which has no column count) and entries that are
+    not integers or lie outside [0, F.order) before the int16 cast could
+    truncate or wrap them."""
+    try:
+        W = np.asarray(rows)
+    except ValueError as exc:
+        raise FormatError(f"{what} rows are ragged") from exc
+    if W.ndim > 2 or W.shape == (0,):
+        raise FormatError(f"{what} rows of shape {W.shape} are not an (m, n) matrix")
     if W.size and W.dtype.kind not in "biu":
         raise FormatError(f"{what} entries must be integers, got dtype {W.dtype}")
     if ((W < 0) | (W >= F.order)).any():

@@ -6,7 +6,9 @@ CLI can map it to exit code 1; usage errors are argparse's business (exit 2).
 
 # Every supported field GF(order), ascending: None for a prime, else its base
 # order and the monic modulus over that base, coefficient indices low degree
-# first.  Each quadratic modulus x^2 + a*x + b has a != 0.
+# first.  Each quadratic modulus x^2 + a*x + b has a != 0.  Nothing checks an
+# entry at run time: the test oracle (tests/oracles.py::loop_field) checks
+# each entry's irreducibility and a != 0.
 FIELDS = {2: None, 3: None, 4: (2, (1, 1, 1)), 5: None, 7: None,
           8: (2, (1, 1, 0, 1)), 9: (3, (2, 1, 1)), 16: (4, (2, 1, 1)),
           25: (5, (2, 1, 1)), 49: (7, (3, 1, 1)), 64: (8, (1, 1, 1)),

@@ -7,12 +7,12 @@ the element itself.  An extension element with coefficient vector
 order; unwinding the chain down to the prime field this is exactly base-p
 positional encoding of the F_p coefficient vector.
 
-The twelve supported fields and their moduli are the one table
-``errors.FIELDS``: the base orders 2, 3, 4, 5, 7, 8, 9, each with a quadratic
-extension GF(q^2) = GF(q)[x]/(x^2 + a*x + b).  The residue class beta of
-``x`` is the designated basis generator of GF(q^2) over GF(q), and its
-conjugate beta^q is the other root of the modulus, -a - beta (Vieta).  With
-a = 0 the two would be linearly dependent, so the linear term is mandatory.
+The fields are the entries of the table ``errors.FIELDS``, and
+``field(order)`` builds one: the base orders 2, 3, 4, 5, 7, 8, 9, each with
+a quadratic extension GF(q^2) = GF(q)[x]/(x^2 + a*x + b).  The residue class
+beta of ``x`` is the designated basis generator of GF(q^2) over GF(q), and
+its conjugate beta^q is the other root of the modulus, -a - beta (Vieta);
+every entry has a != 0, so the two are independent.
 
 A field is its arithmetic tables; the kernels' encodings of it live in
 ``linalg._codes``.  The package asks every Hermitian and trace question on
@@ -22,9 +22,7 @@ computed here; they live only in the test oracle.
 All orders are at most 81, so every table is a full array, built for all
 elements at once by a few numpy expressions when :func:`field` first asks for
 the field (never at import) and shared after; operations on numpy index
-arrays vectorize through fancy indexing on those tables.  A modulus is
-checked on the product table rather than by trial division (see
-:class:`FieldSpec`).
+arrays vectorize through fancy indexing on those tables.
 """
 
 from __future__ import annotations
@@ -33,67 +31,52 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (FIELDS, PRIMES, SUPPORTED_ORDERS, DivisionByZero,
+from .errors import (FIELDS, SUPPORTED_ORDERS, DivisionByZero,
                      NotQuadraticExtension)
 
 _TABLE_DTYPE = np.int16
 
 
 class FieldSpec:
-    """Immutable lookup tables for one finite field, read by add/sub/neg/mul/inv.
-
-    Build through :func:`field`; direct construction is for the entries of
-    ``errors.FIELDS``, so ``p`` must be one of its primes.  An extension
-    still checks whatever monic ``modulus`` it is given (see below).  Safe
-    to share across threads: nothing mutates after ``__init__``.
+    """Immutable lookup tables for GF(order), one entry of ``errors.FIELDS``,
+    read by add/sub/neg/mul/inv.  Build through :func:`field`, which shares
+    one instance per order.  Safe to share across threads: nothing mutates
+    after ``__init__``.
 
     Every table is one array expression over all elements at once.  For an
     extension the coefficient arrays ``idx // B**i % B`` are added and
     convolved through the base field's tables, the product is reduced by the
     monic modulus, and the results are encoded back; negation and inversion
-    are the positions of 0 and 1 in each row of the new tables.  The modulus
-    is not factored: F[x]/(f) is a field exactly when f is irreducible, and
-    a finite commutative ring is a field exactly when it has no zero
-    divisors, so a reducible modulus shows as a zero entry in the product
-    table away from row and column 0 and is rejected there.
+    are the positions of 0 and 1 in each row of the new tables.
     """
 
-    def __init__(self, p: int | None = None, base: "FieldSpec | None" = None,
-                 modulus: tuple[int, ...] | None = None):
-        if base is None:
-            assert p is not None and modulus is None
-            if p not in PRIMES:
-                raise ValueError(f"{p} is not a supported prime {PRIMES}")
-            self.p = p
+    def __init__(self, order: int):
+        if order not in FIELDS:
+            raise ValueError(
+                f"unsupported field order {order}; orders are {tuple(FIELDS)}")
+        entry = FIELDS[order]
+        self.order = order
+        if entry is None:
+            self.p = p = order
             self.base = None
             self.modulus = (0, 1)  # the residue ring F_p[x]/(x) ~ F_p
             self.degree = 1
-            self.order = p
             self.e = 1
             rng = np.arange(p, dtype=_TABLE_DTYPE)
             self.add_table = (rng[:, None] + rng[None, :]) % p
             self.mul_table = (rng[:, None].astype(np.int64) * rng[None, :]) % p
             self.mul_table = self.mul_table.astype(_TABLE_DTYPE)
         else:
-            assert modulus is not None
+            base = field(entry[0])
             self.p = base.p
             self.base = base
-            self.modulus = tuple(modulus)
-            self.degree = len(modulus) - 1
-            if self.degree < 2:
-                raise ValueError("extension modulus must have degree >= 2")
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if not all(0 <= c < base.order for c in self.modulus):
-                raise ValueError(
-                    f"modulus {modulus} has a coefficient outside GF({base.order})")
-            self.order = base.order ** self.degree
-            self.e = base.e * self.degree
-            B, d = base.order, self.degree
-            ADD, MUL = base.add_table, base.mul_table
-            digits = np.arange(self.order) // B ** np.arange(d)[:, None] % B
+            self.modulus = entry[1]
+            self.degree = d = len(self.modulus) - 1
+            self.e = base.e * d
+            B, ADD, MUL = base.order, base.add_table, base.mul_table
+            digits = np.arange(order) // B ** np.arange(d)[:, None] % B
             a, b = digits[:, :, None], digits[:, None, :]
-            prod = [np.zeros((self.order, self.order), dtype=_TABLE_DTYPE)
+            prod = [np.zeros((order, order), dtype=_TABLE_DTYPE)
                     for _ in range(2 * d - 1)]
             for i in range(d):
                 for j in range(d):
@@ -105,9 +88,6 @@ class FieldSpec:
                     prod[k - d + i] = ADD[prod[k - d + i], MUL[prod[k], neg_mod[i]]]
             self.add_table = sum(ADD[a[i], b[i]] * B ** i for i in range(d))
             self.mul_table = sum(prod[i] * B ** i for i in range(d))
-            if not self.mul_table[1:, 1:].all():
-                raise ValueError(
-                    f"modulus {modulus} is reducible over GF({base.order})")
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)
@@ -121,10 +101,7 @@ class FieldSpec:
     def _finalize_quadratic(self):
         q, idx, a = self.base.order, np.arange(self.order), self.modulus[1]
         self.beta = q  # residue class of x: coefficients (0, 1)
-        # {beta, beta^q = -a - beta} is a GF(q)-basis of GF(q^2) iff a != 0
-        if a == 0:
-            raise ValueError("beta and beta^q are linearly dependent")
-        self.beta_conj = self.sub(self.neg(a), self.beta)
+        self.beta_conj = self.sub(self.neg(a), self.beta)  # -a - beta (Vieta)
         # (beta - beta^q)(beta + beta^q) = -a(2 beta + a), which is a^2 in
         # characteristic 2, so it never vanishes
         self.alt_normalizer = self.sub(self.mul(self.beta, self.beta),
@@ -221,12 +198,7 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def field(order: int) -> FieldSpec:
     """Return the canonical spec for GF(order): its entry in ``errors.FIELDS``."""
-    if order not in FIELDS:
-        raise ValueError(
-            f"unsupported field order {order}; orders are {tuple(FIELDS)}")
-    entry = FIELDS[order]
-    return (FieldSpec(p=order) if entry is None
-            else FieldSpec(base=field(entry[0]), modulus=entry[1]))
+    return FieldSpec(order)
 
 
 def quadratic_field(base: FieldSpec) -> FieldSpec:

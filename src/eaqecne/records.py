@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, RangeError
+from .errors import SUPPORTED_ORDERS, FieldMismatch, RangeError
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class EAQECCParams:
     d: int | None = None
 
     def __post_init__(self):
+        if self.q not in SUPPORTED_ORDERS:
+            raise RangeError(f"q={self.q} is not a supported order {SUPPORTED_ORDERS}")
         if self.c < 0 or self.k < 0:
             raise RangeError(f"c={self.c}, k={self.k} must be nonnegative")
         if self.n - self.c - self.k < 0:

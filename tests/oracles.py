@@ -82,8 +82,9 @@ class LoopField:
     """GF(p) or F[x]/(modulus) with every table filled one element (pair) at
     a time from Python lists: mod p at the bottom, polynomial products
     reduced by the modulus above it.  Raises ``ValueError`` for a modulus of
-    degree < 2, a non-monic or reducible one (trial division), and, for a
-    quadratic extension, one that makes {beta, beta^q} dependent.  The
+    degree < 2, a non-monic one, one with a coefficient outside the base
+    field, a reducible one (trial division), and, for a quadratic extension,
+    one that makes {beta, beta^q} dependent.  The
     finished tables are int16 arrays under the package's attribute names.
 
     Division, conjugation x -> x^q and the relative and absolute traces,
@@ -100,7 +101,9 @@ class LoopField:
         else:
             modulus = tuple(modulus)
             d = len(modulus) - 1
-            if d < 2 or modulus[-1] != 1 or not _poly_is_irreducible(base, modulus):
+            if (d < 2 or modulus[-1] != 1
+                    or not all(0 <= c < base.order for c in modulus)
+                    or not _poly_is_irreducible(base, modulus)):
                 raise ValueError(f"modulus {modulus} rejected over GF({base.order})")
             self.p, self.base, self.degree = base.p, base, d
             self.e, self.order = base.e * d, base.order ** d

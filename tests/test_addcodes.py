@@ -196,7 +196,7 @@ def test_preimage_states_the_length(q):
         assert ac.AdditiveCode.from_generators(Q, none) == zero
         assert ac.AdditiveCode.from_linear(Q, none) == zero
         assert (zero.n, zero.m, ac.AdditiveCode.full(Q, n).n) == (n, 0, n)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         ac.AdditiveCode.from_generators(Q, [])
 
 
@@ -701,6 +701,26 @@ def test_generator_entries_range_checked():
             C.contains_word(word)
     with pytest.raises(AmbientMismatch):
         C.contains_word([1, 3, 0])
+
+
+def test_unreadable_matrices_refused():
+    """Input with no (m, n) reading is a FormatError from every constructor
+    and from contains_word: an empty list (no column count), a 3-D array,
+    ragged rows.  [[]], a (0, n) array and one 1-D row still read."""
+    Q = field(4)
+    C = ac.AdditiveCode.from_generators(Q, [[1, 2]])
+    builds = (lambda rows: ac.AdditiveCode(Q, rows), C.contains_word,
+              lambda rows: ac.AdditiveCode.from_generators(Q, rows),
+              lambda rows: ac.AdditiveCode.from_linear(Q, rows))
+    for bad, match in (([], r"shape \(0,\)"), ((), r"shape \(0,\)"),
+                       (np.zeros((1, 2, 2), int), r"shape \(1, 2, 2\)"),
+                       (np.zeros((1, 0, 2), int), "not an"), ([[1, 2], [3]], "ragged")):
+        for build in builds:
+            with pytest.raises(FormatError, match=match):
+                build(bad)
+    assert ac.AdditiveCode.from_generators(Q, [[]]) == ac.AdditiveCode.zero(Q, 0)
+    assert ac.AdditiveCode.from_generators(Q, np.zeros((0, 3), int)) == ac.AdditiveCode.zero(Q, 3)
+    assert ac.AdditiveCode.from_generators(Q, [1, 2]) == C and C.contains_word([1, 2])
 
 
 def test_preimage_entries_range_checked():

@@ -51,6 +51,15 @@ def test_params_validation():
     assert str(p) == "[[11,1,7;2]]_3"
 
 
+def test_params_need_a_shipped_field():
+    # q = 16 has a field, GF(16), but no GF(256) to build codes over
+    for q in (0, 1, 6, 10, 11, 16, 27):
+        with pytest.raises(RangeError, match="not a supported order"):
+            eaqec.EAQECCParams(q=q, n=3, k=1, c=0)
+    for q in SUPPORTED_ORDERS:
+        assert str(eaqec.EAQECCParams(q=q, n=3, k=1, c=0)) == f"[[3,1]]_{q}"
+
+
 def test_stabilizer_params_zero_code():
     Q = field(4)
     P = eaqec.stabilizer_params(ac.AdditiveCode.zero(Q, 5))
