@@ -129,8 +129,7 @@ def cmd_fidelity(args) -> int:
         print(f"warning: degradation coefficient {args.lam} exceeds 1",
               file=sys.stderr)
     grid = fid.parse_grid(args.grid)
-    rows = fid.sweep((N, d), ((n, da), (m, db)), lam, grid)
-    text = fid.curve_csv(rows)
+    text = fid.curve_csv((N, d), ((n, da), (m, db)), lam, grid)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -138,7 +137,7 @@ def cmd_fidelity(args) -> int:
         except OSError as exc:
             raise FormatError(
                 f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-        print(f"wrote {len(rows)} rows to {args.csv}")
+        print(f"wrote {len(grid)} rows to {args.csv}")
     else:
         print(text, end="")
     return 0

@@ -29,7 +29,7 @@ from .errors import (DEFAULT_BUDGET, DimensionMismatch, FieldMismatch,
 from .gf import FieldSpec
 from .records import CombinationParams, EAQECCParams, known_tables, tables_csv
 from . import addcodes as ac
-from . import linalg, symplectic as sp
+from . import symplectic as sp
 
 
 def _fmt_d(d) -> str:
@@ -152,9 +152,9 @@ def combine_construct(field: FieldSpec, G, G2, E, compute_d: bool = True, *,
     spans a complementary-dual code.
     """
     field._require_quadratic()
-    G = linalg.as_matrix(G)
-    G2 = linalg.as_matrix(G2)
-    E = linalg.as_matrix(E)
+    G = ac._field_entries(field, G, "G")
+    G2 = ac._field_entries(field, G2, "G2")
+    E = ac._field_entries(field, E, "E")
     if G.shape[1] != G2.shape[1]:
         raise DimensionMismatch(
             f"G has length {G.shape[1]}, G2 has length {G2.shape[1]}")

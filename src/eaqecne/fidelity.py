@@ -7,14 +7,14 @@ hit at per-qudit depolarizing rate p:
     sum_{i=0}^{t} C(N,i) p^i (1-p)^(N-i).
 
 A combined pair multiplies Alice's term at rate p_a with the ebit-protection
-term at rate p_b = lambda * p_a.  One pair evaluation serves :func:`sweep`,
-:func:`compare` and :func:`crossover_degradation`: P_C and Alice's term at
-p_a, and Bob's tail as a function of lambda, the only factor lambda moves.
-Every value is exact, since they sit extremely close to 1: with p = a/b and
-c = b - a the tail is one integer, c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i),
-over b^N, for a/b reduced or not.  P_C is :func:`approx_fidelity`'s Fraction,
-other terms stay such pairs, and checks and comparisons cross-multiply.  P_D
-falls monotonically in lambda at fixed p_a, so bisection finds the crossover.
+term at rate p_b = lambda * p_a.  Every value is exact, since they sit
+extremely close to 1: with p = a/b and c = b - a the tail is one integer,
+c^(N-t) * sum_{i<=t} C(N,i) a^i c^(t-i), over b^N, for a/b reduced or not.
+:func:`compare` and :func:`crossover_degradation` share one pair evaluation,
+with P_C as :func:`approx_fidelity`'s Fraction; :func:`sweep` and
+:func:`curve_csv` share integer rows, whose denominators change only with
+p_a's, and only :func:`sweep` reduces them.  Checks and comparisons
+cross-multiply; P_D falls in lambda, so bisection finds the crossover.
 """
 
 from __future__ import annotations
@@ -156,23 +156,35 @@ def crossover_degradation(c_params, d_params, p_a,
     return (lo + hi) / 2
 
 
-def sweep(c_params: tuple[int, int],
-          d_params: tuple[tuple[int, int], tuple[int, int]],
-          lam, p_grid) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Exact (p_a, P_C, P_D) rows on a strictly increasing grid of p_a."""
-    lamf = read_degradation(lam)
+def _rows(c_params, d_params, lam, p_grid):
+    """Each grid point p_a = a/b, reduced, as integers (a, b, P_C over b**N, P_D
+    over its denominator); the denominators change only when b does."""
+    lam = read_degradation(lam)
     rows = []
     for p in p_grid:
         pa = _rate(p)
         if not 0 < pa.numerator < pa.denominator:
             raise RangeError(f"grid point {p} outside (0, 1)")
-        _check_degradation(lamf, pa)
-        pc, (alice, da), bob = _pair(c_params, d_params, pa)
-        num, den = bob(lamf)
-        rows.append((pa, pc, Fraction(alice * num, da * den)))
-    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+        _check_degradation(lam, pa)
+        if not rows:  # the codes, once
+            (N, t), (n, ta), (m, tb) = (_check_code(c_params[0], c_params[1]),
+                                        *(_check_code(length, d) for length, d in d_params))
+        a, b = pa.numerator, pa.denominator
+        if not rows or b != rows[-1][1]:
+            dc, dd = b ** N, b ** n * (lam.denominator * b) ** m
+        bob = _tail(m, tb, lam.numerator * a, lam.denominator * b)
+        rows.append((a, b, _tail(N, t, a, b), dc, _tail(n, ta, a, b) * bob, dd))
+    if any(a1 * b0 <= a0 * b1 for (a0, b0, *_), (a1, b1, *_) in zip(rows, rows[1:])):
         raise RangeError("p_a grid must be strictly increasing")
     return rows
+
+
+def sweep(c_params: tuple[int, int],
+          d_params: tuple[tuple[int, int], tuple[int, int]],
+          lam, p_grid) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Exact (p_a, P_C, P_D) rows on a strictly increasing grid of p_a."""
+    return [(Fraction(a, b), Fraction(pc, dc), Fraction(pd, dd))
+            for a, b, pc, dc, pd, dd in _rows(c_params, d_params, lam, p_grid)]
 
 
 # built once (a Context costs about a short division); its flags go unread
@@ -203,13 +215,12 @@ def format_15(x: Fraction) -> str:
     return _format_15(x.numerator, x.denominator)
 
 
-def curve_csv(rows) -> str:
-    """The (p_a, P_C, P_D) rows of :func:`sweep` as CSV with a diff column."""
+def curve_csv(c_params, d_params, lam, p_grid) -> str:
+    """:func:`sweep`'s rows as CSV with a diff column, rendered with no gcd."""
     lines = ["p_a,P_C,P_D,diff"]
-    for pa, pc, pd in rows:
-        diff = _format_15(pd.numerator * pc.denominator - pc.numerator * pd.denominator,
-                          pd.denominator * pc.denominator)
-        lines.append(",".join([format_15(pa), format_15(pc), format_15(pd), diff]))
+    for a, b, pc, dc, pd, dd in _rows(c_params, d_params, lam, p_grid):
+        lines.append(",".join([_format_15(a, b), _format_15(pc, dc), _format_15(pd, dd),
+                               _format_15(pd * dc - pc * dd, dd * dc)]))
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.errors import (FieldMismatch, InsufficientProtection,
+from eaqecne.errors import (FieldMismatch, FormatError, InsufficientProtection,
                             NotSelfOrthogonal, PreconditionFailed, RangeError)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
@@ -290,6 +290,17 @@ def test_combine_construct_preconditions():
     # (G2|E) not complementary-dual: repeat a self-orthogonal row
     with pytest.raises(PreconditionFailed):
         eaqec.combine_construct(Q, [[1, 1]], [[0, 0], [0, 0]], [[1, 1], [2, 2]])
+
+
+@pytest.mark.parametrize("bad", [[], [[1, 0], [1]], [[[1, 0]]], [[1.5, 1]], [[4, 0]], [[-1, 0]]],
+                         ids=["empty", "ragged", "3-D", "float", "above-q", "negative"])
+@pytest.mark.parametrize("slot", ["G", "G2", "E"])
+def test_combine_construct_rejects_malformed_matrices(slot, bad):
+    # each matrix is read like a generator matrix, and the error names it;
+    # a float is refused before the int16 cast could truncate it to a code
+    mats = dict(G=[[1, 1]], G2=[[1, 0]], E=[[1, 0]]) | {slot: bad}
+    with pytest.raises(FormatError, match=rf"^{slot} (rows|entries|entry) "):
+        eaqec.combine_construct(field(4), mats["G"], mats["G2"], mats["E"])
 
 
 @settings(max_examples=150, deadline=None)

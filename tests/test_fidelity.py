@@ -3,6 +3,7 @@
 import decimal
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -177,50 +178,60 @@ def test_sweep_structure():
                                   [Fraction(1, 100), Fraction(3, 100), Fraction(2, 100)]],
                          ids=["repeated", "decreasing", "unordered"])
 def test_sweep_rejects_grid_not_increasing(grid):
-    with pytest.raises(RangeError, match="^p_a grid must be strictly increasing$"):
-        fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10), grid)
+    for render in (fid.sweep, fid.curve_csv):
+        with pytest.raises(RangeError, match="^p_a grid must be strictly increasing$"):
+            render((17, 7), ((11, 7), (6, 3)), Fraction(1, 10), grid)
 
 
 def test_sweep_empty_grid_has_no_rows():
     # nothing is evaluated, so neither lambda's sign nor the codes are checked
     assert fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10), []) == []
     assert fid.sweep((0, 0), ((11, 7), (6, 3)), -1, []) == []
-    assert fid.curve_csv([]) == "p_a,P_C,P_D,diff\n"
+    assert fid.curve_csv((0, 0), ((11, 7), (6, 3)), -1, []) == "p_a,P_C,P_D,diff\n"
+
+
+# sweeps bad in two ways at once, each run through sweep and curve_csv
+DOUBLY_BAD_SWEEPS = {
+    "unordered-grid-point-1": (((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
+                                [Fraction(1, 2), Fraction(1, 4), Fraction(1)]),
+                               "grid point 1 outside (0, 1)"),
+    "unordered-grid-rate": (((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
+                             [Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)]),
+                            "rate 3/2 outside [0, 1]"),
+    "unordered-negative-lambda": (((17, 7), ((11, 7), (6, 3)), -1,
+                                   [Fraction(1, 2), Fraction(1, 4)]),
+                                  "degradation coefficient -1 is negative"),
+    "unordered-bad-code": (((17, 0), ((11, 7), (6, 3)), Fraction(1, 10),
+                            [Fraction(1, 2), Fraction(1, 4)]),
+                           "distance 0 outside [1, 17]"),
+    "sweep-bad-codes-hot-bob": (((17, 0), ((11, 0), (6, 3)), 3, [Fraction(1, 2)]),
+                                "rate 3/2 outside [0, 1]"),
+}
 
 
 # inputs bad in two ways at once: p_a, then lambda, then lambda * p_a, then
 # the codes, and every grid point before the grid's order
 @pytest.mark.parametrize("call, message", [
-    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
-                       [Fraction(1, 2), Fraction(1, 4), Fraction(1)]),
-     "grid point 1 outside (0, 1)"),
-    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 10),
-                       [Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)]),
-     "rate 3/2 outside [0, 1]"),
-    (lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), -1, [Fraction(1, 2), Fraction(1, 4)]),
-     "degradation coefficient -1 is negative"),
-    (lambda: fid.sweep((17, 0), ((11, 7), (6, 3)), Fraction(1, 10),
-                       [Fraction(1, 2), Fraction(1, 4)]),
-     "distance 0 outside [1, 17]"),
-    (lambda: fid.sweep((17, 0), ((11, 0), (6, 3)), 3, [Fraction(1, 2)]),
-     "rate 3/2 outside [0, 1]"),
-    (lambda: fid.compare((17, 7), ((11, 0), (6, 3)), Fraction(1, 2), 3),
-     "rate 3/2 outside [0, 1]"),
-    (lambda: fid.compare((17, 99), ((11, 7), (6, 9)), Fraction(1, 2), 3),
-     "rate 3/2 outside [0, 1]"),
-    (lambda: fid.compare((0, 7), ((11, 7), (6, 3)), Fraction(1, 2), -1),
-     "degradation coefficient -1 is negative"),
-    (lambda: fid.compare((17, 7), ((11, 7), (6, 3)), 2, -1),
-     "rate 2 outside [0, 1]"),
-    (lambda: fid.crossover_degradation((17, 0), ((11, 0), (6, 0)), Fraction(1, 2)),
-     "distance 0 outside [1, 17]"),
-    (lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 0)), Fraction(1, 2)),
-     "distance 0 outside [1, 6]"),
-], ids=["unordered-grid-point-1", "unordered-grid-rate", "unordered-negative-lambda",
-        "unordered-bad-code", "sweep-bad-codes-hot-bob", "compare-bad-pair-hot-bob",
-        "compare-bad-distances-hot-bob", "compare-bad-code-negative-lambda",
-        "compare-bad-rate-negative-lambda", "crossover-bad-codes",
-        "crossover-bad-bob"])
+    *(pytest.param(partial(render, *args), message,
+                   id=name if render is fid.sweep else f"{name}-csv")
+      for name, (args, message) in DOUBLY_BAD_SWEEPS.items()
+      for render in (fid.sweep, fid.curve_csv)),
+    pytest.param(lambda: fid.compare((17, 7), ((11, 0), (6, 3)), Fraction(1, 2), 3),
+                 "rate 3/2 outside [0, 1]", id="compare-bad-pair-hot-bob"),
+    pytest.param(lambda: fid.compare((17, 99), ((11, 7), (6, 9)), Fraction(1, 2), 3),
+                 "rate 3/2 outside [0, 1]", id="compare-bad-distances-hot-bob"),
+    pytest.param(lambda: fid.compare((0, 7), ((11, 7), (6, 3)), Fraction(1, 2), -1),
+                 "degradation coefficient -1 is negative",
+                 id="compare-bad-code-negative-lambda"),
+    pytest.param(lambda: fid.compare((17, 7), ((11, 7), (6, 3)), 2, -1),
+                 "rate 2 outside [0, 1]", id="compare-bad-rate-negative-lambda"),
+    pytest.param(lambda: fid.crossover_degradation((17, 0), ((11, 0), (6, 0)),
+                                                   Fraction(1, 2)),
+                 "distance 0 outside [1, 17]", id="crossover-bad-codes"),
+    pytest.param(lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 0)),
+                                                   Fraction(1, 2)),
+                 "distance 0 outside [1, 6]", id="crossover-bad-bob"),
+])
 def test_first_error_of_doubly_bad_inputs(call, message):
     with pytest.raises(RangeError) as exc:
         call()
@@ -229,8 +240,7 @@ def test_first_error_of_doubly_bad_inputs(call, message):
 
 def test_csv_rendering():
     grid = [Fraction(1, 100)]
-    rows = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
-    text = fid.curve_csv(rows)
+    text = fid.curve_csv((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
     lines = text.strip().splitlines()
     assert lines[0] == "p_a,P_C,P_D,diff"
     assert lines[1].startswith("0.01,0.999978555245860,")
@@ -417,30 +427,37 @@ def test_format_core_ignores_common_factors(x, text, k):
 
 @st.composite
 def random_sweeps(draw):
+    """Sweeps of up to six points.  Over 12 and 100 the points reduce to
+    different denominators (1/12, 1/6, 1/4, ...), so the integer core computes
+    its denominators again mid-grid, and sometimes returns to an earlier one."""
     N = draw(st.integers(2, 120))
     n = draw(st.integers(1, N - 1))
     m = N - n
     d, db = draw(st.integers(1, n)), draw(st.integers(1, m))
-    den = draw(st.sampled_from([100, 1000, 10007]))
+    den = draw(st.sampled_from([12, 100, 1000, 10007]))
     lam = Fraction(draw(st.integers(0, 40)), draw(st.sampled_from([1, 3, 10, 101])))
     first = draw(st.integers(1, den // 4))
     steps = draw(st.integers(1, 6))
-    step = draw(st.integers(1, den // 20))
+    step = draw(st.integers(1, max(1, den // 20)))
     grid = [Fraction(first + i * step, den) for i in range(steps)]
     lam = min(lam, 1 / grid[-1])
     return (N, d), ((n, d), (m, db)), lam, grid
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(random_sweeps())
+# denominators 12, 6, 4, 3, 12, 2, 12: the console-script pin of the CI workflow
+@example(((17, 7), ((11, 7), (6, 3)), Fraction(1, 3), [Fraction(k, 12) for k in range(1, 8)]))
 def test_curve_csv_matches_oracle_rendering(case):
     c, ((n, d), (m, db)), lam, grid = case
-    lines = ["p_a,P_C,P_D,diff"]
+    rows, lines = [], ["p_a,P_C,P_D,diff"]
     for pa in grid:
         pc = oracle_fidelity(*c, pa)
         pd = oracle_fidelity(n, d, pa) * oracle_fidelity(m, db, lam * pa)
+        rows.append((pa, pc, pd))
         lines.append(",".join(decimal_format_15(v) for v in (pa, pc, pd, pd - pc)))
-    assert fid.curve_csv(fid.sweep(c, ((n, d), (m, db)), lam, grid)) == "\n".join(lines) + "\n"
+    assert fid.sweep(c, ((n, d), (m, db)), lam, grid) == rows
+    assert fid.curve_csv(c, ((n, d), (m, db)), lam, grid) == "\n".join(lines) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
