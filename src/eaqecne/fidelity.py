@@ -201,8 +201,10 @@ def _format_15(num: int, den: int) -> str:
     (1/8 and 2/16 print 0.125)."""
     ctx = _FORMAT_CONTEXT
     n = abs(num)
-    # 1233 / 4096 is just below log10(2)
-    k = 18 - ((n.bit_length() - den.bit_length() - 1) * 1233 >> 12)
+    # k from the bit gap e times 1292913986 / 2^32, 1.8e-11 below log10(2):
+    # the quotient has at least 18 - |e| * 1.8e-11 digits, so 17 up to a gap
+    # of 5e10 bits (1233 / 4096, 4.6e-6 below, could fall short past 4e5 bits)
+    k = 18 - ((n.bit_length() - den.bit_length() - 1) * 1292913986 >> 32)
     q, rem = divmod(n * 10 ** k, den) if k >= 0 else divmod(n, den * 10 ** -k)
     if not rem:
         return ctx.to_sci_string(ctx.divide(num, den))

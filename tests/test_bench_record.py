@@ -143,6 +143,17 @@ def test_cold_time_runs_the_package_of_the_checkout(tmp_path):
     assert (tmp_path / "seen").read_text() == str(pkg / "__init__.py")
 
 
+def test_every_cold_command_exits_0_on_this_checkout(tmp_path):
+    """Each timed command, on its input files, succeeds on this checkout's
+    src/ (``cold_time`` raises on a nonzero exit)."""
+    (tmp_path / "src").symlink_to(_PATH.parents[1] / "src")
+    br.write_cold_files(tmp_path)
+    assert {"import", "analyze", "mindist", "combine", "fidelity",
+            "print-field"} <= set(br.COLD_COMMANDS)
+    for argv in br.COLD_COMMANDS.values():
+        assert br.cold_time(tmp_path, argv) > 0
+
+
 def git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
                     *args], cwd=repo, check=True, capture_output=True)

@@ -145,37 +145,6 @@ def test_mindist_budget_error(capsys, five_q_code_file):
     assert "budget" in err
 
 
-def test_combine(capsys, tmp_path):
-    Q = field(4)
-    names = {}
-    blocks = {"G": [[3, 0, 1, 2]], "G2": [[0, 2, 3, 3], [2, 3, 1, 1]],
-              "E": [[0, 2, 1], [3, 1, 3]]}
-    for name, rows in blocks.items():
-        p = tmp_path / f"{name}.mat"
-        p.write_text(linalg.dump_matrix(Q, np.array(rows)))
-        names[name] = str(p)
-    rc, out, _ = run(capsys, ["combine", names["G"], names["G2"], names["E"]])
-    assert rc == 0
-    lines = dict(ln.split("=", 1) for ln in out.strip().splitlines())
-    assert lines["l"] == "1" and lines["c"] == "1"
-    assert lines["radical_is_top_block"] == "true"
-    assert lines["d1"] == "3" and lines["d2"] == "2"
-    assert lines["c_identity_holds"] == "true"
-    assert out == ("params=[[7,5,1;1]]_2\nl=1\nc=1\nd1=3\nd2=2\n"
-                   "complement_min_weight=5\n"
-                   "distance_claim_d_ge_d1_plus_d2=false\n"
-                   "radical_is_top_block=true\nc_identity_value=1\n"
-                   "c_identity_holds=true\nenumerated=2059\n")
-    rc, out, _ = run(capsys, ["combine", "--no-distance",
-                              names["G"], names["G2"], names["E"]])
-    assert rc == 0
-    assert out == ("params=[[7,5;1]]_2\nl=1\nc=1\nd1=?\nd2=?\n"
-                   "complement_min_weight=?\n"
-                   "distance_claim_d_ge_d1_plus_d2=?\n"
-                   "radical_is_top_block=true\nc_identity_value=1\n"
-                   "c_identity_holds=true\nenumerated=0\n")
-
-
 def test_combine_stabilizer_params_line(capsys, tmp_path):
     # G alone, with an empty (G2|E): a self-orthogonal [[5,4,1]] code, c = 0
     paths = []
@@ -198,16 +167,6 @@ def test_combine_precondition_exit(capsys, tmp_path):
     e.write_text(linalg.dump_matrix(Q, np.array([[1, 0], [0, 1]])))
     rc, _, err = run(capsys, ["combine", str(g), str(g2), str(e)])
     assert rc == 1 and "dual" in err
-
-
-def test_match(capsys):
-    rc, out, _ = run(capsys, ["match", "--q", "2",
-                              "--alice", "8,1,5,1", "--bob", "5,1,3"])
-    assert rc == 0
-    assert out == "match=properly-matching+faithful\n"
-    rc, out, _ = run(capsys, ["match", "--q", "2",
-                              "--alice", "8,1,?,1", "--bob", "5,1,?"])
-    assert out == "match=properly-matching\n"
 
 
 def test_tables(capsys):
@@ -273,59 +232,6 @@ def test_verify_pauli_cap_before_allocation(capsys):
     assert rc == 1 and out == ""
     assert err == "error: p^n = 1024 exceeds the cap 243\n"
     assert peak < 5 * 2 ** 20
-
-
-def test_decompose_symplectic_output(capsys, tmp_path):
-    F = field(3)
-    pre = np.array([[1, 0, 0, 0], [0, 0, 0, 1]])
-    p = tmp_path / "pre.mat"
-    p.write_text(linalg.dump_matrix(F, pre))
-    rc, out, _ = run(capsys, ["decompose", str(p), "--symplectic"])
-    assert rc == 0
-    assert "#ambient n=2" in out
-    assert "#radical basis" in out and "#complement basis" in out
-
-
-def test_print_field(capsys):
-    rc, out, _ = run(capsys, ["print-field"])
-    assert rc == 0
-    assert "GF(4) = GF(2)[x]/(x^2 + x + 1)" in out
-    rc, out, _ = run(capsys, ["print-field", "--order", "4"])
-    assert "0: 0" in out and "2: x" in out and "3: 1 + x" in out
-
-
-def test_print_field_beta_lines(capsys):
-    rc, out, _ = run(capsys, ["print-field", "--order", "9"])
-    assert rc == 0
-    assert "beta=x (index 3)" in out
-
-
-# every modulus and beta line, written down apart from the field table
-ALL_FIELDS = """\
-GF(2): prime field, elements 0..1
-GF(3): prime field, elements 0..2
-GF(4) = GF(2)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 2^i)
-  beta=x (index 2), beta^q index 3, beta^2-beta^(2q) index 1
-GF(5): prime field, elements 0..4
-GF(7): prime field, elements 0..6
-GF(8) = GF(2)[x]/(x^3 + x + 1), encoding index = sum(coeff_i * 2^i)
-GF(9) = GF(3)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 3^i)
-  beta=x (index 3), beta^q index 8, beta^2-beta^(2q) index 5
-GF(16) = GF(4)[x]/(x^2 + x + y), encoding index = sum(coeff_i * 4^i)
-  beta=x (index 4), beta^q index 5, beta^2-beta^(2q) index 1
-GF(25) = GF(5)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 5^i)
-  beta=x (index 5), beta^q index 24, beta^2-beta^(2q) index 19
-GF(49) = GF(7)[x]/(x^2 + x + 3), encoding index = sum(coeff_i * 7^i)
-  beta=x (index 7), beta^q index 48, beta^2-beta^(2q) index 41
-GF(64) = GF(8)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 8^i)
-  beta=x (index 8), beta^q index 9, beta^2-beta^(2q) index 1
-GF(81) = GF(9)[x]/(x^2 + x + (1 + y)), encoding index = sum(coeff_i * 9^i)
-  beta=x (index 9), beta^q index 20, beta^2-beta^(2q) index 11
-"""
-
-
-def test_print_field_every_modulus(capsys):
-    assert run(capsys, ["print-field"]) == (0, ALL_FIELDS, "")
 
 
 def test_closed_stdout_is_silent():

@@ -2,6 +2,7 @@
 
 import decimal
 import json
+import random
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -9,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eaqecne.cli import main
 from eaqecne.errors import RangeError
 from eaqecne import fidelity as fid
 
-from oracles import (bisect_crossover, decimal_format_15, pascal_fidelity as oracle_fidelity,
+from oracles import (bisect_crossover, decimal_format_15, integer_format_15,
+                     pascal_fidelity as oracle_fidelity,
                      term_fidelity)
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_fidelity.json").read_text())
@@ -37,7 +38,6 @@ def test_frozen_fixture():
 
 
 def test_matches_oracle_random():
-    import random
     rnd = random.Random(123)
     for _ in range(200):
         N = rnd.randint(1, 64)
@@ -58,7 +58,6 @@ def test_range_errors():
 
 
 def test_bounds_and_monotonicity():
-    import random
     rnd, pair_rnd = random.Random(7), random.Random(8)
     for _ in range(30):
         N = rnd.randint(2, 40)
@@ -302,14 +301,6 @@ def test_crossover_matches_unhoisted_bisection(case):
             == bisect_crossover(c, dpair, pa, tol=tol))
 
 
-@pytest.mark.parametrize("k", range(len(GOLDEN["sweeps"])))
-def test_sweep_golden(k, capsys):
-    """CLI stdout pinned byte for byte, from N = 17 to N = 255."""
-    entry = GOLDEN["sweeps"][k]
-    assert main(entry["argv"]) == 0
-    assert capsys.readouterr().out == entry["stdout"]
-
-
 @pytest.mark.parametrize("k", range(len(GOLDEN["crossovers"])))
 def test_crossover_golden(k):
     e = GOLDEN["crossovers"][k]
@@ -393,6 +384,27 @@ def test_format_15_matches_decimal_division(x, k):
     text = decimal_format_15(x)
     assert fid.format_15(x) == text
     assert fid._format_15(x.numerator * k, x.denominator * k) == text
+
+
+@pytest.mark.parametrize("gap", [-3_000_000, -1_200_000, -850_000, 1_200_000])
+def test_format_15_matches_integer_division_at_huge_bit_gaps(gap):
+    """Far from 1 the bit-length estimate of the decimal exponent must stay
+    within a digit: a random quotient 2^gap in size and, below 1, the
+    loosest one, a hair above a power of two over a hair below one."""
+    rng = random.Random(gap)
+    big = rng.getrandbits(abs(gap)) | 1 << abs(gap)
+    small = rng.getrandbits(60) | 1 << 60
+    cases = [(small, big) if gap < 0 else (-big, small)]
+    if gap < 0:
+        cases.append((2 ** 64 + 1, 2 ** (64 - gap) - 1))
+    for num, den in cases:
+        assert fid._format_15(num, den) == integer_format_15(num, den)
+
+
+def test_integer_format_15_oracle():
+    for x in (Fraction(2, 3), Fraction(-1, 3 * 10 ** 9), FROZEN_17_7,
+              Fraction(10 ** 16 - 1, 10 ** 16) + Fraction(1, 10 ** 40)):
+        assert integer_format_15(x.numerator, x.denominator) == decimal_format_15(x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,15 @@
 Each fast route (``linalg.gram``, ``symp_gram`` on the preimage, the
 Gram-updated symplectic Gram-Schmidt, the Hermitian questions of
 GF(q^2)-linear codes answered on ``from_linear`` codes) is checked against
-a scalar oracle or a pinned output.  The Hermitian and trace forms have no
-path of their own: their values and duals are read off symplectic ones.
+a scalar oracle; ``decompose`` output is pinned in golden_cli.json.  The
+Hermitian and trace forms have no path of their own: their values and duals
+are read off symplectic ones.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.cli import main
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
@@ -23,8 +20,6 @@ from oracles import (hermitian_dual, hermitian_gram, hermitian_radical,
                      kernel_radical, loop_field, random_additive_code,
                      random_matrix, random_subspace, scalar_inner, subspace_eq,
                      subspace_intersect, trace_dual)
-
-GOLDEN = Path(__file__).with_name("golden_decompose.json")
 
 
 def random_code(Q, rng, max_n=4):
@@ -283,21 +278,3 @@ def test_hermitian_route_matches_oracle(code):
     alice = eaqec.combine_neb(code, bob, compute_d=False).alice
     assert alice.c == code.m // 2 - rad.shape[0]
     assert alice.l == 2 * rad.shape[0]
-
-
-def _golden_ids():
-    return [f"q{e['q']}-{k}" for k, e in enumerate(json.loads(GOLDEN.read_text()))]
-
-
-@pytest.mark.parametrize("k", range(len(_golden_ids())), ids=_golden_ids())
-def test_decompose_golden(k, tmp_path, capsys):
-    """Pinned decompose output, text and --symplectic, for seeded codes."""
-    entry = json.loads(GOLDEN.read_text())[k]
-    code = tmp_path / "c.code"
-    pre = tmp_path / "c.pre"
-    code.write_text(entry["code"])
-    pre.write_text(entry["preimage"])
-    for key, argv in (("decompose", ["decompose", str(code)]),
-                      ("decompose_symplectic", ["decompose", str(pre), "--symplectic"])):
-        assert main(argv) == 0
-        assert capsys.readouterr().out == entry[key]

@@ -20,9 +20,10 @@ as the benchmark.
 
 A cold-start section times what a user waits for on each CLI call: fresh
 processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne match``,
-``eaqecne print-field --order 9`` and ``eaqecne analyze`` on one small fixed
-code, each run ``COLD_RUNS`` times per side, the sides alternating as in the
-pairs.  They run in the environment the script was started in and set no
+``eaqecne print-field --order 9``, ``eaqecne analyze`` and ``eaqecne
+mindist`` on one small fixed code and ``eaqecne combine`` on a fixed GF(4)
+witness, each run ``COLD_RUNS`` times per side, the sides alternating as in
+the pairs.  They run in the environment the script was started in and set no
 thread count, whereas ``bench/run.py`` pins one BLAS thread and imports
 numpy before it times anything.  A per-invocation figure times, in one fresh
 process per side, ``INVOCATION_CALLS`` in-process calls of
@@ -88,6 +89,9 @@ COLD_CODE = """#code q2=9 n=9 m=4
 0 8 4 2 7 3 1 6 5
 8 8 8 8 8 8 8 8 8
 """
+# with combine's GF(4) block-construction witness: [[7,5,1;1]]_2, 2059 words
+COLD_FILES = {"cold.code": COLD_CODE, "G.mat": "4 1 4\n3 0 1 2\n",
+              "G2.mat": "4 2 4\n0 2 3 3\n2 3 1 1\n", "E.mat": "4 2 3\n0 2 1\n3 1 3\n"}
 MATCH = ["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "5,1,3"]
 COLD_COMMANDS = {
     "import": ["-c", "import eaqecne"],
@@ -96,6 +100,8 @@ COLD_COMMANDS = {
     "match": ["-m", "eaqecne.cli", *MATCH],
     "print-field": ["-m", "eaqecne.cli", "print-field", "--order", "9"],
     "analyze": ["-m", "eaqecne.cli", "analyze", "cold.code"],
+    "mindist": ["-m", "eaqecne.cli", "mindist", "cold.code"],
+    "combine": ["-m", "eaqecne.cli", "combine", "G.mat", "G2.mat", "E.mat"],
 }
 
 
@@ -223,9 +229,15 @@ def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     return out
 
 
+def write_cold_files(checkout: Path) -> None:
+    """The input files of ``COLD_COMMANDS``, into `checkout`."""
+    for name, text in COLD_FILES.items():
+        (checkout / name).write_text(text, encoding="utf-8")
+
+
 def cold_start(parent: Path, change: Path) -> dict:
     for checkout in (parent, change):
-        (checkout / "cold.code").write_text(COLD_CODE, encoding="utf-8")
+        write_cold_files(checkout)
     times = {name: {"parent": [], "change": []} for name in COLD_COMMANDS}
     for k in range(COLD_RUNS):
         sides = [("parent", parent), ("change", change)]
