@@ -169,6 +169,42 @@ def test_combine_precondition_exit(capsys, tmp_path):
     assert rc == 1 and "dual" in err
 
 
+def test_print_field(capsys):
+    rc, out, _ = run(capsys, ["print-field"])
+    assert rc == 0
+    assert "GF(4) = GF(2)[x]/(x^2 + x + 1)" in out
+    rc, out, _ = run(capsys, ["print-field", "--order", "4"])
+    assert "0: 0" in out and "2: x" in out and "3: 1 + x" in out
+
+
+# every modulus and beta line, written down apart from the field table
+ALL_FIELDS = """\
+GF(2): prime field, elements 0..1
+GF(3): prime field, elements 0..2
+GF(4) = GF(2)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 2^i)
+  beta=x (index 2), beta^q index 3, beta^2-beta^(2q) index 1
+GF(5): prime field, elements 0..4
+GF(7): prime field, elements 0..6
+GF(8) = GF(2)[x]/(x^3 + x + 1), encoding index = sum(coeff_i * 2^i)
+GF(9) = GF(3)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 3^i)
+  beta=x (index 3), beta^q index 8, beta^2-beta^(2q) index 5
+GF(16) = GF(4)[x]/(x^2 + x + y), encoding index = sum(coeff_i * 4^i)
+  beta=x (index 4), beta^q index 5, beta^2-beta^(2q) index 1
+GF(25) = GF(5)[x]/(x^2 + x + 2), encoding index = sum(coeff_i * 5^i)
+  beta=x (index 5), beta^q index 24, beta^2-beta^(2q) index 19
+GF(49) = GF(7)[x]/(x^2 + x + 3), encoding index = sum(coeff_i * 7^i)
+  beta=x (index 7), beta^q index 48, beta^2-beta^(2q) index 41
+GF(64) = GF(8)[x]/(x^2 + x + 1), encoding index = sum(coeff_i * 8^i)
+  beta=x (index 8), beta^q index 9, beta^2-beta^(2q) index 1
+GF(81) = GF(9)[x]/(x^2 + x + (1 + y)), encoding index = sum(coeff_i * 9^i)
+  beta=x (index 9), beta^q index 20, beta^2-beta^(2q) index 11
+"""
+
+
+def test_print_field_every_modulus(capsys):
+    assert run(capsys, ["print-field"]) == (0, ALL_FIELDS, "")
+
+
 def test_tables(capsys):
     rc, out, _ = run(capsys, ["tables"])
     assert rc == 0
