@@ -4,6 +4,8 @@ Everything raised on bad domain input derives from ``EaqecneError`` so the
 CLI can map it to exit code 1; usage errors are argparse's business (exit 2).
 """
 
+from operator import index
+
 # Every supported field GF(order), ascending: None for a prime, else its base
 # order and the monic modulus over that base, coefficient indices low degree
 # first.  Each quadratic modulus x^2 + a*x + b has a != 0.  Nothing checks an
@@ -89,3 +91,11 @@ class NotAbelian(EaqecneError):
 
 class PhaseObstruction(EaqecneError):
     """Generated group contains a nontrivial multiple of the identity."""
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int through ``operator.index``; else a RangeError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise RangeError(f"{what}={value!r} is not an integer") from None

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from operator import index
 
-from .errors import RangeError
+from .errors import RangeError, _integer
 
 
 def read_rational(x, what: str) -> Fraction:
@@ -47,11 +46,7 @@ def _rate(p) -> Fraction:
 
 
 def _check_code(length, distance) -> tuple[int, int]:
-    try:
-        length, distance = index(length), index(distance)
-    except TypeError as exc:
-        raise RangeError(f"length {length!r} and distance {distance!r} "
-                         f"must be integers") from exc
+    length, distance = _integer(length, "length"), _integer(distance, "distance")
     if length < 1:
         raise RangeError(f"length {length} must be positive")
     if not 1 <= distance <= length:
@@ -115,17 +110,14 @@ def compare(c_params: tuple[int, int],
     return D_BETTER if gap > 0 else C_BETTER if gap < 0 else TIE
 
 
-def crossover_degradation(c_params, d_params, p_a,
-                          tol: float = 1e-9) -> Fraction | None:
+def crossover_degradation(c_params, d_params, p_a) -> Fraction | None:
     """Bisect lam in [0, 1] for the sign change of P(D) - P(C).
 
     Returns None when the difference has the same sign at both endpoints;
-    exact rational evaluations, lam resolved to within `tol` > 0.  Only Bob's
-    tail depends on lam, so P(C) and Alice's term are computed once.
+    exact rational evaluations, lam resolved by 30 halvings to a dyadic
+    rational over 2^31.  Only Bob's tail depends on lam, so P(C) and Alice's
+    term are computed once.
     """
-    width = read_rational(tol, "tolerance")
-    if not width > 0:
-        raise RangeError(f"tol must be positive, got {tol}")
     pa = _rate(p_a)
     if not 0 < pa.numerator < pa.denominator:
         raise RangeError(f"p_a must lie strictly inside (0, 1), got {p_a}")
@@ -144,7 +136,7 @@ def crossover_degradation(c_params, d_params, p_a,
         return hi
     if (f_lo > 0) == (f_hi > 0):
         return None
-    while hi - lo > width:
+    for _ in range(30):
         mid = (lo + hi) / 2
         f_mid = diff(mid)
         if f_mid == 0:

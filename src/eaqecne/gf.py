@@ -64,8 +64,7 @@ class FieldSpec:
             self.e = 1
             rng = np.arange(p, dtype=_TABLE_DTYPE)
             self.add_table = (rng[:, None] + rng[None, :]) % p
-            self.mul_table = (rng[:, None].astype(np.int64) * rng[None, :]) % p
-            self.mul_table = self.mul_table.astype(_TABLE_DTYPE)
+            self.mul_table = (rng[:, None] * rng[None, :]) % p
         else:
             base = field(entry[0])
             self.p = base.p
@@ -186,10 +185,10 @@ class FieldSpec:
             return str(a)
         return " + ".join(self._terms(self.coeffs(a), var)) or "0"
 
-    def modulus_str(self, var: str = "x") -> str:
+    def modulus_str(self) -> str:
         if self.base is None:
-            return var
-        return " + ".join(reversed(self._terms(self.modulus, var)))
+            return "x"
+        return " + ".join(reversed(self._terms(self.modulus, "x")))
 
     def __repr__(self) -> str:
         return f"GF({self.order})"

@@ -184,18 +184,14 @@ def kernel(F: FieldSpec, mat) -> np.ndarray:
     return out[:, ::-1].copy()
 
 
-def _check_ambient(a: np.ndarray, b: np.ndarray):
-    if a.shape[1] != b.shape[1]:
-        raise AmbientMismatch(f"{a.shape[1]} vs {b.shape[1]} columns")
-
-
 def gram(F: FieldSpec, A, B) -> np.ndarray:
     """A . B^T over F, entry (i, j) the dot product of A[i] and B[j]: one exact
     float64 (BLAS) product of the F_p digit planes of A and B, taken from
     ``_codes(F).planes``; its ``struct`` folds plane pair (a, b), which stands
     for x^a * x^b, into e digits, then mod p.  Sums are <= e^2 (p-1)^3 n < 2^53."""
     A, B = as_matrix(A), as_matrix(B)
-    _check_ambient(A, B)
+    if A.shape[1] != B.shape[1]:
+        raise AmbientMismatch(f"{A.shape[1]} vs {B.shape[1]} columns")
     (r, n), s, e, T = A.shape, B.shape[0], F.e, _codes(F)
     digits = lambda X: T.planes.take(X, 1).reshape(e * len(X), n)
     D = digits(A) @ digits(B).T

@@ -112,21 +112,18 @@ def commutation_phase(g: PauliLabel, h: PauliLabel) -> int:
     raise NonPauliResult("matrices are not related by any root-of-unity phase")
 
 
-def codespace_dim(generators, *, p: int | None = None,
-                  n: int | None = None) -> int:
+def codespace_dim(generators) -> int:
     """Rank of the product of the generator averages (1/p) sum_{j<p} M_g^j.
 
+    Needs at least one label; a set of identities fixes the full space.
     Generators must commute pairwise (checked through matrices) and each
     M_g^p must be I; the product is then the average over the generated
     group, which vanishes exactly when the group contains some w^i I with
-    i != 0.  Both obstructions raise PhaseObstruction.  An empty set fixes
-    the full space; pass p and n explicitly for that case.
+    i != 0.  Both obstructions raise PhaseObstruction.
     """
     gens = list(generators)
     if not gens:
-        if p is None or n is None:
-            raise ValueError("empty generator set needs explicit p and n")
-        gens = [PauliLabel.identity(p, n)]
+        raise ValueError("codespace_dim needs at least one label")
     p, n = gens[0].p, gens[0].n
     check_cap(p, n)
     for a, b in itertools.combinations(gens, 2):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SUPPORTED_ORDERS, FieldMismatch, RangeError
+from .errors import SUPPORTED_ORDERS, FieldMismatch, RangeError, _integer
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class EAQECCParams:
     d: int | None = None
 
     def __post_init__(self):
+        for name in ("q", "n", "k", "c") if self.d is None else ("q", "n", "k", "c", "d"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.q not in SUPPORTED_ORDERS:
             raise RangeError(f"q={self.q} is not a supported order {SUPPORTED_ORDERS}")
         if self.c < 0 or self.k < 0:
@@ -122,6 +124,7 @@ def known_tables(family_ms=(2, 3, 4)) -> list[CombinationParams]:
     """Published parameter families with declared (not recomputed) distances."""
     rows = []
     for m in family_ms:
+        m = _integer(m, "family parameter m")
         if m < 2:
             raise RangeError(f"family parameter m={m} must be at least 2")
         rows.extend(make(m) for make in _BINARY_FAMILY)

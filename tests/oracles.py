@@ -37,6 +37,12 @@ import numpy as np
 from eaqecne import addcodes as ac, linalg, symplectic as sp
 from eaqecne.errors import FIELDS
 
+# every field order of the package's table, and those of its quadratic
+# extensions, so that a new table entry is tested everywhere
+ORDERS = tuple(FIELDS)
+QUADRATIC_ORDERS = tuple(q for q, entry in FIELDS.items()
+                         if entry is not None and len(entry[1]) == 3)
+
 
 def _poly_trim(f):
     while f and f[-1] == 0:
@@ -523,9 +529,10 @@ def pascal_fidelity(N, d, p):
                Fraction(0))
 
 
-def bisect_crossover(c_params, d_params, p_a, tol=1e-9):
-    """Bisect lam in [0, 1] for the sign change of P(D) - P(C), evaluating
-    P(C) and both factors of P(D) afresh at every step."""
+def bisect_crossover(c_params, d_params, p_a):
+    """Bisect lam in [0, 1] for the sign change of P(D) - P(C) until the
+    interval is at most 1e-9 wide, evaluating P(C) and both factors of P(D)
+    afresh at every step."""
     (N, d), ((n, da), (m, db)) = c_params, d_params
     pa = Fraction(p_a)
 
@@ -541,7 +548,7 @@ def bisect_crossover(c_params, d_params, p_a, tol=1e-9):
         return hi
     if (f_lo > 0) == (f_hi > 0):
         return None
-    while hi - lo > Fraction(tol):
+    while hi - lo > Fraction(1e-9):
         mid = (lo + hi) / 2
         f_mid = diff(mid)
         if f_mid == 0:

@@ -4,6 +4,7 @@ the checkout and names its file (no benchmark run)."""
 import datetime
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,35 +104,6 @@ def test_cold_summary_marks_deltas_inside_the_parent_spread():
         "faster": False, "slower": False, "inside": True, "noise": True}
 
 
-def test_invocation_summary_in_milliseconds():
-    parent = [0.0012, 0.0010, 0.0014, 0.0011, 0.0013]
-    change = [0.0003, 0.0002, 0.0002, 0.0004, 0.0003]
-    s = br.invocation_summary(parent, change)
-    assert s["calls"] == 5
-    assert s["parent"] == pytest.approx({"median": 1.2, "q1": 1.05, "q3": 1.35})
-    assert s["change"] == pytest.approx({"median": 0.3, "q1": 0.2, "q3": 0.35})
-    assert s["saved_ms"] == pytest.approx(0.9)
-    # a slower change saves a negative amount
-    assert br.invocation_summary(change, parent)["saved_ms"] == pytest.approx(-0.9)
-
-
-def test_invocation_times_calls_main_of_the_checkout(tmp_path):
-    """One warm call, then each timed call, all in one fresh process on the
-    checkout's own src/."""
-    pkg = tmp_path / "src" / "eaqecne"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
-    (pkg / "cli.py").write_text(
-        "import pathlib\n"
-        "def main(argv):\n"
-        "    with open(pathlib.Path('calls'), 'a') as fh:\n"
-        "        fh.write(' '.join(argv) + '\\n')\n"
-        "    print('noise')\n")
-    times = br.invocation_times(tmp_path, ["match", "--q", "2"], calls=3)
-    assert len(times) == 3 and all(t >= 0 for t in times)
-    assert (tmp_path / "calls").read_text() == "match --q 2\n" * 4
-
-
 def test_cold_time_runs_the_package_of_the_checkout(tmp_path):
     """A cold run imports the checkout's own src/, ahead of any PYTHONPATH,
     from inside the checkout."""
@@ -144,14 +116,19 @@ def test_cold_time_runs_the_package_of_the_checkout(tmp_path):
 
 
 def test_every_cold_command_exits_0_on_this_checkout(tmp_path):
-    """Each timed command, on its input files, succeeds on this checkout's
-    src/ (``cold_time`` raises on a nonzero exit)."""
+    """Each timed command, with its argv and input files read from its case
+    of golden_cli.json, exits 0 on this checkout's src/ and prints that
+    case's stdout; a case renamed away fails here."""
     (tmp_path / "src").symlink_to(_PATH.parents[1] / "src")
-    br.write_cold_files(tmp_path)
-    assert {"import", "analyze", "mindist", "combine", "fidelity",
-            "print-field"} <= set(br.COLD_COMMANDS)
-    for argv in br.COLD_COMMANDS.values():
-        assert br.cold_time(tmp_path, argv) > 0
+    commands = br.cold_commands()
+    assert list(commands) == ["import", "fidelity", "match", "print-field",
+                              "analyze", "mindist", "combine"]
+    for argv, files, stdout in commands.values():
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode())
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp_path,
+                              env=br.source_env(tmp_path), capture_output=True)
+        assert (proc.returncode, proc.stdout.decode()) == (0, stdout)
 
 
 def git(repo, *args):
@@ -195,8 +172,9 @@ def test_record_path_never_overwrites_a_record_of_the_day(tmp_path):
 
 def test_record_traces_distance_and_structure(tmp_path, monkeypatch):
     """The record holds the end-to-end pairs of every workload and, for
-    distance and structure, one traced run per side whose per-layer
-    metrics (rref and parse_matrix self time among them) sit beside them."""
+    every workload (distance, structure and fidelity among them), one
+    traced run per side whose per-layer metrics (rref and parse_matrix self
+    time among them) sit beside them."""
     calls = []
 
     def fake_run(checkout, workload, seed, trace=0):
@@ -211,7 +189,6 @@ def test_record_traces_distance_and_structure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(br, "run_bench", fake_run)
     monkeypatch.setattr(br, "cold_start", lambda parent, change: {})
-    monkeypatch.setattr(br, "invocation_times", lambda checkout, argv: [0.001])
     sides = {}
     for side in ("parent", "change"):
         (tmp_path / side / "src").mkdir(parents=True)
@@ -219,15 +196,16 @@ def test_record_traces_distance_and_structure(tmp_path, monkeypatch):
     report = br.record(sides["parent"], sides["change"], "note")
     traced = [c for c in calls if c[3]]
     assert sorted(traced) == sorted((side, w, br.SEEDS[0], 1) for side in sides
-                                    for w in ("distance", "structure"))
+                                    for w in br.WORKLOADS)
+    assert {"distance", "structure", "fidelity"} <= set(br.WORKLOADS)
     assert len(calls) - len(traced) == 2 * len(br.SEEDS) * len(br.WORKLOADS)
     assert set(report["end_to_end"]) == set(br.WORKLOADS)
     for metrics in report["end_to_end"].values():
         assert {name: (c["bound"], c["verdict"]) for name, c in metrics.items()} == {
             m["name"]: (m["bound"], "within") for m in br.BENCHMARK["end_to_end"]}
     assert report["traced_correct"] == {w: {"parent": True, "change": True}
-                                        for w in ("distance", "structure")}
-    for w in ("distance", "structure"):
+                                        for w in br.WORKLOADS}
+    for w in br.WORKLOADS:
         layers = report[f"per_layer_{w}_traced"]
         assert layers["linalg.rref.self_s"] == {
             "better": "lower", "parent": 0.02, "change": 0.01}

