@@ -211,11 +211,11 @@ def puncture_to_eaqecc(code: ac.AdditiveCode, c: int, compute_d: bool = True, *,
                        budget: int = DEFAULT_BUDGET) -> PunctureReport:
     """Drop the last c coordinates of a Hermitian self-orthogonal
     GF(q^2)-linear code, of dimension u = m/2, and measure the EA parameters
-    of the result."""
-    if ac.AdditiveCode.from_linear(code.field, code.generators) != code:
+    of the result.  Linear means beta*C lies in C; :func:`stabilizer_params`
+    checks self-orthogonality."""
+    Q = code.field
+    if not code._spans(sp.phi_inv(Q, Q.mul_table[Q.beta, code.generators])):
         raise PreconditionFailed("source code is not GF(q^2)-linear")
-    if not ac.is_self_orthogonal(code):
-        raise NotSelfOrthogonal("source code is not Hermitian self-orthogonal")
     u, N = code.m // 2, code.n
     if not 0 < c <= u:
         raise RangeError(f"c={c} outside (0, {u}]")

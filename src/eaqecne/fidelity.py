@@ -184,7 +184,7 @@ _FORMAT_CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN,
                                   capitals=1, traps=[])
 
 
-def _format_15(num: int, den: int) -> str:
+def format_15(num: int, den: int) -> str:
     """Render num / den, den > 0, reduced or not, to 15 significant digits.
 
     An integer quotient of at least 17 digits, with a sticky digit 1 for a
@@ -204,17 +204,12 @@ def _format_15(num: int, den: int) -> str:
     return ctx.to_sci_string(ctx.create_decimal(f"{sign}{q}1E{-k - 1}"))
 
 
-def format_15(x: Fraction) -> str:
-    """Render an exact rational to 15 significant digits in a fixed context."""
-    return _format_15(x.numerator, x.denominator)
-
-
 def curve_csv(c_params, d_params, lam, p_grid) -> str:
     """:func:`sweep`'s rows as CSV with a diff column, rendered with no gcd."""
     lines = ["p_a,P_C,P_D,diff"]
     for a, b, pc, dc, pd, dd in _rows(c_params, d_params, lam, p_grid):
-        lines.append(",".join([_format_15(a, b), _format_15(pc, dc), _format_15(pd, dd),
-                               _format_15(pd * dc - pc * dd, dd * dc)]))
+        lines.append(",".join([format_15(a, b), format_15(pc, dc), format_15(pd, dd),
+                               format_15(pd * dc - pc * dd, dd * dc)]))
     return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,7 @@ _TABLE_DTYPE = np.int16
 
 class FieldSpec:
     """Immutable lookup tables for GF(order), one entry of ``errors.FIELDS``,
-    read by add/sub/neg/mul/inv.  Build through :func:`field`, which shares
+    read by add/neg/mul/inv.  Build through :func:`field`, which shares
     one instance per order.  Safe to share across threads: nothing mutates
     after ``__init__``.
 
@@ -88,6 +88,7 @@ class FieldSpec:
             self.add_table = sum(ADD[a[i], b[i]] * B ** i for i in range(d))
             self.mul_table = sum(prod[i] * B ** i for i in range(d))
         self.neg_table = (self.add_table == 0).argmax(axis=1).astype(_TABLE_DTYPE)
+        # kept for bench/fields.py, its only reader
         self.sub_table = self.add_table[:, self.neg_table]
         self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(_TABLE_DTYPE)
         if self.is_quadratic:
@@ -100,11 +101,11 @@ class FieldSpec:
     def _finalize_quadratic(self):
         q, idx, a = self.base.order, np.arange(self.order), self.modulus[1]
         self.beta = q  # residue class of x: coefficients (0, 1)
-        self.beta_conj = self.sub(self.neg(a), self.beta)  # -a - beta (Vieta)
+        self.beta_conj = self.add(self.neg(a), self.neg(self.beta))  # -a - beta (Vieta)
         # (beta - beta^q)(beta + beta^q) = -a(2 beta + a), which is a^2 in
         # characteristic 2, so it never vanishes
-        self.alt_normalizer = self.sub(self.mul(self.beta, self.beta),
-                                       self.mul(self.beta_conj, self.beta_conj))
+        self.alt_normalizer = self.add(self.mul(self.beta, self.beta),
+                                       self.neg(self.mul(self.beta_conj, self.beta_conj)))
         # phi on a single coordinate pair: (a|b) -> beta*a + beta^q*b,
         # indexed by a + q*b; a bijection GF(q)^2 -> GF(q^2).
         phi = self.add_table[self.mul_table[self.beta, idx % q],
@@ -119,9 +120,6 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.sub_table[a, b])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])

@@ -167,10 +167,6 @@ def is_rref(M: np.ndarray) -> bool:
                 and (np.count_nonzero(M[:, lead], axis=0) == 1).all())
 
 
-def rank(F: FieldSpec, mat) -> int:
-    return rref(F, mat)[1]
-
-
 def kernel(F: FieldSpec, mat) -> np.ndarray:
     """Canonical basis of {x : M x^T = 0} from one rref of M's reversed
     columns: there the null vector of free column f ends with 1 at f, so

@@ -311,7 +311,7 @@ def hermitian_radical(Q, M) -> np.ndarray:
 def symp_scalar(F, u, v) -> int:
     """<(a|b), (a'|b')> = a.b' - b.a' from two scalar dot products."""
     n = len(u) // 2
-    return F.sub(scalar_dot(F, u[:n], v[n:]), scalar_dot(F, u[n:], v[:n]))
+    return F.add(scalar_dot(F, u[:n], v[n:]), F.neg(scalar_dot(F, u[n:], v[:n])))
 
 
 def kernel_radical(F, rows) -> np.ndarray:

@@ -211,7 +211,7 @@ def test_radical_complement_reconstruction(q):
         dec = ac.radical_decompose(C)
         assert dec.radical == ac.radical(C)
         joined = np.vstack([dec.radical.preimage, dec.complement.preimage])
-        assert linalg.rank(F, joined) == C.m
+        assert linalg.rref(F, joined)[1] == C.m
         assert subspace_eq(F, joined, C.preimage)
         assert ac.radical(dec.complement).m == 0
         assert dec.l + 2 * dec.c == C.m
@@ -776,7 +776,7 @@ def greedy_extension(F, S, rows):
     picked, kept = S, []
     for row in rows:
         cand = np.vstack([picked, row.reshape(1, -1)])
-        if linalg.rank(F, cand) > picked.shape[0]:
+        if linalg.rref(F, cand)[1] > picked.shape[0]:
             picked = cand
             kept.append(row)
     return linalg.as_matrix(kept, cols=S.shape[1])

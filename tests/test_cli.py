@@ -138,13 +138,6 @@ def test_mindist(capsys, five_q_code_file):
     assert exc.value.code == 2
 
 
-def test_mindist_budget_error(capsys, five_q_code_file):
-    path, _ = five_q_code_file
-    rc, _, err = run(capsys, ["mindist", str(path), "--budget", "3"])
-    assert rc == 1
-    assert "budget" in err
-
-
 def test_combine_stabilizer_params_line(capsys, tmp_path):
     # G alone, with an empty (G2|E): a self-orthogonal [[5,4,1]] code, c = 0
     paths = []
@@ -203,14 +196,6 @@ GF(81) = GF(9)[x]/(x^2 + x + (1 + y)), encoding index = sum(coeff_i * 9^i)
 
 def test_print_field_every_modulus(capsys):
     assert run(capsys, ["print-field"]) == (0, ALL_FIELDS, "")
-
-
-def test_tables(capsys):
-    rc, out, _ = run(capsys, ["tables"])
-    assert rc == 0
-    assert out == eaqec.tables_csv()
-    rc, out, _ = run(capsys, ["tables", "--family-m", "2"])
-    assert len(out.strip().splitlines()) == 1 + 4 + 7 + 5
 
 
 def test_fidelity_stdout_and_file(capsys, tmp_path):

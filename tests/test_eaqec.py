@@ -10,7 +10,7 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
 
-from oracles import random_matrix
+from oracles import count_rref, random_matrix
 
 # Hermitian self-orthogonal [5,2] over GF(4) (cyclic, generator (0,1,w,w,1));
 # its stabilizer code is the classic five-qudit [[5,1,3]]_2.
@@ -395,6 +395,14 @@ def test_puncture_to_eaqecc():
     assert (rep2.params.n, rep2.params.k, rep2.params.c) == (3, 1, 2)
 
 
+def reed_solomon(Q, k):
+    """RS_k over all points of GF(q^2): rows a^0, ..., a^(k-1) at every a."""
+    rows = [[1] * Q.order]
+    for _ in range(1, k):
+        rows.append([Q.mul(r, a) for r, a in zip(rows[-1], range(Q.order))])
+    return ac.AdditiveCode.from_linear(Q, rows)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_puncture_rs_family(q):
     """RS_k over all q^2 points of GF(q^2), k <= q - 1, is Hermitian
@@ -405,10 +413,7 @@ def test_puncture_rs_family(q):
     Q = quadratic_field(field(q))
     N = Q.order
     for k in range(1, q):
-        rows = [[1] * N]  # a^0, ..., a^(k-1) at every point a
-        for _ in range(1, k):
-            rows.append([Q.mul(r, a) for r, a in zip(rows[-1], range(N))])
-        code = ac.AdditiveCode.from_linear(Q, rows)
+        code = reed_solomon(Q, k)
         assert ac.is_self_orthogonal(code)
         for c in range(1, k + 1):
             rep = eaqec.puncture_to_eaqecc(code, c, compute_d=q <= 3)
@@ -419,16 +424,41 @@ def test_puncture_rs_family(q):
                 assert p.d == rep.equivalent_to.d == k + 1
 
 
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_puncture_to_eaqecc_elimination_count(q, monkeypatch):
+    """The linearity test runs no elimination: puncturing RS_k runs exactly
+    the eliminations of the source's and the punctured code's parameters."""
+    Q = quadratic_field(field(q))
+    code = reed_solomon(Q, max(1, q - 1))
+    fields = count_rref(monkeypatch)
+    eaqec.stabilizer_params(code, compute_d=False)
+    eaqec.eaqec_params(ac.puncture(code, [Q.order - 1]), compute_d=False)
+    parts = len(fields)
+    fields.clear()
+    eaqec.puncture_to_eaqecc(code, 1, compute_d=False)
+    assert len(fields) == parts
+    if q == 4:  # RS_3 over GF(16)
+        assert parts == 1
+
+
 def test_puncture_to_eaqecc_rejects_source():
-    Q = field(4)
-    with pytest.raises(NotSelfOrthogonal):
-        eaqec.puncture_to_eaqecc(ac.AdditiveCode.from_linear(Q, [[1, 0]]), 1)
+    """A linear source that is not self-orthogonal is reported with the
+    generator pair, once c is in range."""
+    for q in SUPPORTED_ORDERS:
+        code = ac.AdditiveCode.from_linear(quadratic_field(field(q)), [[1, 0]])  # u = 1
+        with pytest.raises(NotSelfOrthogonal,
+                           match="^generators 0 and 1 have nonzero form value$"):
+            eaqec.puncture_to_eaqecc(code, 1)
+        with pytest.raises(RangeError, match=r"c=2 outside \(0, 1\]"):
+            eaqec.puncture_to_eaqecc(code, 2)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_puncture_to_eaqecc_rejects_nonlinear_source(q):
     """A self-orthogonal additive code that is not GF(q^2)-linear: one word
-    (m = 1), and for GF(4) the F_2-span of the [[5,1,3]] generators."""
+    (m = 1), and for GF(4) the F_2-span of the [[5,1,3]] generators.  The
+    F_q-span of (1, 0) and (beta, 1) is neither linear nor self-orthogonal,
+    and is reported as not linear."""
     Q = quadratic_field(field(q))
     sources = [ac.AdditiveCode.from_generators(Q, [[1, 0]])]
     if q == 2:
@@ -437,6 +467,10 @@ def test_puncture_to_eaqecc_rejects_nonlinear_source(q):
         assert ac.is_self_orthogonal(code)
         with pytest.raises(PreconditionFailed, match="linear"):
             eaqec.puncture_to_eaqecc(code, 1)
+    code = ac.AdditiveCode.from_generators(Q, [[1, 0], [Q.beta, 1]])
+    assert code.m == 2 and not ac.is_self_orthogonal(code)
+    with pytest.raises(PreconditionFailed, match="linear"):
+        eaqec.puncture_to_eaqecc(code, 1)
 
 
 def test_known_tables():

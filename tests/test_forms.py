@@ -55,7 +55,7 @@ def form_gram(Q, G, form):
     if form == "trace":
         return cross_gram(Q, G, MUL[Q.neg(delta), G])
     t1, t2 = cross_gram(Q, G, G), cross_gram(Q, G, MUL[beta, G])
-    scale = Q.mul(delta, Q.inv(Q.sub(Q.beta_conj, beta)))
+    scale = Q.mul(delta, Q.inv(Q.add(Q.beta_conj, Q.neg(beta))))
     return MUL[scale, SUB[t2, MUL[beta, t1]]]
 
 
@@ -180,13 +180,13 @@ def test_decompose_law_on_spanning_rows(case):
     F, n = Q.base, rows.shape[1] // 2
     radical, pairs = sp.decompose(F, rows)
     assert np.array_equal(linalg.row_basis(F, radical), kernel_radical(F, rows))
-    l, c = linalg.rank(F, radical), len(pairs) // 2
+    l, c = linalg.rref(F, radical)[1], len(pairs) // 2
     expect = np.zeros((len(radical) + 2 * c,) * 2, dtype=np.int16)
     for k in range(len(radical), len(expect), 2):
         expect[k, k + 1], expect[k + 1, k] = 1, F.neg(1)
     assert np.array_equal(sp.symp_gram(F, np.vstack([radical, pairs])), expect)
     assert subspace_eq(F, np.vstack([radical, pairs]), rows)
-    assert l + 2 * c == linalg.rank(F, rows)
+    assert l + 2 * c == linalg.rref(F, rows)[1]
     dec = ac.CodeDecomposition(ac.AdditiveCode(Q, radical), pairs)
     assert (dec.l, dec.c) == (l, c)
     assert dec.complement.m == 2 * c

@@ -58,7 +58,7 @@ def test_field_axioms_spot(order):
     for a, b in itertools.product(xs, repeat=2):
         assert F.add(a, b) == F.add(b, a)
         assert F.mul(a, b) == F.mul(b, a)
-        assert F.sub(F.add(a, b), b) == a
+        assert F.sub_table[F.add(a, b), b] == F.add(F.add(a, b), F.neg(b)) == a
         if b != 0:
             assert F.mul(F.mul(a, F.inv(b)), b) == a
 

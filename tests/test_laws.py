@@ -51,4 +51,4 @@ def test_eaqec_params_counts(Q, n, data):
     assert code.m == l + 2 * P.c
     # 2c is the rank of the symplectic Gram matrix of the code
     gram = sp.symp_gram(Q.base, code.preimage)
-    assert 2 * P.c == linalg.rank(Q.base, gram)
+    assert 2 * P.c == linalg.rref(Q.base, gram)[1]

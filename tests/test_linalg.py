@@ -93,7 +93,7 @@ def test_kernel_laws(case):
     F, M = case
     K = linalg.kernel(F, M)
     assert np.array_equal(K, loop_kernel(F, M))
-    assert linalg.rank(F, M) + K.shape[0] == M.shape[1]
+    assert linalg.rref(F, M)[1] + K.shape[0] == M.shape[1]
     assert not linalg.gram(F, M, K).any()
 
 
@@ -138,7 +138,7 @@ def test_rank_nullity(q):
     for _ in range(200):
         r, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         M = random_matrix(F, r, n, rng)
-        assert linalg.rank(F, M) + linalg.kernel(F, M).shape[0] == n
+        assert linalg.rref(F, M)[1] + linalg.kernel(F, M).shape[0] == n
         # kernel rows really annihilate M
         for x in linalg.kernel(F, M):
             for row in M:
@@ -203,8 +203,8 @@ def test_scalar_is_one_by_one_matrix():
     F = field(9)
     assert linalg.as_matrix(5).shape == (1, 1)
     assert linalg.gram(F, 5, 5).tolist() == [[F.mul(5, 5)]]
-    assert linalg.rank(F, 2) == 1
-    assert linalg.rank(F, 0) == 0
+    assert linalg.rref(F, 2)[1] == 1
+    assert linalg.rref(F, 0)[1] == 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 81])
@@ -308,8 +308,8 @@ def test_sub_multiples_matches_scalar_ops(q):
         assert got.dtype == np.int16 and np.array_equal(got[:, :c], A[:, :c])
         for i in range(rows):
             for j in range(cols - c):
-                assert got[i, c + j] == F.sub(int(A[i, c + j]),
-                                              F.mul(int(coeffs[i]), int(row[j])))
+                assert got[i, c + j] == F.add(
+                    int(A[i, c + j]), F.neg(F.mul(int(coeffs[i]), int(row[j]))))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 """The package namespace: names load their home module on first use, and the
-fidelity, match and tables commands never load numpy or the code layers."""
+fidelity, match and tables commands and --help never load numpy or the code
+layers."""
 
 import importlib
 import inspect
@@ -58,6 +59,31 @@ def test_match_and_tables_load_no_numpy(argv, first):
     lines = out.splitlines()
     assert lines[0] == first
     assert json.loads(lines[-1]) == [0, [False, False]]
+
+
+def test_help_loads_no_numpy():
+    out = fresh_python(
+        "import json, sys\n"
+        "from eaqecne.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(json.dumps([rc, [m in sys.modules for m in ('numpy', 'eaqecne.addcodes')]]))\n")
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: eaqecne")
+    assert json.loads(lines[-1]) == [0, [False, False]]
+
+
+def test_readme_library_sketch_prints_its_comments():
+    """The README's sketch runs, and each print line's comment is its output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines()
+            if line.startswith("print(")]
+    assert want == ["[[5,1,3]]_2", "4 0"]
+    assert fresh_python(block).splitlines() == want
 
 
 def test_every_public_name_resolves_and_is_listed():
