@@ -2,7 +2,8 @@
 
 Layers, bottom up: finite-field tables (:mod:`eaqecne.gf`), row-reduction
 subspace algebra (:mod:`eaqecne.linalg`), symplectic geometry of F_q^{2n}
-(:mod:`eaqecne.symplectic`), additive codes over GF(q^2)
+(:mod:`eaqecne.symplectic`), weight distributions of duals on Python
+integers (:mod:`eaqecne.enumerators`), additive codes over GF(q^2)
 (:mod:`eaqecne.addcodes`), code-parameter derivation and combination
 constructions (:mod:`eaqecne.eaqec`, its numpy-free parameter records in
 :mod:`eaqecne.records`), a dense-matrix Pauli-group oracle
@@ -29,7 +30,7 @@ _HOME = {name: module for module, names in (
     ("pauli", "PauliLabel codespace_dim commutation_phase pauli_matrix"),
     ("records", "CombinationParams EAQECCParams known_tables"),
 ) for name in names.split()}
-_SUBMODULES = {"cli", "errors", "linalg", "symplectic", *_HOME.values()}
+_SUBMODULES = {"cli", "enumerators", "errors", "linalg", "symplectic", *_HOME.values()}
 
 __all__ = [*_HOME, "__version__"]
 

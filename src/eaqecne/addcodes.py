@@ -26,7 +26,11 @@ subcode, (q^m - q^m')/(q - 1) words unless a weight <= 1 stops the scan, as
 packed F_p digits of the preimage (phi is F_q-linear and keeps weight) in
 the layout of ``linalg._codes``, a block one XOR of two small tables, the
 first of at most 2^12 words; ``d`` is None when no word is left.  A
-``budget`` caps all q^m - q^m' words.
+``budget`` caps all q^m - q^m' words.  The same scan in histogram mode
+counts the weighed words by weight: :func:`weight_distribution`.  The EA
+distance, over C^⊥ outside the radical, is :func:`ea_distance_detail`: the
+min-mode scan of C^⊥ when m > n, else C's weight distribution through the
+MacWilliams transform of :mod:`eaqecne.enumerators`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (DEFAULT_BUDGET, AmbientMismatch, BudgetExceeded,
                      DimensionMismatch, FormatError, IndexOutOfRange,
                      PreconditionFailed)
 from .gf import SUPPORTED_ORDERS, FieldSpec, quadratic_field
-from . import linalg, symplectic as sp
+from . import enumerators, linalg, symplectic as sp
 
 _CHUNK = 1 << 16   # words in a block
 _SUFFIX = 1 << 12  # cap on its suffix table
@@ -250,10 +254,13 @@ def _span(carry, rows: np.ndarray, lead: int | None = None) -> np.ndarray:
     return out
 
 
-def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
+def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int,
+                   hist: np.ndarray | None = None):
     """Min weight over the F_q-span of preimage rows outside the span of the
     last `excluded` rows, weighing one word of each F_q^* orbit; returns
-    (best, examined).
+    (best, examined).  With ``hist``, an int64 array of n + 1 counts, each
+    block's ``np.bincount`` of weights is added to it and no weight stops the
+    scan: hist[w] gains the orbits of weight w.
 
     Block i is the q^s words of the last s rows (the largest q^s <= _CHUNK)
     plus word i of the others, in odometer order, last row fastest.  Block 0
@@ -308,7 +315,9 @@ def _scan_preimage(F: FieldSpec, rows: np.ndarray, excluded: int):
                 weights = pop[0] if L <= bits else pop.sum(axis=0, dtype=np.uint32)
                 examined += weights.size
                 best = min(best, int(weights.min()))
-            if best <= 1:
+                if hist is not None:
+                    hist += np.bincount(weights.ravel(), minlength=len(hist))
+            if best <= 1 and hist is None:
                 break
     return best, examined
 
@@ -344,6 +353,37 @@ def min_weight_excluding_detail(outer: AdditiveCode,
     if required > budget:
         raise BudgetExceeded(required, budget)
     return MinWeightResult(*_scan_preimage(outer.base_field, rows, excluded.m))
+
+
+def weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:
+    """A_0, ..., A_n of the code and the words weighed: one histogram scan
+    of one word per F_q^* orbit, A_w = (q - 1) hist[w] for w >= 1."""
+    F, hist = code.base_field, np.zeros(code.n + 1, dtype=np.int64)
+    examined = _scan_preimage(F, code.preimage, 0, hist)[1] if code.m else 0
+    return [1] + [(F.order - 1) * int(h) for h in hist[1:]], examined
+
+
+def ea_distance_detail(code: AdditiveCode, dec: CodeDecomposition, *,
+                       budget: int = DEFAULT_BUDGET) -> MinWeightResult:
+    """Minimum weight ``d`` over C^⊥ outside the radical ``dec.radical`` of
+    C, from the smaller side.  When m > n the scan runs over C^⊥.  Otherwise
+    C^⊥ is never built: the weight distribution of C goes through
+    :func:`enumerators.dual_distribution`, and d = min{w >= 1 : A^⊥_w >
+    A^rad_w}, the radical's counts taken from C's when l = m and from one
+    more histogram scan when 0 < l < m.  ``budget`` caps the words of the
+    side enumerated, q^m - 1 plus the q^l - 1 of a scanned radical, and
+    ``examined`` counts one word per F_q^* orbit of them."""
+    if code.m > code.n:
+        return min_weight_excluding_detail(dual(code), dec.radical, budget=budget)
+    q, m, l = code.base_field.order, code.m, dec.l
+    required = q ** m - 1 + (q ** l - 1) * (l < m)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    A, examined = weight_distribution(code)
+    R, more = (A, 0) if l == m else weight_distribution(dec.radical)
+    D = enumerators.dual_distribution(A, q, m)
+    d = next((w for w in range(1, code.n + 1) if D[w] > R[w]), None)
+    return MinWeightResult(d=d, examined=examined + more)
 
 
 # ---------------------------------------------------------------------------

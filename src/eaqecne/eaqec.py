@@ -7,7 +7,8 @@ special case and stabilize ordinary [[n, n-m, d]]_q codes: one
 :class:`EAQECCParams` record holds both, and :func:`stabilizer_params`
 returns it with c = 0.  Distances minimize the Hamming weight over the
 dual of the full code, excluding its radical, which for a self-orthogonal
-code is the code itself.
+code is the code itself; :func:`addcodes.ea_distance_detail` enumerates
+whichever of the code (m <= n) and its dual (m > n) is the smaller.
 
 A combination pairs Alice's EA code with a stabilizer code Bob uses to
 protect the c shared ebits on his side; :class:`CombinationParams`
@@ -49,12 +50,11 @@ def _derive(code: ac.AdditiveCode, compute_d: bool, budget: int
             ) -> tuple[EAQECCParams, ac.CodeDecomposition, int]:
     """The one path from a code to [[n, k, d; c]]_q: C = radical ⊕ c pairs,
     k = n - c - l, d minimal over C^⊥ outside the radical.  Returns the
-    parameters, the decomposition and the words the scan examined."""
+    parameters, the decomposition and the words the scans examined."""
     dec = ac.radical_decompose(code)
     scan = ac.MinWeightResult(d=None, examined=0)
     if compute_d:
-        scan = ac.min_weight_excluding_detail(ac.dual(code), dec.radical,
-                                              budget=budget)
+        scan = ac.ea_distance_detail(code, dec, budget=budget)
     params = EAQECCParams(q=code.base_field.order, n=code.n,
                           k=code.n - dec.c - dec.l, c=dec.c, d=scan.d)
     return params, dec, scan.examined

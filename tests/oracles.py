@@ -9,21 +9,23 @@ Hermitian and trace forms take conjugation, traces and division from
 ``LoopField``, their only home), row reduction clears one row at a time,
 intersections go through stacked annihilators, and minimum weights enumerate
 every coefficient vector over the preimage or, in the odometer order of the
-package's block schedule, over GF(q^2) words.  Puncturing goes through the
-GF(q^2) generators instead of the preimage columns.  Hermitian duals and
-radicals of linear codes, and trace duals of additive codes, are kernels
-over GF(q^2) or F_q of scalar form values, never of the preimage's
-symplectic form.  The radical of a span of preimage rows is the kernel of
-their scalar symplectic Gram matrix, not a Gram-Schmidt split.  Binomial
+package's block schedule, over GF(q^2) words, and weight tables count every
+word of a span.  Puncturing goes through the GF(q^2) generators instead of
+the preimage columns.  Hermitian duals and radicals of linear codes, and
+trace duals of additive codes, are kernels over GF(q^2) or F_q of scalar
+form values, never of the preimage's symplectic form; symplectic duals are
+kernels of scalar symplectic values against unit vectors.  The radical of a
+span of preimage rows is the kernel of their scalar symplectic Gram matrix,
+not a Gram-Schmidt split.  Binomial
 fidelity tails add one Fraction term at a time, with binomials from
 math.comb or from Pascal's triangle, and the crossover bisection evaluates
 both codes of the pair at every step.  Decimal rendering divides the full
 numerator by the full denominator.
 
-The two-pass kernel, subspace and random-code helpers at the end are test
-fixtures built on the package's own elimination, and :func:`count_rref`
-records the fields that elimination runs over; nothing in the package calls
-them.
+The two-pass kernel, subspace, random-code and Reed-Solomon helpers at the
+end are test fixtures built on the package's own elimination and codes, and
+:func:`count_rref` records the fields that elimination runs over; nothing in
+the package calls them.
 """
 
 import decimal
@@ -380,6 +382,25 @@ def preimage_min_weight(code) -> int:
     return int(weights[nonzero].min()) if nonzero.any() else None
 
 
+def weight_table(F, rows) -> list[int]:
+    """A_0, ..., A_n of the span of preimage basis rows over F: the
+    symplectic weight of every word, counted one word at a time."""
+    words = span_words(F, rows)
+    n = words.shape[1] // 2
+    weights = ((words[:, :n] != 0) | (words[:, n:] != 0)).sum(axis=1)
+    return [int(c) for c in np.bincount(weights, minlength=n + 1)]
+
+
+def scalar_dual(F, rows) -> np.ndarray:
+    """Canonical basis of the symplectic dual of the span of preimage rows:
+    the kernel of the scalar form values of each row against the 2n unit
+    vectors."""
+    M = linalg.as_matrix(rows, cols=np.shape(rows)[-1])
+    units = np.eye(M.shape[1], dtype=np.int16)
+    values = [[symp_scalar(F, g, e) for e in units] for g in M]
+    return loop_kernel(F, linalg.as_matrix(values, cols=M.shape[1]))
+
+
 def odometer_scan(Q, gens, skip_below, chunk):
     """Minimum Hamming weight over the F_q-span of GF(q^2) rows, in blocks of
     the q^s suffix words of the last s rows (the largest q^s <= chunk) plus
@@ -629,6 +650,14 @@ def random_subspace(F, dim: int, cols: int, rng):
 
 def random_additive_code(Q, n: int, m: int, rng):
     return ac.AdditiveCode(Q, random_subspace(Q.base, m, 2 * n, rng))
+
+
+def reed_solomon(Q, k):
+    """RS_k over all points of GF(q^2): rows a^0, ..., a^(k-1) at every a."""
+    rows = [[1] * Q.order]
+    for _ in range(1, k):
+        rows.append([Q.mul(r, a) for r, a in zip(rows[-1], range(Q.order))])
+    return ac.AdditiveCode.from_linear(Q, rows)
 
 
 def count_rref(monkeypatch) -> list:

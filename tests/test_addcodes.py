@@ -11,12 +11,12 @@ from eaqecne.errors import (AmbientMismatch, BudgetExceeded, DimensionMismatch,
                             FormatError, IndexOutOfRange, PreconditionFailed)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac, cli
-from eaqecne import linalg, symplectic as sp
+from eaqecne import enumerators, linalg, symplectic as sp
 
 from oracles import (count_rref, loop_field, odometer_scan, orbit_scan,
                      phi_puncture, preimage_min_weight, random_additive_code,
-                     random_matrix, scalar_inner, subspace_contains,
-                     subspace_eq, trace_dual)
+                     random_matrix, scalar_dual, scalar_inner,
+                     subspace_contains, subspace_eq, trace_dual, weight_table)
 
 
 def enumerate_codewords(code):
@@ -654,6 +654,192 @@ def test_min_weight_generator_bound():
         C = random_additive_code(Q, 4, int(rng.integers(1, 5)), rng)
         bound = min(int((row != 0).sum()) for row in C.generators)
         assert ac.min_weight_excluding_detail(C).d <= bound
+
+
+# ---------------------------------------------------------------------------
+# weight distributions and the distance from the code's side
+# ---------------------------------------------------------------------------
+
+
+def lagrangian_rows(F, n, rng):
+    """n preimage rows (I | S) for a random symmetric S, a_j and b_j then
+    turned into b_j and -a_j at random coordinates j: a self-dual code."""
+    U = random_matrix(F, n, n, rng)
+    rows = np.hstack([np.eye(n, dtype=np.int16), np.triu(U) + np.triu(U, 1).T])
+    for j in np.flatnonzero(rng.random(n) < 0.5):
+        rows[:, j], rows[:, n + j] = rows[:, n + j], F.neg_table[rows[:, j]]
+    return rows
+
+
+def ea_case(Q, n, kind, cap, rng):
+    """A code of dimension m <= n whose dual holds at most q^cap words:
+    - "random": any code;
+    - "isotropic": l = m, rows of a self-dual code;
+    - "self-dual": m = n, so the dual is the radical and d is None;
+    - "mixed": 0 < l < m and c = 1, isotropic rows on the first n - 1
+      coordinates beside one hyperbolic pair on the last;
+    - "zero column": a code zero at one coordinate, so d = 1."""
+    F, low = Q.base, max(0, 2 * n - cap)
+    if kind == "self-dual":
+        rows = lagrangian_rows(F, n, rng)
+    elif kind == "isotropic":
+        rows = lagrangian_rows(F, n, rng)[:int(rng.integers(low, n + 1))]
+    elif kind == "mixed":
+        r = int(rng.integers(max(1, low - 2), n - 1))
+        rows = np.zeros((r + 2, 2 * n), dtype=np.int16)
+        iso = lagrangian_rows(F, n - 1, rng)[:r]
+        rows[:r, :n - 1], rows[:r, n:2 * n - 1] = iso[:, :n - 1], iso[:, n - 1:]
+        rows[r, n - 1] = rows[r + 1, 2 * n - 1] = 1
+    else:
+        rows = random_matrix(F, int(rng.integers(low, n + 1)), 2 * n, rng)
+        if kind == "zero column":
+            j = int(rng.integers(0, n))
+            rows[:, [j, n + j]] = 0
+    return ac.AdditiveCode(Q, linalg.as_matrix(rows, cols=2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 12), st.data())
+def test_histogram_matches_weight_table(q, n, data):
+    """The histogram mode counts one word per F_q^* orbit outside the span of
+    the last `excluded` rows at each weight, under any block and suffix-table
+    sizes: (q - 1) hist[w] is the brute-force table of the span less that of
+    the excluded rows, and weight_distribution is the table of the code."""
+    Q = quadratic_field(field(q))
+    F = Q.base
+    m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
+    excluded = data.draw(st.integers(0, m))
+    chunk = data.draw(st.sampled_from(chunks(q) + [q ** m]))
+    suffix = data.draw(st.sampled_from(suffixes(q)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    code = ac.AdditiveCode(Q, planted_rows(F, n, m, data.draw(st.booleans()), rng))
+    rows, excluded = code.preimage, min(excluded, code.m)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac, "_CHUNK", chunk)
+        mp.setattr(ac, "_SUFFIX", suffix)
+        best, examined = ac._scan_preimage(F, rows, excluded, hist)
+        A, weighed = ac.weight_distribution(code)
+    inside = weight_table(F, rows[len(rows) - excluded:])
+    outside = [a - b for a, b in zip(weight_table(F, rows), inside)]
+    assert [0] + [(q - 1) * int(h) for h in hist[1:]] == outside and hist[0] == 0
+    assert examined * (q - 1) == q ** code.m - q ** excluded
+    assert best == next((w for w, a in enumerate(outside) if a), n + 1)
+    assert (A, weighed * (q - 1)) == (weight_table(F, rows), q ** code.m - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 6), st.data())
+def test_dual_distribution_matches_enumerated_dual(q, n, data):
+    """The MacWilliams transform of a code's weight table is the table of its
+    dual, enumerated word by word from the scalar symplectic kernel."""
+    Q = quadratic_field(field(q))
+    F, cap = Q.base, int(math.log(3000) / math.log(q))
+    n = min(n, cap)
+    m = data.draw(st.integers(max(0, 2 * n - cap), min(2 * n, cap)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    code = random_additive_code(Q, n, m, rng)
+    assert (enumerators.dual_distribution(weight_table(F, code.preimage), q, m)
+            == weight_table(F, scalar_dual(F, code.preimage)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 11),
+       st.sampled_from(("random", "isotropic", "self-dual", "mixed", "zero column")),
+       st.integers(0, 2 ** 32 - 1))
+def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
+    """When m <= n, the distance over C^⊥ outside the radical comes from C's
+    weight distribution; it equals the odometer scan of the dual, taken from
+    the scalar symplectic kernel, that skips the radical's q^l words, and the
+    words weighed are one per F_q^* orbit of C, and of the radical when
+    0 < l < m."""
+    Q = quadratic_field(field(q))
+    cap = int(math.log(3000) / math.log(q))
+    n = max(min(n, cap), 3 if kind == "mixed" else 1)
+    code = ea_case(Q, n, kind, cap, np.random.default_rng(seed))
+    dec = ac.radical_decompose(code)
+    m, l = code.m, dec.l
+    assert m <= n
+    r = ac.ea_distance_detail(code, dec)
+    D = ac.AdditiveCode(Q, scalar_dual(Q.base, code.preimage))
+    best, _ = odometer_scan(Q, sp.phi(Q, ac._exclusion_basis(D, dec.radical)), q ** l, 4096)
+    assert r.d == (None if best == n + 1 else best)
+    assert r.examined * (q - 1) == q ** m - 1 + (q ** l - 1) * (0 < l < m)
+    if kind == "self-dual":
+        assert (m, l, r.d) == (n, n, None)
+    elif kind == "isotropic":
+        assert l == m
+    elif kind == "mixed":
+        assert 0 < l < m and dec.c == 1
+    elif kind == "zero column":
+        assert r.d == 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_ea_distance_route_reads_only_m_and_n(q, monkeypatch):
+    """m = n: histogram scans of C and, when 0 < l < m, of its radical, with
+    no dual and no exclusion basis built.  m = n + 1: the min-mode route
+    through the dual.  Both give the d of the min-mode scan."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(100 + q)
+    codes = [random_additive_code(Q, 3, m, rng) for m in (3, 4)]
+    expect = [ac.min_weight_excluding_detail(ac.dual(c), ac.radical(c)).d for c in codes]
+    calls = []
+    for name in ("dual", "_exclusion_basis", "_scan_preimage"):
+        monkeypatch.setattr(ac, name, lambda *a, real=getattr(ac, name), name=name:
+                            calls.append((name, len(a) > 3)) or real(*a))
+    for code, d in zip(codes, expect):
+        dec = ac.radical_decompose(code)
+        calls.clear()
+        assert ac.ea_distance_detail(code, dec).d == d
+        if code.m <= code.n:
+            assert calls == [("_scan_preimage", True)] * (1 + (0 < dec.l < code.m))
+        else:
+            # no scan when the dual is its radical
+            assert calls == [("dual", False), ("_exclusion_basis", False)] + [
+                ("_scan_preimage", False)] * (d is not None)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_ea_distance_budget_counts_the_side_enumerated(q):
+    """The budget caps q^m - 1 words of C plus q^l - 1 of a scanned radical,
+    and is checked before any scan."""
+    Q = quadratic_field(field(q))
+    rng = np.random.default_rng(110 + q)
+    code = ea_case(Q, 4, "mixed", 4, rng)
+    dec = ac.radical_decompose(code)
+    m, l = code.m, dec.l
+    need = q ** m - 1 + q ** l - 1
+    with pytest.raises(BudgetExceeded) as exc:
+        ac.ea_distance_detail(code, dec, budget=need - 1)
+    assert exc.value.required == need
+    assert ac.ea_distance_detail(code, dec, budget=need).examined * (q - 1) == need
+    iso = ea_case(Q, 3, "self-dual", 3, rng)
+    with pytest.raises(BudgetExceeded) as exc:
+        ac.ea_distance_detail(iso, ac.radical_decompose(iso), budget=q ** 3 - 2)
+    assert exc.value.required == q ** 3 - 1
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_corrupted_distribution_raises(q, monkeypatch):
+    """A distribution that is not a code's raises RuntimeError, from the
+    transform and through the distance: one orbit too many gives a
+    fractional count, all weight at n a negative one, and q^m words of
+    weight 0 integral counts of the wrong total."""
+    Q = quadratic_field(field(q))
+    code = random_additive_code(Q, 3, 2, np.random.default_rng(120 + q))
+    A, _ = ac.weight_distribution(code)
+    dual_table = weight_table(Q.base, ac.dual(code).preimage)
+    assert enumerators.dual_distribution(A, q, 2) == dual_table
+    extra = A[:2] + [A[2] + q - 1] + A[3:]
+    for bad, message in ((extra, "not a nonnegative integer"),
+                         ([0, 0, 0, q ** 2], "not a nonnegative integer"),
+                         ([q ** 2, 0, 0, 0], "sum to")):
+        with pytest.raises(RuntimeError, match=message):
+            enumerators.dual_distribution(bad, q, 2)
+    monkeypatch.setattr(ac, "weight_distribution", lambda c: (extra, 0))
+    with pytest.raises(RuntimeError, match="not a nonnegative integer"):
+        ac.ea_distance_detail(code, ac.radical_decompose(code))
 
 
 def test_puncture():

@@ -10,7 +10,7 @@ from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
 
-from oracles import count_rref, random_matrix
+from oracles import count_rref, random_matrix, reed_solomon
 
 # Hermitian self-orthogonal [5,2] over GF(4) (cyclic, generator (0,1,w,w,1));
 # its stabilizer code is the classic five-qudit [[5,1,3]]_2.
@@ -395,33 +395,32 @@ def test_puncture_to_eaqecc():
     assert (rep2.params.n, rep2.params.k, rep2.params.c) == (3, 1, 2)
 
 
-def reed_solomon(Q, k):
-    """RS_k over all points of GF(q^2): rows a^0, ..., a^(k-1) at every a."""
-    rows = [[1] * Q.order]
-    for _ in range(1, k):
-        rows.append([Q.mul(r, a) for r, a in zip(rows[-1], range(Q.order))])
-    return ac.AdditiveCode.from_linear(Q, rows)
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_puncture_rs_family(q):
     """RS_k over all q^2 points of GF(q^2), k <= q - 1, is Hermitian
     self-orthogonal; dropping c <= k coordinates gives
-    [[q^2 - c, q^2 - 2k, k + 1; c]]_q with the source's k and d.  The
-    distance is measured for q <= 3; for larger q the dual is over the
-    budget."""
+    [[q^2 - c, q^2 - 2k, k + 1; c]]_q with the source's k and d.  Each
+    distance comes from the code's side, at most q^(2k) words, while the
+    duals hold up to 5^42."""
     Q = quadratic_field(field(q))
     N = Q.order
     for k in range(1, q):
         code = reed_solomon(Q, k)
         assert ac.is_self_orthogonal(code)
         for c in range(1, k + 1):
-            rep = eaqec.puncture_to_eaqecc(code, c, compute_d=q <= 3)
+            rep = eaqec.puncture_to_eaqecc(code, c)
             p = rep.params
             assert (p.n, p.k, p.c) == (N - c, N - 2 * k, c)
             assert p.k == rep.equivalent_to.k
-            if q <= 3:
-                assert p.d == rep.equivalent_to.d == k + 1
+            assert p.d == rep.equivalent_to.d == k + 1
+
+
+def test_puncture_rs_48_39_6_1_over_gf7():
+    """RS_5 over GF(49) punctured once: [[48,39,6;1]]_7 from histograms of
+    7^10 and 7^8 words, where the dual holds 7^86."""
+    code = reed_solomon(quadratic_field(field(7)), 5)
+    rep = eaqec.puncture_to_eaqecc(code, 1)
+    assert (str(rep.params), str(rep.equivalent_to)) == ("[[48,39,6;1]]_7", "[[49,39,6]]_7")
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

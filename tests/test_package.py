@@ -75,6 +75,17 @@ def test_help_loads_no_numpy():
     assert json.loads(lines[-1]) == [0, [False, False]]
 
 
+def test_enumerators_load_no_numpy():
+    """The transform works on Python integers: the [[5,1,3]]_2 stabilizer
+    group (1 + 15 y^4) has the dual distribution of its normalizer."""
+    out = fresh_python(
+        "import json, sys\n"
+        "from eaqecne.enumerators import dual_distribution\n"
+        "print(json.dumps([dual_distribution([1, 0, 0, 0, 15, 0], 2, 4),\n"
+        "                  'numpy' in sys.modules]))\n")
+    assert json.loads(out) == [[1, 0, 0, 30, 15, 18], False]
+
+
 def test_readme_library_sketch_prints_its_comments():
     """The README's sketch runs, and each print line's comment is its output."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
