@@ -27,10 +27,10 @@ packed F_p digits of the preimage (phi is F_q-linear and keeps weight) in
 the layout of ``linalg._codes``, a block one XOR of two small tables, the
 first of at most 2^12 words; ``d`` is None when no word is left.  A
 ``budget`` caps all q^m - q^m' words.  The same scan in histogram mode
-counts the weighed words by weight: :func:`weight_distribution`.  The EA
-distance, over C^⊥ outside the radical, is :func:`ea_distance_detail`: the
-min-mode scan of C^⊥ when m > n, else C's weight distribution through the
-MacWilliams transform of :mod:`eaqecne.enumerators`.
+counts the weighed words by weight.  The EA distance, over C^⊥ outside the
+radical, is :func:`ea_distance_detail`, from whichever side has fewer words
+to enumerate: the min-mode scan of C^⊥, or C's weight distribution through
+the MacWilliams transform of :mod:`eaqecne.enumerators`.
 """
 
 from __future__ import annotations
@@ -337,6 +337,13 @@ def _exclusion_basis(outer: AdditiveCode, excluded: AdditiveCode) -> np.ndarray:
     return np.vstack([kept, excluded.preimage])
 
 
+def _check_budget(required: int, budget: int) -> None:
+    """Refuse a scan of `required` words before it starts when they are more
+    than `budget`."""
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
 def min_weight_excluding_detail(outer: AdditiveCode,
                                 excluded: AdditiveCode | None = None, *,
                                 budget: int = DEFAULT_BUDGET) -> MinWeightResult:
@@ -350,12 +357,11 @@ def min_weight_excluding_detail(outer: AdditiveCode,
     required = q ** outer.m - q ** excluded.m
     if required == 0:
         return MinWeightResult(d=None, examined=0)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    _check_budget(required, budget)
     return MinWeightResult(*_scan_preimage(outer.base_field, rows, excluded.m))
 
 
-def weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:
+def _weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:
     """A_0, ..., A_n of the code and the words weighed: one histogram scan
     of one word per F_q^* orbit, A_w = (q - 1) hist[w] for w >= 1."""
     F, hist = code.base_field, np.zeros(code.n + 1, dtype=np.int64)
@@ -366,23 +372,25 @@ def weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:
 def ea_distance_detail(code: AdditiveCode, dec: CodeDecomposition, *,
                        budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     """Minimum weight ``d`` over C^⊥ outside the radical ``dec.radical`` of
-    C, from the smaller side.  When m > n the scan runs over C^⊥.  Otherwise
-    C^⊥ is never built: the weight distribution of C goes through
+    C, from the side with fewer words to enumerate, C's on a tie.  The
+    dual's side is the q^(2n-m) - q^l words of C^⊥ outside the radical, none
+    for a self-dual C, scanned in min mode.  The code's side is the q^m - 1
+    words of C plus the q^l - 1 of the radical when 0 < l < m: C^⊥ is never
+    built, the weight distribution of C goes through
     :func:`enumerators.dual_distribution`, and d = min{w >= 1 : A^⊥_w >
-    A^rad_w}, the radical's counts taken from C's when l = m and from one
-    more histogram scan when 0 < l < m.  ``budget`` caps the words of the
-    side enumerated, q^m - 1 plus the q^l - 1 of a scanned radical, and
-    ``examined`` counts one word per F_q^* orbit of them."""
-    if code.m > code.n:
+    A^rad_w}, the radical's counts taken from C's when l = m.  So C's side
+    is taken exactly when m < n, or m = n and l = 0.  ``budget`` caps the
+    words of the side taken, and ``examined`` counts one word per F_q^*
+    orbit of them."""
+    q, n, m, l = code.base_field.order, code.n, code.m, dec.l
+    own = q ** m - 1 + (q ** l - 1) * (0 < l < m)
+    if q ** (2 * n - m) - q ** l < own:
         return min_weight_excluding_detail(dual(code), dec.radical, budget=budget)
-    q, m, l = code.base_field.order, code.m, dec.l
-    required = q ** m - 1 + (q ** l - 1) * (l < m)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    A, examined = weight_distribution(code)
-    R, more = (A, 0) if l == m else weight_distribution(dec.radical)
+    _check_budget(own, budget)
+    A, examined = _weight_distribution(code)
+    R, more = (A, 0) if l == m else _weight_distribution(dec.radical)
     D = enumerators.dual_distribution(A, q, m)
-    d = next((w for w in range(1, code.n + 1) if D[w] > R[w]), None)
+    d = next((w for w in range(1, n + 1) if D[w] > R[w]), None)
     return MinWeightResult(d=d, examined=examined + more)
 
 

@@ -704,7 +704,7 @@ def test_histogram_matches_weight_table(q, n, data):
     """The histogram mode counts one word per F_q^* orbit outside the span of
     the last `excluded` rows at each weight, under any block and suffix-table
     sizes: (q - 1) hist[w] is the brute-force table of the span less that of
-    the excluded rows, and weight_distribution is the table of the code."""
+    the excluded rows, and _weight_distribution is the table of the code."""
     Q = quadratic_field(field(q))
     F = Q.base
     m = data.draw(st.integers(0, min(2 * n, int(math.log(3000) / math.log(q)))))
@@ -719,7 +719,7 @@ def test_histogram_matches_weight_table(q, n, data):
         mp.setattr(ac, "_CHUNK", chunk)
         mp.setattr(ac, "_SUFFIX", suffix)
         best, examined = ac._scan_preimage(F, rows, excluded, hist)
-        A, weighed = ac.weight_distribution(code)
+        A, weighed = ac._weight_distribution(code)
     inside = weight_table(F, rows[len(rows) - excluded:])
     outside = [a - b for a, b in zip(weight_table(F, rows), inside)]
     assert [0] + [(q - 1) * int(h) for h in hist[1:]] == outside and hist[0] == 0
@@ -748,11 +748,12 @@ def test_dual_distribution_matches_enumerated_dual(q, n, data):
        st.sampled_from(("random", "isotropic", "self-dual", "mixed", "zero column")),
        st.integers(0, 2 ** 32 - 1))
 def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
-    """When m <= n, the distance over C^⊥ outside the radical comes from C's
-    weight distribution; it equals the odometer scan of the dual, taken from
-    the scalar symplectic kernel, that skips the radical's q^l words, and the
-    words weighed are one per F_q^* orbit of C, and of the radical when
-    0 < l < m."""
+    """For m <= n the distance over C^⊥ outside the radical equals the
+    odometer scan of the dual, taken from the scalar symplectic kernel, that
+    skips the radical's q^l words.  When C's side has no more words than the
+    dual's, the words weighed are one per F_q^* orbit of C, and of the
+    radical when 0 < l < m; else at most one per orbit of the dual's side,
+    none for a self-dual C."""
     Q = quadratic_field(field(q))
     cap = int(math.log(3000) / math.log(q))
     n = max(min(n, cap), 3 if kind == "mixed" else 1)
@@ -764,9 +765,13 @@ def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
     D = ac.AdditiveCode(Q, scalar_dual(Q.base, code.preimage))
     best, _ = odometer_scan(Q, sp.phi(Q, ac._exclusion_basis(D, dec.radical)), q ** l, 4096)
     assert r.d == (None if best == n + 1 else best)
-    assert r.examined * (q - 1) == q ** m - 1 + (q ** l - 1) * (0 < l < m)
+    own, other = q ** m - 1 + (q ** l - 1) * (0 < l < m), q ** (2 * n - m) - q ** l
+    if own <= other:
+        assert r.examined * (q - 1) == own
+    else:
+        assert r.examined * (q - 1) <= other
     if kind == "self-dual":
-        assert (m, l, r.d) == (n, n, None)
+        assert (m, l, r.d, r.examined) == (n, n, None, 0)
     elif kind == "isotropic":
         assert l == m
     elif kind == "mixed":
@@ -776,48 +781,62 @@ def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
-def test_ea_distance_route_reads_only_m_and_n(q, monkeypatch):
-    """m = n: histogram scans of C and, when 0 < l < m, of its radical, with
-    no dual and no exclusion basis built.  m = n + 1: the min-mode route
-    through the dual.  Both give the d of the min-mode scan."""
+def test_ea_distance_route_takes_the_smaller_side(q, monkeypatch):
+    """C's side, histogram scans of C and, when 0 < l < m, of its radical
+    with no dual and no exclusion basis built, when its q^m - 1 + q^l - 1
+    words are no more than the q^(2n-m) - q^l of the dual's side; else the
+    min-mode route through the dual.  Both give the d of the min-mode scan.
+    m < n and a hyperbolic pair beside a zero coordinate (m = n, l = 0)
+    take C's side; m = n with 0 < l < m, a self-dual code (no word on the
+    dual's side) and m > n the dual's."""
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(100 + q)
-    codes = [random_additive_code(Q, 3, m, rng) for m in (3, 4)]
-    expect = [ac.min_weight_excluding_detail(ac.dual(c), ac.radical(c)).d for c in codes]
+    codes = {"m < n": random_additive_code(Q, 3, 2, rng),
+             "m = n, l = 0": ac.AdditiveCode(Q, np.eye(4, dtype=np.int16)[[0, 2]]),
+             "m = n, 0 < l < m": ea_case(Q, 3, "mixed", 6, rng),
+             "self-dual": ea_case(Q, 3, "self-dual", 6, rng),
+             "m > n": random_additive_code(Q, 3, 4, rng)}
+    expect = {k: ac.min_weight_excluding_detail(ac.dual(c), ac.radical(c)).d
+              for k, c in codes.items()}
     calls = []
     for name in ("dual", "_exclusion_basis", "_scan_preimage"):
         monkeypatch.setattr(ac, name, lambda *a, real=getattr(ac, name), name=name:
                             calls.append((name, len(a) > 3)) or real(*a))
-    for code, d in zip(codes, expect):
+    for kind, code in codes.items():
         dec = ac.radical_decompose(code)
         calls.clear()
-        assert ac.ea_distance_detail(code, dec).d == d
-        if code.m <= code.n:
+        assert ac.ea_distance_detail(code, dec).d == expect[kind]
+        if kind in ("m < n", "m = n, l = 0"):
+            assert dec.l == 0 or code.m < code.n
             assert calls == [("_scan_preimage", True)] * (1 + (0 < dec.l < code.m))
         else:
             # no scan when the dual is its radical
             assert calls == [("dual", False), ("_exclusion_basis", False)] + [
-                ("_scan_preimage", False)] * (d is not None)
+                ("_scan_preimage", False)] * (expect[kind] is not None)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_ea_distance_budget_counts_the_side_enumerated(q):
-    """The budget caps q^m - 1 words of C plus q^l - 1 of a scanned radical,
-    and is checked before any scan."""
+    """The budget caps the words of the side taken, and is checked before any
+    scan: q^m - 1 of C plus q^l - 1 of its radical for a mixed code beside a
+    zero coordinate (m < n), q^n - q^l of the dual's side for the same code
+    without it (m = n), and nothing for a self-dual code, whose d is None."""
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(110 + q)
-    code = ea_case(Q, 4, "mixed", 4, rng)
-    dec = ac.radical_decompose(code)
-    m, l = code.m, dec.l
-    need = q ** m - 1 + q ** l - 1
-    with pytest.raises(BudgetExceeded) as exc:
-        ac.ea_distance_detail(code, dec, budget=need - 1)
-    assert exc.value.required == need
-    assert ac.ea_distance_detail(code, dec, budget=need).examined * (q - 1) == need
+    tie = ea_case(Q, 4, "mixed", 4, rng)
+    wide = ac.AdditiveCode(Q, np.insert(tie.preimage, [4, 8], 0, axis=1))
+    assert (tie.m, tie.n, wide.n) == (4, 4, 5)
+    for code, need in ((wide, q ** 4 - 1 + q ** 2 - 1), (tie, q ** 4 - q ** 2)):
+        dec = ac.radical_decompose(code)
+        assert (dec.l, dec.c) == (2, 1)
+        with pytest.raises(BudgetExceeded) as exc:
+            ac.ea_distance_detail(code, dec, budget=need - 1)
+        assert exc.value.required == need
+        examined = ac.ea_distance_detail(code, dec, budget=need).examined * (q - 1)
+        assert examined == need if code is wide else examined <= need
     iso = ea_case(Q, 3, "self-dual", 3, rng)
-    with pytest.raises(BudgetExceeded) as exc:
-        ac.ea_distance_detail(iso, ac.radical_decompose(iso), budget=q ** 3 - 2)
-    assert exc.value.required == q ** 3 - 1
+    r = ac.ea_distance_detail(iso, ac.radical_decompose(iso), budget=0)
+    assert (r.d, r.examined) == (None, 0)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -828,7 +847,7 @@ def test_corrupted_distribution_raises(q, monkeypatch):
     weight 0 integral counts of the wrong total."""
     Q = quadratic_field(field(q))
     code = random_additive_code(Q, 3, 2, np.random.default_rng(120 + q))
-    A, _ = ac.weight_distribution(code)
+    A, _ = ac._weight_distribution(code)
     dual_table = weight_table(Q.base, ac.dual(code).preimage)
     assert enumerators.dual_distribution(A, q, 2) == dual_table
     extra = A[:2] + [A[2] + q - 1] + A[3:]
@@ -837,7 +856,7 @@ def test_corrupted_distribution_raises(q, monkeypatch):
                          ([q ** 2, 0, 0, 0], "sum to")):
         with pytest.raises(RuntimeError, match=message):
             enumerators.dual_distribution(bad, q, 2)
-    monkeypatch.setattr(ac, "weight_distribution", lambda c: (extra, 0))
+    monkeypatch.setattr(ac, "_weight_distribution", lambda c: (extra, 0))
     with pytest.raises(RuntimeError, match="not a nonnegative integer"):
         ac.ea_distance_detail(code, ac.radical_decompose(code))
 
