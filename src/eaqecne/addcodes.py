@@ -28,9 +28,9 @@ the layout of ``linalg._codes``, a block one XOR of two small tables, the
 first of at most 2^12 words; ``d`` is None when no word is left.  A
 ``budget`` caps all q^m - q^m' words.  The same scan in histogram mode
 counts the weighed words by weight.  The EA distance, over C^⊥ outside the
-radical, is :func:`ea_distance_detail`, from whichever side has fewer words
-to enumerate: the min-mode scan of C^⊥, or C's weight distribution through
-the MacWilliams transform of :mod:`eaqecne.enumerators`.
+radical, is :func:`ea_distance_detail`: C's weight distribution through the
+MacWilliams transform of :mod:`eaqecne.enumerators` when m < n, else the
+min-mode scan of C^⊥, the side with no more words to enumerate.
 """
 
 from __future__ import annotations
@@ -372,21 +372,21 @@ def _weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:
 def ea_distance_detail(code: AdditiveCode, dec: CodeDecomposition, *,
                        budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     """Minimum weight ``d`` over C^⊥ outside the radical ``dec.radical`` of
-    C, from the side with fewer words to enumerate, C's on a tie.  The
-    dual's side is the q^(2n-m) - q^l words of C^⊥ outside the radical, none
-    for a self-dual C, scanned in min mode.  The code's side is the q^m - 1
-    words of C plus the q^l - 1 of the radical when 0 < l < m: C^⊥ is never
-    built, the weight distribution of C goes through
+    C, from C's side when m < n and the dual's when m >= n, which is always
+    the side with no more words to enumerate.  The dual's side is the
+    q^(2n-m) - q^l words of C^⊥ outside the radical, scanned in min mode:
+    at m = n they are q^n - q^l, none for a self-dual C.  The code's side is
+    the q^m - 1 words of C plus the q^l - 1 of the radical when 0 < l < m,
+    fewer than the dual's q^(2n-m) - q^l >= q^(m+2) - q^m when m < n: C^⊥
+    is never built, the weight distribution of C goes through
     :func:`enumerators.dual_distribution`, and d = min{w >= 1 : A^⊥_w >
-    A^rad_w}, the radical's counts taken from C's when l = m.  So C's side
-    is taken exactly when m < n, or m = n and l = 0.  ``budget`` caps the
-    words of the side taken, and ``examined`` counts one word per F_q^*
-    orbit of them."""
+    A^rad_w}, the radical's counts taken from C's when l = m.  ``budget``
+    caps the words of the side taken, and ``examined`` counts one word per
+    F_q^* orbit of them."""
     q, n, m, l = code.base_field.order, code.n, code.m, dec.l
-    own = q ** m - 1 + (q ** l - 1) * (0 < l < m)
-    if q ** (2 * n - m) - q ** l < own:
+    if m >= n:
         return min_weight_excluding_detail(dual(code), dec.radical, budget=budget)
-    _check_budget(own, budget)
+    _check_budget(q ** m - 1 + (q ** l - 1) * (0 < l < m), budget)
     A, examined = _weight_distribution(code)
     R, more = (A, 0) if l == m else _weight_distribution(dec.radical)
     D = enumerators.dual_distribution(A, q, m)

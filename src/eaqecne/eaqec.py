@@ -8,7 +8,7 @@ special case and stabilize ordinary [[n, n-m, d]]_q codes: one
 returns it with c = 0.  Distances minimize the Hamming weight over the
 dual of the full code, excluding its radical, which for a self-orthogonal
 code is the code itself; :func:`addcodes.ea_distance_detail` enumerates
-whichever of the code's side and the dual's has fewer words.
+the code's side when m < n and the dual's otherwise.
 
 A combination pairs Alice's EA code with a stabilizer code Bob uses to
 protect the c shared ebits on his side; :class:`CombinationParams`

@@ -750,9 +750,9 @@ def test_dual_distribution_matches_enumerated_dual(q, n, data):
 def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
     """For m <= n the distance over C^⊥ outside the radical equals the
     odometer scan of the dual, taken from the scalar symplectic kernel, that
-    skips the radical's q^l words.  When C's side has no more words than the
-    dual's, the words weighed are one per F_q^* orbit of C, and of the
-    radical when 0 < l < m; else at most one per orbit of the dual's side,
+    skips the radical's q^l words.  When m < n the words weighed are one per
+    F_q^* orbit of C, and of the radical when 0 < l < m, fewer than the
+    dual's side holds; at m = n at most one per orbit of the dual's side,
     none for a self-dual C."""
     Q = quadratic_field(field(q))
     cap = int(math.log(3000) / math.log(q))
@@ -766,10 +766,10 @@ def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
     best, _ = odometer_scan(Q, sp.phi(Q, ac._exclusion_basis(D, dec.radical)), q ** l, 4096)
     assert r.d == (None if best == n + 1 else best)
     own, other = q ** m - 1 + (q ** l - 1) * (0 < l < m), q ** (2 * n - m) - q ** l
-    if own <= other:
-        assert r.examined * (q - 1) == own
+    if m < n:
+        assert r.examined * (q - 1) == own < other
     else:
-        assert r.examined * (q - 1) <= other
+        assert r.examined * (q - 1) <= other <= own
     if kind == "self-dual":
         assert (m, l, r.d, r.examined) == (n, n, None, 0)
     elif kind == "isotropic":
@@ -782,16 +782,17 @@ def test_ea_distance_matches_odometer_oracle(q, n, kind, seed):
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_ea_distance_route_takes_the_smaller_side(q, monkeypatch):
-    """C's side, histogram scans of C and, when 0 < l < m, of its radical
-    with no dual and no exclusion basis built, when its q^m - 1 + q^l - 1
-    words are no more than the q^(2n-m) - q^l of the dual's side; else the
-    min-mode route through the dual.  Both give the d of the min-mode scan.
-    m < n and a hyperbolic pair beside a zero coordinate (m = n, l = 0)
-    take C's side; m = n with 0 < l < m, a self-dual code (no word on the
-    dual's side) and m > n the dual's."""
+    """The route reads m and n alone.  m < n takes C's side, histogram scans
+    of C and, when 0 < l < m, of its radical, with no dual and no exclusion
+    basis built; m >= n the min-mode route through the dual, which at m = n
+    holds no more words: q^n - 1 for a hyperbolic pair (l = 0), as many as
+    C's side, fewer when 0 < l < m, and none for a self-dual code.  Both
+    routes give the d of the min-mode scan."""
     Q = quadratic_field(field(q))
     rng = np.random.default_rng(100 + q)
     codes = {"m < n": random_additive_code(Q, 3, 2, rng),
+             "m < n, 0 < l < m": ac.AdditiveCode(
+                 Q, np.insert(ea_case(Q, 3, "mixed", 6, rng).preimage, [3, 6], 0, axis=1)),
              "m = n, l = 0": ac.AdditiveCode(Q, np.eye(4, dtype=np.int16)[[0, 2]]),
              "m = n, 0 < l < m": ea_case(Q, 3, "mixed", 6, rng),
              "self-dual": ea_case(Q, 3, "self-dual", 6, rng),
@@ -806,8 +807,8 @@ def test_ea_distance_route_takes_the_smaller_side(q, monkeypatch):
         dec = ac.radical_decompose(code)
         calls.clear()
         assert ac.ea_distance_detail(code, dec).d == expect[kind]
-        if kind in ("m < n", "m = n, l = 0"):
-            assert dec.l == 0 or code.m < code.n
+        if code.m < code.n:
+            assert kind.startswith("m < n")
             assert calls == [("_scan_preimage", True)] * (1 + (0 < dec.l < code.m))
         else:
             # no scan when the dual is its radical
