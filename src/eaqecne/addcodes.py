@@ -348,17 +348,18 @@ def min_weight_excluding_detail(outer: AdditiveCode,
                                 excluded: AdditiveCode | None = None, *,
                                 budget: int = DEFAULT_BUDGET) -> MinWeightResult:
     """Minimum Hamming weight ``d`` over words of `outer` not in `excluded`
-    (None: the zero code), the package's one minimum-weight scan."""
-    if excluded is None:
-        excluded = AdditiveCode.zero(outer.field, outer.n)
-    outer._check_peer(excluded)
-    rows = _exclusion_basis(outer, excluded)
+    (None: the zero code), the package's one minimum-weight scan.  An
+    excluded code with no rows leaves the outer code's own rows to scan."""
+    if excluded is not None:
+        outer._check_peer(excluded)
+    l = 0 if excluded is None else excluded.m
+    rows = _exclusion_basis(outer, excluded) if l else outer.preimage
     q = outer.base_field.order
-    required = q ** outer.m - q ** excluded.m
+    required = q ** outer.m - q ** l
     if required == 0:
         return MinWeightResult(d=None, examined=0)
     _check_budget(required, budget)
-    return MinWeightResult(*_scan_preimage(outer.base_field, rows, excluded.m))
+    return MinWeightResult(*_scan_preimage(outer.base_field, rows, l))
 
 
 def _weight_distribution(code: AdditiveCode) -> tuple[list[int], int]:

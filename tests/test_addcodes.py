@@ -811,9 +811,10 @@ def test_ea_distance_route_takes_the_smaller_side(q, monkeypatch):
             assert kind.startswith("m < n")
             assert calls == [("_scan_preimage", True)] * (1 + (0 < dec.l < code.m))
         else:
-            # no scan when the dual is its radical
-            assert calls == [("dual", False), ("_exclusion_basis", False)] + [
-                ("_scan_preimage", False)] * (expect[kind] is not None)
+            # no basis extension when the radical is zero, no scan when the
+            # dual is its radical
+            assert calls == [("dual", False)] + [("_exclusion_basis", False)] * (
+                dec.l > 0) + [("_scan_preimage", False)] * (expect[kind] is not None)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -974,6 +975,28 @@ def test_contains_is_one_elimination(q, monkeypatch):
     outer.contains(inner)
     outer.contains_word(inner.generators[0])
     assert fields == []
+
+
+def test_contains_refuses_codes_of_another_length():
+    Q = field(4)
+    with pytest.raises(DimensionMismatch, match="codes live in different ambient spaces"):
+        ac.AdditiveCode.full(Q, 3).contains(ac.AdditiveCode.zero(Q, 2))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_empty_exclusion_runs_no_elimination(q, monkeypatch):
+    """With no excluded code, or one with no rows, the scan weighs the outer
+    code's own canonical rows: no elimination runs, and d and the words
+    examined are those of the scan of those rows."""
+    Q = quadratic_field(field(q))
+    code = random_additive_code(Q, 3, 3, np.random.default_rng([71, q]))
+    want = ac.MinWeightResult(*ac._scan_preimage(Q.base, code.preimage, 0))
+    fields = count_rref(monkeypatch)
+    assert ac.min_weight_excluding_detail(code) == want
+    assert ac.min_weight_excluding_detail(code, ac.AdditiveCode.zero(Q, 3)) == want
+    assert fields == []
+    with pytest.raises(DimensionMismatch):
+        ac.min_weight_excluding_detail(code, ac.AdditiveCode.zero(Q, 2))
 
 
 def greedy_extension(F, S, rows):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecne.errors import (FieldMismatch, FormatError, InsufficientProtection,
-                            NotSelfOrthogonal, PreconditionFailed, RangeError)
+from eaqecne.errors import (DimensionMismatch, FieldMismatch, FormatError,
+                            InsufficientProtection, NotSelfOrthogonal,
+                            PreconditionFailed, RangeError)
 from eaqecne.gf import SUPPORTED_ORDERS, field, quadratic_field
 from eaqecne import addcodes as ac
 from eaqecne import eaqec, linalg, symplectic as sp
@@ -46,6 +47,9 @@ def test_params_validation():
         eaqec.EAQECCParams(q=2, n=5, k=1, c=0, d=6)
     with pytest.raises(RangeError):
         eaqec.EAQECCParams(q=2, n=5, k=5, c=1)
+    for k, c in ((1, -1), (-1, 1)):
+        with pytest.raises(RangeError, match="must be nonnegative"):
+            eaqec.EAQECCParams(q=2, n=5, k=k, c=c)
     p = eaqec.EAQECCParams(q=3, n=11, k=1, c=2, d=7)
     assert p.l == 8
     assert str(p) == "[[11,1,7;2]]_3"
@@ -315,6 +319,14 @@ def test_combine_construct_preconditions():
     # (G2|E) not complementary-dual: repeat a self-orthogonal row
     with pytest.raises(PreconditionFailed):
         eaqec.combine_construct(Q, [[1, 1]], [[0, 0], [0, 0]], [[1, 1], [2, 2]])
+
+
+def test_combine_construct_dimension_mismatches():
+    Q = field(4)
+    with pytest.raises(DimensionMismatch, match="G has length 2, G2 has length 3"):
+        eaqec.combine_construct(Q, [[1, 1]], [[1, 0, 0]], [[1, 0]])
+    with pytest.raises(DimensionMismatch, match="G2 has 2 rows, E has 1"):
+        eaqec.combine_construct(Q, [[1, 1]], [[1, 0], [0, 1]], [[1, 0]])
 
 
 @pytest.mark.parametrize("bad", [[], [[1, 0], [1]], [[[1, 0]]], [[1.5, 1]], [[4, 0]], [[-1, 0]]],

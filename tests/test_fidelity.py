@@ -151,6 +151,12 @@ def test_crossover_none():
         fid.crossover_degradation((17, 7), ((11, 7), (6, 3)), 0)
 
 
+def test_crossover_at_a_zero_difference_endpoint():
+    # D's Alice is C itself: P(D) - P(C) is 0 at lam = 0, which is returned
+    assert fid.crossover_degradation((11, 7), ((11, 7), (6, 3)),
+                                     Fraction(1, 100)) == 0
+
+
 def test_sweep_structure():
     grid = [Fraction(i, 1000) for i in range(1, 6)]
     rows = fid.sweep((17, 7), ((11, 7), (6, 3)), Fraction(1, 100), grid)

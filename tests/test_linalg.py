@@ -392,12 +392,14 @@ BAD_ENTRIES = [
     ("3 2 2\n1 2\n0 99999999999999999999999\n",
      "row 1: entry 99999999999999999999999 outside [0, 3)"),
     ("3 2 2\n1 2\n0 1.0\n", "row 1: bad entry '1.0'"),
+    ("2 a 3", "non-integer header '2 a 3'"),
 ]
 
 
 @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
 def test_matrix_format_first_bad_entry(bad, message):
-    # the first offending row and token in reading order, after good rows
+    # the first offending row and token in reading order, after good rows,
+    # or the header that names no integers
     with pytest.raises(FormatError) as info:
         linalg.parse_matrix(bad)
     assert str(info.value) == message

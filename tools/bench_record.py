@@ -34,20 +34,19 @@ change won (ties count for neither), whether a gain may be claimed (at
 least nine tenths of the pairs won and the medians further apart than the
 parent's quartiles) and a no-regression ``verdict`` against the metric's
 ``bound`` in ``BENCHMARK.json``; the same summary, in milliseconds, of each
-cold-start command; for each workload, as
-``per_layer_<workload>_traced``, the per-layer metrics of both sides with
-the direction that is better, to read beside the untraced ``wall_s``; the
-``src/`` line counts of the two copies; and a host note.
+cold-start command, with a ``resolved`` flag that is true when the change
+wins by that claim rule or loses by it (the rule with the sides swapped);
+for each workload, as ``per_layer_<workload>_traced``, exactly the metrics
+its traced run prints, for both sides with the direction that is better, to
+read beside the untraced ``wall_s``; the ``src/`` line counts of the two
+copies; and a host note.
 
-Direction of the per-layer numbers.  Call counts and words examined are
-work done, so lower is better (the benchmark's own declaration calls
-``.calls`` higher-is-better).  Words avoided, required minus examined, is
-work not done: higher is better.  Words required per scan-second divides
-the same required words by each side's scan time, so it stays comparable
-when a change examines fewer words per required word.  The traced
-``words_per_s`` (overall and per q), ``examined_ratio`` and ``early_exits``
-count examined words, whose meaning such a change alters; they are recorded
-without a direction.
+Direction of the per-layer numbers.  Call counts, self times and words
+examined are work done, so lower is better (the benchmark's own declaration
+calls ``.calls`` higher-is-better).  ``words_required`` is set by the
+inputs, and ``words_per_s`` (overall and per q), ``examined_ratio`` and
+``early_exits`` count examined words, whose meaning a change to what the
+scan examines alters; they are recorded without a direction.
 """
 
 from __future__ import annotations
@@ -154,15 +153,13 @@ def cold_time(checkout: Path, argv: list[str]) -> float:
 
 def cold_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     """Per command, the pair summary of `compare` over its runs in
-    milliseconds, the milliseconds the change saves at the median, and
-    whether that saving, either way, is ``unresolved``: smaller than the
-    parent's quartile spread, so the record cannot tell it from noise."""
+    milliseconds and whether it is ``resolved``: the change wins by the
+    claim rule (``gain``) or loses by it (``gain`` with the sides swapped)."""
     out = {}
     for name, sides in times.items():
-        c = compare([t * 1e3 for t in sides["parent"]],
-                    [t * 1e3 for t in sides["change"]], "lower")
-        c["saved_ms"] = c["parent"]["median"] - c["change"]["median"]
-        c["unresolved"] = abs(c["saved_ms"]) < c["parent"]["q3"] - c["parent"]["q1"]
+        parent, change = ([t * 1e3 for t in sides[s]] for s in ("parent", "change"))
+        c = compare(parent, change, "lower")
+        c["resolved"] = c["gain"] or compare(change, parent, "lower")["gain"]
         out[name] = c
     return out
 
@@ -200,24 +197,10 @@ def direction(name: str) -> str | None:
     """The better direction of a traced per-layer metric."""
     if name.startswith(UNDIRECTED):
         return None
-    if name.endswith((".words_avoided", ".words_required_per_scan_s")):
-        return "higher"
     if name.endswith((".calls", ".words_examined", "_s", ".wall_share",
                       ".overhead")):
         return "lower"
     return None
-
-
-def layer_metrics(result: dict) -> dict[str, float]:
-    """Traced metrics of one run plus the two derived scan throughputs."""
-    m = {k: v["value"] for k, v in result.get("metrics", {}).items()}
-    required = m.get("addcodes.scan.words_required", 0.0)
-    examined = m.get("addcodes.scan.words_examined", 0.0)
-    rate = m.get("addcodes.scan.words_per_s", 0.0)
-    m["addcodes.scan.words_avoided"] = required - examined
-    m["addcodes.scan.words_required_per_scan_s"] = (
-        required * rate / examined if examined else 0.0)
-    return m
 
 
 def src_lines(checkout: Path) -> int:
@@ -306,7 +289,8 @@ def record(parent: Path, change: Path, note: str) -> dict:
 
     per_layer = {}
     for w, sides in traced.items():
-        layers = {side: layer_metrics(res) for side, res in sides.items()}
+        layers = {side: {k: v["value"] for k, v in res.get("metrics", {}).items()}
+                  for side, res in sides.items()}
         per_layer[f"per_layer_{w}_traced"] = {
             name: {"better": direction(name), "parent": layers["parent"].get(name),
                    "change": layers["change"].get(name)}
@@ -350,17 +334,8 @@ def main(argv=None) -> int:
     for name, c in report["cold_start_ms"].items():
         print(f"cold {name:12s} parent {c['parent']['median']:.1f} ms "
               f"change {c['change']['median']:.1f} ms "
-              f"won {c['change_won']}/{c['pairs']} gain={c['gain']}"
-              + " unresolved" * c["unresolved"])
-    for w in WORKLOADS:
-        layers = report[f"per_layer_{w}_traced"]
-        for name in ("linalg.rref.self_s", "linalg.parse_matrix.self_s",
-                     "symplectic.decompose.self_s", "addcodes.scan.self_s",
-                     "fidelity.sweep.self_s",
-                     "fidelity.crossover_degradation.self_s"):
-            if name in layers:
-                print(f"traced {w:9s} {name:38s} parent {layers[name]['parent']} "
-                      f"change {layers[name]['change']}")
+              f"won {c['change_won']}/{c['pairs']} gain={c['gain']} "
+              f"resolved={c['resolved']}")
     print(f"wrote {out}")
     return 0
 
